@@ -13,6 +13,7 @@ from .bodies import (
     Ellipsoid,
     Halfspace,
     MEMBER_TOL,
+    START_TOL,
     UnsupportedOracleError,
     as_vector,
 )
@@ -41,7 +42,6 @@ from .solvers import (
     averaged_projection,
     default_schedule,
     exact_alternating,
-    schedule_update,
 )
 
 __all__ = [
@@ -56,6 +56,7 @@ __all__ = [
     "ForcingSchedule",
     "Halfspace",
     "MEMBER_TOL",
+    "START_TOL",
     "OracleConfig",
     "Regime",
     "SolveReport",
@@ -73,7 +74,6 @@ __all__ = [
     "dist_two_bodies",
     "exact_alternating",
     "phi",
-    "schedule_update",
 ]
 
 __version__ = "0.1.0"

@@ -24,6 +24,10 @@ Vector: TypeAlias = NDArray[np.float64]
 # library itself; experiment-level feasibility uses its own eps_feas.
 MEMBER_TOL = 1e-12
 
+# How far, in violation, a caller-supplied start point or warm-start anchor
+# may sit outside its set and still be accepted.
+START_TOL = 1e-10
+
 __all__ = [
     "Ball",
     "Box",
@@ -31,6 +35,7 @@ __all__ = [
     "Ellipsoid",
     "Halfspace",
     "MEMBER_TOL",
+    "START_TOL",
     "UnsupportedOracleError",
     "Vector",
     "as_vector",

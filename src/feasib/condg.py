@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import ConvexBody, UnsupportedOracleError, Vector, as_vector
+from .bodies import START_TOL, ConvexBody, UnsupportedOracleError, Vector, as_vector
 
 __all__ = [
     "CondGLimits",
@@ -123,8 +123,8 @@ def condg_project(
     ----------
     body : compact ConvexBody with a linear minimization oracle.
     params : forcing coefficients; all zero yields the exact projection.
-    anchor : member of the body (violation <= 1e-10), the warm start and the
-        reference point of the tolerance.
+    anchor : member of the body (violation <= ``START_TOL``), the warm start
+        and the reference point of the tolerance.
     point : the point being projected.
     limits : inner iteration cap and degenerate-gap cutoff.
     keep_trace : record every inner iterate in the result.
@@ -141,8 +141,10 @@ def condg_project(
         )
     anchor = as_vector(anchor, body.dim)
     point = as_vector(point, body.dim)
-    if body.violation(anchor) > 1e-10:
-        raise ValueError("anchor must belong to the body (violation <= 1e-10)")
+    if body.violation(anchor) > START_TOL:
+        raise ValueError(
+            f"anchor must belong to the body (violation <= {START_TOL:g})"
+        )
 
     w = anchor.copy()
     trace = [w.copy()] if keep_trace else None

@@ -15,9 +15,9 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .bodies import Ball, Box, ConvexBody, Ellipsoid, Halfspace
+from .bodies import START_TOL, Ball, Box, ConvexBody, Ellipsoid, Halfspace
 from .condg import ForcingParams
-from .solvers import ForcingSchedule, Regime, StoppingConfig
+from .solvers import ForcingSchedule, Regime, StoppingConfig, default_schedule
 
 __all__ = [
     "ConfigError",
@@ -28,7 +28,6 @@ __all__ = [
     "TABLE2_CENTERS",
     "build_bodies",
     "build_schedule",
-    "build_stopping",
     "load_config",
     "parse_config",
     "save_config",
@@ -44,9 +43,7 @@ SCHEMA_VERSION = 1
 SOLVER_NAMES = ("ACondG1", "ACondG2", "Averaged", "ExactAlt1", "ExactAlt2")
 _SOLVER_LOOKUP = {n.lower().replace("_", ""): n for n in SOLVER_NAMES}
 
-_EPS = 1e-8
-_DEFAULT_SCHEDULE = (0.1 - _EPS, 0.2 - _EPS, 0.2 - _EPS, 0.9, 0.1)
-_DEFAULT_STOPPING = (_EPS, _EPS, 100_000)
+_SOLVER_DEFAULTS = default_schedule()
 
 
 class ConfigError(ValueError):
@@ -59,18 +56,11 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ScheduleSpec:
-    gamma0: float = _DEFAULT_SCHEDULE[0]
-    theta0: float = _DEFAULT_SCHEDULE[1]
-    lambda0: float = _DEFAULT_SCHEDULE[2]
-    tau: float = _DEFAULT_SCHEDULE[3]
-    delta: float = _DEFAULT_SCHEDULE[4]
-
-
-@dataclass(frozen=True)
-class StoppingSpec:
-    eps_feas: float = _DEFAULT_STOPPING[0]
-    eps_lack: float = _DEFAULT_STOPPING[1]
-    max_outer_iters: int = _DEFAULT_STOPPING[2]
+    gamma0: float = _SOLVER_DEFAULTS.current.gamma
+    theta0: float = _SOLVER_DEFAULTS.current.theta
+    lambda0: float = _SOLVER_DEFAULTS.current.lam
+    tau: float = _SOLVER_DEFAULTS.tau
+    delta: float = _SOLVER_DEFAULTS.delta
 
 
 @dataclass(frozen=True)
@@ -93,7 +83,7 @@ class InstanceConfig:
     solver: str
     y0: tuple[float, ...] | None = None
     schedule: ScheduleSpec = ScheduleSpec()
-    stopping: StoppingSpec = StoppingSpec()
+    stopping: StoppingConfig = StoppingConfig()
     seed: int | None = None
 
 
@@ -210,8 +200,8 @@ def parse_config(obj) -> InstanceConfig:
     stop_obj = obj.get("stopping", {})
     if not isinstance(stop_obj, dict):
         raise ConfigError("stopping", "expected an object")
-    sdef = StoppingSpec()
-    stopping = StoppingSpec(
+    sdef = StoppingConfig()
+    stopping = StoppingConfig(
         eps_feas=_number(
             stop_obj.get("eps_feas", sdef.eps_feas), "stopping.eps_feas", positive=True
         ),
@@ -282,18 +272,12 @@ def build_schedule(config: InstanceConfig) -> ForcingSchedule | None:
     )
 
 
-def build_stopping(config: InstanceConfig) -> StoppingConfig:
-    s = config.stopping
-    return StoppingConfig(
-        eps_feas=s.eps_feas,
-        eps_lack=s.eps_lack,
-        max_outer_iters=s.max_outer_iters,
-    )
-
-
-def validate_config(config: InstanceConfig) -> None:
+def validate_config(config: InstanceConfig) -> tuple[ConvexBody, ConvexBody]:
     """Cross-field checks: solver/body compatibility, schedule regime
-    conditions, and membership of the starting points."""
+    conditions, and membership of the starting points.
+
+    Returns the two bodies it built, ``(set_a, set_b)``.
+    """
     a, b = build_bodies(config)
     solver = config.solver
 
@@ -322,10 +306,11 @@ def validate_config(config: InstanceConfig) -> None:
     except ValueError as exc:
         raise ConfigError("schedule", str(exc)) from exc
 
-    if a.violation(config.x0) > 1e-10:
-        raise ConfigError("x0", "must belong to set_a (violation <= 1e-10)")
-    if config.y0 is not None and b.violation(config.y0) > 1e-10:
-        raise ConfigError("y0", "must belong to set_b (violation <= 1e-10)")
+    if a.violation(config.x0) > START_TOL:
+        raise ConfigError("x0", f"must belong to set_a (violation <= {START_TOL:g})")
+    if config.y0 is not None and b.violation(config.y0) > START_TOL:
+        raise ConfigError("y0", f"must belong to set_b (violation <= {START_TOL:g})")
+    return a, b
 
 
 def serialize_config(config: InstanceConfig) -> dict:

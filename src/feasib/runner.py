@@ -26,9 +26,7 @@ from .instances import (
     InstanceConfig,
     TABLE1_OFFSETS,
     TABLE2_CENTERS,
-    build_bodies,
     build_schedule,
-    build_stopping,
     table1_config,
     table2_config,
     table_reference,
@@ -56,10 +54,9 @@ def _fmt(x: float) -> str:
 
 
 def solve_config(config: InstanceConfig) -> SolveReport:
-    """Build the instance and run its solver."""
-    validate_config(config)
-    a, b = build_bodies(config)
-    stop = build_stopping(config)
+    """Validate and build the instance, then run its solver."""
+    a, b = validate_config(config)
+    stop = config.stopping
     schedule = build_schedule(config)
     solver = config.solver
     if solver == "ACondG1":
@@ -132,12 +129,11 @@ def run_instance(
     Returns the report and the trace path. Nothing is written when
     validation fails.
     """
-    validate_config(config)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
     report = solve_config(config)
     wall = time.perf_counter() - start
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     trace_path = out_dir / f"{stem}_trace.csv"
     write_trace_csv(trace_path, report, config.dimension)
     _write_summary(out_dir / f"{stem}_summary.json", report, wall)

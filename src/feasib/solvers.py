@@ -9,6 +9,18 @@ Four schemes are provided, all producing a :class:`SolveReport`:
   single iterate,
 * :func:`exact_alternating` -- the exact-projection baseline.
 
+The three alternating schemes share one driver, ``_alternate``: each outer
+step projects the x-iterate onto B, then the new y-iterate onto A, through
+two projector callables ``(anchor, point, params) -> (w, inner_iters,
+capped)``, where ``capped`` says the inner loop stopped at its cap. An exact
+projector ignores the anchor and the forcing parameters and reports zero
+inner iterations; an inexact projector runs
+:func:`~feasib.condg.condg_project` warm-started at the anchor. ACondG1
+pairs an exact projector on B with an inexact one on A, ACondG2 uses two
+inexact ones, and ExactAlt two exact ones under a constant zero schedule.
+The averaged scheme keeps its own loop: its iterate is the average of the
+two projections, not one of them.
+
 Stopping follows the experiment conventions: a run converges when a computed
 iterate violates the *other* set by at most ``eps_feas``; it stops for lack
 of progress when both iterate sequences move at most ``eps_lack`` in the
@@ -29,10 +41,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
-from .bodies import ConvexBody, Vector, as_vector
+from .bodies import START_TOL, ConvexBody, Vector, as_vector
 from .condg import CondGLimits, CondGStop, ForcingParams, condg_project
 
 __all__ = [
@@ -46,10 +59,7 @@ __all__ = [
     "averaged_projection",
     "default_schedule",
     "exact_alternating",
-    "schedule_update",
 ]
-
-_ZERO_PARAMS = ForcingParams(0.0, 0.0, 0.0)
 
 
 class Regime(enum.Enum):
@@ -103,20 +113,11 @@ class ForcingSchedule:
     ) -> "ForcingSchedule":
         """Apply the progress rule; NaN baselines count as no progress."""
         progress = cb_curr <= self.tau * cb_prev or ca_curr <= self.tau * ca_prev
-        if progress:
+        p = self.current
+        # All-zero parameters are a fixed point of the scaling.
+        if progress or p.gamma == p.theta == p.lam == 0.0:
             return self
         return replace(self, current=self.current.scaled(self.delta))
-
-
-def schedule_update(
-    schedule: ForcingSchedule,
-    cb_prev: float,
-    cb_curr: float,
-    ca_prev: float,
-    ca_curr: float,
-) -> ForcingSchedule:
-    """Functional form of :meth:`ForcingSchedule.updated`."""
-    return schedule.updated(cb_prev, cb_curr, ca_prev, ca_curr)
 
 
 def default_schedule(regime: Regime = Regime.ONE_SET) -> ForcingSchedule:
@@ -129,6 +130,10 @@ def default_schedule(regime: Regime = Regime.ONE_SET) -> ForcingSchedule:
         delta=0.1,
         regime=regime,
     )
+
+
+# Exact projections take no forcing parameters.
+_ZERO_SCHEDULE = ForcingSchedule(ForcingParams(0.0, 0.0, 0.0))
 
 
 @dataclass(frozen=True)
@@ -220,13 +225,11 @@ class _Trace:
         self.caps: list[int] = []
         self.lack_streak = 0
 
-    def row(self, params: ForcingParams, inner: int):
+    def row(self, k: int, params: ForcingParams, inner: int, capped: bool):
         self.schedule.append(params)
         self.inner.append(inner)
         self.inner_total += inner
-
-    def note_caps(self, k: int, *results):
-        if any(r.stop_reason is CondGStop.ITERATION_CAP for r in results):
+        if capped:
             self.caps.append(k)
 
     def lack_step(self, small: bool) -> bool:
@@ -253,14 +256,106 @@ def _check_pair(a: ConvexBody, b: ConvexBody, x0, y0=None):
     if a.dim != b.dim:
         raise ValueError(f"sets have different dimensions: {a.dim} vs {b.dim}")
     x0 = as_vector(x0, a.dim)
-    if a.violation(x0) > 1e-10:
-        raise ValueError("x0 must belong to the first set (violation <= 1e-10)")
+    if a.violation(x0) > START_TOL:
+        raise ValueError(
+            f"x0 must belong to the first set (violation <= {START_TOL:g})"
+        )
     if y0 is None:
         return x0, None
     y0 = as_vector(y0, a.dim)
-    if b.violation(y0) > 1e-10:
-        raise ValueError("y0 must belong to the second set (violation <= 1e-10)")
+    if b.violation(y0) > START_TOL:
+        raise ValueError(
+            f"y0 must belong to the second set (violation <= {START_TOL:g})"
+        )
     return x0, y0
+
+
+_Projector = Callable[
+    [Vector | None, Vector, ForcingParams], tuple[Vector, int, bool]
+]
+
+
+def _exact(body: ConvexBody) -> _Projector:
+    """Exact projection; ignores the anchor and the forcing parameters."""
+
+    def project(anchor, point, params):
+        return body.project(point), 0, False
+
+    return project
+
+
+def _inexact(body: ConvexBody, limits: CondGLimits) -> _Projector:
+    """Conditional-gradient projection warm-started at the anchor."""
+
+    def project(anchor, point, params):
+        res = condg_project(body, params, anchor, point, limits)
+        return res.w_plus, res.inner_iters, res.stop_reason is CondGStop.ITERATION_CAP
+
+    return project
+
+
+def _alternate(
+    a: ConvexBody,
+    b: ConvexBody,
+    proj_a: _Projector,
+    proj_b: _Projector,
+    x0: Vector,
+    y0: Vector | None,
+    schedule: ForcingSchedule,
+    stop: StoppingConfig,
+    feas_tol: float,
+) -> SolveReport:
+    """Alternate ``y = proj_b(y, x)`` and ``x = proj_a(x, y)`` from ``x0``.
+
+    Without ``y0`` the y-sequence starts at iteration 1. The run converges
+    when an iterate lands exactly in the other set, or when the smaller of
+    the two violations is at most ``feas_tol``.
+    """
+    tr = _Trace(schedule.current)
+    x, y = x0, y0
+    tr.x.append(x)
+    if y is not None:
+        tr.y.append(y)
+    ca0 = a.violation(y) if y is not None else math.inf
+    tr.violations.append((b.violation(x), ca0))
+    if min(tr.violations[0]) <= feas_tol:
+        return tr.report(StopCode.CONVERGED_FEASIBLE, 0)
+
+    for k in range(1, stop.max_outer_iters + 1):
+        params = schedule.current
+        y_new, inner_b, cap_b = proj_b(y, x, params)
+        ca_y = a.violation(y_new)
+        if ca_y == 0.0:
+            tr.x.append(x)
+            tr.y.append(y_new)
+            tr.violations.append((tr.violations[-1][0], ca_y))
+            tr.row(k, params, inner_b, cap_b)
+            return tr.report(StopCode.CONVERGED_FEASIBLE, k)
+
+        x_new, inner_a, cap_a = proj_a(x, y_new, params)
+        cb_x = b.violation(x_new)
+        tr.x.append(x_new)
+        tr.y.append(y_new)
+        tr.violations.append((cb_x, ca_y))
+        tr.row(k, params, inner_b + inner_a, cap_b or cap_a)
+        if cb_x == 0.0:
+            return tr.report(StopCode.CONVERGED_FEASIBLE, k)
+
+        small = _inf_norm(x_new - x) <= stop.eps_lack and (
+            y is not None and _inf_norm(y_new - y) <= stop.eps_lack
+        )
+        if tr.lack_step(small):
+            return tr.report(StopCode.LACK_OF_PROGRESS, k)
+        if min(cb_x, ca_y) <= feas_tol:
+            return tr.report(StopCode.CONVERGED_FEASIBLE, k)
+
+        cb_prev, ca_prev = tr.violations[-2]
+        if not math.isfinite(ca_prev):  # no y0: no baseline, no progress
+            ca_prev = math.nan
+        schedule = schedule.updated(cb_prev, cb_x, ca_prev, ca_y)
+        x, y = x_new, y_new
+
+    return tr.report(StopCode.ITERATION_CAP, stop.max_outer_iters)
 
 
 def acondg1(
@@ -280,52 +375,9 @@ def acondg1(
         raise ValueError("second set must support exact projection")
     x0, _ = _check_pair(a, b, x0)
     sched = schedule if schedule is not None else default_schedule(Regime.ONE_SET)
-
-    tr = _Trace(sched.current)
-    x = x0
-    tr.x.append(x)
-    tr.violations.append((b.violation(x), math.inf))
-    if tr.violations[0][0] <= stop.eps_feas:
-        return tr.report(StopCode.CONVERGED_FEASIBLE, 0)
-
-    y_prev: Vector | None = None
-    for k in range(1, stop.max_outer_iters + 1):
-        params = sched.current
-        y_new = b.project(x)
-        ca_y = a.violation(y_new)
-        if ca_y == 0.0:
-            tr.x.append(x)
-            tr.y.append(y_new)
-            tr.violations.append((tr.violations[-1][0], ca_y))
-            tr.row(params, 0)
-            return tr.report(StopCode.CONVERGED_FEASIBLE, k)
-
-        res = condg_project(a, params, x, y_new, limits)
-        tr.note_caps(k, res)
-        x_new = res.w_plus
-        cb_x = b.violation(x_new)
-        tr.x.append(x_new)
-        tr.y.append(y_new)
-        tr.violations.append((cb_x, ca_y))
-        tr.row(params, res.inner_iters)
-        if cb_x == 0.0:
-            return tr.report(StopCode.CONVERGED_FEASIBLE, k)
-
-        small = _inf_norm(x_new - x) <= stop.eps_lack and (
-            y_prev is not None and _inf_norm(y_new - y_prev) <= stop.eps_lack
-        )
-        if tr.lack_step(small):
-            return tr.report(StopCode.LACK_OF_PROGRESS, k)
-        if min(cb_x, ca_y) <= stop.eps_feas:
-            return tr.report(StopCode.CONVERGED_FEASIBLE, k)
-
-        cb_prev, ca_prev = tr.violations[-2]
-        if not math.isfinite(ca_prev):
-            ca_prev = math.nan
-        sched = sched.updated(cb_prev, cb_x, ca_prev, ca_y)
-        x, y_prev = x_new, y_new
-
-    return tr.report(StopCode.ITERATION_CAP, stop.max_outer_iters)
+    return _alternate(
+        a, b, _inexact(a, limits), _exact(b), x0, None, sched, stop, stop.eps_feas
+    )
 
 
 def acondg2(
@@ -343,53 +395,10 @@ def acondg2(
         raise ValueError("both sets must be compact")
     x0, y0 = _check_pair(a, b, x0, y0)
     sched = schedule if schedule is not None else default_schedule(Regime.TWO_SETS)
-
-    tr = _Trace(sched.current)
-    x, y = x0, y0
-    tr.x.append(x)
-    tr.y.append(y)
-    tr.violations.append((b.violation(x), a.violation(y)))
-    if min(tr.violations[0]) <= stop.eps_feas:
-        return tr.report(StopCode.CONVERGED_FEASIBLE, 0)
-
-    for k in range(1, stop.max_outer_iters + 1):
-        params = sched.current
-        res_y = condg_project(b, params, y, x, limits)
-        y_new = res_y.w_plus
-        ca_y = a.violation(y_new)
-        if ca_y == 0.0:
-            tr.x.append(x)
-            tr.y.append(y_new)
-            tr.violations.append((tr.violations[-1][0], ca_y))
-            tr.row(params, res_y.inner_iters)
-            tr.note_caps(k, res_y)
-            return tr.report(StopCode.CONVERGED_FEASIBLE, k)
-
-        res_x = condg_project(a, params, x, y_new, limits)
-        x_new = res_x.w_plus
-        cb_x = b.violation(x_new)
-        tr.note_caps(k, res_y, res_x)
-        tr.x.append(x_new)
-        tr.y.append(y_new)
-        tr.violations.append((cb_x, ca_y))
-        tr.row(params, res_y.inner_iters + res_x.inner_iters)
-        if cb_x == 0.0:
-            return tr.report(StopCode.CONVERGED_FEASIBLE, k)
-
-        small = (
-            _inf_norm(x_new - x) <= stop.eps_lack
-            and _inf_norm(y_new - y) <= stop.eps_lack
-        )
-        if tr.lack_step(small):
-            return tr.report(StopCode.LACK_OF_PROGRESS, k)
-        if min(cb_x, ca_y) <= stop.eps_feas:
-            return tr.report(StopCode.CONVERGED_FEASIBLE, k)
-
-        cb_prev, ca_prev = tr.violations[-2]
-        sched = sched.updated(cb_prev, cb_x, ca_prev, ca_y)
-        x, y = x_new, y_new
-
-    return tr.report(StopCode.ITERATION_CAP, stop.max_outer_iters)
+    return _alternate(
+        a, b, _inexact(a, limits), _inexact(b, limits), x0, y0, sched, stop,
+        stop.eps_feas,
+    )
 
 
 def averaged_projection(
@@ -415,6 +424,7 @@ def averaged_projection(
         raise ValueError("both sets must be compact")
     x0, y0 = _check_pair(a, b, x0, y0)
     sched = schedule if schedule is not None else default_schedule(Regime.TWO_SETS)
+    proj_a, proj_b = _inexact(a, limits), _inexact(b, limits)
 
     tr = _Trace(sched.current)
     anchors_a: list[Vector] = [x0]
@@ -428,16 +438,14 @@ def averaged_projection(
     anchor_a, anchor_b = x0, y0
     for k in range(1, stop.max_outer_iters + 1):
         params = sched.current
-        res_a = condg_project(a, params, anchor_a, z, limits)
-        res_b = condg_project(b, params, anchor_b, z, limits)
-        tr.note_caps(k, res_a, res_b)
-        anchor_a, anchor_b = res_a.w_plus, res_b.w_plus
+        anchor_a, inner_a, cap_a = proj_a(anchor_a, z, params)
+        anchor_b, inner_b, cap_b = proj_b(anchor_b, z, params)
         z_new = 0.5 * (anchor_a + anchor_b)
         anchors_a.append(anchor_a)
         tr.x.append(z_new)
         tr.y.append(anchor_b)
         tr.violations.append((b.violation(z_new), a.violation(z_new)))
-        tr.row(params, res_a.inner_iters + res_b.inner_iters)
+        tr.row(k, params, inner_a + inner_b, cap_a or cap_b)
         if max(tr.violations[-1]) == 0.0:
             return tr.report(StopCode.CONVERGED_FEASIBLE, k, anchor_trace=anchors_a)
 
@@ -477,43 +485,6 @@ def exact_alternating(
     if not (a.has_exact_projection and b.has_exact_projection):
         raise ValueError("both sets must support exact projection")
     x0, y0 = _check_pair(a, b, x0, y0)
-
-    tr = _Trace(_ZERO_PARAMS)
-    x = x0
-    tr.x.append(x)
-    ca0 = a.violation(y0) if y0 is not None else math.inf
-    if y0 is not None:
-        tr.y.append(y0)
-    tr.violations.append((b.violation(x), ca0))
-    if min(tr.violations[0]) == 0.0:
-        return tr.report(StopCode.CONVERGED_FEASIBLE, 0)
-
-    y_prev = y0
-    for k in range(1, stop.max_outer_iters + 1):
-        y_new = b.project(x)
-        ca_y = a.violation(y_new)
-        if ca_y == 0.0:
-            tr.x.append(x)
-            tr.y.append(y_new)
-            tr.violations.append((tr.violations[-1][0], ca_y))
-            tr.row(_ZERO_PARAMS, 0)
-            return tr.report(StopCode.CONVERGED_FEASIBLE, k)
-
-        x_new = a.project(y_new)
-        cb_x = b.violation(x_new)
-        tr.x.append(x_new)
-        tr.y.append(y_new)
-        tr.violations.append((cb_x, ca_y))
-        tr.row(_ZERO_PARAMS, 0)
-        if cb_x == 0.0:
-            return tr.report(StopCode.CONVERGED_FEASIBLE, k)
-
-        small = _inf_norm(x_new - x) <= stop.eps_lack and (
-            y_prev is not None and _inf_norm(y_new - y_prev) <= stop.eps_lack
-        )
-        if tr.lack_step(small):
-            return tr.report(StopCode.LACK_OF_PROGRESS, k)
-
-        x, y_prev = x_new, y_new
-
-    return tr.report(StopCode.ITERATION_CAP, stop.max_outer_iters)
+    return _alternate(
+        a, b, _exact(a), _exact(b), x0, y0, _ZERO_SCHEDULE, stop, 0.0
+    )

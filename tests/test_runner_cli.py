@@ -4,6 +4,7 @@ import math
 import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from feasib import StopCode, dist_two_bodies
 from feasib.cli import main
 from feasib.figures import render_figure
 from feasib.instances import (
+    ConfigError,
     build_bodies,
     load_config,
     save_config,
@@ -114,6 +116,13 @@ class TestRunInstance:
         # midpoint between the disks.
         assert float(rows[-1]["x1"]) == pytest.approx(0.0, abs=1e-3)
         assert float(rows[-1]["y1"]) == pytest.approx(1.0, abs=1e-3)
+
+    def test_invalid_config_raises_and_writes_nothing(self, tmp_path):
+        cfg = replace(table1_config("1.30", "ACondG1"), x0=(9.0, 9.0))
+        out_dir = tmp_path / "out"
+        with pytest.raises(ConfigError, match="x0"):
+            run_instance(cfg, out_dir)
+        assert not out_dir.exists()
 
 
 class TestReproduceTable:

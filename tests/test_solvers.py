@@ -20,7 +20,6 @@ from feasib import (
     dist_ellipse_halfspace,
     dist_two_bodies,
     exact_alternating,
-    schedule_update,
 )
 
 from _helpers import containing_body, sample_members
@@ -67,18 +66,22 @@ class TestForcingSchedule:
 
     def test_progress_keeps_parameters(self):
         s = default_schedule()
-        assert schedule_update(s, 1.0, 0.5, 2.0, 2.0) is s
+        assert s.updated(1.0, 0.5, 2.0, 2.0) is s
 
     def test_no_progress_scales_by_delta(self):
         s = ForcingSchedule(ForcingParams(0.09, 0.19, 0.19), tau=0.9, delta=0.1)
-        s2 = schedule_update(s, 1.0, 0.95, 1.0, 0.95)
+        s2 = s.updated(1.0, 0.95, 1.0, 0.95)
         assert s2.current.gamma == pytest.approx(0.009)
         assert s2.current.theta == pytest.approx(0.019)
         assert s2.current.lam == pytest.approx(0.019)
 
     def test_zero_violations_count_as_progress(self):
         s = default_schedule()
-        assert schedule_update(s, 0.0, 0.0, 1.0, 0.99) is s
+        assert s.updated(0.0, 0.0, 1.0, 0.99) is s
+
+    def test_zero_parameters_are_kept_without_progress(self):
+        s = ForcingSchedule(ForcingParams(0.0, 0.0, 0.0))
+        assert s.updated(1.0, 1.0, 1.0, 1.0) is s
 
     def test_defaults_match_experiment_values(self):
         s = default_schedule(Regime.TWO_SETS)
@@ -327,14 +330,35 @@ class TestExactAlternating:
         assert rep.outer_iters == 3
 
 
+CAPPED = CondGLimits(max_inner_iters=2, degenerate_gap_tol=1e-14)
+
+
 class TestInnerCapPropagation:
-    def test_outer_continues_after_inner_cap(self):
-        a, b = slim_ellipse(), halfspace_at(1.50)
-        rep = acondg1(
-            a, b, [0.0, 0.0],
-            limits=CondGLimits(max_inner_iters=2, degenerate_gap_tol=1e-14),
-        )
-        assert rep.inner_cap_iters
+    @pytest.mark.parametrize(
+        "b, run",
+        [
+            pytest.param(
+                halfspace_at(1.50),
+                lambda a, b: acondg1(a, b, [0.0, 0.0], limits=CAPPED),
+                id="acondg1",
+            ),
+            pytest.param(
+                second_ellipse(2.40),
+                lambda a, b: acondg2(a, b, [0.0, 0.0], [2.40, 0.5], limits=CAPPED),
+                id="acondg2",
+            ),
+        ],
+    )
+    def test_outer_continues_after_inner_cap(self, b, run):
+        a = slim_ellipse()
+        rep = run(a, b)
+        caps = rep.inner_cap_iters
+        assert caps
+        # Each outer step is recorded at most once, in order.
+        assert all(k0 < k1 for k0, k1 in zip(caps, caps[1:]))
+        assert 1 <= caps[0] and caps[-1] <= rep.outer_iters
         for x in rep.x_trace:
             assert a.violation(x) <= 1e-10
+        for y in rep.y_trace:
+            assert b.violation(y) <= 1e-10
         assert rep.stop_code in (StopCode.LACK_OF_PROGRESS, StopCode.ITERATION_CAP)
