@@ -5,7 +5,8 @@ Usage:
     python scripts/run_tables.py [--which 1|2|both] [--out-dir results]
 
 Worker count comes from FEASIB_THREADS (default 1). Table 2 includes two
-near-tangent instances and takes ~15 s single-threaded; table 1 is fast.
+near-tangent instances and takes ~7 s single-threaded, most of it in the
+exact baseline's ellipsoid projections; table 1 is fast.
 """
 
 import argparse

@@ -7,6 +7,14 @@ Every body is an immutable value. The operations exposed per body are:
 * ``lo_minimize(c)`` -- linear minimization oracle, compact bodies only,
 * ``support(c)``     -- support function ``max_z <c, z>``, compact bodies only,
 * ``project(v)``     -- exact Euclidean projection.
+
+Each compact body also has a private frame, an isometry ``u = R^T (x - o)``
+in which its linear oracle costs O(n): ``_to_frame`` and ``_from_frame`` map
+points in and out, and ``_frame_lo(g)`` minimizes ``<g, u>`` over the body
+in frame coordinates. Distances and inner products are the same in the
+frame, so the Frank-Wolfe loop of :mod:`feasib.condg` runs there and maps
+only its result back. The public ``lo_minimize`` is the frame oracle between
+the two maps.
 """
 
 from __future__ import annotations
@@ -51,7 +59,7 @@ def as_vector(x, dim: int | None = None) -> Vector:
     v = np.asarray(x, dtype=np.float64)
     if v.ndim != 1:
         raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector entries must be finite")
     if dim is not None and v.shape[0] != dim:
         raise ValueError(f"dimension mismatch: expected {dim}, got {v.shape[0]}")
@@ -160,13 +168,21 @@ class Ball(ConvexBody):
         z = as_vector(z, self.dim)
         return max(0.0, float(np.linalg.norm(z - self.center)) - self.radius)
 
+    def _to_frame(self, x: Vector) -> Vector:
+        return x - self.center
+
+    def _from_frame(self, u: Vector) -> Vector:
+        return self.center + u
+
+    def _frame_lo(self, g: Vector) -> Vector:
+        ng = math.sqrt(float(g @ g))
+        if ng == 0.0:
+            return np.zeros_like(g)
+        return (-self.radius / ng) * g
+
     def lo_minimize(self, c) -> tuple[Vector, float]:
         c = as_vector(c, self.dim)
-        nc = float(np.linalg.norm(c))
-        if nc == 0.0:
-            z = self.center.copy()
-        else:
-            z = self.center - (self.radius / nc) * c
+        z = self._from_frame(self._frame_lo(c))
         return z, float(c @ z)
 
     def support(self, c) -> float:
@@ -210,11 +226,21 @@ class Box(ConvexBody):
         over = np.max(z - self.upper, initial=0.0)
         return float(max(0.0, under, over))
 
+    # The frame is the identity.
+    def _to_frame(self, x: Vector) -> Vector:
+        return x
+
+    def _from_frame(self, u: Vector) -> Vector:
+        return u
+
+    def _frame_lo(self, g: Vector) -> Vector:
+        # g_i > 0 picks the lower bound, g_i < 0 the upper; ties go to lower.
+        return np.where(g < 0.0, self.upper, self.lower)
+
     def lo_minimize(self, c) -> tuple[Vector, float]:
         c = as_vector(c, self.dim)
-        # c_i > 0 picks the lower bound, c_i < 0 the upper; ties go to lower.
-        z = np.where(c < 0.0, self.upper, self.lower)
-        return z.astype(np.float64), float(c @ z)
+        z = self._frame_lo(c)
+        return z, float(c @ z)
 
     def support(self, c) -> float:
         c = as_vector(c, self.dim)
@@ -301,14 +327,24 @@ class Ellipsoid(ConvexBody):
         b = self._eigvecs.T @ c
         return float(np.sum(b * b / self._eigvals))
 
+    # The frame is the eigenbasis, centred: u = V^T (x - center), in which
+    # the body is {u : sum lam_i u_i^2 <= 1}.
+    def _to_frame(self, x: Vector) -> Vector:
+        return self._eigvecs.T @ (x - self.center)
+
+    def _from_frame(self, u: Vector) -> Vector:
+        return self.center + self._eigvecs @ u
+
+    def _frame_lo(self, g: Vector) -> Vector:
+        w = g / self._eigvals
+        s = float(g @ w)
+        if s == 0.0:
+            return np.zeros_like(g)
+        return w * (-1.0 / math.sqrt(s))
+
     def lo_minimize(self, c) -> tuple[Vector, float]:
         c = as_vector(c, self.dim)
-        b = self._eigvecs.T @ c
-        if not np.any(b != 0.0):
-            z = self.center.copy()
-            return z, float(c @ z)
-        w = b / self._eigvals
-        z = self.center - (self._eigvecs @ w) / math.sqrt(float(np.sum(b * w)))
+        z = self._from_frame(self._frame_lo(self._eigvecs.T @ c))
         return z, float(c @ z)
 
     def support(self, c) -> float:

@@ -6,16 +6,40 @@ every member ``z``. With zero forcing parameters the tolerance collapses and
 the output is the exact projection of ``point`` up to the degenerate-gap
 tolerance. The loop never leaves the body: iterates are convex combinations
 of members.
+
+The loop runs in the body's own frame (see :mod:`feasib.bodies`), an
+isometry in which the linear oracle costs O(n), and maps only its result
+back. In the frame, with ``u`` the iterate, ``u_a`` and ``u_p`` the anchor
+and the point, and ``z`` the oracle's answer for the gradient ``g = u - u_p``:
+
+* the Frank-Wolfe gap is ``-<g, z - u>``;
+* the tolerance is ``gamma*|p - a|^2`` (computed once) ``+ theta*|g|^2 +
+  lam*|u - u_a|^2``, which is :func:`phi` at the iterate, since the map
+  keeps distances;
+* the step is the exact line search ``min(1, gap / |z - u|^2)``.
+
+A 2-D ellipsoid, the body of every instance in the paper's tables, runs the
+same loop unrolled over Python floats (``_planar_ellipse``); every other
+body runs the numpy loop (``_frame_loop``). ``phi`` itself stays as the
+reference the tests compare against.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import START_TOL, ConvexBody, UnsupportedOracleError, Vector, as_vector
+from .bodies import (
+    START_TOL,
+    ConvexBody,
+    Ellipsoid,
+    UnsupportedOracleError,
+    Vector,
+    as_vector,
+)
 
 __all__ = [
     "CondGLimits",
@@ -42,7 +66,7 @@ class ForcingParams:
     def __post_init__(self):
         for name in ("gamma", "theta", "lam"):
             v = float(getattr(self, name))
-            if not (v >= 0.0 and np.isfinite(v)):
+            if not (v >= 0.0 and math.isfinite(v)):
                 raise ValueError(f"{name} must be finite and >= 0, got {v}")
             object.__setattr__(self, name, v)
 
@@ -145,25 +169,119 @@ def condg_project(
         raise ValueError(
             f"anchor must belong to the body (violation <= {START_TOL:g})"
         )
+    if isinstance(body, Ellipsoid) and body.dim == 2:
+        return _planar_ellipse(body, params, anchor, point, limits, keep_trace)
+    return _frame_loop(body, params, anchor, point, limits, keep_trace)
 
-    w = anchor.copy()
-    trace = [w.copy()] if keep_trace else None
+
+# Both kernels take validated arrays and stop on the same rules in the same
+# order: tolerance met, degenerate gap, degenerate step, iteration cap. When
+# no step was taken the result is a copy of the anchor, not its round trip
+# through the frame.
+
+
+def _frame_loop(
+    body: ConvexBody,
+    params: ForcingParams,
+    anchor: Vector,
+    point: Vector,
+    limits: CondGLimits,
+    keep_trace: bool,
+) -> CondGResult:
+    """Frank-Wolfe in the frame of any compact body, with numpy vectors."""
+    to_global, frame_lo = body._from_frame, body._frame_lo
+    u_a = body._to_frame(anchor)
+    u_p = body._to_frame(point)
+    d = point - anchor
+    base = params.gamma * float(d @ d)
+    theta, lam = params.theta, params.lam
+    trace = [anchor.copy()] if keep_trace else None
+    u = u_a
     ell = 0
     while True:
-        grad = w - point
-        z, value = body.lo_minimize(grad)
-        gap = float(grad @ w) - value
-        if gap <= phi(params, anchor, point, w):
-            return CondGResult(w, ell, gap, CondGStop.TOLERANCE_MET, trace)
+        g = u - u_p
+        s = frame_lo(g) - u
+        gap = -float(g @ s)
+        e = u - u_a
+        if gap <= base + theta * float(g @ g) + lam * float(e @ e):
+            stop = CondGStop.TOLERANCE_MET
+            break
         if gap <= limits.degenerate_gap_tol:
-            return CondGResult(w, ell, gap, CondGStop.DEGENERATE_GAP, trace)
-        d = z - w
-        dd = float(d @ d)
+            stop = CondGStop.DEGENERATE_GAP
+            break
+        dd = float(s @ s)
         if dd <= _DEGENERATE_STEP_SQ:
-            return CondGResult(w, ell, gap, CondGStop.DEGENERATE_GAP, trace)
+            stop = CondGStop.DEGENERATE_GAP
+            break
         if ell >= limits.max_inner_iters:
-            return CondGResult(w, ell, gap, CondGStop.ITERATION_CAP, trace)
-        w = w + min(1.0, gap / dd) * d
+            stop = CondGStop.ITERATION_CAP
+            break
+        u = u + min(1.0, gap / dd) * s
         ell += 1
         if trace is not None:
-            trace.append(w.copy())
+            trace.append(to_global(u))
+    w = anchor.copy() if ell == 0 else to_global(u)
+    return CondGResult(w, ell, gap, stop, trace)
+
+
+def _planar_ellipse(
+    body: Ellipsoid,
+    params: ForcingParams,
+    anchor: Vector,
+    point: Vector,
+    limits: CondGLimits,
+    keep_trace: bool,
+) -> CondGResult:
+    """``_frame_loop`` for a 2-D ellipsoid, unrolled over Python floats.
+
+    The frame and its oracle are those of ``Ellipsoid._to_frame`` and
+    ``Ellipsoid._frame_lo``, written out per coordinate.
+    """
+    (v00, v01), (v10, v11) = body._eigvecs.tolist()
+    l0, l1 = body._eigvals.tolist()
+    c0, c1 = body.center.tolist()
+    a0, a1 = anchor.tolist()
+    p0, p1 = point.tolist()
+
+    def to_global(u0: float, u1: float) -> Vector:
+        return np.array([c0 + (v00 * u0 + v01 * u1), c1 + (v10 * u0 + v11 * u1)])
+
+    ua0, ua1 = v00 * (a0 - c0) + v10 * (a1 - c1), v01 * (a0 - c0) + v11 * (a1 - c1)
+    up0, up1 = v00 * (p0 - c0) + v10 * (p1 - c1), v01 * (p0 - c0) + v11 * (p1 - c1)
+    base = params.gamma * ((p0 - a0) * (p0 - a0) + (p1 - a1) * (p1 - a1))
+    theta, lam = params.theta, params.lam
+    gap_tol, cap = limits.degenerate_gap_tol, limits.max_inner_iters
+    trace = [anchor.copy()] if keep_trace else None
+    u0, u1 = ua0, ua1
+    ell = 0
+    while True:
+        g0, g1 = u0 - up0, u1 - up1
+        w0, w1 = g0 / l0, g1 / l1
+        q = g0 * w0 + g1 * w1
+        if q == 0.0:
+            s0, s1 = -u0, -u1
+        else:
+            r = -1.0 / math.sqrt(q)
+            s0, s1 = w0 * r - u0, w1 * r - u1
+        gap = -(g0 * s0 + g1 * s1)
+        e0, e1 = u0 - ua0, u1 - ua1
+        if gap <= base + theta * (g0 * g0 + g1 * g1) + lam * (e0 * e0 + e1 * e1):
+            stop = CondGStop.TOLERANCE_MET
+            break
+        if gap <= gap_tol:
+            stop = CondGStop.DEGENERATE_GAP
+            break
+        dd = s0 * s0 + s1 * s1
+        if dd <= _DEGENERATE_STEP_SQ:
+            stop = CondGStop.DEGENERATE_GAP
+            break
+        if ell >= cap:
+            stop = CondGStop.ITERATION_CAP
+            break
+        t = min(1.0, gap / dd)
+        u0, u1 = u0 + t * s0, u1 + t * s1
+        ell += 1
+        if trace is not None:
+            trace.append(to_global(u0, u1))
+    w = anchor.copy() if ell == 0 else to_global(u0, u1)
+    return CondGResult(w, ell, gap, stop, trace)

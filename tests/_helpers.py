@@ -21,6 +21,17 @@ def random_ellipsoid(rng, dim=2, axes=(0.5, 2.0), center_scale=3.0):
     return Ellipsoid(center=rng.uniform(-center_scale, center_scale, dim), shape=shape)
 
 
+def ill_conditioned_ellipsoid(rng, dim, cond=1e8, center_scale=3.0):
+    """Random ellipsoid whose shape matrix has condition number ``cond``:
+    semi-axes log-uniform in ``[1/sqrt(cond), 1]``, both ends attained."""
+    logs = rng.uniform(-0.5 * math.log10(cond), 0.0, size=dim)
+    logs[0], logs[-1] = -0.5 * math.log10(cond), 0.0
+    semi = 10.0**logs
+    rot = random_rotation(rng, dim)
+    shape = rot @ np.diag(1.0 / semi**2) @ rot.T
+    return Ellipsoid(center=rng.uniform(-center_scale, center_scale, dim), shape=shape)
+
+
 def random_ball(rng, dim=2, center_scale=3.0):
     return Ball(
         center=rng.uniform(-center_scale, center_scale, dim),

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from feasib import (
+    START_TOL,
     Ball,
     Box,
     CondGLimits,
@@ -16,8 +17,15 @@ from feasib import (
     condg_project,
     phi,
 )
+from feasib.condg import _frame_loop
 
-from _helpers import diameter, random_ball, random_compact_body, sample_members
+from _helpers import (
+    diameter,
+    ill_conditioned_ellipsoid,
+    random_ball,
+    random_compact_body,
+    sample_members,
+)
 
 EXACT = ForcingParams(0.0, 0.0, 0.0)
 TIGHT = CondGLimits(degenerate_gap_tol=1e-14)
@@ -30,6 +38,53 @@ def unit_disk():
 def psi(z, v):
     d = np.asarray(z) - np.asarray(v)
     return 0.5 * float(d @ d)
+
+
+CERT_DIMS = (2, 3, 16, 50)
+CERT_KINDS = ("ball", "box", "ellipsoid", "ill_conditioned")
+# Rounding slack of the certificate checks, relative to the scale
+# (|v - w| + D) * (|w| + D) of the inner products involved, D the diameter.
+CERT_RTOL = 1e-9
+
+
+def certificate_case(rng, dim, kind):
+    """A body, a member anchor and a point within about a diameter of it, so
+    that the loop has to run rather than stop on a far point's large
+    tolerance."""
+    if kind == "ill_conditioned":
+        body = ill_conditioned_ellipsoid(rng, dim, cond=1e8)
+    else:
+        body = random_compact_body(rng, dim, kinds=(kind,))
+    u = sample_members(body, rng, 1)[0]
+    v = u + rng.normal(size=dim) * (diameter(body) / math.sqrt(dim))
+    return body, u, v
+
+
+def member_tol(body):
+    """``START_TOL``, or the rounding floor of ``Ellipsoid.violation`` when
+    that is larger. The violation is computed from the shape matrix, whose
+    entries carry rounding of about eps*|shape|, while the oracle works from
+    its eigendecomposition; boundary points then read up to about
+    eps*cond(shape) outside, 1.1e-8 at cond 1e8."""
+    if not isinstance(body, Ellipsoid):
+        return START_TOL
+    return max(START_TOL, 4.0 * np.finfo(float).eps * np.linalg.cond(body.shape))
+
+
+def check_certificate(body, params, u, v, res):
+    """The exact Frank-Wolfe certificate of a result, recomputed in global
+    coordinates: ``final_gap = support(v - w) - <v - w, w>`` bounds
+    ``<v - w, z - w>`` over all members ``z``; on ``TOLERANCE_MET`` it is at
+    most ``phi``; and ``w`` is a member to ``member_tol``."""
+    w = res.w_plus
+    r = v - w
+    d = diameter(body)
+    slack = CERT_RTOL * (np.linalg.norm(r) + d) * (np.linalg.norm(w) + d)
+    gap = body.support(r) - float(r @ w)
+    assert abs(res.final_gap - gap) <= slack, (res.final_gap, gap)
+    if res.stop_reason is CondGStop.TOLERANCE_MET:
+        assert res.final_gap <= phi(params, u, v, w) + slack
+    assert body.violation(w) <= member_tol(body)
 
 
 class TestPhi:
@@ -106,30 +161,58 @@ class TestCondGBasics:
         assert unit_disk().violation(res.w_plus) <= 1e-10
 
     def test_result_gap_certificate_on_tolerance_met(self):
+        # ITERATION_CAP is allowed on the ill-conditioned ellipsoids; the
+        # certificate and membership must hold for every result.
         rng = np.random.default_rng(5)
-        for _ in range(20):
-            body = random_compact_body(rng)
-            u = sample_members(body, rng, 1)[0]
-            v = rng.uniform(-5.0, 5.0, 2)
-            params = ForcingParams(*rng.uniform(0.01, 0.3, 3))
-            res = condg_project(body, params, u, v)
-            if res.stop_reason is CondGStop.TOLERANCE_MET:
-                assert res.final_gap <= phi(params, u, v, res.w_plus) + 1e-12
+        for dim in CERT_DIMS:
+            for kind in CERT_KINDS:
+                for _ in range(3):
+                    body, u, v = certificate_case(rng, dim, kind)
+                    params = ForcingParams(*10.0 ** rng.uniform(-6.0, -0.6, 3))
+                    res = condg_project(body, params, u, v)
+                    check_certificate(body, params, u, v, res)
 
 
 class TestIterateProperties:
-    def test_inner_iterates_stay_feasible_and_descend(self):
+    # condg_project sends 2-D ellipsoids to the planar kernel; the numpy
+    # frame loop is called directly.
+    @pytest.mark.parametrize(
+        "kernel, kinds",
+        [
+            (condg_project, ("ellipsoid",)),
+            (_frame_loop, ("ellipsoid", "ball", "box")),
+        ],
+        ids=["planar", "frame"],
+    )
+    def test_inner_iterates_stay_feasible_and_descend(self, kernel, kinds):
         rng = np.random.default_rng(21)
         for _ in range(15):
-            body = random_compact_body(rng)
+            body = random_compact_body(rng, kinds=kinds)
             u = sample_members(body, rng, 1)[0]
             v = rng.uniform(-5.0, 5.0, 2)
-            res = condg_project(body, EXACT, u, v, TIGHT, keep_trace=True)
+            res = kernel(body, EXACT, u, v, TIGHT, keep_trace=True)
             values = [psi(w, v) for w in res.trace]
             for w in res.trace:
                 assert body.violation(w) <= 1e-10
             for a, b in zip(values, values[1:]):
                 assert b <= a + 1e-12
+
+    def test_planar_kernel_follows_the_frame_loop(self):
+        # Same recurrence, different summation order. Near the projection
+        # Frank-Wolfe zig-zags and the rounding difference grows about 10x
+        # every 5 steps, so only the first 10 steps are compared; they agree
+        # to 1e-11 or better.
+        rng = np.random.default_rng(27)
+        limits = CondGLimits(max_inner_iters=10, degenerate_gap_tol=0.0)
+        for _ in range(15):
+            body = random_compact_body(rng, kinds=("ellipsoid",))
+            u = sample_members(body, rng, 1)[0]
+            v = rng.uniform(-5.0, 5.0, 2)
+            planar = condg_project(body, EXACT, u, v, limits, keep_trace=True)
+            frame = _frame_loop(body, EXACT, u, v, limits, keep_trace=True)
+            steps = min(len(planar.trace), len(frame.trace))
+            assert steps >= 2
+            assert np.allclose(planar.trace[:steps], frame.trace[:steps], rtol=0, atol=1e-9)
 
     def test_sublinear_rate_bound(self):
         rng = np.random.default_rng(22)
@@ -224,13 +307,13 @@ class TestIterateProperties:
 )
 def test_inexact_projection_contract_property(data, gamma, theta, lam):
     seed = data.draw(st.integers(0, 2**31 - 1))
+    dim = data.draw(st.sampled_from(CERT_DIMS))
+    kind = data.draw(st.sampled_from(CERT_KINDS))
     rng = np.random.default_rng(seed)
-    body = random_compact_body(rng)
-    u = sample_members(body, rng, 1)[0]
-    v = rng.uniform(-5.0, 5.0, 2)
+    body, u, v = certificate_case(rng, dim, kind)
     params = ForcingParams(gamma, theta, lam)
     res = condg_project(body, params, u, v)
-    assert body.violation(res.w_plus) <= 1e-10
+    check_certificate(body, params, u, v, res)
+    # Sampled members obey the certified bound.
     members = sample_members(body, rng, 500)
-    tol = phi(params, u, v, res.w_plus)
-    assert ((members - res.w_plus) @ (v - res.w_plus)).max() <= tol + 1e-9
+    assert ((members - res.w_plus) @ (v - res.w_plus)).max() <= res.final_gap + 1e-9
