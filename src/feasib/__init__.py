@@ -12,6 +12,7 @@ from .bodies import (
     ConvexBody,
     Ellipsoid,
     Halfspace,
+    InputError,
     MEMBER_TOL,
     START_TOL,
     UnsupportedOracleError,
@@ -55,6 +56,7 @@ __all__ = [
     "ForcingParams",
     "ForcingSchedule",
     "Halfspace",
+    "InputError",
     "MEMBER_TOL",
     "START_TOL",
     "OracleConfig",

@@ -42,16 +42,26 @@ __all__ = [
     "ConvexBody",
     "Ellipsoid",
     "Halfspace",
+    "InputError",
     "MEMBER_TOL",
     "START_TOL",
     "UnsupportedOracleError",
     "Vector",
     "as_vector",
+    "member_vector",
 ]
 
 
 class UnsupportedOracleError(NotImplementedError):
     """Raised when a body does not support the requested oracle."""
+
+
+class InputError(ValueError):
+    """Invalid solver or config input; ``path`` names the argument or field."""
+
+    def __init__(self, path: str, message: str):
+        self.path = path
+        super().__init__(f"{path}: {message}")
 
 
 def as_vector(x, dim: int | None = None) -> Vector:
@@ -63,6 +73,17 @@ def as_vector(x, dim: int | None = None) -> Vector:
         raise ValueError("vector entries must be finite")
     if dim is not None and v.shape[0] != dim:
         raise ValueError(f"dimension mismatch: expected {dim}, got {v.shape[0]}")
+    return v
+
+
+def member_vector(body: ConvexBody, x, path: str) -> Vector:
+    """``x`` as a vector in ``body`` to within ``START_TOL``, or InputError."""
+    try:
+        v = as_vector(x, body.dim)
+    except ValueError as exc:
+        raise InputError(path, str(exc)) from None
+    if body.violation(v) > START_TOL:
+        raise InputError(path, f"must belong to its set (violation <= {START_TOL:g})")
     return v
 
 

@@ -33,12 +33,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bodies import (
-    START_TOL,
     ConvexBody,
     Ellipsoid,
     UnsupportedOracleError,
     Vector,
     as_vector,
+    member_vector,
 )
 
 __all__ = [
@@ -163,12 +163,8 @@ def condg_project(
         raise UnsupportedOracleError(
             f"{type(body).__name__} is not compact; no linear oracle available"
         )
-    anchor = as_vector(anchor, body.dim)
+    anchor = member_vector(body, anchor, "anchor")
     point = as_vector(point, body.dim)
-    if body.violation(anchor) > START_TOL:
-        raise ValueError(
-            f"anchor must belong to the body (violation <= {START_TOL:g})"
-        )
     if isinstance(body, Ellipsoid) and body.dim == 2:
         return _planar_ellipse(body, params, anchor, point, limits, keep_trace)
     return _frame_loop(body, params, anchor, point, limits, keep_trace)

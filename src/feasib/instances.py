@@ -6,6 +6,10 @@ descriptions are tagged by ``kind``: ``ellipse`` (center / angle /
 semi_axes, 2-D), ``halfspace`` (normal / offset), ``ball`` (center /
 radius), ``box`` (lower / upper). Validation errors carry the path of the
 offending field.
+
+Parsing checks each field alone. :func:`validate_config` then runs the
+solvers' own input check, :func:`~feasib.solvers.check_pair`, and their
+regime check, so a config fails with the same path and message as the call.
 """
 
 from __future__ import annotations
@@ -15,9 +19,15 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .bodies import START_TOL, Ball, Box, ConvexBody, Ellipsoid, Halfspace
+from .bodies import Ball, Box, ConvexBody, Ellipsoid, Halfspace, InputError
 from .condg import ForcingParams
-from .solvers import ForcingSchedule, Regime, StoppingConfig, default_schedule
+from .solvers import (
+    ForcingSchedule,
+    Regime,
+    StoppingConfig,
+    check_pair,
+    default_schedule,
+)
 
 __all__ = [
     "ConfigError",
@@ -40,18 +50,22 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-SOLVER_NAMES = ("ACondG1", "ACondG2", "Averaged", "ExactAlt1", "ExactAlt2")
+# What each solver needs of set A and set B (see ``check_pair``) and the
+# forcing regime of its schedule (None: the solver takes no schedule).
+_SOLVERS = {
+    "ACondG1": ("compact", "exact", Regime.ONE_SET),
+    "ACondG2": ("compact", "compact", Regime.TWO_SETS),
+    "Averaged": ("compact", "compact", Regime.TWO_SETS),
+    "ExactAlt1": ("exact", "exact", None),
+    "ExactAlt2": ("exact", "exact", None),
+}
+SOLVER_NAMES = tuple(_SOLVERS)
 _SOLVER_LOOKUP = {n.lower().replace("_", ""): n for n in SOLVER_NAMES}
 
 _SOLVER_DEFAULTS = default_schedule()
 
-
-class ConfigError(ValueError):
-    """Invalid instance configuration; ``path`` points at the bad field."""
-
-    def __init__(self, path: str, message: str):
-        self.path = path
-        super().__init__(f"{path}: {message}")
+# Config and solver input errors are one class; ``path`` names the field.
+ConfigError = InputError
 
 
 @dataclass(frozen=True)
@@ -168,11 +182,9 @@ def parse_config(obj) -> InstanceConfig:
     solver_raw = obj.get("solver")
     if not isinstance(solver_raw, str):
         raise ConfigError("solver", "expected a string")
-    solver = _SOLVER_LOOKUP.get(solver_raw.lower().replace("_", "").replace("-", ""))
-    if solver is None:
-        raise ConfigError(
-            "solver", f"unknown solver {solver_raw!r}; expected one of {SOLVER_NAMES}"
-        )
+    key = solver_raw.lower().replace("_", "").replace("-", "")
+    solver = _SOLVER_LOOKUP.get(key, solver_raw)
+    _solver_rule(solver)
 
     set_a = _parse_body(obj.get("set_a"), "set_a", dim)
     set_b = _parse_body(obj.get("set_b"), "set_b", dim)
@@ -251,16 +263,15 @@ def build_bodies(config: InstanceConfig) -> tuple[ConvexBody, ConvexBody]:
     return _build_body(config.set_a), _build_body(config.set_b)
 
 
-def _solver_regime(solver: str) -> Regime | None:
-    if solver == "ACondG1":
-        return Regime.ONE_SET
-    if solver in ("ACondG2", "Averaged"):
-        return Regime.TWO_SETS
-    return None
+def _solver_rule(solver: str) -> tuple[str, str, Regime | None]:
+    if solver not in _SOLVERS:
+        expected = f"expected one of {SOLVER_NAMES}"
+        raise ConfigError("solver", f"unknown solver {solver!r}; {expected}")
+    return _SOLVERS[solver]
 
 
 def build_schedule(config: InstanceConfig) -> ForcingSchedule | None:
-    regime = _solver_regime(config.solver)
+    regime = _solver_rule(config.solver)[2]
     if regime is None:
         return None
     s = config.schedule
@@ -273,43 +284,14 @@ def build_schedule(config: InstanceConfig) -> ForcingSchedule | None:
 
 
 def validate_config(config: InstanceConfig) -> tuple[ConvexBody, ConvexBody]:
-    """Cross-field checks: solver/body compatibility, schedule regime
-    conditions, and membership of the starting points.
+    """Hold the config to its solver's input rules, as the solver would.
 
     Returns the two bodies it built, ``(set_a, set_b)``.
     """
     a, b = build_bodies(config)
-    solver = config.solver
-
-    if solver == "ACondG1":
-        if not a.is_compact:
-            raise ConfigError("set_a", f"{solver} requires a compact first set")
-        if not b.has_exact_projection:
-            raise ConfigError(
-                "set_b", f"{solver} requires exact projection onto the second set"
-            )
-    elif solver in ("ACondG2", "Averaged"):
-        if not a.is_compact:
-            raise ConfigError("set_a", f"{solver} requires a compact first set")
-        if not b.is_compact:
-            raise ConfigError("set_b", f"{solver} requires a compact second set")
-        if config.y0 is None:
-            raise ConfigError("y0", f"{solver} requires a starting point in set_b")
-    else:
-        if not a.has_exact_projection or not b.has_exact_projection:
-            raise ConfigError(
-                "set_a", f"{solver} requires exact projection onto both sets"
-            )
-
-    try:
-        build_schedule(config)
-    except ValueError as exc:
-        raise ConfigError("schedule", str(exc)) from exc
-
-    if a.violation(config.x0) > START_TOL:
-        raise ConfigError("x0", f"must belong to set_a (violation <= {START_TOL:g})")
-    if config.y0 is not None and b.violation(config.y0) > START_TOL:
-        raise ConfigError("y0", f"must belong to set_b (violation <= {START_TOL:g})")
+    first, second, _ = _solver_rule(config.solver)
+    check_pair(a, b, config.x0, config.y0, first, second)
+    build_schedule(config)
     return a, b
 
 
@@ -368,9 +350,6 @@ def save_config(config: InstanceConfig, path) -> None:
 # slides along the x1 axis. Reference stop codes and final violations are
 # transcribed constants the runs are compared against.
 
-TABLE1_OFFSETS = ("1.30", "1.35", "1.40", "1.42", "1.43", "1.45", "1.50", "1.60")
-TABLE2_CENTERS = ("2.30", "2.35", "2.357", "2.358", "2.359", "2.36", "2.40", "2.50")
-
 _REFERENCE_TABLE1 = {
     "1.30": {"ACondG1": ("C", "0.00e+00"), "ExactAlt1": ("L", "1.47e-08")},
     "1.35": {"ACondG1": ("C", "0.00e+00"), "ExactAlt1": ("L", "1.44e-08")},
@@ -393,6 +372,10 @@ _REFERENCE_TABLE2 = {
     "2.50": {"ACondG2": ("L", "1.59e-01"), "ExactAlt2": ("L", "1.59e-01")},
 }
 
+# Each table's instances and solvers are the keys of its reference.
+TABLE1_OFFSETS = tuple(_REFERENCE_TABLE1)
+TABLE2_CENTERS = tuple(_REFERENCE_TABLE2)
+
 
 def _ellipse_a_spec() -> BodySpec:
     return BodySpec(
@@ -405,12 +388,18 @@ def _ellipse_a_spec() -> BodySpec:
     )
 
 
+def _check_table_run(which: int, label: str, solver: str) -> None:
+    runs = table_reference(which)
+    if label not in runs:
+        raise ConfigError("instance", f"unknown table-{which} instance {label!r}")
+    if solver not in runs[label]:
+        uses = "/".join(runs[label])
+        raise ConfigError("solver", f"table {which} uses {uses}, got {solver!r}")
+
+
 def table1_config(offset: str, solver: str) -> InstanceConfig:
     """Instance of table 1: ellipse vs halfspace ``x1 >= offset``."""
-    if offset not in TABLE1_OFFSETS:
-        raise ConfigError("instance", f"unknown table-1 offset {offset!r}")
-    if solver not in ("ACondG1", "ExactAlt1"):
-        raise ConfigError("solver", f"table 1 uses ACondG1/ExactAlt1, got {solver!r}")
+    _check_table_run(1, offset, solver)
     beta = float(offset)
     return InstanceConfig(
         dimension=2,
@@ -426,10 +415,7 @@ def table1_config(offset: str, solver: str) -> InstanceConfig:
 def table2_config(center1: str, solver: str) -> InstanceConfig:
     """Instance of table 2: ellipse vs a second ellipse centered at
     ``(center1, 0.5)`` with angle pi/3 and semi-axes (2, 0.4)."""
-    if center1 not in TABLE2_CENTERS:
-        raise ConfigError("instance", f"unknown table-2 center {center1!r}")
-    if solver not in ("ACondG2", "ExactAlt2"):
-        raise ConfigError("solver", f"table 2 uses ACondG2/ExactAlt2, got {solver!r}")
+    _check_table_run(2, center1, solver)
     c1 = float(center1)
     return InstanceConfig(
         dimension=2,

@@ -24,8 +24,6 @@ from pathlib import Path
 
 from .instances import (
     InstanceConfig,
-    TABLE1_OFFSETS,
-    TABLE2_CENTERS,
     build_schedule,
     table1_config,
     table2_config,
@@ -140,22 +138,6 @@ def run_instance(
     return report, trace_path
 
 
-def _table_jobs(which: int):
-    if which == 1:
-        return [
-            (label, solver, table1_config(label, solver))
-            for label in TABLE1_OFFSETS
-            for solver in ("ACondG1", "ExactAlt1")
-        ]
-    if which == 2:
-        return [
-            (label, solver, table2_config(label, solver))
-            for label in TABLE2_CENTERS
-            for solver in ("ACondG2", "ExactAlt2")
-        ]
-    raise ValueError(f"no table {which}; expected 1 or 2")
-
-
 def _run_table_job(args) -> tuple[str, str, str, int, float]:
     label, solver, config, out_dir = args
     report = solve_config(config)
@@ -170,27 +152,29 @@ def _run_table_job(args) -> tuple[str, str, str, int, float]:
     )
 
 
-def reproduce_table(which: int, out_dir, workers: int | None = None) -> Path:
-    """Run every instance of the chosen table with both its solvers.
+def reproduce_table(which: int, out_dir) -> Path:
+    """Run every (instance, solver) pair of ``table_reference(which)``.
 
     Writes one trace CSV per run plus ``table{which}_comparison.csv`` with
-    measured and reference results side by side. ``workers`` defaults to the
-    ``FEASIB_THREADS`` environment variable (1 if unset). Output bytes are
-    independent of the worker count.
+    measured and reference results side by side. ``FEASIB_THREADS`` sets the
+    worker count (1 if unset); output bytes do not depend on it.
     """
+    reference = table_reference(which)
+    make = table1_config if which == 1 else table2_config
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if workers is None:
-        workers = int(os.environ.get("FEASIB_THREADS", "1"))
-    jobs = [(label, solver, cfg, str(out_dir)) for label, solver, cfg in _table_jobs(which)]
-
+    jobs = [
+        (label, solver, make(label, solver), str(out_dir))
+        for label, solvers in reference.items()
+        for solver in solvers
+    ]
+    workers = int(os.environ.get("FEASIB_THREADS", "1"))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_table_job, jobs))
     else:
         results = [_run_table_job(job) for job in jobs]
 
-    reference = table_reference(which)
     path = out_dir / f"table{which}_comparison.csv"
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

@@ -21,6 +21,11 @@ inexact ones, and ExactAlt two exact ones under a constant zero schedule.
 The averaged scheme keeps its own loop: its iterate is the average of the
 two projections, not one of them.
 
+Each solver first runs :func:`check_pair`, the one statement of the input
+rules, and holds a caller's schedule to its own forcing regime. A broken
+rule raises :class:`~feasib.bodies.InputError`, whose ``path`` names the
+argument; the config layer runs the same checks and so the same messages.
+
 Stopping follows the experiment conventions: a run converges when a computed
 iterate violates the *other* set by at most ``eps_feas``; it stops for lack
 of progress when both iterate sequences move at most ``eps_lack`` in the
@@ -45,7 +50,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bodies import START_TOL, ConvexBody, Vector, as_vector
+from .bodies import ConvexBody, InputError, Vector, member_vector
 from .condg import CondGLimits, CondGStop, ForcingParams, condg_project
 
 __all__ = [
@@ -57,6 +62,7 @@ __all__ = [
     "acondg1",
     "acondg2",
     "averaged_projection",
+    "check_pair",
     "default_schedule",
     "exact_alternating",
 ]
@@ -86,27 +92,17 @@ class ForcingSchedule:
     regime: Regime = Regime.ONE_SET
 
     def __post_init__(self):
-        if not 0.0 < self.tau < 1.0:
-            raise ValueError(f"tau must lie in (0, 1), got {self.tau}")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
+        for name, v in (("tau", self.tau), ("delta", self.delta)):
+            if not 0.0 < v < 1.0:
+                raise InputError("schedule", f"{name} must lie in (0, 1), got {v}")
         p = self.current
         if self.regime is Regime.ONE_SET:
-            if not (p.theta < 0.5 and 2.0 * p.gamma + 4.0 * p.lam < 1.0):
-                raise ValueError(
-                    "one-set regime requires theta < 1/2 and 2*gamma + 4*lam < 1"
-                )
+            ok, rule = p.theta < 0.5, "one-set regime requires theta < 1/2"
         else:
-            ok = (
-                p.theta < 0.25
-                and 2.0 * p.gamma + 4.0 * p.lam < 1.0
-                and 2.0 * (p.gamma + p.theta + p.lam) < 1.0
-            )
-            if not ok:
-                raise ValueError(
-                    "two-set regime requires theta < 1/4, 2*gamma + 4*lam < 1 "
-                    "and 2*(gamma + theta + lam) < 1"
-                )
+            ok = p.theta < 0.25 and 2.0 * (p.gamma + p.theta + p.lam) < 1.0
+            rule = "two-set regime requires theta < 1/4, 2*(gamma + theta + lam) < 1"
+        if not (ok and 2.0 * p.gamma + 4.0 * p.lam < 1.0):
+            raise InputError("schedule", f"{rule} and 2*gamma + 4*lam < 1")
 
     def updated(
         self, cb_prev: float, cb_curr: float, ca_prev: float, ca_curr: float
@@ -130,6 +126,13 @@ def default_schedule(regime: Regime = Regime.ONE_SET) -> ForcingSchedule:
         delta=0.1,
         regime=regime,
     )
+
+
+def _held_to(schedule: ForcingSchedule | None, regime: Regime) -> ForcingSchedule:
+    """The caller's schedule, held to ``regime`` by re-running its checks."""
+    if schedule is None:
+        return default_schedule(regime)
+    return schedule if schedule.regime is regime else replace(schedule, regime=regime)
 
 
 # Exact projections take no forcing parameters.
@@ -180,16 +183,17 @@ class SolveReport:
     parameters and inner iteration count of the step that produced row ``k``
     (row 0 carries the initial parameters and zero inner iterations).
     ``inner_cap_iters`` lists outer iterations whose inner loop hit its cap.
+    A solver fills an empty report row by row and then sets its stop fields.
     """
 
-    x_trace: list[Vector]
-    y_trace: list[Vector]
-    violations: list[tuple[float, float]]
-    stop_code: StopCode
-    outer_iters: int
-    inner_iter_total: int
-    schedule_trace: list[ForcingParams]
-    inner_iters_per_k: list[int]
+    x_trace: list[Vector] = field(default_factory=list)
+    y_trace: list[Vector] = field(default_factory=list)
+    violations: list[tuple[float, float]] = field(default_factory=list)
+    stop_code: StopCode = StopCode.ITERATION_CAP
+    outer_iters: int = 0
+    inner_iter_total: int = 0
+    schedule_trace: list[ForcingParams] = field(default_factory=list)
+    inner_iters_per_k: list[int] = field(default_factory=list)
     inner_cap_iters: list[int] = field(default_factory=list)
     anchor_trace: list[Vector] | None = None
 
@@ -207,67 +211,50 @@ class SolveReport:
     def y_last(self) -> Vector:
         return self.y_trace[-1]
 
+    def _add_row(self, k, x, y, violations, params, inner, capped) -> None:
+        """Append row ``k``; a ``y`` of None leaves ``y_trace`` unchanged."""
+        self.x_trace.append(x)
+        if y is not None:
+            self.y_trace.append(y)
+        self.violations.append(violations)
+        self.schedule_trace.append(params)
+        self.inner_iters_per_k.append(inner)
+        self.inner_iter_total += inner
+        if capped:
+            self.inner_cap_iters.append(k)
+
+    def _stop(self, code: StopCode, outer: int) -> "SolveReport":
+        self.stop_code, self.outer_iters = code, outer
+        return self
+
 
 def _inf_norm(d: Vector) -> float:
     return float(np.max(np.abs(d)))
 
 
-class _Trace:
-    """Accumulates per-iteration rows shared by all solvers."""
+def check_pair(
+    a: ConvexBody, b: ConvexBody, x0, y0, first: str, second: str
+) -> tuple[Vector, Vector | None]:
+    """Check a solver's input; return ``x0`` and ``y0`` as vectors.
 
-    def __init__(self, params0: ForcingParams):
-        self.x: list[Vector] = []
-        self.y: list[Vector] = []
-        self.violations: list[tuple[float, float]] = []
-        self.schedule: list[ForcingParams] = [params0]
-        self.inner: list[int] = [0]
-        self.inner_total = 0
-        self.caps: list[int] = []
-        self.lack_streak = 0
-
-    def row(self, k: int, params: ForcingParams, inner: int, capped: bool):
-        self.schedule.append(params)
-        self.inner.append(inner)
-        self.inner_total += inner
-        if capped:
-            self.caps.append(k)
-
-    def lack_step(self, small: bool) -> bool:
-        """Track consecutive small-step iterations; True when two in a row."""
-        self.lack_streak = self.lack_streak + 1 if small else 0
-        return self.lack_streak >= 2
-
-    def report(self, code: StopCode, outer: int, **extra) -> SolveReport:
-        return SolveReport(
-            x_trace=self.x,
-            y_trace=self.y,
-            violations=self.violations,
-            stop_code=code,
-            outer_iters=outer,
-            inner_iter_total=self.inner_total,
-            schedule_trace=self.schedule,
-            inner_iters_per_k=self.inner,
-            inner_cap_iters=self.caps,
-            **extra,
-        )
-
-
-def _check_pair(a: ConvexBody, b: ConvexBody, x0, y0=None):
+    ``first`` and ``second`` say what the solver needs of set A and set B:
+    ``"compact"`` (a linear oracle, for an inexact projection) or
+    ``"exact"`` (an exact projection). ``x0`` must lie in A and ``y0``, when
+    given, in B; ``y0`` is required when B is projected inexactly.
+    """
+    for path, body, need in (("set_a", a, first), ("set_b", b, second)):
+        if need == "compact" and not body.is_compact:
+            raise InputError(path, "must be compact for an inexact projection")
+        if need == "exact" and not body.has_exact_projection:
+            raise InputError(path, "must support exact projection")
     if a.dim != b.dim:
-        raise ValueError(f"sets have different dimensions: {a.dim} vs {b.dim}")
-    x0 = as_vector(x0, a.dim)
-    if a.violation(x0) > START_TOL:
-        raise ValueError(
-            f"x0 must belong to the first set (violation <= {START_TOL:g})"
-        )
+        raise InputError("set_b", f"has dimension {b.dim}, set_a has {a.dim}")
+    x0 = member_vector(a, x0, "x0")
     if y0 is None:
+        if second == "compact":
+            raise InputError("y0", "is required when set_b is projected inexactly")
         return x0, None
-    y0 = as_vector(y0, a.dim)
-    if b.violation(y0) > START_TOL:
-        raise ValueError(
-            f"y0 must belong to the second set (violation <= {START_TOL:g})"
-        )
-    return x0, y0
+    return x0, member_vector(b, y0, "y0")
 
 
 _Projector = Callable[
@@ -311,51 +298,46 @@ def _alternate(
     when an iterate lands exactly in the other set, or when the smaller of
     the two violations is at most ``feas_tol``.
     """
-    tr = _Trace(schedule.current)
+    rep = SolveReport()
     x, y = x0, y0
-    tr.x.append(x)
-    if y is not None:
-        tr.y.append(y)
     ca0 = a.violation(y) if y is not None else math.inf
-    tr.violations.append((b.violation(x), ca0))
-    if min(tr.violations[0]) <= feas_tol:
-        return tr.report(StopCode.CONVERGED_FEASIBLE, 0)
+    rep._add_row(0, x, y, (b.violation(x), ca0), schedule.current, 0, False)
+    if min(rep.violations[0]) <= feas_tol:
+        return rep._stop(StopCode.CONVERGED_FEASIBLE, 0)
 
+    lack_streak = 0
     for k in range(1, stop.max_outer_iters + 1):
         params = schedule.current
         y_new, inner_b, cap_b = proj_b(y, x, params)
         ca_y = a.violation(y_new)
         if ca_y == 0.0:
-            tr.x.append(x)
-            tr.y.append(y_new)
-            tr.violations.append((tr.violations[-1][0], ca_y))
-            tr.row(k, params, inner_b, cap_b)
-            return tr.report(StopCode.CONVERGED_FEASIBLE, k)
+            cb_x = rep.violations[-1][0]
+            rep._add_row(k, x, y_new, (cb_x, ca_y), params, inner_b, cap_b)
+            return rep._stop(StopCode.CONVERGED_FEASIBLE, k)
 
         x_new, inner_a, cap_a = proj_a(x, y_new, params)
         cb_x = b.violation(x_new)
-        tr.x.append(x_new)
-        tr.y.append(y_new)
-        tr.violations.append((cb_x, ca_y))
-        tr.row(k, params, inner_b + inner_a, cap_b or cap_a)
+        inner, capped = inner_b + inner_a, cap_b or cap_a
+        rep._add_row(k, x_new, y_new, (cb_x, ca_y), params, inner, capped)
         if cb_x == 0.0:
-            return tr.report(StopCode.CONVERGED_FEASIBLE, k)
+            return rep._stop(StopCode.CONVERGED_FEASIBLE, k)
 
         small = _inf_norm(x_new - x) <= stop.eps_lack and (
             y is not None and _inf_norm(y_new - y) <= stop.eps_lack
         )
-        if tr.lack_step(small):
-            return tr.report(StopCode.LACK_OF_PROGRESS, k)
+        lack_streak = lack_streak + 1 if small else 0
+        if lack_streak >= 2:
+            return rep._stop(StopCode.LACK_OF_PROGRESS, k)
         if min(cb_x, ca_y) <= feas_tol:
-            return tr.report(StopCode.CONVERGED_FEASIBLE, k)
+            return rep._stop(StopCode.CONVERGED_FEASIBLE, k)
 
-        cb_prev, ca_prev = tr.violations[-2]
+        cb_prev, ca_prev = rep.violations[-2]
         if not math.isfinite(ca_prev):  # no y0: no baseline, no progress
             ca_prev = math.nan
         schedule = schedule.updated(cb_prev, cb_x, ca_prev, ca_y)
         x, y = x_new, y_new
 
-    return tr.report(StopCode.ITERATION_CAP, stop.max_outer_iters)
+    return rep._stop(StopCode.ITERATION_CAP, stop.max_outer_iters)
 
 
 def acondg1(
@@ -369,12 +351,8 @@ def acondg1(
     """Alternate the exact projection onto ``b`` with a conditional-gradient
     inexact projection onto the compact set ``a``, starting from ``x0 in a``.
     """
-    if not a.is_compact:
-        raise ValueError("first set must be compact")
-    if not b.has_exact_projection:
-        raise ValueError("second set must support exact projection")
-    x0, _ = _check_pair(a, b, x0)
-    sched = schedule if schedule is not None else default_schedule(Regime.ONE_SET)
+    x0, _ = check_pair(a, b, x0, None, "compact", "exact")
+    sched = _held_to(schedule, Regime.ONE_SET)
     return _alternate(
         a, b, _inexact(a, limits), _exact(b), x0, None, sched, stop, stop.eps_feas
     )
@@ -391,10 +369,8 @@ def acondg2(
 ) -> SolveReport:
     """Alternate conditional-gradient inexact projections onto both compact
     sets, starting from ``x0 in a`` and ``y0 in b``."""
-    if not (a.is_compact and b.is_compact):
-        raise ValueError("both sets must be compact")
-    x0, y0 = _check_pair(a, b, x0, y0)
-    sched = schedule if schedule is not None else default_schedule(Regime.TWO_SETS)
+    x0, y0 = check_pair(a, b, x0, y0, "compact", "compact")
+    sched = _held_to(schedule, Regime.TWO_SETS)
     return _alternate(
         a, b, _inexact(a, limits), _inexact(b, limits), x0, y0, sched, stop,
         stop.eps_feas,
@@ -420,48 +396,43 @@ def averaged_projection(
     holds the averaged iterates and ``y_trace`` / ``anchor_trace`` the two
     projection outputs.
     """
-    if not (a.is_compact and b.is_compact):
-        raise ValueError("both sets must be compact")
-    x0, y0 = _check_pair(a, b, x0, y0)
-    sched = schedule if schedule is not None else default_schedule(Regime.TWO_SETS)
+    x0, y0 = check_pair(a, b, x0, y0, "compact", "compact")
+    sched = _held_to(schedule, Regime.TWO_SETS)
     proj_a, proj_b = _inexact(a, limits), _inexact(b, limits)
 
-    tr = _Trace(sched.current)
-    anchors_a: list[Vector] = [x0]
+    rep = SolveReport(anchor_trace=[x0])
     z = 0.5 * (x0 + y0)
-    tr.x.append(z)
-    tr.y.append(y0)
-    tr.violations.append((b.violation(z), a.violation(z)))
-    if max(tr.violations[0]) <= stop.eps_feas:
-        return tr.report(StopCode.CONVERGED_FEASIBLE, 0, anchor_trace=anchors_a)
+    viol = (b.violation(z), a.violation(z))
+    rep._add_row(0, z, y0, viol, sched.current, 0, False)
+    if max(rep.violations[0]) <= stop.eps_feas:
+        return rep._stop(StopCode.CONVERGED_FEASIBLE, 0)
 
     anchor_a, anchor_b = x0, y0
+    lack_streak = 0
     for k in range(1, stop.max_outer_iters + 1):
         params = sched.current
         anchor_a, inner_a, cap_a = proj_a(anchor_a, z, params)
         anchor_b, inner_b, cap_b = proj_b(anchor_b, z, params)
         z_new = 0.5 * (anchor_a + anchor_b)
-        anchors_a.append(anchor_a)
-        tr.x.append(z_new)
-        tr.y.append(anchor_b)
-        tr.violations.append((b.violation(z_new), a.violation(z_new)))
-        tr.row(k, params, inner_a + inner_b, cap_a or cap_b)
-        if max(tr.violations[-1]) == 0.0:
-            return tr.report(StopCode.CONVERGED_FEASIBLE, k, anchor_trace=anchors_a)
+        rep.anchor_trace.append(anchor_a)
+        viol = (b.violation(z_new), a.violation(z_new))
+        inner, capped = inner_a + inner_b, cap_a or cap_b
+        rep._add_row(k, z_new, anchor_b, viol, params, inner, capped)
+        if max(rep.violations[-1]) == 0.0:
+            return rep._stop(StopCode.CONVERGED_FEASIBLE, k)
 
-        if tr.lack_step(_inf_norm(z_new - z) <= stop.eps_lack):
-            return tr.report(StopCode.LACK_OF_PROGRESS, k, anchor_trace=anchors_a)
-        if max(tr.violations[-1]) <= stop.eps_feas:
-            return tr.report(StopCode.CONVERGED_FEASIBLE, k, anchor_trace=anchors_a)
+        lack_streak = lack_streak + 1 if _inf_norm(z_new - z) <= stop.eps_lack else 0
+        if lack_streak >= 2:
+            return rep._stop(StopCode.LACK_OF_PROGRESS, k)
+        if max(rep.violations[-1]) <= stop.eps_feas:
+            return rep._stop(StopCode.CONVERGED_FEASIBLE, k)
 
-        cb_prev, ca_prev = tr.violations[-2]
-        cb_curr, ca_curr = tr.violations[-1]
+        cb_prev, ca_prev = rep.violations[-2]
+        cb_curr, ca_curr = rep.violations[-1]
         sched = sched.updated(cb_prev, cb_curr, ca_prev, ca_curr)
         z = z_new
 
-    return tr.report(
-        StopCode.ITERATION_CAP, stop.max_outer_iters, anchor_trace=anchors_a
-    )
+    return rep._stop(StopCode.ITERATION_CAP, stop.max_outer_iters)
 
 
 def exact_alternating(
@@ -482,9 +453,5 @@ def exact_alternating(
     intersection stops for lack of progress, with the report's violations
     showing how close it got.
     """
-    if not (a.has_exact_projection and b.has_exact_projection):
-        raise ValueError("both sets must support exact projection")
-    x0, y0 = _check_pair(a, b, x0, y0)
-    return _alternate(
-        a, b, _exact(a), _exact(b), x0, y0, _ZERO_SCHEDULE, stop, 0.0
-    )
+    x0, y0 = check_pair(a, b, x0, y0, "exact", "exact")
+    return _alternate(a, b, _exact(a), _exact(b), x0, y0, _ZERO_SCHEDULE, stop, 0.0)

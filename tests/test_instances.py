@@ -3,6 +3,15 @@ import math
 
 import pytest
 
+from feasib import (
+    Ball,
+    Ellipsoid,
+    ForcingParams,
+    ForcingSchedule,
+    Halfspace,
+    acondg1,
+    acondg2,
+)
 from feasib.instances import (
     ConfigError,
     SCHEMA_VERSION,
@@ -113,6 +122,79 @@ class TestParsing:
         p.write_text("{not json")
         with pytest.raises(ConfigError):
             load_config(p)
+
+
+def slim_ellipse():
+    return Ellipsoid.from_axes([0.0, 0.0], -math.pi / 4.0, (2.0, 0.2))
+
+
+HALFSPACE_A = {"kind": "halfspace", "normal": [1.0, 0.0], "offset": 0.0}
+HALFSPACE_B = {"kind": "halfspace", "normal": [-1.0, 0.0], "offset": -1.3}
+BALL_B = {"kind": "ball", "center": [3.0, 0.0], "radius": 1.0}
+
+
+def halfspace(spec):
+    return Halfspace(normal=spec["normal"], offset=spec["offset"])
+
+
+def ball(spec):
+    return Ball(center=spec["center"], radius=spec["radius"])
+
+
+# Each case: config overrides, the matching direct solver call, and the path
+# both must name.
+PARITY_CASES = [
+    pytest.param(
+        {"set_a": HALFSPACE_A},
+        lambda: acondg1(halfspace(HALFSPACE_A), halfspace(HALFSPACE_B), [0.0, 0.0]),
+        "set_a",
+        id="acondg1-halfspace-set_a",
+    ),
+    pytest.param(
+        {"solver": "ACondG2", "y0": [2.0, 0.0]},
+        lambda: acondg2(slim_ellipse(), halfspace(HALFSPACE_B), [0.0, 0.0], [2.0, 0.0]),
+        "set_b",
+        id="acondg2-halfspace-set_b",
+    ),
+    pytest.param(
+        {"x0": [5.0, 5.0]},
+        lambda: acondg1(slim_ellipse(), halfspace(HALFSPACE_B), [5.0, 5.0]),
+        "x0",
+        id="x0-outside",
+    ),
+    pytest.param(
+        {"solver": "ACondG2", "set_b": BALL_B, "y0": [9.0, 0.0]},
+        lambda: acondg2(slim_ellipse(), ball(BALL_B), [0.0, 0.0], [9.0, 0.0]),
+        "y0",
+        id="y0-outside",
+    ),
+    pytest.param(
+        {"solver": "ACondG2", "set_b": BALL_B},
+        lambda: acondg2(slim_ellipse(), ball(BALL_B), [0.0, 0.0], None),
+        "y0",
+        id="y0-missing",
+    ),
+    pytest.param(
+        {"solver": "ACondG2", "set_b": BALL_B, "y0": [3.0, 0.0],
+         "schedule": {"theta0": 0.3}},
+        lambda: acondg2(
+            slim_ellipse(), ball(BALL_B), [0.0, 0.0], [3.0, 0.0],
+            schedule=ForcingSchedule(ForcingParams(0.1 - 1e-8, 0.3, 0.2 - 1e-8)),
+        ),
+        "schedule",
+        id="two-set-schedule",
+    ),
+]
+
+
+@pytest.mark.parametrize("overrides, call, path", PARITY_CASES)
+def test_config_and_solver_reject_alike(overrides, call, path):
+    with pytest.raises(ConfigError) as from_config:
+        parse_config(base_config(**overrides))
+    with pytest.raises(ConfigError) as from_call:
+        call()
+    assert from_config.value.path == from_call.value.path == path
+    assert str(from_config.value) == str(from_call.value)
 
 
 class TestRoundTrip:

@@ -10,6 +10,7 @@ from feasib import (
     ForcingParams,
     ForcingSchedule,
     Halfspace,
+    InputError,
     Regime,
     StopCode,
     StoppingConfig,
@@ -362,3 +363,43 @@ class TestInnerCapPropagation:
         for y in rep.y_trace:
             assert b.violation(y) <= 1e-10
         assert rep.stop_code in (StopCode.LACK_OF_PROGRESS, StopCode.ITERATION_CAP)
+
+
+class TestInputRules:
+    # theta = 0.3 meets the one-set condition (theta < 1/2) but not the
+    # two-set one (theta < 1/4).
+    ONE_SET_ONLY = ForcingSchedule(ForcingParams(0.0, 0.3, 0.0))
+
+    @pytest.mark.parametrize("solve", [acondg2, averaged_projection])
+    def test_two_set_solvers_hold_a_schedule_to_their_regime(self, solve):
+        a, b = slim_ellipse(), second_ellipse(2.30)
+        with pytest.raises(InputError) as err:
+            solve(a, b, [0.0, 0.0], [2.30, 0.5], schedule=self.ONE_SET_ONLY)
+        assert err.value.path == "schedule"
+        assert "two-set regime" in str(err.value)
+
+    def test_one_set_solver_accepts_a_one_set_schedule(self):
+        rep = acondg1(
+            slim_ellipse(), halfspace_at(1.30), [0.0, 0.0], schedule=self.ONE_SET_ONLY
+        )
+        assert rep.schedule_trace[0].theta == 0.3
+
+    @pytest.mark.parametrize("solve", [acondg2, averaged_projection])
+    def test_missing_y0_names_the_argument(self, solve):
+        with pytest.raises(InputError) as err:
+            solve(slim_ellipse(), second_ellipse(2.30), [0.0, 0.0], None)
+        assert err.value.path == "y0"
+
+    def test_bad_start_vectors_name_the_argument(self):
+        with pytest.raises(InputError) as err:
+            acondg1(slim_ellipse(), halfspace_at(1.30), [0.0, 0.0, 0.0])
+        assert err.value.path == "x0"
+        with pytest.raises(InputError) as err:
+            acondg2(unit_disk(), unit_disk(), [0.0, 0.0], [float("nan"), 0.0])
+        assert err.value.path == "y0"
+
+    def test_dimension_mismatch_names_set_b(self):
+        b = Ball(center=[0.0, 0.0, 0.0], radius=1.0)
+        with pytest.raises(InputError) as err:
+            exact_alternating(unit_disk(), b, [0.0, 0.0])
+        assert err.value.path == "set_b"
