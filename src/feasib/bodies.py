@@ -8,6 +8,14 @@ Every body is an immutable value. The operations exposed per body are:
 * ``support(c)``     -- support function ``max_z <c, z>``, compact bodies only,
 * ``project(v)``     -- exact Euclidean projection.
 
+An ellipsoid projects in its eigenbasis, where the projection of an outside
+point is ``z_i = b_i / (1 + mu lam_i)`` and ``mu > 0`` solves a scalar
+secular equation. It is solved in the form Moré and Sorensen give for
+trust-region steps: Newton on ``1/|p(mu)| = 1``, ``p_i = z_i sqrt(lam_i)``,
+a concave increasing function, so the steps rise monotonically from
+``mu = 0`` to the root without a bracket. The loop runs over Python floats
+in 2-D and over numpy vectors otherwise.
+
 Each compact body also has a private frame, an isometry ``u = R^T (x - o)``
 in which its linear oracle costs O(n): ``_to_frame`` and ``_from_frame`` map
 points in and out, and ``_frame_lo(g)`` minimizes ``<g, u>`` over the body
@@ -60,7 +68,7 @@ class InputError(ValueError):
     """Invalid solver or config input; ``path`` names the argument or field."""
 
     def __init__(self, path: str, message: str):
-        self.path = path
+        self.path, self.message = path, message
         super().__init__(f"{path}: {message}")
 
 
@@ -384,30 +392,60 @@ class Ellipsoid(ConvexBody):
         if self.violation(v) <= MEMBER_TOL:
             return v.copy()
         # In the eigenbasis the projection is z(mu) with coordinates
-        # b_i / (1 + mu * lam_i); mu > 0 solves the scalar secular equation
-        # sum lam_i b_i^2 / (1 + mu lam_i)^2 = 1, strictly decreasing in mu.
+        # z_i = b_i e_i, e_i = 1 / (1 + mu lam_i), and mu > 0 solves the
+        # secular equation s2(mu) = sum lam_i b_i^2 e_i^2 = 1. As Moré and
+        # Sorensen do for trust-region steps, solve h(mu) = 1/sqrt(s2) = 1
+        # instead: h is concave and increasing, so Newton from mu = 0 rises
+        # monotonically to the root, with no bracket or safeguard. With
+        # s3 = sum lam_i^2 b_i^2 e_i^3 = -s2'/2, the step is
+        # (1 - h)/h' = (sqrt(s2) - 1) s2 / s3.
+        solve = self._newton_planar if self.dim == 2 else self._newton_frame
+        return solve(v)[0]
+
+    # Both Newton loops stop once s2 - 1 <= SECULAR_TOL (that test also ends
+    # a rounding overshoot past the root, where the step would be negative),
+    # when a step no longer increases mu, or at SECULAR_MAX_ITERS, a safety
+    # cap. Each returns the projection and its number of Newton steps.
+
+    def _newton_frame(self, v: Vector) -> tuple[Vector, int]:
+        """The Newton solve with numpy vectors, for any dimension."""
         lam = self._eigvals
         b = self._eigvecs.T @ (v - self.center)
-
-        def residual(mu: float) -> tuple[float, float]:
-            denom = 1.0 + mu * lam
-            r = float(np.sum(lam * b * b / denom**2)) - 1.0
-            dr = float(np.sum(-2.0 * lam**2 * b * b / denom**3))
-            return r, dr
-
-        lo, hi = 0.0, 1.0
-        while residual(hi)[0] > 0.0:
-            lo, hi = hi, 2.0 * hi
-        mu = 0.5 * (lo + hi)
-        r, dr = residual(mu)
-        for _ in range(self.SECULAR_MAX_ITERS):
-            if abs(r) <= self.SECULAR_TOL:
+        t = lam * b * b
+        mu, steps = 0.0, 0
+        while steps < self.SECULAR_MAX_ITERS:
+            e = 1.0 / (1.0 + mu * lam)
+            q = t * e * e
+            s2 = float(q.sum())
+            if s2 - 1.0 <= self.SECULAR_TOL:
                 break
-            if r > 0.0:
-                lo = mu
-            else:
-                hi = mu
-            step = mu - r / dr
-            mu = step if lo < step < hi else 0.5 * (lo + hi)
-            r, dr = residual(mu)
-        return self.center + self._eigvecs @ (b / (1.0 + mu * lam))
+            nxt = mu + (math.sqrt(s2) - 1.0) * s2 / float((q * lam * e).sum())
+            if not nxt > mu:
+                break
+            mu, steps = nxt, steps + 1
+        return self.center + self._eigvecs @ (b / (1.0 + mu * lam)), steps
+
+    def _newton_planar(self, v: Vector) -> tuple[Vector, int]:
+        """``_newton_frame`` for ``dim == 2``, unrolled over Python floats."""
+        (v00, v01), (v10, v11) = self._eigvecs.tolist()
+        l0, l1 = self._eigvals.tolist()
+        c0, c1 = self.center.tolist()
+        p0, p1 = v.tolist()
+        d0, d1 = p0 - c0, p1 - c1
+        b0, b1 = v00 * d0 + v10 * d1, v01 * d0 + v11 * d1
+        t0, t1 = l0 * b0 * b0, l1 * b1 * b1
+        tol, cap = self.SECULAR_TOL, self.SECULAR_MAX_ITERS
+        mu, steps = 0.0, 0
+        while steps < cap:
+            e0, e1 = 1.0 / (1.0 + mu * l0), 1.0 / (1.0 + mu * l1)
+            q0, q1 = t0 * e0 * e0, t1 * e1 * e1
+            s2 = q0 + q1
+            if s2 - 1.0 <= tol:
+                break
+            nxt = mu + (math.sqrt(s2) - 1.0) * s2 / (q0 * l0 * e0 + q1 * l1 * e1)
+            if not nxt > mu:
+                break
+            mu, steps = nxt, steps + 1
+        z0, z1 = b0 / (1.0 + mu * l0), b1 / (1.0 + mu * l1)
+        point = np.array([c0 + (v00 * z0 + v01 * z1), c1 + (v10 * z0 + v11 * z1)])
+        return point, steps

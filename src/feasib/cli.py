@@ -12,7 +12,7 @@ from pathlib import Path
 
 from .figures import render_figure
 from .instances import load_config
-from .runner import reproduce_table, run_instance, trace_rows
+from .runner import comparison_path, reproduce_table, run_instance, trace_rows
 from .solvers import StopCode
 
 EXIT_OK = 0
@@ -70,13 +70,13 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    path = reproduce_table(int(args.which), args.out_dir)
-    text = path.read_text()
+    which = int(args.which)
+    rows = reproduce_table(which, args.out_dir)
+    path = comparison_path(which, args.out_dir)
     if args.verbose:
-        print(text, end="")
+        print(path.read_text(), end="")
     print(f"comparison written to {path}")
-    lines = text.strip().splitlines()[1:]
-    if any(line.split(",")[2] == "I" for line in lines):
+    if any(row.stop_code == StopCode.ITERATION_CAP.letter for row in rows):
         return EXIT_ITERATION_CAP
     return EXIT_OK
 

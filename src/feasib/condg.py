@@ -35,6 +35,7 @@ import numpy as np
 from .bodies import (
     ConvexBody,
     Ellipsoid,
+    InputError,
     UnsupportedOracleError,
     Vector,
     as_vector,
@@ -67,7 +68,7 @@ class ForcingParams:
         for name in ("gamma", "theta", "lam"):
             v = float(getattr(self, name))
             if not (v >= 0.0 and math.isfinite(v)):
-                raise ValueError(f"{name} must be finite and >= 0, got {v}")
+                raise InputError(name, f"must be finite and >= 0, got {v}")
             object.__setattr__(self, name, v)
 
     def scaled(self, factor: float) -> "ForcingParams":

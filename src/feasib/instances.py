@@ -7,9 +7,13 @@ semi_axes, 2-D), ``halfspace`` (normal / offset), ``ball`` (center /
 radius), ``box`` (lower / upper). Validation errors carry the path of the
 offending field.
 
-Parsing checks each field alone. :func:`validate_config` then runs the
-solvers' own input check, :func:`~feasib.solvers.check_pair`, and their
-regime check, so a config fails with the same path and message as the call.
+Parsing checks each field's type alone. The range rules of ``stopping``
+and ``schedule`` are those of :class:`~feasib.solvers.StoppingConfig`,
+:class:`~feasib.condg.ForcingParams` and
+:class:`~feasib.solvers.ForcingSchedule`. :func:`validate_config` then runs
+the solvers' own input check, :func:`~feasib.solvers.check_pair`, on the
+start points the solver reads, and builds its schedule, so a config fails
+with the same path and message as the call.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ __all__ = [
     "parse_config",
     "save_config",
     "serialize_config",
+    "start_points",
     "table1_config",
     "table2_config",
     "table_reference",
@@ -50,14 +55,15 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-# What each solver needs of set A and set B (see ``check_pair``) and the
-# forcing regime of its schedule (None: the solver takes no schedule).
+# What each solver needs of set A and set B (see ``check_pair``), the
+# forcing regime of its schedule (None: the solver takes no schedule), and
+# whether its run reads ``y0``.
 _SOLVERS = {
-    "ACondG1": ("compact", "exact", Regime.ONE_SET),
-    "ACondG2": ("compact", "compact", Regime.TWO_SETS),
-    "Averaged": ("compact", "compact", Regime.TWO_SETS),
-    "ExactAlt1": ("exact", "exact", None),
-    "ExactAlt2": ("exact", "exact", None),
+    "ACondG1": ("compact", "exact", Regime.ONE_SET, False),
+    "ACondG2": ("compact", "compact", Regime.TWO_SETS, True),
+    "Averaged": ("compact", "compact", Regime.TWO_SETS, True),
+    "ExactAlt1": ("exact", "exact", None, False),
+    "ExactAlt2": ("exact", "exact", None, True),
 }
 SOLVER_NAMES = tuple(_SOLVERS)
 _SOLVER_LOOKUP = {n.lower().replace("_", ""): n for n in SOLVER_NAMES}
@@ -202,28 +208,17 @@ def parse_config(obj) -> InstanceConfig:
         tau=_number(sched_obj.get("tau", defaults.tau), "schedule.tau"),
         delta=_number(sched_obj.get("delta", defaults.delta), "schedule.delta"),
     )
-    for name in ("gamma0", "theta0", "lambda0"):
-        if getattr(schedule, name) < 0.0:
-            raise ConfigError(f"schedule.{name}", "must be >= 0")
-    for name in ("tau", "delta"):
-        if not 0.0 < getattr(schedule, name) < 1.0:
-            raise ConfigError(f"schedule.{name}", "must lie in (0, 1)")
 
     stop_obj = obj.get("stopping", {})
     if not isinstance(stop_obj, dict):
         raise ConfigError("stopping", "expected an object")
     sdef = StoppingConfig()
     stopping = StoppingConfig(
-        eps_feas=_number(
-            stop_obj.get("eps_feas", sdef.eps_feas), "stopping.eps_feas", positive=True
-        ),
-        eps_lack=_number(
-            stop_obj.get("eps_lack", sdef.eps_lack), "stopping.eps_lack", positive=True
-        ),
+        eps_feas=_number(stop_obj.get("eps_feas", sdef.eps_feas), "stopping.eps_feas"),
+        eps_lack=_number(stop_obj.get("eps_lack", sdef.eps_lack), "stopping.eps_lack"),
         max_outer_iters=_integer(
             stop_obj.get("max_outer_iters", sdef.max_outer_iters),
             "stopping.max_outer_iters",
-            minimum=1,
         ),
     )
 
@@ -263,34 +258,48 @@ def build_bodies(config: InstanceConfig) -> tuple[ConvexBody, ConvexBody]:
     return _build_body(config.set_a), _build_body(config.set_b)
 
 
-def _solver_rule(solver: str) -> tuple[str, str, Regime | None]:
+def _solver_rule(solver: str) -> tuple[str, str, Regime | None, bool]:
     if solver not in _SOLVERS:
         expected = f"expected one of {SOLVER_NAMES}"
         raise ConfigError("solver", f"unknown solver {solver!r}; {expected}")
     return _SOLVERS[solver]
 
 
+def start_points(config: InstanceConfig) -> tuple[tuple, tuple | None]:
+    """``(x0, y0)`` as the config's solver reads them; ``y0`` is None when
+    the solver does not read it."""
+    reads_y0 = _solver_rule(config.solver)[3]
+    return config.x0, config.y0 if reads_y0 else None
+
+
+# ForcingParams names its own fields; a config names their initial values.
+_PARAM_FIELDS = {"gamma": "gamma0", "theta": "theta0", "lam": "lambda0"}
+
+
 def build_schedule(config: InstanceConfig) -> ForcingSchedule | None:
+    """The solver's schedule, or None for a solver that takes none. The
+    range and regime rules are those of ``ForcingParams`` and
+    ``ForcingSchedule``."""
     regime = _solver_rule(config.solver)[2]
     if regime is None:
         return None
     s = config.schedule
-    return ForcingSchedule(
-        current=ForcingParams(s.gamma0, s.theta0, s.lambda0),
-        tau=s.tau,
-        delta=s.delta,
-        regime=regime,
-    )
+    try:
+        current = ForcingParams(s.gamma0, s.theta0, s.lambda0)
+    except InputError as exc:
+        raise InputError(f"schedule.{_PARAM_FIELDS[exc.path]}", exc.message) from None
+    return ForcingSchedule(current=current, tau=s.tau, delta=s.delta, regime=regime)
 
 
 def validate_config(config: InstanceConfig) -> tuple[ConvexBody, ConvexBody]:
     """Hold the config to its solver's input rules, as the solver would.
 
-    Returns the two bodies it built, ``(set_a, set_b)``.
+    Only the start points the solver reads are checked. Returns the two
+    bodies it built, ``(set_a, set_b)``.
     """
     a, b = build_bodies(config)
-    first, second, _ = _solver_rule(config.solver)
-    check_pair(a, b, config.x0, config.y0, first, second)
+    first, second = _solver_rule(config.solver)[:2]
+    check_pair(a, b, *start_points(config), first, second)
     build_schedule(config)
     return a, b
 

@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+from typing import NamedTuple
 
 from .instances import (
     InstanceConfig,
     build_schedule,
+    start_points,
     table1_config,
     table2_config,
     table_reference,
@@ -39,6 +39,8 @@ from .solvers import (
 )
 
 __all__ = [
+    "TableRow",
+    "comparison_path",
     "reproduce_table",
     "run_instance",
     "solve_config",
@@ -54,18 +56,17 @@ def _fmt(x: float) -> str:
 def solve_config(config: InstanceConfig) -> SolveReport:
     """Validate and build the instance, then run its solver."""
     a, b = validate_config(config)
+    x0, y0 = start_points(config)
     stop = config.stopping
     schedule = build_schedule(config)
     solver = config.solver
     if solver == "ACondG1":
-        return acondg1(a, b, config.x0, schedule, stop)
+        return acondg1(a, b, x0, schedule, stop)
     if solver == "ACondG2":
-        return acondg2(a, b, config.x0, config.y0, schedule, stop)
+        return acondg2(a, b, x0, y0, schedule, stop)
     if solver == "Averaged":
-        return averaged_projection(a, b, config.x0, config.y0, schedule, stop)
-    # ExactAlt1 ignores y0; ExactAlt2 uses it for the initial checks.
-    y0 = config.y0 if solver == "ExactAlt2" else None
-    return exact_alternating(a, b, config.x0, stop, y0=y0)
+        return averaged_projection(a, b, x0, y0, schedule, stop)
+    return exact_alternating(a, b, x0, stop, y0=y0)
 
 
 def trace_rows(report: SolveReport, dim: int):
@@ -138,60 +139,45 @@ def run_instance(
     return report, trace_path
 
 
-def _run_table_job(args) -> tuple[str, str, str, int, float]:
-    label, solver, config, out_dir = args
-    report = solve_config(config)
-    stem = f"table_{label}_{solver}"
-    write_trace_csv(Path(out_dir) / f"{stem}_trace.csv", report, config.dimension)
-    return (
-        label,
-        solver,
-        report.stop_code.letter,
-        report.outer_iters,
-        report.min_violation,
-    )
+class TableRow(NamedTuple):
+    """One row of a comparison CSV; the field names are its header."""
+
+    instance: str
+    solver: str
+    stop_code: str
+    iters: int
+    min_violation: float
+    paper_stop_code: str
+    paper_min_violation: str
 
 
-def reproduce_table(which: int, out_dir) -> Path:
+def comparison_path(which: int, out_dir) -> Path:
+    return Path(out_dir) / f"table{which}_comparison.csv"
+
+
+def reproduce_table(which: int, out_dir) -> list[TableRow]:
     """Run every (instance, solver) pair of ``table_reference(which)``.
 
-    Writes one trace CSV per run plus ``table{which}_comparison.csv`` with
-    measured and reference results side by side. ``FEASIB_THREADS`` sets the
-    worker count (1 if unset); output bytes do not depend on it.
+    Writes one trace CSV per run plus the comparison CSV (see
+    :func:`comparison_path`) with measured and reference results side by
+    side, and returns the comparison rows.
     """
-    reference = table_reference(which)
     make = table1_config if which == 1 else table2_config
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    jobs = [
-        (label, solver, make(label, solver), str(out_dir))
-        for label, solvers in reference.items()
-        for solver in solvers
-    ]
-    workers = int(os.environ.get("FEASIB_THREADS", "1"))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_table_job, jobs))
-    else:
-        results = [_run_table_job(job) for job in jobs]
+    rows = []
+    for label, solvers in table_reference(which).items():
+        for solver, (ref_code, ref_viol) in solvers.items():
+            config = make(label, solver)
+            report = solve_config(config)
+            trace_path = out_dir / f"table_{label}_{solver}_trace.csv"
+            write_trace_csv(trace_path, report, config.dimension)
+            measured = (report.stop_code.letter, report.outer_iters, report.min_violation)
+            rows.append(TableRow(label, solver, *measured, ref_code, ref_viol))
 
-    path = out_dir / f"table{which}_comparison.csv"
-    with open(path, "w", newline="") as fh:
+    with open(comparison_path(which, out_dir), "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            [
-                "instance",
-                "solver",
-                "stop_code",
-                "iters",
-                "min_violation",
-                "paper_stop_code",
-                "paper_min_violation",
-            ]
-        )
-        for label, solver, code, iters, viol in results:
-            ref_code, ref_viol = reference[label][solver]
-            writer.writerow(
-                [label, solver, code, str(iters), _fmt(viol), ref_code, ref_viol]
-            )
-    return path
+        writer.writerow(TableRow._fields)
+        for row in rows:
+            writer.writerow(row._replace(min_violation=_fmt(row.min_violation)))
+    return rows

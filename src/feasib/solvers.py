@@ -94,7 +94,7 @@ class ForcingSchedule:
     def __post_init__(self):
         for name, v in (("tau", self.tau), ("delta", self.delta)):
             if not 0.0 < v < 1.0:
-                raise InputError("schedule", f"{name} must lie in (0, 1), got {v}")
+                raise InputError(f"schedule.{name}", f"must lie in (0, 1), got {v}")
         p = self.current
         if self.regime is Regime.ONE_SET:
             ok, rule = p.theta < 0.5, "one-set regime requires theta < 1/2"
@@ -146,12 +146,11 @@ class StoppingConfig:
     max_outer_iters: int = 100_000
 
     def __post_init__(self):
-        if not self.eps_feas > 0.0:
-            raise ValueError("eps_feas must be positive")
-        if not self.eps_lack > 0.0:
-            raise ValueError("eps_lack must be positive")
+        for name in ("eps_feas", "eps_lack"):
+            if not getattr(self, name) > 0.0:
+                raise InputError(f"stopping.{name}", "must be positive")
         if self.max_outer_iters < 1:
-            raise ValueError("max_outer_iters must be >= 1")
+            raise InputError("stopping.max_outer_iters", "must be >= 1")
 
 
 class StopCode(enum.Enum):

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from feasib import Ball, Box, Ellipsoid, Halfspace
+from feasib import START_TOL, Ball, Box, Ellipsoid, Halfspace
 
 
 def random_rotation(rng, dim):
@@ -107,6 +107,17 @@ def diameter(body):
     if isinstance(body, Box):
         return float(np.linalg.norm(body.upper - body.lower))
     raise TypeError(type(body))
+
+
+def member_tol(body):
+    """``START_TOL``, or the rounding floor of ``Ellipsoid.violation`` when
+    that is larger. The violation is computed from the shape matrix, whose
+    entries carry rounding of about eps*|shape|, while the oracle and the
+    projection work from its eigendecomposition; boundary points then read
+    up to about eps*cond(shape) outside, 1.1e-8 at cond 1e8."""
+    if not isinstance(body, Ellipsoid):
+        return START_TOL
+    return max(START_TOL, 4.0 * np.finfo(float).eps * np.linalg.cond(body.shape))
 
 
 def containing_body(rng, point, kind, dim=2):

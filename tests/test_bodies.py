@@ -6,7 +6,15 @@ from hypothesis import given, settings, strategies as st
 
 from feasib import Ball, Box, Ellipsoid, Halfspace, UnsupportedOracleError
 
-from _helpers import random_body, random_compact_body, sample_members
+from _helpers import (
+    diameter,
+    ill_conditioned_ellipsoid,
+    member_tol,
+    random_body,
+    random_compact_body,
+    random_ellipsoid,
+    sample_members,
+)
 
 SQRT_202 = math.sqrt(2.02)
 
@@ -225,6 +233,64 @@ def test_projection_optimality_in_higher_dimensions():
             members = sample_members(body, rng, 300)
             assert ((members - w) @ (v - w)).max() <= 1e-9
             assert np.max(np.abs(body.project(w) - w)) <= 1e-10
+
+
+PROJ_DIMS = (2, 3, 16, 50)
+PROJ_KINDS = ("random", "ill_conditioned")
+PROJ_DISTANCES = (1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3)
+# These cases take at most 12 Newton steps (2-D, cond 1e8), and a wider
+# sweep of 800 points took at most 15; halving each step would take dozens.
+MAX_NEWTON_STEPS = 20
+
+
+def projection_cases(dim, kind, n_bodies=6):
+    """Ellipsoids, each with points at every distance of ``PROJ_DISTANCES``
+    along the outward normal of a random boundary point ``foot``, which is
+    then the exact projection (to the rounding floor ``member_tol``).
+    ``ill_conditioned`` shapes have condition number 1e8."""
+    rng = np.random.default_rng(1000 * dim + PROJ_KINDS.index(kind))
+    for _ in range(n_bodies):
+        if kind == "ill_conditioned":
+            body = ill_conditioned_ellipsoid(rng, dim, cond=1e8)
+        else:
+            body = random_ellipsoid(rng, dim)
+        for dist in PROJ_DISTANCES:
+            direction = rng.normal(size=dim)
+            foot = body.boundary_point(direction / np.linalg.norm(direction))
+            normal = body.shape @ (foot - body.center)
+            yield body, foot + dist * normal / np.linalg.norm(normal), foot
+
+
+def newton_solve(body):
+    """The Newton solve ``Ellipsoid.project`` runs for this dimension."""
+    return body._newton_planar if body.dim == 2 else body._newton_frame
+
+
+@pytest.mark.parametrize("kind", PROJ_KINDS)
+@pytest.mark.parametrize("dim", PROJ_DIMS)
+def test_ellipsoid_projection_certificate(dim, kind):
+    # At the exact projection w of v the Frank-Wolfe gap
+    # support(v - w) - <v - w, w> is 0, and at a member it bounds
+    # <v - w, z - w> over all members z.
+    for body, v, foot in projection_cases(dim, kind):
+        w, steps = newton_solve(body)(v)
+        assert np.array_equal(body.project(v), w)
+        r = v - w
+        scale = np.linalg.norm(r) * (np.linalg.norm(w) + diameter(body))
+        assert body.support(r) - float(r @ w) <= 1e-9 * scale
+        assert body.violation(w) <= member_tol(body)
+        tol = member_tol(body) * (np.linalg.norm(foot) + diameter(body))
+        assert np.linalg.norm(w - foot) <= tol
+        assert 1 <= steps <= MAX_NEWTON_STEPS
+
+
+@pytest.mark.parametrize("kind", PROJ_KINDS)
+def test_planar_newton_agrees_with_the_numpy_solve(kind):
+    for body, v, _ in projection_cases(2, kind, n_bodies=20):
+        w_planar, steps_planar = body._newton_planar(v)
+        w_numpy, steps_numpy = body._newton_frame(v)
+        assert np.linalg.norm(w_planar - w_numpy) <= 1e-12 * np.linalg.norm(w_numpy)
+        assert steps_planar == steps_numpy
 
 
 @settings(max_examples=40, deadline=None)

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from feasib import (
-    START_TOL,
     Ball,
     Box,
     CondGLimits,
@@ -22,6 +21,7 @@ from feasib.condg import _frame_loop
 from _helpers import (
     diameter,
     ill_conditioned_ellipsoid,
+    member_tol,
     random_ball,
     random_compact_body,
     sample_members,
@@ -58,17 +58,6 @@ def certificate_case(rng, dim, kind):
     u = sample_members(body, rng, 1)[0]
     v = u + rng.normal(size=dim) * (diameter(body) / math.sqrt(dim))
     return body, u, v
-
-
-def member_tol(body):
-    """``START_TOL``, or the rounding floor of ``Ellipsoid.violation`` when
-    that is larger. The violation is computed from the shape matrix, whose
-    entries carry rounding of about eps*|shape|, while the oracle works from
-    its eigendecomposition; boundary points then read up to about
-    eps*cond(shape) outside, 1.1e-8 at cond 1e8."""
-    if not isinstance(body, Ellipsoid):
-        return START_TOL
-    return max(START_TOL, 4.0 * np.finfo(float).eps * np.linalg.cond(body.shape))
 
 
 def check_certificate(body, params, u, v, res):

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from feasib import (
@@ -9,6 +10,7 @@ from feasib import (
     ForcingParams,
     ForcingSchedule,
     Halfspace,
+    StoppingConfig,
     acondg1,
     acondg2,
 )
@@ -23,10 +25,12 @@ from feasib.instances import (
     parse_config,
     save_config,
     serialize_config,
+    start_points,
     table1_config,
     table2_config,
     table_reference,
 )
+from feasib.runner import solve_config
 
 
 def base_config(**overrides):
@@ -184,6 +188,15 @@ PARITY_CASES = [
         "schedule",
         id="two-set-schedule",
     ),
+    pytest.param(
+        {"stopping": {"eps_feas": 0.0}},
+        lambda: acondg1(
+            slim_ellipse(), halfspace(HALFSPACE_B), [0.0, 0.0],
+            stop=StoppingConfig(eps_feas=0.0),
+        ),
+        "stopping.eps_feas",
+        id="stopping-eps_feas",
+    ),
 ]
 
 
@@ -195,6 +208,34 @@ def test_config_and_solver_reject_alike(overrides, call, path):
         call()
     assert from_config.value.path == from_call.value.path == path
     assert str(from_config.value) == str(from_call.value)
+
+
+@pytest.mark.parametrize(
+    "schedule, path",
+    [
+        ({"gamma0": -0.1}, "schedule.gamma0"),
+        ({"lambda0": -1.0}, "schedule.lambda0"),
+        ({"tau": 1.0}, "schedule.tau"),
+        ({"delta": 0.0}, "schedule.delta"),
+    ],
+)
+def test_schedule_range_rules_name_the_config_field(schedule, path):
+    with pytest.raises(ConfigError) as err:
+        parse_config(base_config(schedule=schedule))
+    assert err.value.path == path
+
+
+def test_unread_y0_is_not_checked():
+    # ExactAlt1 never reads y0, so a y0 outside set B does not reject it.
+    cfg = table1_config("1.30", "ExactAlt1")
+    with_y0 = parse_config({**serialize_config(cfg), "y0": [0.0, 0.0]})
+    assert with_y0.y0 == (0.0, 0.0)
+    assert start_points(with_y0) == (cfg.x0, None)
+    ran, plain = solve_config(with_y0), solve_config(cfg)
+    assert ran.stop_code is plain.stop_code
+    assert ran.outer_iters == plain.outer_iters
+    assert np.array_equal(ran.x_trace, plain.x_trace)
+    assert ran.violations == plain.violations
 
 
 class TestRoundTrip:

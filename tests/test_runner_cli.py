@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from feasib import StopCode, dist_two_bodies
+from feasib import cli
 from feasib.cli import main
 from feasib.figures import render_figure
 from feasib.instances import (
@@ -22,7 +23,7 @@ from feasib.instances import (
     table2_config,
     table_reference,
 )
-from feasib.runner import reproduce_table, run_instance
+from feasib.runner import TableRow, comparison_path, reproduce_table, run_instance
 
 EXPECTED_HEADER = "k,x1,x2,y1,y2,cB_x,cA_y,gamma,theta,lambda,inner_iters"
 
@@ -163,11 +164,9 @@ class TestReproduceTable:
         assert "table_1.30_ACondG1_trace.csv" in names
         assert "table_1.60_ExactAlt1_trace.csv" in names
 
-    def test_rerun_is_byte_identical_and_thread_invariant(
-        self, table1_dir, tmp_path, monkeypatch
-    ):
-        monkeypatch.setenv("FEASIB_THREADS", "2")
-        again = reproduce_table(1, tmp_path)
+    def test_rerun_is_byte_identical_and_thread_invariant(self, table1_dir, tmp_path):
+        reproduce_table(1, tmp_path)
+        again = comparison_path(1, tmp_path)
         assert (
             again.read_bytes()
             == (table1_dir / "table1_comparison.csv").read_bytes()
@@ -176,6 +175,16 @@ class TestReproduceTable:
             assert (
                 (tmp_path / name).read_bytes() == (table1_dir / name).read_bytes()
             )
+
+    def test_returned_rows_are_the_comparison_csv(self, table1_dir, tmp_path):
+        rows = reproduce_table(1, tmp_path)
+        written = comparison_rows(table1_dir, 1)
+        assert len(rows) == len(written) == 16
+        for row, fields in zip(rows, written):
+            assert [row.instance, row.solver, row.stop_code] == fields[:3]
+            assert row.iters == int(fields[3])
+            assert row.min_violation == float(fields[4])
+            assert [row.paper_stop_code, row.paper_min_violation] == fields[5:]
 
     def test_second_table_feasible_rows(self, table2_dir):
         rows = comparison_rows(table2_dir, 2)
@@ -311,6 +320,12 @@ class TestCLI:
         code = main(["table", "--which", "1", "--out-dir", str(tmp_path)])
         assert code == 0
         assert (tmp_path / "table1_comparison.csv").exists()
+
+    def test_table_exit_code_follows_the_returned_rows(self, tmp_path, monkeypatch):
+        capped = TableRow("1.30", "ACondG1", "I", 3, 0.5, "C", "0.00e+00")
+        monkeypatch.setattr(cli, "reproduce_table", lambda which, out_dir: [capped])
+        code = main(["table", "--which", "1", "--out-dir", str(tmp_path)])
+        assert code == 3
 
     def test_entry_point_installed(self):
         proc = subprocess.run(

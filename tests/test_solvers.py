@@ -97,6 +97,22 @@ class TestForcingSchedule:
         with pytest.raises(ValueError):
             StoppingConfig(max_outer_iters=0)
 
+    @pytest.mark.parametrize(
+        "build, path",
+        [
+            (lambda: StoppingConfig(eps_feas=0.0), "stopping.eps_feas"),
+            (lambda: StoppingConfig(eps_lack=-1.0), "stopping.eps_lack"),
+            (lambda: StoppingConfig(max_outer_iters=0), "stopping.max_outer_iters"),
+            (lambda: ForcingParams(0.0, math.nan, 0.0), "theta"),
+            (lambda: ForcingSchedule(ForcingParams(0.0, 0.0, 0.0), tau=1.0),
+             "schedule.tau"),
+        ],
+    )
+    def test_range_errors_name_the_field(self, build, path):
+        with pytest.raises(InputError) as err:
+            build()
+        assert err.value.path == path
+
 
 class TestACondG1:
     def test_feasible_instance_finds_exact_point(self):
