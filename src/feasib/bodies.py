@@ -8,15 +8,13 @@ Every body is an immutable value. The operations exposed per body are:
 * ``support(c)``     -- support function ``max_z <c, z>``, compact bodies only,
 * ``project(v)``     -- exact Euclidean projection.
 
-An ellipsoid projects in its eigenbasis, where the projection of an outside
-point is ``z_i = b_i / (1 + mu lam_i)`` and ``mu > 0`` solves a scalar
-secular equation. It is solved in the form Moré and Sorensen give for
-trust-region steps: Newton on ``1/|p(mu)| = 1``, ``p_i = z_i sqrt(lam_i)``,
-a concave increasing function, so the steps rise monotonically from
-``mu = 0`` to the root without a bracket. The loop runs over Python floats
-in 2-D and over numpy vectors otherwise.
+An ellipsoid measures violation and projects in its eigenbasis frame (see
+below), where a point ``u`` has violation ``sum lam_i u_i^2 - 1`` and the
+projection of an outside point solves a scalar secular equation by monotone
+Newton steps (Moré and Sorensen's form, see ``Ellipsoid.project``), over
+Python floats in 2-D and numpy vectors otherwise.
 
-Each compact body also has a private frame, an isometry ``u = R^T (x - o)``
+Each compact body has a private frame, an isometry ``u = R^T (x - o)``
 in which its linear oracle costs O(n): ``_to_frame`` and ``_from_frame`` map
 points in and out, and ``_frame_lo(g)`` minimizes ``<g, u>`` over the body
 in frame coordinates. Distances and inner products are the same in the
@@ -36,12 +34,13 @@ from numpy.typing import NDArray
 
 Vector: TypeAlias = NDArray[np.float64]
 
-# Points with violation at or below this are treated as members by the
-# library itself; experiment-level feasibility uses its own eps_feas.
+# Points with violation at or below MEMBER_TOL are members to the library
+# itself; experiment-level feasibility uses its own eps_feas. A start point
+# or warm-start anchor may sit up to START_TOL outside its set. At condition
+# number 1e8 ellipsoid projections read up to about 6e-12 outside, so a
+# start test at 1e-12 would refuse them, and a member test at 1e-10 would
+# let ``project`` return points that far outside unchanged.
 MEMBER_TOL = 1e-12
-
-# How far, in violation, a caller-supplied start point or warm-start anchor
-# may sit outside its set and still be accepted.
 START_TOL = 1e-10
 
 __all__ = [
@@ -113,8 +112,8 @@ class ConvexBody:
         """Constraint violation ``max(0, g(z))``; zero iff ``z`` is a member."""
         raise NotImplementedError
 
-    def contains(self, z, tol: float = MEMBER_TOL) -> bool:
-        return self.violation(z) <= tol
+    def contains(self, z) -> bool:
+        return self.violation(z) <= MEMBER_TOL
 
     def lo_minimize(self, c) -> tuple[Vector, float]:
         """Return ``(z_star, value)`` minimizing ``<c, z>`` over the body."""
@@ -297,7 +296,6 @@ class Ellipsoid(ConvexBody):
     is_compact: ClassVar[bool] = True
     has_exact_projection: ClassVar[bool] = True
 
-    SECULAR_TOL: ClassVar[float] = 1e-12
     SECULAR_MAX_ITERS: ClassVar[int] = 200
 
     def __post_init__(self):
@@ -346,9 +344,8 @@ class Ellipsoid(ConvexBody):
         return 2.0 / math.sqrt(float(self._eigvals[0]))
 
     def violation(self, z) -> float:
-        z = as_vector(z, self.dim)
-        d = z - self.center
-        return max(0.0, float(d @ (self.shape @ d)) - 1.0)
+        u = self._to_frame(as_vector(z, self.dim))
+        return max(0.0, float(self._eigvals @ (u * u)) - 1.0)
 
     def inv_quad(self, c) -> float:
         """Quadratic form ``c^T shape^{-1} c``."""
@@ -389,8 +386,6 @@ class Ellipsoid(ConvexBody):
 
     def project(self, v) -> Vector:
         v = as_vector(v, self.dim)
-        if self.violation(v) <= MEMBER_TOL:
-            return v.copy()
         # In the eigenbasis the projection is z(mu) with coordinates
         # z_i = b_i e_i, e_i = 1 / (1 + mu lam_i), and mu > 0 solves the
         # secular equation s2(mu) = sum lam_i b_i^2 e_i^2 = 1. As Moré and
@@ -402,27 +397,30 @@ class Ellipsoid(ConvexBody):
         solve = self._newton_planar if self.dim == 2 else self._newton_frame
         return solve(v)[0]
 
-    # Both Newton loops stop once s2 - 1 <= SECULAR_TOL (that test also ends
+    # Both Newton loops stop once s2 - 1 <= MEMBER_TOL (that test also ends
     # a rounding overshoot past the root, where the step would be negative),
     # when a step no longer increases mu, or at SECULAR_MAX_ITERS, a safety
-    # cap. Each returns the projection and its number of Newton steps.
+    # cap. At mu = 0, s2 - 1 is the violation, so a member returns as itself.
+    # Each returns the projection and its number of Newton steps.
 
     def _newton_frame(self, v: Vector) -> tuple[Vector, int]:
         """The Newton solve with numpy vectors, for any dimension."""
         lam = self._eigvals
-        b = self._eigvecs.T @ (v - self.center)
+        b = self._to_frame(v)
         t = lam * b * b
         mu, steps = 0.0, 0
         while steps < self.SECULAR_MAX_ITERS:
             e = 1.0 / (1.0 + mu * lam)
             q = t * e * e
             s2 = float(q.sum())
-            if s2 - 1.0 <= self.SECULAR_TOL:
+            if s2 - 1.0 <= MEMBER_TOL:
                 break
             nxt = mu + (math.sqrt(s2) - 1.0) * s2 / float((q * lam * e).sum())
             if not nxt > mu:
                 break
             mu, steps = nxt, steps + 1
+        if steps == 0:
+            return v.copy(), 0
         return self.center + self._eigvecs @ (b / (1.0 + mu * lam)), steps
 
     def _newton_planar(self, v: Vector) -> tuple[Vector, int]:
@@ -434,18 +432,19 @@ class Ellipsoid(ConvexBody):
         d0, d1 = p0 - c0, p1 - c1
         b0, b1 = v00 * d0 + v10 * d1, v01 * d0 + v11 * d1
         t0, t1 = l0 * b0 * b0, l1 * b1 * b1
-        tol, cap = self.SECULAR_TOL, self.SECULAR_MAX_ITERS
         mu, steps = 0.0, 0
-        while steps < cap:
+        while steps < self.SECULAR_MAX_ITERS:
             e0, e1 = 1.0 / (1.0 + mu * l0), 1.0 / (1.0 + mu * l1)
             q0, q1 = t0 * e0 * e0, t1 * e1 * e1
             s2 = q0 + q1
-            if s2 - 1.0 <= tol:
+            if s2 - 1.0 <= MEMBER_TOL:
                 break
             nxt = mu + (math.sqrt(s2) - 1.0) * s2 / (q0 * l0 * e0 + q1 * l1 * e1)
             if not nxt > mu:
                 break
             mu, steps = nxt, steps + 1
+        if steps == 0:
+            return v.copy(), 0
         z0, z1 = b0 / (1.0 + mu * l0), b1 / (1.0 + mu * l1)
         point = np.array([c0 + (v00 * z0 + v01 * z1), c1 + (v10 * z0 + v11 * z1)])
         return point, steps

@@ -90,10 +90,10 @@ class CondGLimits:
     degenerate_gap_tol: float = 1e-11
 
     def __post_init__(self):
-        if self.max_inner_iters < 1:
-            raise ValueError("max_inner_iters must be >= 1")
-        if self.degenerate_gap_tol < 0.0:
-            raise ValueError("degenerate_gap_tol must be >= 0")
+        if not self.max_inner_iters >= 1:
+            raise InputError("limits.max_inner_iters", "must be >= 1")
+        if not self.degenerate_gap_tol >= 0.0:
+            raise InputError("limits.degenerate_gap_tol", "must be >= 0")
 
 
 class CondGStop(enum.Enum):

@@ -1,9 +1,9 @@
-"""Slow, independent ground-truth oracles for 2-D instances.
+"""Slow, independent ground-truth oracles.
 
 These exist to manufacture expected values for tests and cross-checks:
-boundary-sampling projection, analytic ellipsoid/halfspace distance via
-support functions, and a tight-tolerance alternating-projection distance
-estimator. Solvers never call into this module.
+boundary-sampling projection (2-D only), analytic ellipsoid/halfspace
+distance via support functions, and a tight-tolerance alternating-projection
+distance estimator (any dimension). Solvers never call into this module.
 """
 
 from __future__ import annotations

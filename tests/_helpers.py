@@ -109,12 +109,13 @@ def diameter(body):
     raise TypeError(type(body))
 
 
-def member_tol(body):
-    """``START_TOL``, or the rounding floor of ``Ellipsoid.violation`` when
-    that is larger. The violation is computed from the shape matrix, whose
-    entries carry rounding of about eps*|shape|, while the oracle and the
-    projection work from its eigendecomposition; boundary points then read
-    up to about eps*cond(shape) outside, 1.1e-8 at cond 1e8."""
+def foot_tol(body):
+    """Relative rounding floor of a boundary point and outward normal built
+    from an ellipsoid's ``shape`` matrix: ``START_TOL``, or about
+    eps*cond(shape) when that is larger (9e-8 at cond 1e8). The shape
+    entries carry rounding of about eps*|shape|, while the projection works
+    from the eigendecomposition, so a foot and normal built from ``shape``
+    place the exact projection only to within this share of the scale."""
     if not isinstance(body, Ellipsoid):
         return START_TOL
     return max(START_TOL, 4.0 * np.finfo(float).eps * np.linalg.cond(body.shape))

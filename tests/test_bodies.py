@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from feasib import Ball, Box, Ellipsoid, Halfspace, UnsupportedOracleError
+from feasib import START_TOL, Ball, Box, Ellipsoid, Halfspace, UnsupportedOracleError
 
 from _helpers import (
     diameter,
+    foot_tol,
     ill_conditioned_ellipsoid,
-    member_tol,
     random_body,
     random_compact_body,
     random_ellipsoid,
@@ -246,7 +246,7 @@ MAX_NEWTON_STEPS = 20
 def projection_cases(dim, kind, n_bodies=6):
     """Ellipsoids, each with points at every distance of ``PROJ_DISTANCES``
     along the outward normal of a random boundary point ``foot``, which is
-    then the exact projection (to the rounding floor ``member_tol``).
+    then the exact projection (to the rounding floor ``foot_tol``).
     ``ill_conditioned`` shapes have condition number 1e8."""
     rng = np.random.default_rng(1000 * dim + PROJ_KINDS.index(kind))
     for _ in range(n_bodies):
@@ -278,8 +278,8 @@ def test_ellipsoid_projection_certificate(dim, kind):
         r = v - w
         scale = np.linalg.norm(r) * (np.linalg.norm(w) + diameter(body))
         assert body.support(r) - float(r @ w) <= 1e-9 * scale
-        assert body.violation(w) <= member_tol(body)
-        tol = member_tol(body) * (np.linalg.norm(foot) + diameter(body))
+        assert body.violation(w) <= START_TOL
+        tol = foot_tol(body) * (np.linalg.norm(foot) + diameter(body))
         assert np.linalg.norm(w - foot) <= tol
         assert 1 <= steps <= MAX_NEWTON_STEPS
 

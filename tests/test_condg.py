@@ -12,6 +12,8 @@ from feasib import (
     Ellipsoid,
     ForcingParams,
     Halfspace,
+    InputError,
+    START_TOL,
     UnsupportedOracleError,
     condg_project,
     phi,
@@ -21,7 +23,6 @@ from feasib.condg import _frame_loop
 from _helpers import (
     diameter,
     ill_conditioned_ellipsoid,
-    member_tol,
     random_ball,
     random_compact_body,
     sample_members,
@@ -64,7 +65,7 @@ def check_certificate(body, params, u, v, res):
     """The exact Frank-Wolfe certificate of a result, recomputed in global
     coordinates: ``final_gap = support(v - w) - <v - w, w>`` bounds
     ``<v - w, z - w>`` over all members ``z``; on ``TOLERANCE_MET`` it is at
-    most ``phi``; and ``w`` is a member to ``member_tol``."""
+    most ``phi``; and ``w`` is a member to ``START_TOL``."""
     w = res.w_plus
     r = v - w
     d = diameter(body)
@@ -73,7 +74,7 @@ def check_certificate(body, params, u, v, res):
     assert abs(res.final_gap - gap) <= slack, (res.final_gap, gap)
     if res.stop_reason is CondGStop.TOLERANCE_MET:
         assert res.final_gap <= phi(params, u, v, w) + slack
-    assert body.violation(w) <= member_tol(body)
+    assert body.violation(w) <= START_TOL
 
 
 class TestPhi:
@@ -99,10 +100,15 @@ class TestPhi:
             ForcingParams(0.0, math.nan, 0.0)
 
     def test_limits_validation(self):
-        with pytest.raises(ValueError):
-            CondGLimits(max_inner_iters=0)
-        with pytest.raises(ValueError):
-            CondGLimits(degenerate_gap_tol=-1.0)
+        cases = (
+            ({"max_inner_iters": 0}, "limits.max_inner_iters"),
+            ({"degenerate_gap_tol": -1.0}, "limits.degenerate_gap_tol"),
+            ({"degenerate_gap_tol": math.nan}, "limits.degenerate_gap_tol"),
+        )
+        for kwargs, path in cases:
+            with pytest.raises(InputError) as err:
+                CondGLimits(**kwargs)
+            assert err.value.path == path
 
 
 class TestCondGBasics:
