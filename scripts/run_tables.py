@@ -4,7 +4,7 @@
 Usage:
     python scripts/run_tables.py [--which 1|2|both] [--out-dir results]
 
-Table 2 includes two near-tangent instances and takes about 1.6 s on one
+Table 2 includes two near-tangent instances and takes about 1.3 s on one
 core, shared mostly by the ACondG2 inner loops, the violation checks and the
 trace CSV writing; table 1 takes about 0.1 s.
 """

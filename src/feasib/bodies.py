@@ -152,8 +152,11 @@ class Halfspace(ConvexBody):
         a = as_vector(self.normal)
         if not np.any(a != 0.0):
             raise ValueError("halfspace normal must be nonzero")
+        offset = float(self.offset)
+        if not math.isfinite(offset):
+            raise ValueError(f"halfspace offset must be finite, got {self.offset}")
         object.__setattr__(self, "normal", a)
-        object.__setattr__(self, "offset", float(self.offset))
+        object.__setattr__(self, "offset", offset)
 
     @property
     def dim(self) -> int:

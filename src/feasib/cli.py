@@ -12,7 +12,7 @@ from pathlib import Path
 
 from .figures import render_figure
 from .instances import load_config
-from .runner import comparison_path, reproduce_table, run_instance, trace_rows
+from .runner import comparison_path, reproduce_table, run_instance, trace_lines
 from .solvers import StopCode
 
 EXIT_OK = 0
@@ -57,8 +57,7 @@ def _cmd_run(args) -> int:
         config, args.out_dir, stem=Path(args.config).stem
     )
     if args.verbose:
-        for row in trace_rows(report, config.dimension):
-            print(",".join(row))
+        sys.stdout.writelines(trace_lines(report, config.dimension))
     print(
         f"{config.solver}: stop={report.stop_code.letter} "
         f"outer={report.outer_iters} min_violation={report.min_violation:.6e} "

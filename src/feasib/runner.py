@@ -4,19 +4,24 @@ File conventions:
 
 * trace CSV -- one row per outer iteration, header
   ``k,x1,...,xn,y1,...,yn,cB_x,cA_y,gamma,theta,lambda,inner_iters``.
-  Floats use 17 significant digits so values round-trip exactly. Rows where
-  no y-iterate exists yet write ``nan`` coordinates and an ``inf`` violation.
+  Floats use 17 significant digits (``%.17g``) so values round-trip
+  exactly. Rows where no y-iterate exists yet write ``nan`` coordinates and
+  an ``inf`` violation.
 * summary JSON -- ``{stop_code, outer_iters, min_violation, wall_time}``
   with single-letter stop codes (C converged, L lack of progress,
   I iteration cap).
 * comparison CSV -- one row per (instance, solver) with the measured stop
   code and final violation next to the transcribed reference values.
+
+Each CSV row shape is stated once, as one ``%``-format string per line, and
+no cell needs quoting. The trace file and ``feasib run --verbose`` share
+:func:`trace_lines`.
 """
 
 from __future__ import annotations
 
-import csv
 import json
+import math
 import time
 from pathlib import Path
 from typing import NamedTuple
@@ -44,13 +49,9 @@ __all__ = [
     "reproduce_table",
     "run_instance",
     "solve_config",
-    "trace_rows",
+    "trace_lines",
     "write_trace_csv",
 ]
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def solve_config(config: InstanceConfig) -> SolveReport:
@@ -69,31 +70,17 @@ def solve_config(config: InstanceConfig) -> SolveReport:
     return exact_alternating(a, b, x0, stop, y0=y0)
 
 
-def trace_rows(report: SolveReport, dim: int):
-    """Yield trace CSV rows (as lists of strings) for ``report``."""
-    n_rows = len(report.x_trace)
-    y_offset = n_rows - len(report.y_trace)
-    for k in range(n_rows):
-        x = report.x_trace[k]
-        if k - y_offset >= 0:
-            y = report.y_trace[k - y_offset]
-            y_cols = [_fmt(c) for c in y]
-        else:
-            y_cols = ["nan"] * dim
-        cb, ca = report.violations[k]
+def trace_lines(report: SolveReport, dim: int):
+    """Yield the trace CSV data lines of ``report``, each ending in a newline."""
+    line = "%d," + "%.17g," * (2 * dim + 5) + "%d\n"
+    no_y = (math.nan,) * dim
+    y_offset = len(report.x_trace) - len(report.y_trace)
+    for k, x in enumerate(report.x_trace):
+        y = report.y_trace[k - y_offset] if k >= y_offset else no_y
         params = report.schedule_trace[k]
-        yield (
-            [str(k)]
-            + [_fmt(c) for c in x]
-            + y_cols
-            + [
-                _fmt(cb),
-                _fmt(ca),
-                _fmt(params.gamma),
-                _fmt(params.theta),
-                _fmt(params.lam),
-                str(report.inner_iters_per_k[k]),
-            ]
+        yield line % (
+            k, *x, *y, *report.violations[k],
+            params.gamma, params.theta, params.lam, report.inner_iters_per_k[k],
         )
 
 
@@ -105,9 +92,8 @@ def write_trace_csv(path, report: SolveReport, dim: int) -> None:
         + ["cB_x", "cA_y", "gamma", "theta", "lambda", "inner_iters"]
     )
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(trace_rows(report, dim))
+        fh.write(",".join(header) + "\n")
+        fh.writelines(trace_lines(report, dim))
 
 
 def _write_summary(path, report: SolveReport, wall_time: float) -> None:
@@ -160,13 +146,15 @@ def reproduce_table(which: int, out_dir) -> list[TableRow]:
 
     Writes one trace CSV per run plus the comparison CSV (see
     :func:`comparison_path`) with measured and reference results side by
-    side, and returns the comparison rows.
+    side, and returns the comparison rows. Nothing is written for an
+    unknown table.
     """
+    reference = table_reference(which)
     make = table1_config if which == 1 else table2_config
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
-    for label, solvers in table_reference(which).items():
+    for label, solvers in reference.items():
         for solver, (ref_code, ref_viol) in solvers.items():
             config = make(label, solver)
             report = solve_config(config)
@@ -176,8 +164,6 @@ def reproduce_table(which: int, out_dir) -> list[TableRow]:
             rows.append(TableRow(label, solver, *measured, ref_code, ref_viol))
 
     with open(comparison_path(which, out_dir), "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TableRow._fields)
-        for row in rows:
-            writer.writerow(row._replace(min_violation=_fmt(row.min_violation)))
+        fh.write(",".join(TableRow._fields) + "\n")
+        fh.writelines("%s,%s,%s,%d,%.17g,%s,%s\n" % row for row in rows)
     return rows

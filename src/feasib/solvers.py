@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -149,7 +150,10 @@ class StoppingConfig:
         for name in ("eps_feas", "eps_lack"):
             if not getattr(self, name) > 0.0:
                 raise InputError(f"stopping.{name}", "must be positive")
-        if self.max_outer_iters < 1:
+        cap = self.max_outer_iters
+        if isinstance(cap, bool) or not isinstance(cap, numbers.Integral):
+            raise InputError("stopping.max_outer_iters", "must be an integer")
+        if cap < 1:
             raise InputError("stopping.max_outer_iters", "must be >= 1")
 
 

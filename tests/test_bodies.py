@@ -45,6 +45,9 @@ class TestConstruction:
             Ball(center=[np.nan, 0.0], radius=1.0)
         with pytest.raises(ValueError):
             Halfspace(normal=[1.0, np.inf], offset=0.0)
+        for offset in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="offset"):
+                Halfspace(normal=[-1.0, 0.0], offset=offset)
 
     def test_ellipsoid_requires_symmetry(self):
         with pytest.raises(ValueError):

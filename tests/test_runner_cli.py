@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 import re
@@ -23,7 +24,15 @@ from feasib.instances import (
     table2_config,
     table_reference,
 )
-from feasib.runner import TableRow, comparison_path, reproduce_table, run_instance
+from feasib.condg import ForcingParams
+from feasib.runner import (
+    TableRow,
+    comparison_path,
+    reproduce_table,
+    run_instance,
+    write_trace_csv,
+)
+from feasib.solvers import SolveReport
 
 EXPECTED_HEADER = "k,x1,x2,y1,y2,cB_x,cA_y,gamma,theta,lambda,inner_iters"
 
@@ -79,6 +88,54 @@ class TestRunInstance:
         k = len(rows) - 1
         assert float(rows[k]["x1"]) == report.x_trace[k][0]
         assert float(rows[k]["cB_x"]) == report.violations[k][0]
+
+    def test_trace_bytes_match_a_csv_writer_reference(self, tmp_path):
+        # Row 0 has no y-iterate; the values probe signed zero, subnormal,
+        # huge and inexact floats.
+        report = SolveReport(
+            x_trace=[np.array([-0.0, 5e-324]), np.array([0.1, 3.0])],
+            y_trace=[np.array([1e308, -0.0])],
+            violations=[(3.0, math.inf), (5e-324, 0.1)],
+            schedule_trace=[
+                ForcingParams(0.1, 3.0, -0.0),
+                ForcingParams(5e-324, 1e308, 0.1),
+            ],
+            inner_iters_per_k=[0, 17],
+        )
+        path = tmp_path / "probe.csv"
+        write_trace_csv(path, report, 2)
+
+        # The reference is csv.writer with format(x, ".17g") per cell.
+        def cell(x):
+            return format(float(x), ".17g")
+
+        ref = io.StringIO()
+        writer = csv.writer(ref, lineterminator="\n")
+        writer.writerow(EXPECTED_HEADER.split(","))
+        ys = [["nan", "nan"]] + [[cell(c) for c in y] for y in report.y_trace]
+        for k, x in enumerate(report.x_trace):
+            p = report.schedule_trace[k]
+            writer.writerow(
+                [str(k)] + [cell(c) for c in x] + ys[k]
+                + [cell(v) for v in (*report.violations[k], p.gamma, p.theta, p.lam)]
+                + [str(report.inner_iters_per_k[k])]
+            )
+        assert path.read_bytes() == ref.getvalue().encode()
+
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        for k, row in enumerate(rows):
+            p = report.schedule_trace[k]
+            y = report.y_trace[k - 1] if k else (math.nan, math.nan)
+            want = [*report.x_trace[k], *y, *report.violations[k],
+                    p.gamma, p.theta, p.lam]
+            for text, value in zip(row[1:-1], want, strict=True):
+                got = float(text)
+                if math.isnan(value):
+                    assert math.isnan(got)
+                else:
+                    assert got == value
+                    assert math.copysign(1.0, got) == math.copysign(1.0, value)
 
     def test_rerun_traces_are_byte_identical(self, tmp_path):
         cfg = table2_config("2.40", "ACondG2")
@@ -158,6 +215,12 @@ class TestReproduceTable:
         for label in ("1.43", "1.45", "1.50", "1.60"):
             expected = float(label) - math.sqrt(2.02)
             assert abs(float(feas[label][4]) - expected) <= 1e-4
+
+    def test_unknown_table_raises_and_writes_nothing(self, tmp_path):
+        out_dir = tmp_path / "out"
+        with pytest.raises(ValueError, match="no table 3"):
+            reproduce_table(3, out_dir)
+        assert not out_dir.exists()
 
     def test_traces_written_per_run(self, table1_dir):
         names = {p.name for p in table1_dir.iterdir()}
@@ -276,11 +339,15 @@ class TestCLI:
         assert "stop=C" in out
 
     def test_run_verbose_echoes_rows(self, tmp_path, capsys):
+        # Row 0 of ACondG1@1.50 has nan coordinates and an inf violation.
         cfg_path = tmp_path / "v.json"
-        save_config(table1_config("1.60", "ACondG1"), cfg_path)
+        save_config(table1_config("1.50", "ACondG1"), cfg_path)
         assert main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path), "--verbose"]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert any(line.startswith("0,") for line in lines)
+        echoed = capsys.readouterr().out.splitlines()[:-1]
+        written = (tmp_path / "v_trace.csv").read_text().splitlines()[1:]
+        assert echoed == written
+        assert echoed[0].startswith("0,0,0,nan,nan,")
+        assert ",inf," in echoed[0]
 
     def test_run_validation_error_writes_nothing(self, tmp_path, capsys):
         obj = serialize_config(table1_config("1.30", "ACondG1"))

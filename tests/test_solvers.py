@@ -120,6 +120,11 @@ class TestForcingSchedule:
             (lambda: StoppingConfig(eps_feas=0.0), "stopping.eps_feas"),
             (lambda: StoppingConfig(eps_lack=-1.0), "stopping.eps_lack"),
             (lambda: StoppingConfig(max_outer_iters=0), "stopping.max_outer_iters"),
+            pytest.param(
+                lambda: StoppingConfig(max_outer_iters=2.5),
+                "stopping.max_outer_iters",
+                id="<lambda>-stopping.max_outer_iters-integral",
+            ),
             (lambda: ForcingParams(0.0, math.nan, 0.0), "theta"),
             (lambda: ForcingSchedule(ForcingParams(0.0, 0.0, 0.0), tau=1.0),
              "schedule.tau"),
