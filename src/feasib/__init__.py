@@ -34,7 +34,6 @@ from .oracles import (
 )
 from .solvers import (
     ForcingSchedule,
-    Regime,
     SolveReport,
     StopCode,
     StoppingConfig,
@@ -60,7 +59,6 @@ __all__ = [
     "MEMBER_TOL",
     "START_TOL",
     "OracleConfig",
-    "Regime",
     "SolveReport",
     "StopCode",
     "StoppingConfig",

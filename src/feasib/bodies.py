@@ -26,6 +26,7 @@ the two maps.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import ClassVar, TypeAlias
 
@@ -55,6 +56,7 @@ __all__ = [
     "UnsupportedOracleError",
     "Vector",
     "as_vector",
+    "check_count",
     "member_vector",
 ]
 
@@ -69,6 +71,14 @@ class InputError(ValueError):
     def __init__(self, path: str, message: str):
         self.path, self.message = path, message
         super().__init__(f"{path}: {message}")
+
+
+def check_count(value, path: str) -> None:
+    """Raise InputError unless ``value`` is an integer >= 1 (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InputError(path, "must be an integer")
+    if value < 1:
+        raise InputError(path, "must be >= 1")
 
 
 def as_vector(x, dim: int | None = None) -> Vector:
@@ -151,10 +161,10 @@ class Halfspace(ConvexBody):
     def __post_init__(self):
         a = as_vector(self.normal)
         if not np.any(a != 0.0):
-            raise ValueError("halfspace normal must be nonzero")
+            raise InputError("normal", "must be nonzero")
         offset = float(self.offset)
         if not math.isfinite(offset):
-            raise ValueError(f"halfspace offset must be finite, got {self.offset}")
+            raise InputError("offset", f"must be finite, got {self.offset}")
         object.__setattr__(self, "normal", a)
         object.__setattr__(self, "offset", offset)
 
@@ -187,8 +197,8 @@ class Ball(ConvexBody):
     def __post_init__(self):
         object.__setattr__(self, "center", as_vector(self.center))
         r = float(self.radius)
-        if not (r > 0.0 and math.isfinite(r)):
-            raise ValueError(f"radius must be positive, got {self.radius}")
+        if not 0.0 < r < math.inf:
+            raise InputError("radius", f"must be finite and positive, got {r}")
         object.__setattr__(self, "radius", r)
 
     @property
@@ -243,7 +253,7 @@ class Box(ConvexBody):
         lo = as_vector(self.lower)
         hi = as_vector(self.upper, lo.shape[0])
         if np.any(lo > hi):
-            raise ValueError("box requires lower <= upper componentwise")
+            raise InputError("upper", "must be >= lower componentwise")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 
@@ -330,8 +340,8 @@ class Ellipsoid(ConvexBody):
         """
         center = as_vector(center, 2)
         a, b = (float(s) for s in semi_axes)
-        if a <= 0.0 or b <= 0.0:
-            raise ValueError("semi-axes must be positive")
+        if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+            raise InputError("semi_axes", f"must be finite and positive, got {(a, b)}")
         c, s = math.cos(angle), math.sin(angle)
         rot = np.array([[c, s], [-s, c]])
         diag = np.diag([1.0 / a**2, 1.0 / b**2])

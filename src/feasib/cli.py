@@ -1,7 +1,7 @@
 """Command-line harness for running instances, tables, and figures.
 
-Exit codes: 0 on success, 2 on validation errors, 3 when a run stopped at
-its outer iteration cap.
+Exit codes: 0 on success, 2 on validation errors or an unreadable config
+file, 3 when a run stopped at its outer iteration cap.
 """
 
 from __future__ import annotations
@@ -95,7 +95,7 @@ def main(argv=None) -> int:
         if args.command == "table":
             return _cmd_table(args)
         return _cmd_plot(args)
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -39,6 +39,7 @@ from .bodies import (
     UnsupportedOracleError,
     Vector,
     as_vector,
+    check_count,
     member_vector,
 )
 
@@ -90,10 +91,9 @@ class CondGLimits:
     degenerate_gap_tol: float = 1e-11
 
     def __post_init__(self):
-        if not self.max_inner_iters >= 1:
-            raise InputError("limits.max_inner_iters", "must be >= 1")
-        if not self.degenerate_gap_tol >= 0.0:
-            raise InputError("limits.degenerate_gap_tol", "must be >= 0")
+        check_count(self.max_inner_iters, "limits.max_inner_iters")
+        if not 0.0 <= self.degenerate_gap_tol < math.inf:
+            raise InputError("limits.degenerate_gap_tol", "must be finite and >= 0")
 
 
 class CondGStop(enum.Enum):

@@ -7,13 +7,14 @@ semi_axes, 2-D), ``halfspace`` (normal / offset), ``ball`` (center /
 radius), ``box`` (lower / upper). Validation errors carry the path of the
 offending field.
 
-Parsing checks each field's type alone. The range rules of ``stopping``
-and ``schedule`` are those of :class:`~feasib.solvers.StoppingConfig`,
-:class:`~feasib.condg.ForcingParams` and
-:class:`~feasib.solvers.ForcingSchedule`. :func:`validate_config` then runs
-the solvers' own input check, :func:`~feasib.solvers.check_pair`, on the
-start points the solver reads, and builds its schedule, so a config fails
-with the same path and message as the call.
+Parsing checks each field's JSON type alone. The range rules are those of
+the API: the body constructors (re-pathed under ``set_a`` / ``set_b``),
+:class:`~feasib.solvers.StoppingConfig`, :class:`~feasib.condg.ForcingParams`
+and :class:`~feasib.solvers.ForcingSchedule`. :func:`validate_config` then
+runs the solvers' own input check, :func:`~feasib.solvers.check_pair`, on
+the start points and the schedule the solver reads, so a config fails with
+the same path and message as the call. The forcing regime is not a config
+field: ``check_pair`` derives it from what the solver projects inexactly.
 """
 
 from __future__ import annotations
@@ -25,13 +26,7 @@ from pathlib import Path
 
 from .bodies import Ball, Box, ConvexBody, Ellipsoid, Halfspace, InputError
 from .condg import ForcingParams
-from .solvers import (
-    ForcingSchedule,
-    Regime,
-    StoppingConfig,
-    check_pair,
-    default_schedule,
-)
+from .solvers import ForcingSchedule, StoppingConfig, check_pair, default_schedule
 
 __all__ = [
     "ConfigError",
@@ -55,15 +50,14 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-# What each solver needs of set A and set B (see ``check_pair``), the
-# forcing regime of its schedule (None: the solver takes no schedule), and
+# What each solver needs of set A and set B (see ``check_pair``), and
 # whether its run reads ``y0``.
 _SOLVERS = {
-    "ACondG1": ("compact", "exact", Regime.ONE_SET, False),
-    "ACondG2": ("compact", "compact", Regime.TWO_SETS, True),
-    "Averaged": ("compact", "compact", Regime.TWO_SETS, True),
-    "ExactAlt1": ("exact", "exact", None, False),
-    "ExactAlt2": ("exact", "exact", None, True),
+    "ACondG1": ("compact", "exact", False),
+    "ACondG2": ("compact", "compact", True),
+    "Averaged": ("compact", "compact", True),
+    "ExactAlt1": ("exact", "exact", False),
+    "ExactAlt2": ("exact", "exact", True),
 }
 SOLVER_NAMES = tuple(_SOLVERS)
 _SOLVER_LOOKUP = {n.lower().replace("_", ""): n for n in SOLVER_NAMES}
@@ -107,14 +101,12 @@ class InstanceConfig:
     seed: int | None = None
 
 
-def _number(obj, path: str, positive=False) -> float:
+def _number(obj, path: str) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ConfigError(path, f"expected a number, got {type(obj).__name__}")
     v = float(obj)
     if not math.isfinite(v):
         raise ConfigError(path, "must be finite")
-    if positive and v <= 0.0:
-        raise ConfigError(path, "must be positive")
     return v
 
 
@@ -147,27 +139,21 @@ def _parse_body(obj, path: str, dim: int) -> BodySpec:
             "angle": _number(obj.get("angle"), f"{path}.angle"),
             "semi_axes": _vector(obj.get("semi_axes"), f"{path}.semi_axes", 2),
         }
-        if min(params["semi_axes"]) <= 0.0:
-            raise ConfigError(f"{path}.semi_axes", "must be positive")
     elif kind == "halfspace":
         params = {
             "normal": _vector(obj.get("normal"), f"{path}.normal", dim),
             "offset": _number(obj.get("offset"), f"{path}.offset"),
         }
-        if all(c == 0.0 for c in params["normal"]):
-            raise ConfigError(f"{path}.normal", "must be nonzero")
     elif kind == "ball":
         params = {
             "center": _vector(obj.get("center"), f"{path}.center", dim),
-            "radius": _number(obj.get("radius"), f"{path}.radius", positive=True),
+            "radius": _number(obj.get("radius"), f"{path}.radius"),
         }
     elif kind == "box":
         params = {
             "lower": _vector(obj.get("lower"), f"{path}.lower", dim),
             "upper": _vector(obj.get("upper"), f"{path}.upper", dim),
         }
-        if any(l > u for l, u in zip(params["lower"], params["upper"])):
-            raise ConfigError(path, "requires lower <= upper componentwise")
     else:
         raise ConfigError(
             f"{path}.kind", f"unknown body kind {kind!r}; "
@@ -241,24 +227,29 @@ def parse_config(obj) -> InstanceConfig:
     return config
 
 
-def _build_body(spec: BodySpec) -> ConvexBody:
+def _build_body(spec: BodySpec, path: str) -> ConvexBody:
+    """The body of ``spec``; a constructor's range error is named under
+    ``path``, as in ``set_b.radius``."""
     p = spec.params
-    if spec.kind == "ellipse":
-        return Ellipsoid.from_axes(p["center"], p["angle"], p["semi_axes"])
-    if spec.kind == "halfspace":
-        return Halfspace(normal=p["normal"], offset=p["offset"])
-    if spec.kind == "ball":
-        return Ball(center=p["center"], radius=p["radius"])
-    if spec.kind == "box":
-        return Box(lower=p["lower"], upper=p["upper"])
-    raise ConfigError("kind", f"unknown body kind {spec.kind!r}")
+    try:
+        if spec.kind == "ellipse":
+            return Ellipsoid.from_axes(p["center"], p["angle"], p["semi_axes"])
+        if spec.kind == "halfspace":
+            return Halfspace(normal=p["normal"], offset=p["offset"])
+        if spec.kind == "ball":
+            return Ball(center=p["center"], radius=p["radius"])
+        if spec.kind == "box":
+            return Box(lower=p["lower"], upper=p["upper"])
+    except InputError as exc:
+        raise InputError(f"{path}.{exc.path}", exc.message) from None
+    raise ConfigError(f"{path}.kind", f"unknown body kind {spec.kind!r}")
 
 
 def build_bodies(config: InstanceConfig) -> tuple[ConvexBody, ConvexBody]:
-    return _build_body(config.set_a), _build_body(config.set_b)
+    return _build_body(config.set_a, "set_a"), _build_body(config.set_b, "set_b")
 
 
-def _solver_rule(solver: str) -> tuple[str, str, Regime | None, bool]:
+def _solver_rule(solver: str) -> tuple[str, str, bool]:
     if solver not in _SOLVERS:
         expected = f"expected one of {SOLVER_NAMES}"
         raise ConfigError("solver", f"unknown solver {solver!r}; {expected}")
@@ -268,7 +259,7 @@ def _solver_rule(solver: str) -> tuple[str, str, Regime | None, bool]:
 def start_points(config: InstanceConfig) -> tuple[tuple, tuple | None]:
     """``(x0, y0)`` as the config's solver reads them; ``y0`` is None when
     the solver does not read it."""
-    reads_y0 = _solver_rule(config.solver)[3]
+    reads_y0 = _solver_rule(config.solver)[2]
     return config.x0, config.y0 if reads_y0 else None
 
 
@@ -277,30 +268,29 @@ _PARAM_FIELDS = {"gamma": "gamma0", "theta": "theta0", "lam": "lambda0"}
 
 
 def build_schedule(config: InstanceConfig) -> ForcingSchedule | None:
-    """The solver's schedule, or None for a solver that takes none. The
-    range and regime rules are those of ``ForcingParams`` and
-    ``ForcingSchedule``."""
-    regime = _solver_rule(config.solver)[2]
-    if regime is None:
+    """The solver's schedule, or None for a solver that projects nothing
+    inexactly and so takes none. The range rules are those of
+    ``ForcingParams`` and ``ForcingSchedule``; the regime rules are
+    ``check_pair``'s."""
+    if "compact" not in _solver_rule(config.solver)[:2]:
         return None
     s = config.schedule
     try:
         current = ForcingParams(s.gamma0, s.theta0, s.lambda0)
     except InputError as exc:
         raise InputError(f"schedule.{_PARAM_FIELDS[exc.path]}", exc.message) from None
-    return ForcingSchedule(current=current, tau=s.tau, delta=s.delta, regime=regime)
+    return ForcingSchedule(current=current, tau=s.tau, delta=s.delta)
 
 
 def validate_config(config: InstanceConfig) -> tuple[ConvexBody, ConvexBody]:
     """Hold the config to its solver's input rules, as the solver would.
 
-    Only the start points the solver reads are checked. Returns the two
-    bodies it built, ``(set_a, set_b)``.
+    Only the start points and the schedule the solver reads are checked.
+    Returns the two bodies it built, ``(set_a, set_b)``.
     """
     a, b = build_bodies(config)
     first, second = _solver_rule(config.solver)[:2]
-    check_pair(a, b, *start_points(config), first, second)
-    build_schedule(config)
+    check_pair(a, b, *start_points(config), first, second, build_schedule(config))
     return a, b
 
 

@@ -28,12 +28,12 @@ from typing import NamedTuple
 
 from .instances import (
     InstanceConfig,
+    build_bodies,
     build_schedule,
     start_points,
     table1_config,
     table2_config,
     table_reference,
-    validate_config,
 )
 from .solvers import (
     SolveReport,
@@ -55,8 +55,9 @@ __all__ = [
 
 
 def solve_config(config: InstanceConfig) -> SolveReport:
-    """Validate and build the instance, then run its solver."""
-    a, b = validate_config(config)
+    """Build the instance and run its solver, whose ``check_pair`` holds
+    the config to the same input rules as ``validate_config``."""
+    a, b = build_bodies(config)
     x0, y0 = start_points(config)
     stop = config.stopping
     schedule = build_schedule(config)

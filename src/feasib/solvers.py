@@ -22,9 +22,12 @@ The averaged scheme keeps its own loop: its iterate is the average of the
 two projections, not one of them.
 
 Each solver first runs :func:`check_pair`, the one statement of the input
-rules, and holds a caller's schedule to its own forcing regime. A broken
-rule raises :class:`~feasib.bodies.InputError`, whose ``path`` names the
-argument; the config layer runs the same checks and so the same messages.
+rules. The forcing regime is one of them: it follows from how many sets the
+solver projects inexactly, one for ACondG1 and two for ACondG2 and the
+averaged scheme, and each regime has its own conditions on the schedule. A
+broken rule raises :class:`~feasib.bodies.InputError`, whose ``path`` names
+the argument; the config layer runs the same checks and so the same
+messages.
 
 Stopping follows the experiment conventions: a run converges when a computed
 iterate violates the *other* set by at most ``eps_feas``; it stops for lack
@@ -45,18 +48,16 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
-from .bodies import ConvexBody, InputError, Vector, member_vector
+from .bodies import ConvexBody, InputError, Vector, check_count, member_vector
 from .condg import CondGLimits, CondGStop, ForcingParams, condg_project
 
 __all__ = [
     "ForcingSchedule",
-    "Regime",
     "SolveReport",
     "StopCode",
     "StoppingConfig",
@@ -67,13 +68,6 @@ __all__ = [
     "default_schedule",
     "exact_alternating",
 ]
-
-
-class Regime(enum.Enum):
-    """Which forcing-parameter conditions a schedule must maintain."""
-
-    ONE_SET = "one_set"
-    TWO_SETS = "two_sets"
 
 
 @dataclass(frozen=True)
@@ -90,20 +84,11 @@ class ForcingSchedule:
     current: ForcingParams
     tau: float = 0.9
     delta: float = 0.1
-    regime: Regime = Regime.ONE_SET
 
     def __post_init__(self):
         for name, v in (("tau", self.tau), ("delta", self.delta)):
             if not 0.0 < v < 1.0:
                 raise InputError(f"schedule.{name}", f"must lie in (0, 1), got {v}")
-        p = self.current
-        if self.regime is Regime.ONE_SET:
-            ok, rule = p.theta < 0.5, "one-set regime requires theta < 1/2"
-        else:
-            ok = p.theta < 0.25 and 2.0 * (p.gamma + p.theta + p.lam) < 1.0
-            rule = "two-set regime requires theta < 1/4, 2*(gamma + theta + lam) < 1"
-        if not (ok and 2.0 * p.gamma + 4.0 * p.lam < 1.0):
-            raise InputError("schedule", f"{rule} and 2*gamma + 4*lam < 1")
 
     def updated(
         self, cb_prev: float, cb_curr: float, ca_prev: float, ca_curr: float
@@ -117,23 +102,13 @@ class ForcingSchedule:
         return replace(self, current=self.current.scaled(self.delta))
 
 
-def default_schedule(regime: Regime = Regime.ONE_SET) -> ForcingSchedule:
+def default_schedule() -> ForcingSchedule:
     """Experiment defaults: gamma0 = 0.1 - 1e-8, theta0 = lam0 = 0.2 - 1e-8,
-    tau = 0.9, delta = 0.1."""
+    tau = 0.9, delta = 0.1. They meet the conditions of both regimes."""
     eps = 1e-8
     return ForcingSchedule(
-        current=ForcingParams(0.1 - eps, 0.2 - eps, 0.2 - eps),
-        tau=0.9,
-        delta=0.1,
-        regime=regime,
+        current=ForcingParams(0.1 - eps, 0.2 - eps, 0.2 - eps), tau=0.9, delta=0.1
     )
-
-
-def _held_to(schedule: ForcingSchedule | None, regime: Regime) -> ForcingSchedule:
-    """The caller's schedule, held to ``regime`` by re-running its checks."""
-    if schedule is None:
-        return default_schedule(regime)
-    return schedule if schedule.regime is regime else replace(schedule, regime=regime)
 
 
 # Exact projections take no forcing parameters.
@@ -148,13 +123,9 @@ class StoppingConfig:
 
     def __post_init__(self):
         for name in ("eps_feas", "eps_lack"):
-            if not getattr(self, name) > 0.0:
-                raise InputError(f"stopping.{name}", "must be positive")
-        cap = self.max_outer_iters
-        if isinstance(cap, bool) or not isinstance(cap, numbers.Integral):
-            raise InputError("stopping.max_outer_iters", "must be an integer")
-        if cap < 1:
-            raise InputError("stopping.max_outer_iters", "must be >= 1")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise InputError(f"stopping.{name}", "must be finite and positive")
+        check_count(self.max_outer_iters, "stopping.max_outer_iters")
 
 
 class StopCode(enum.Enum):
@@ -236,14 +207,26 @@ def _inf_norm(d: Vector) -> float:
 
 
 def check_pair(
-    a: ConvexBody, b: ConvexBody, x0, y0, first: str, second: str
-) -> tuple[Vector, Vector | None]:
-    """Check a solver's input; return ``x0`` and ``y0`` as vectors.
+    a: ConvexBody,
+    b: ConvexBody,
+    x0,
+    y0,
+    first: str,
+    second: str,
+    schedule: ForcingSchedule | None = None,
+) -> tuple[Vector, Vector | None, ForcingSchedule]:
+    """Check a solver's input; return ``x0`` and ``y0`` as vectors and the
+    schedule the solver runs on.
 
     ``first`` and ``second`` say what the solver needs of set A and set B:
     ``"compact"`` (a linear oracle, for an inexact projection) or
     ``"exact"`` (an exact projection). ``x0`` must lie in A and ``y0``, when
     given, in B; ``y0`` is required when B is projected inexactly.
+
+    The number of ``"compact"`` needs is the forcing regime. With none, the
+    solver projects exactly and runs on the constant zero schedule; with one
+    or two, ``schedule`` (default :func:`default_schedule`) must meet that
+    regime's conditions.
     """
     for path, body, need in (("set_a", a, first), ("set_b", b, second)):
         if need == "compact" and not body.is_compact:
@@ -253,11 +236,23 @@ def check_pair(
     if a.dim != b.dim:
         raise InputError("set_b", f"has dimension {b.dim}, set_a has {a.dim}")
     x0 = member_vector(a, x0, "x0")
-    if y0 is None:
-        if second == "compact":
-            raise InputError("y0", "is required when set_b is projected inexactly")
-        return x0, None
-    return x0, member_vector(b, y0, "y0")
+    if y0 is not None:
+        y0 = member_vector(b, y0, "y0")
+    elif second == "compact":
+        raise InputError("y0", "is required when set_b is projected inexactly")
+    inexact = (first, second).count("compact")
+    if inexact == 0:
+        return x0, y0, _ZERO_SCHEDULE
+    schedule = schedule or default_schedule()
+    p = schedule.current
+    if inexact == 1:
+        ok, rule = p.theta < 0.5, "one-set regime requires theta < 1/2"
+    else:
+        ok = p.theta < 0.25 and 2.0 * (p.gamma + p.theta + p.lam) < 1.0
+        rule = "two-set regime requires theta < 1/4, 2*(gamma + theta + lam) < 1"
+    if not (ok and 2.0 * p.gamma + 4.0 * p.lam < 1.0):
+        raise InputError("schedule", f"{rule} and 2*gamma + 4*lam < 1")
+    return x0, y0, schedule
 
 
 _Projector = Callable[
@@ -354,8 +349,7 @@ def acondg1(
     """Alternate the exact projection onto ``b`` with a conditional-gradient
     inexact projection onto the compact set ``a``, starting from ``x0 in a``.
     """
-    x0, _ = check_pair(a, b, x0, None, "compact", "exact")
-    sched = _held_to(schedule, Regime.ONE_SET)
+    x0, _, sched = check_pair(a, b, x0, None, "compact", "exact", schedule)
     return _alternate(
         a, b, _inexact(a, limits), _exact(b), x0, None, sched, stop, stop.eps_feas
     )
@@ -372,8 +366,7 @@ def acondg2(
 ) -> SolveReport:
     """Alternate conditional-gradient inexact projections onto both compact
     sets, starting from ``x0 in a`` and ``y0 in b``."""
-    x0, y0 = check_pair(a, b, x0, y0, "compact", "compact")
-    sched = _held_to(schedule, Regime.TWO_SETS)
+    x0, y0, sched = check_pair(a, b, x0, y0, "compact", "compact", schedule)
     return _alternate(
         a, b, _inexact(a, limits), _inexact(b, limits), x0, y0, sched, stop,
         stop.eps_feas,
@@ -399,8 +392,7 @@ def averaged_projection(
     holds the averaged iterates and ``y_trace`` / ``anchor_trace`` the two
     projection outputs.
     """
-    x0, y0 = check_pair(a, b, x0, y0, "compact", "compact")
-    sched = _held_to(schedule, Regime.TWO_SETS)
+    x0, y0, sched = check_pair(a, b, x0, y0, "compact", "compact", schedule)
     proj_a, proj_b = _inexact(a, limits), _inexact(b, limits)
 
     rep = SolveReport(anchor_trace=[x0])
@@ -456,5 +448,5 @@ def exact_alternating(
     intersection stops for lack of progress, with the report's violations
     showing how close it got.
     """
-    x0, y0 = check_pair(a, b, x0, y0, "exact", "exact")
-    return _alternate(a, b, _exact(a), _exact(b), x0, y0, _ZERO_SCHEDULE, stop, 0.0)
+    x0, y0, zero = check_pair(a, b, x0, y0, "exact", "exact")
+    return _alternate(a, b, _exact(a), _exact(b), x0, y0, zero, stop, 0.0)

@@ -102,6 +102,9 @@ class TestPhi:
     def test_limits_validation(self):
         cases = (
             ({"max_inner_iters": 0}, "limits.max_inner_iters"),
+            ({"max_inner_iters": 2.5}, "limits.max_inner_iters"),
+            ({"max_inner_iters": True}, "limits.max_inner_iters"),
+            ({"degenerate_gap_tol": math.inf}, "limits.degenerate_gap_tol"),
             ({"degenerate_gap_tol": -1.0}, "limits.degenerate_gap_tol"),
             ({"degenerate_gap_tol": math.nan}, "limits.degenerate_gap_tol"),
         )

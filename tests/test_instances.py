@@ -6,6 +6,7 @@ import pytest
 
 from feasib import (
     Ball,
+    Box,
     Ellipsoid,
     ForcingParams,
     ForcingSchedule,
@@ -208,6 +209,51 @@ def test_config_and_solver_reject_alike(overrides, call, path):
         call()
     assert from_config.value.path == from_call.value.path == path
     assert str(from_config.value) == str(from_call.value)
+
+
+# Each case: the set it replaces, the body's config entry, the matching
+# constructor call, and the constructor's path for the broken rule.
+BODY_CASES = [
+    pytest.param(
+        "set_a",
+        {"kind": "ellipse", "center": [0.0, 0.0], "angle": 0.0, "semi_axes": [2.0, -0.2]},
+        lambda: Ellipsoid.from_axes([0.0, 0.0], 0.0, (2.0, -0.2)),
+        "semi_axes",
+        id="ellipse-semi_axes",
+    ),
+    pytest.param(
+        "set_b",
+        {"kind": "halfspace", "normal": [0.0, 0.0], "offset": -1.3},
+        lambda: Halfspace(normal=[0.0, 0.0], offset=-1.3),
+        "normal",
+        id="halfspace-normal",
+    ),
+    pytest.param(
+        "set_b",
+        {"kind": "ball", "center": [3.0, 0.0], "radius": 0.0},
+        lambda: Ball(center=[3.0, 0.0], radius=0.0),
+        "radius",
+        id="ball-radius",
+    ),
+    pytest.param(
+        "set_a",
+        {"kind": "box", "lower": [0.0, 1.0], "upper": [1.0, 0.0]},
+        lambda: Box(lower=[0.0, 1.0], upper=[1.0, 0.0]),
+        "upper",
+        id="box-ordering",
+    ),
+]
+
+
+@pytest.mark.parametrize("which, body, call, path", BODY_CASES)
+def test_config_and_constructor_reject_bodies_alike(which, body, call, path):
+    with pytest.raises(ConfigError) as from_config:
+        parse_config(base_config(**{which: body}))
+    with pytest.raises(ConfigError) as from_call:
+        call()
+    assert from_call.value.path == path
+    assert from_config.value.path == f"{which}.{path}"
+    assert from_config.value.message == from_call.value.message
 
 
 @pytest.mark.parametrize(

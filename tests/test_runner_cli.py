@@ -363,6 +363,10 @@ class TestCLI:
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
 
+    def test_directory_as_config_exits_2(self, tmp_path, capsys):
+        assert main(["run", "--config", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_iteration_cap_exit_code(self, tmp_path):
         obj = serialize_config(table1_config("1.50", "ACondG1"))
         obj["stopping"] = {"max_outer_iters": 3}

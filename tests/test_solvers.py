@@ -11,7 +11,6 @@ from feasib import (
     ForcingSchedule,
     Halfspace,
     InputError,
-    Regime,
     START_TOL,
     StopCode,
     StoppingConfig,
@@ -23,6 +22,7 @@ from feasib import (
     dist_two_bodies,
     exact_alternating,
 )
+from feasib.solvers import check_pair
 
 from _helpers import containing_body, ill_conditioned_ellipsoid, sample_members
 
@@ -61,20 +61,29 @@ def ill_conditioned_sweep():
             yield n, k, a, b, k % 2 == 0
 
 
+def regime_check(inexact_sets: int, gamma: float, theta: float, lam: float):
+    """``check_pair`` on a solver that projects ``inexact_sets`` sets
+    inexactly, with a schedule starting at ``(gamma, theta, lam)``."""
+    a, b = unit_disk(), unit_disk()
+    needs = ("compact", "exact") if inexact_sets == 1 else ("compact", "compact")
+    schedule = ForcingSchedule(ForcingParams(gamma, theta, lam))
+    return check_pair(a, b, [0.0, 0.0], [0.0, 0.0], *needs, schedule)[2]
+
+
 class TestForcingSchedule:
     def test_one_set_conditions_enforced(self):
         with pytest.raises(ValueError):
-            ForcingSchedule(ForcingParams(0.3, 0.1, 0.11), regime=Regime.ONE_SET)
+            regime_check(1, 0.3, 0.1, 0.11)
         with pytest.raises(ValueError):
-            ForcingSchedule(ForcingParams(0.0, 0.5, 0.0), regime=Regime.ONE_SET)
-        ForcingSchedule(ForcingParams(0.3, 0.45, 0.09), regime=Regime.ONE_SET)
+            regime_check(1, 0.0, 0.5, 0.0)
+        assert regime_check(1, 0.3, 0.45, 0.09).current.theta == 0.45
 
     def test_two_set_conditions_enforced(self):
         with pytest.raises(ValueError):
-            ForcingSchedule(ForcingParams(0.0, 0.25, 0.0), regime=Regime.TWO_SETS)
+            regime_check(2, 0.0, 0.25, 0.0)
         with pytest.raises(ValueError):
-            ForcingSchedule(ForcingParams(0.3, 0.1, 0.11), regime=Regime.TWO_SETS)
-        ForcingSchedule(ForcingParams(0.1, 0.2, 0.19), regime=Regime.TWO_SETS)
+            regime_check(2, 0.3, 0.1, 0.11)
+        assert regime_check(2, 0.1, 0.2, 0.19).current.theta == 0.2
 
     def test_factor_ranges(self):
         with pytest.raises(ValueError):
@@ -102,7 +111,7 @@ class TestForcingSchedule:
         assert s.updated(1.0, 1.0, 1.0, 1.0) is s
 
     def test_defaults_match_experiment_values(self):
-        s = default_schedule(Regime.TWO_SETS)
+        s = default_schedule()
         assert s.current.gamma == pytest.approx(0.1 - 1e-8)
         assert s.current.theta == pytest.approx(0.2 - 1e-8)
         assert s.current.lam == pytest.approx(0.2 - 1e-8)
@@ -124,6 +133,16 @@ class TestForcingSchedule:
                 lambda: StoppingConfig(max_outer_iters=2.5),
                 "stopping.max_outer_iters",
                 id="<lambda>-stopping.max_outer_iters-integral",
+            ),
+            pytest.param(
+                lambda: StoppingConfig(eps_feas=math.inf),
+                "stopping.eps_feas",
+                id="<lambda>-stopping.eps_feas-finite",
+            ),
+            pytest.param(
+                lambda: StoppingConfig(eps_lack=math.inf),
+                "stopping.eps_lack",
+                id="<lambda>-stopping.eps_lack-finite",
             ),
             (lambda: ForcingParams(0.0, math.nan, 0.0), "theta"),
             (lambda: ForcingSchedule(ForcingParams(0.0, 0.0, 0.0), tau=1.0),
