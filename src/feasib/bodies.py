@@ -342,29 +342,25 @@ class Ellipsoid(ConvexBody):
         a, b = (float(s) for s in semi_axes)
         if not (0.0 < a < math.inf and 0.0 < b < math.inf):
             raise InputError("semi_axes", f"must be finite and positive, got {(a, b)}")
+        try:
+            diag = [1.0 / a**2, 1.0 / b**2]
+        except (OverflowError, ZeroDivisionError):  # a**2 or b**2 out of range
+            diag = [0.0]
+        if not all(0.0 < d < math.inf for d in diag):
+            raise InputError(
+                "semi_axes", f"1/a^2 and 1/b^2 must be finite and positive, got {(a, b)}"
+            )
         c, s = math.cos(angle), math.sin(angle)
         rot = np.array([[c, s], [-s, c]])
-        diag = np.diag([1.0 / a**2, 1.0 / b**2])
-        return cls(center=center, shape=rot.T @ diag @ rot)
+        return cls(center=center, shape=rot.T @ np.diag(diag) @ rot)
 
     @property
     def dim(self) -> int:
         return self.center.shape[0]
 
-    @property
-    def diameter(self) -> float:
-        """Euclidean diameter, twice the longest semi-axis."""
-        return 2.0 / math.sqrt(float(self._eigvals[0]))
-
     def violation(self, z) -> float:
         u = self._to_frame(as_vector(z, self.dim))
         return max(0.0, float(self._eigvals @ (u * u)) - 1.0)
-
-    def inv_quad(self, c) -> float:
-        """Quadratic form ``c^T shape^{-1} c``."""
-        c = as_vector(c, self.dim)
-        b = self._eigvecs.T @ c
-        return float(np.sum(b * b / self._eigvals))
 
     # The frame is the eigenbasis, centred: u = V^T (x - center), in which
     # the body is {u : sum lam_i u_i^2 <= 1}.
@@ -388,7 +384,8 @@ class Ellipsoid(ConvexBody):
 
     def support(self, c) -> float:
         c = as_vector(c, self.dim)
-        return float(c @ self.center) + math.sqrt(self.inv_quad(c))
+        b = self._eigvecs.T @ c
+        return float(c @ self.center) + math.sqrt(float(np.sum(b * b / self._eigvals)))
 
     def boundary_point(self, direction) -> Vector:
         """Boundary point in unit-quadratic coordinates along ``direction``."""

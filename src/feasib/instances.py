@@ -4,16 +4,20 @@ experiment tables.
 A config file is a single JSON object with a ``schema`` version field. Body
 descriptions are tagged by ``kind``: ``ellipse`` (center / angle /
 semi_axes, 2-D), ``halfspace`` (normal / offset), ``ball`` (center /
-radius), ``box`` (lower / upper). Validation errors carry the path of the
-offending field.
+radius), ``box`` (lower / upper); ``_KINDS`` states each kind's constructor
+and fields once, for parsing and building alike. The ``schedule`` and
+``stopping`` objects take their keys and defaults from the fields of
+:class:`ScheduleSpec` and :class:`~feasib.solvers.StoppingConfig`.
+Validation errors carry the path of the offending field.
 
-Parsing checks each field's JSON type alone. The range rules are those of
-the API: the body constructors (re-pathed under ``set_a`` / ``set_b``),
-:class:`~feasib.solvers.StoppingConfig`, :class:`~feasib.condg.ForcingParams`
-and :class:`~feasib.solvers.ForcingSchedule`. :func:`validate_config` then
-runs the solvers' own input check, :func:`~feasib.solvers.check_pair`, on
-the start points and the schedule the solver reads, so a config fails with
-the same path and message as the call. The forcing regime is not a config
+Parsing checks each field's JSON type alone, and that numbers are finite.
+The range rules are those of the API: the body constructors (re-pathed
+under ``set_a`` / ``set_b``), :class:`~feasib.solvers.StoppingConfig`,
+:class:`~feasib.condg.ForcingParams` and
+:class:`~feasib.solvers.ForcingSchedule`. :func:`validate_config` then runs
+the solvers' own input check, :func:`~feasib.solvers.check_pair`, on the
+start points and the schedule the solver reads, so a config fails with the
+same path and message as the call. The forcing regime is not a config
 field: ``check_pair`` derives it from what the solver projects inexactly.
 """
 
@@ -21,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .bodies import Ball, Box, ConvexBody, Ellipsoid, Halfspace, InputError
@@ -82,11 +86,6 @@ class BodySpec:
     kind: str
     params: dict = field(hash=False)
 
-    def __eq__(self, other):
-        if not isinstance(other, BodySpec):
-            return NotImplemented
-        return self.kind == other.kind and self.params == other.params
-
 
 @dataclass(frozen=True)
 class InstanceConfig:
@@ -104,7 +103,10 @@ class InstanceConfig:
 def _number(obj, path: str) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ConfigError(path, f"expected a number, got {type(obj).__name__}")
-    v = float(obj)
+    try:
+        v = float(obj)
+    except OverflowError:  # an integer beyond the float range
+        v = math.inf
     if not math.isfinite(v):
         raise ConfigError(path, "must be finite")
     return v
@@ -118,48 +120,60 @@ def _integer(obj, path: str, minimum: int | None = None) -> int:
     return obj
 
 
-def _vector(obj, path: str, dim: int | None = None) -> tuple[float, ...]:
+def _vector(obj, path: str, dim: int) -> tuple[float, ...]:
     if not isinstance(obj, (list, tuple)):
         raise ConfigError(path, "expected a list of numbers")
     v = tuple(_number(x, f"{path}[{i}]") for i, x in enumerate(obj))
-    if dim is not None and len(v) != dim:
+    if len(v) != dim:
         raise ConfigError(path, f"expected {dim} entries, got {len(v)}")
     return v
+
+
+# Each body kind: its constructor, called by keyword, and its fields in
+# parse order. A ``float`` field is a number, a ``tuple`` field a vector of
+# ``dimension`` entries (an ellipse requires dimension 2).
+_KINDS = {
+    "ellipse": (
+        Ellipsoid.from_axes, {"center": tuple, "angle": float, "semi_axes": tuple}
+    ),
+    "halfspace": (Halfspace, {"normal": tuple, "offset": float}),
+    "ball": (Ball, {"center": tuple, "radius": float}),
+    "box": (Box, {"lower": tuple, "upper": tuple}),
+}
 
 
 def _parse_body(obj, path: str, dim: int) -> BodySpec:
     if not isinstance(obj, dict):
         raise ConfigError(path, "expected an object")
     kind = obj.get("kind")
-    if kind == "ellipse":
-        if dim != 2:
-            raise ConfigError(f"{path}.kind", "ellipse requires dimension 2")
-        params = {
-            "center": _vector(obj.get("center"), f"{path}.center", 2),
-            "angle": _number(obj.get("angle"), f"{path}.angle"),
-            "semi_axes": _vector(obj.get("semi_axes"), f"{path}.semi_axes", 2),
-        }
-    elif kind == "halfspace":
-        params = {
-            "normal": _vector(obj.get("normal"), f"{path}.normal", dim),
-            "offset": _number(obj.get("offset"), f"{path}.offset"),
-        }
-    elif kind == "ball":
-        params = {
-            "center": _vector(obj.get("center"), f"{path}.center", dim),
-            "radius": _number(obj.get("radius"), f"{path}.radius"),
-        }
-    elif kind == "box":
-        params = {
-            "lower": _vector(obj.get("lower"), f"{path}.lower", dim),
-            "upper": _vector(obj.get("upper"), f"{path}.upper", dim),
-        }
-    else:
+    # The type test comes first: a list or object kind is unhashable.
+    if not (isinstance(kind, str) and kind in _KINDS):
+        *rest, last = _KINDS
         raise ConfigError(
-            f"{path}.kind", f"unknown body kind {kind!r}; "
-            "expected ellipse, halfspace, ball or box"
+            f"{path}.kind",
+            f"unknown body kind {kind!r}; expected {', '.join(rest)} or {last}",
         )
+    if kind == "ellipse" and dim != 2:
+        raise ConfigError(f"{path}.kind", "ellipse requires dimension 2")
+    params = {}
+    for name, shape in _KINDS[kind][1].items():
+        value, at = obj.get(name), f"{path}.{name}"
+        params[name] = _vector(value, at, dim) if shape is tuple else _number(value, at)
     return BodySpec(kind=kind, params=params)
+
+
+def _section(obj: dict, name: str, cls):
+    """The config's ``name`` object read into ``cls``, field by field; a
+    missing field takes its default, and an ``int`` default makes it an
+    integer."""
+    section = obj.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(name, "expected an object")
+    values = {}
+    for f in fields(cls):
+        read = _integer if isinstance(f.default, int) else _number
+        values[f.name] = read(section.get(f.name, f.default), f"{name}.{f.name}")
+    return cls(**values)
 
 
 def parse_config(obj) -> InstanceConfig:
@@ -183,30 +197,8 @@ def parse_config(obj) -> InstanceConfig:
     x0 = _vector(obj.get("x0"), "x0", dim)
     y0 = None if obj.get("y0") is None else _vector(obj.get("y0"), "y0", dim)
 
-    sched_obj = obj.get("schedule", {})
-    if not isinstance(sched_obj, dict):
-        raise ConfigError("schedule", "expected an object")
-    defaults = ScheduleSpec()
-    schedule = ScheduleSpec(
-        gamma0=_number(sched_obj.get("gamma0", defaults.gamma0), "schedule.gamma0"),
-        theta0=_number(sched_obj.get("theta0", defaults.theta0), "schedule.theta0"),
-        lambda0=_number(sched_obj.get("lambda0", defaults.lambda0), "schedule.lambda0"),
-        tau=_number(sched_obj.get("tau", defaults.tau), "schedule.tau"),
-        delta=_number(sched_obj.get("delta", defaults.delta), "schedule.delta"),
-    )
-
-    stop_obj = obj.get("stopping", {})
-    if not isinstance(stop_obj, dict):
-        raise ConfigError("stopping", "expected an object")
-    sdef = StoppingConfig()
-    stopping = StoppingConfig(
-        eps_feas=_number(stop_obj.get("eps_feas", sdef.eps_feas), "stopping.eps_feas"),
-        eps_lack=_number(stop_obj.get("eps_lack", sdef.eps_lack), "stopping.eps_lack"),
-        max_outer_iters=_integer(
-            stop_obj.get("max_outer_iters", sdef.max_outer_iters),
-            "stopping.max_outer_iters",
-        ),
-    )
+    schedule = _section(obj, "schedule", ScheduleSpec)
+    stopping = _section(obj, "stopping", StoppingConfig)
 
     seed = obj.get("seed")
     if seed is not None:
@@ -230,19 +222,14 @@ def parse_config(obj) -> InstanceConfig:
 def _build_body(spec: BodySpec, path: str) -> ConvexBody:
     """The body of ``spec``; a constructor's range error is named under
     ``path``, as in ``set_b.radius``."""
-    p = spec.params
     try:
-        if spec.kind == "ellipse":
-            return Ellipsoid.from_axes(p["center"], p["angle"], p["semi_axes"])
-        if spec.kind == "halfspace":
-            return Halfspace(normal=p["normal"], offset=p["offset"])
-        if spec.kind == "ball":
-            return Ball(center=p["center"], radius=p["radius"])
-        if spec.kind == "box":
-            return Box(lower=p["lower"], upper=p["upper"])
+        constructor, _ = _KINDS[spec.kind]
+    except (KeyError, TypeError):
+        raise ConfigError(f"{path}.kind", f"unknown body kind {spec.kind!r}") from None
+    try:
+        return constructor(**spec.params)
     except InputError as exc:
         raise InputError(f"{path}.{exc.path}", exc.message) from None
-    raise ConfigError(f"{path}.kind", f"unknown body kind {spec.kind!r}")
 
 
 def build_bodies(config: InstanceConfig) -> tuple[ConvexBody, ConvexBody]:
@@ -295,38 +282,23 @@ def validate_config(config: InstanceConfig) -> tuple[ConvexBody, ConvexBody]:
 
 
 def serialize_config(config: InstanceConfig) -> dict:
-    """Inverse of :func:`parse_config`: a JSON-ready dict."""
+    """Inverse of :func:`parse_config`: a JSON-ready dict (``json`` writes
+    its tuples as lists)."""
     obj = {
         "schema": SCHEMA_VERSION,
         "dimension": config.dimension,
-        "set_a": {"kind": config.set_a.kind, **_jsonify(config.set_a.params)},
-        "set_b": {"kind": config.set_b.kind, **_jsonify(config.set_b.params)},
-        "x0": list(config.x0),
+        "set_a": {"kind": config.set_a.kind, **config.set_a.params},
+        "set_b": {"kind": config.set_b.kind, **config.set_b.params},
+        "x0": config.x0,
         "solver": config.solver,
-        "schedule": {
-            "gamma0": config.schedule.gamma0,
-            "theta0": config.schedule.theta0,
-            "lambda0": config.schedule.lambda0,
-            "tau": config.schedule.tau,
-            "delta": config.schedule.delta,
-        },
-        "stopping": {
-            "eps_feas": config.stopping.eps_feas,
-            "eps_lack": config.stopping.eps_lack,
-            "max_outer_iters": config.stopping.max_outer_iters,
-        },
+        "schedule": asdict(config.schedule),
+        "stopping": asdict(config.stopping),
     }
     if config.y0 is not None:
-        obj["y0"] = list(config.y0)
+        obj["y0"] = config.y0
     if config.seed is not None:
         obj["seed"] = config.seed
     return obj
-
-
-def _jsonify(params: dict) -> dict:
-    return {
-        k: list(v) if isinstance(v, tuple) else v for k, v in params.items()
-    }
 
 
 def load_config(path) -> InstanceConfig:

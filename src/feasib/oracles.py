@@ -152,7 +152,8 @@ def dist_ellipse_halfspace(ellipse: Ellipsoid, halfspace: Halfspace) -> float:
     a = halfspace.normal
     na = float(np.linalg.norm(a))
     gap = (float(a @ ellipse.center) - halfspace.offset) / na
-    return max(0.0, gap - math.sqrt(ellipse.inv_quad(a)) / na)
+    radius = math.sqrt(float(a @ np.linalg.solve(ellipse.shape, a)))
+    return max(0.0, gap - radius / na)
 
 
 def _anchor(body: ConvexBody) -> Vector:

@@ -1,5 +1,7 @@
 import json
 import math
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from feasib import (
 from feasib.instances import (
     ConfigError,
     SCHEMA_VERSION,
+    ScheduleSpec,
     TABLE1_OFFSETS,
     TABLE2_CENTERS,
     build_bodies,
@@ -75,9 +78,11 @@ class TestParsing:
         assert err.value.path == "schema"
 
     def test_bad_body_kind_path(self):
-        with pytest.raises(ConfigError) as err:
-            parse_config(base_config(set_a={"kind": "torus"}))
-        assert err.value.path == "set_a.kind"
+        for body in ({"kind": "torus"}, {}, {"kind": ["ellipse"]}, {"kind": {"a": 1}}):
+            with pytest.raises(ConfigError) as err:
+                parse_config(base_config(set_a=body))
+            assert err.value.path == "set_a.kind"
+            assert err.value.message.startswith(f"unknown body kind {body.get('kind')!r}")
 
     def test_vector_length_mismatch_path(self):
         with pytest.raises(ConfigError) as err:
@@ -222,6 +227,20 @@ BODY_CASES = [
         id="ellipse-semi_axes",
     ),
     pytest.param(
+        "set_a",
+        {"kind": "ellipse", "center": [0.0, 0.0], "angle": 0.0, "semi_axes": [1e-200, 0.2]},
+        lambda: Ellipsoid.from_axes([0.0, 0.0], 0.0, (1e-200, 0.2)),
+        "semi_axes",
+        id="ellipse-semi_axes-tiny",
+    ),
+    pytest.param(
+        "set_a",
+        {"kind": "ellipse", "center": [0.0, 0.0], "angle": 0.0, "semi_axes": [2.0, 1e200]},
+        lambda: Ellipsoid.from_axes([0.0, 0.0], 0.0, (2.0, 1e200)),
+        "semi_axes",
+        id="ellipse-semi_axes-huge",
+    ),
+    pytest.param(
         "set_b",
         {"kind": "halfspace", "normal": [0.0, 0.0], "offset": -1.3},
         lambda: Halfspace(normal=[0.0, 0.0], offset=-1.3),
@@ -282,6 +301,64 @@ def test_unread_y0_is_not_checked():
     assert ran.outer_iters == plain.outer_iters
     assert np.array_equal(ran.x_trace, plain.x_trace)
     assert ran.violations == plain.violations
+
+
+# One body of each kind, as set B of an ExactAlt1 config whose set A is the
+# unit ball at the origin, and the matching constructor call. Ball, box and
+# halfspace are 3-D.
+KIND_CASES = [
+    pytest.param(
+        {"kind": "ellipse", "center": [0.5, -0.25], "angle": 0.3, "semi_axes": [2.0, 0.4]},
+        lambda: Ellipsoid.from_axes(center=[0.5, -0.25], angle=0.3, semi_axes=(2.0, 0.4)),
+        id="ellipse",
+    ),
+    pytest.param(
+        {"kind": "halfspace", "normal": [1.0, -2.0, 0.5], "offset": 0.75},
+        lambda: Halfspace(normal=[1.0, -2.0, 0.5], offset=0.75),
+        id="halfspace",
+    ),
+    pytest.param(
+        {"kind": "ball", "center": [1.5, 0.0, -0.5], "radius": 0.8},
+        lambda: Ball(center=[1.5, 0.0, -0.5], radius=0.8),
+        id="ball",
+    ),
+    pytest.param(
+        {"kind": "box", "lower": [0.5, -1.0, -2.0], "upper": [2.0, 1.0, 0.0]},
+        lambda: Box(lower=[0.5, -1.0, -2.0], upper=[2.0, 1.0, 0.0]),
+        id="box",
+    ),
+]
+
+
+@pytest.mark.parametrize("body, make", KIND_CASES)
+def test_every_body_kind_round_trips_and_builds(body, make, tmp_path):
+    dim = 2 if body["kind"] == "ellipse" else 3
+    cfg = parse_config(base_config(
+        dimension=dim, x0=[0.0] * dim, solver="ExactAlt1",
+        set_a={"kind": "ball", "center": [0.0] * dim, "radius": 1.0}, set_b=body,
+    ))
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_config(cfg, first)
+    assert load_config(first) == cfg
+    save_config(load_config(first), second)
+    assert second.read_bytes() == first.read_bytes()
+
+    built, direct = build_bodies(cfg)[1], make()
+    for z in np.random.default_rng(5).normal(scale=2.0, size=(6, dim)):
+        assert built.violation(z) == direct.violation(z)
+
+
+def test_readme_config_example_is_table1():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Instance config format", 1)[1]
+    example = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+    cfg = parse_config(example)
+    expected = table1_config("1.30", "ACondG1")
+    assert replace(cfg, schedule=expected.schedule) == expected
+    # The schedule is shown as the defaults rounded to 8 digits.
+    for f in fields(ScheduleSpec):
+        shown, default = getattr(cfg.schedule, f.name), getattr(expected.schedule, f.name)
+        assert math.isclose(shown, default, rel_tol=1e-9)
 
 
 class TestRoundTrip:

@@ -74,6 +74,15 @@ def test_distance_formula_against_slim_ellipse():
     ) == 0.0
 
 
+def test_distance_formula_ignores_the_eigen_cache():
+    # The oracle checks the body's own eigenbasis computations, so it must
+    # not read them: scaling the cached eigenvalues leaves it unchanged.
+    e = slim_ellipse()
+    h = Halfspace(normal=[-1.0, 0.0], offset=-1.5)
+    object.__setattr__(e, "_eigvals", 4.0 * e._eigvals)
+    assert dist_ellipse_halfspace(e, h) == pytest.approx(1.5 - SQRT_202, abs=1e-9)
+
+
 def test_distance_formula_disk_to_halfspace():
     disk = Ellipsoid(center=np.zeros(2), shape=np.eye(2))
     h = Halfspace(normal=[-1.0, 0.0], offset=-3.0)

@@ -367,6 +367,14 @@ class TestCLI:
         assert main(["run", "--config", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_number_beyond_float_range_exits_2(self, tmp_path, capsys):
+        obj = serialize_config(table1_config("1.30", "ACondG1"))
+        obj["set_b"]["offset"] = 10**400
+        cfg_path = tmp_path / "huge.json"
+        cfg_path.write_text(json.dumps(obj))
+        assert main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: set_b.offset: must be finite\n"
+
     def test_iteration_cap_exit_code(self, tmp_path):
         obj = serialize_config(table1_config("1.50", "ACondG1"))
         obj["stopping"] = {"max_outer_iters": 3}
