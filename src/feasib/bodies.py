@@ -312,20 +312,25 @@ class Ellipsoid(ConvexBody):
     SECULAR_MAX_ITERS: ClassVar[int] = 200
 
     def __post_init__(self):
-        center = as_vector(self.center)
+        try:
+            center = as_vector(self.center)
+        except ValueError as exc:
+            raise InputError("center", str(exc)) from None
         q = np.asarray(self.shape, dtype=np.float64)
         n = center.shape[0]
         if q.shape != (n, n):
-            raise ValueError(f"shape matrix must be {n}x{n}, got {q.shape}")
+            raise InputError("shape", f"must be {n}x{n}, got {q.shape}")
         if not np.all(np.isfinite(q)):
-            raise ValueError("shape matrix entries must be finite")
+            raise InputError("shape", "entries must be finite")
         scale = float(np.linalg.norm(q))
         if float(np.linalg.norm(q - q.T)) > 1e-12 * max(scale, 1.0):
-            raise ValueError("shape matrix must be symmetric")
+            raise InputError("shape", "must be symmetric")
         q = 0.5 * (q + q.T)
         vals, vecs = np.linalg.eigh(q)
-        if np.any(vals <= 0.0):
-            raise ValueError("shape matrix must be positive definite")
+        # Entries near the float limit overflow to NaN eigenvalues, which
+        # compare false both ways: only a test that they are > 0 rejects them.
+        if not np.all((0.0 < vals) & (vals < math.inf)):
+            raise InputError("shape", f"must be positive definite, eigenvalues {vals}")
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "shape", q)
         object.__setattr__(self, "_eigvals", vals)
@@ -352,7 +357,10 @@ class Ellipsoid(ConvexBody):
             )
         c, s = math.cos(angle), math.sin(angle)
         rot = np.array([[c, s], [-s, c]])
-        return cls(center=center, shape=rot.T @ np.diag(diag) @ rot)
+        try:
+            return cls(center=center, shape=rot.T @ np.diag(diag) @ rot)
+        except InputError as exc:  # the axes give no usable shape matrix
+            raise InputError("semi_axes", f"{exc.message}, got {(a, b)}") from None
 
     @property
     def dim(self) -> int:

@@ -9,17 +9,19 @@ Four schemes are provided, all producing a :class:`SolveReport`:
   single iterate,
 * :func:`exact_alternating` -- the exact-projection baseline.
 
-The three alternating schemes share one driver, ``_alternate``: each outer
-step projects the x-iterate onto B, then the new y-iterate onto A, through
-two projector callables ``(anchor, point, params) -> (w, inner_iters,
-capped)``, where ``capped`` says the inner loop stopped at its cap. An exact
-projector ignores the anchor and the forcing parameters and reports zero
-inner iterations; an inexact projector runs
+All four run one outer loop, ``_drive``, and differ only in its step and
+in the verdict that reduces a violation pair to the number the stops read.
+The alternating schemes (``_alternate``) project the x-iterate onto B, then
+the new y-iterate onto A, through two projector callables ``(anchor, point,
+params) -> (w, inner_iters, capped)``, where ``capped`` says the inner loop
+stopped at its cap. An exact projector ignores the anchor and the forcing
+parameters and reports zero inner iterations; an inexact projector runs
 :func:`~feasib.condg.condg_project` warm-started at the anchor. ACondG1
 pairs an exact projector on B with an inexact one on A, ACondG2 uses two
-inexact ones, and ExactAlt two exact ones under a constant zero schedule.
-The averaged scheme keeps its own loop: its iterate is the average of the
-two projections, not one of them.
+inexact ones, and ExactAlt two exact ones under a constant zero schedule;
+their verdict is the smaller violation. The averaged scheme's step averages
+the two inexact projections of its iterate, and its verdict is the larger
+violation of that iterate.
 
 Each solver first runs :func:`check_pair`, the one statement of the input
 rules. The forcing regime is one of them: it follows from how many sets the
@@ -29,19 +31,9 @@ broken rule raises :class:`~feasib.bodies.InputError`, whose ``path`` names
 the argument; the config layer runs the same checks and so the same
 messages.
 
-Stopping follows the experiment conventions: a run converges when a computed
-iterate violates the *other* set by at most ``eps_feas``; it stops for lack
-of progress when both iterate sequences move at most ``eps_lack`` in the
-max norm for two consecutive iterations. Forcing parameters follow an
-adaptive schedule that shrinks them by a fixed factor whenever neither
-violation improved by the progress factor ``tau``.
-
-Check layering per iteration: an iterate that lands *exactly* in the other
-set stops the run immediately (the algorithms' own membership stop); the
-tolerance-based criteria are evaluated at the end of the iteration, lack of
-progress before the ``eps_feas`` declaration, so a stalled run is reported
-as stalled even when its final violation happens to dip under the
-declaration threshold in the same iteration.
+Forcing parameters follow an adaptive schedule that shrinks them by a fixed
+factor whenever neither violation improved by the progress factor ``tau``.
+``_drive`` states the stop rules and their order.
 """
 
 from __future__ import annotations
@@ -93,8 +85,12 @@ class ForcingSchedule:
     def updated(
         self, cb_prev: float, cb_curr: float, ca_prev: float, ca_curr: float
     ) -> "ForcingSchedule":
-        """Apply the progress rule; NaN baselines count as no progress."""
-        progress = cb_curr <= self.tau * cb_prev or ca_curr <= self.tau * ca_prev
+        """Apply the progress rule; a non-finite baseline (no iterate yet)
+        shows no progress."""
+        progress = (
+            cb_curr <= self.tau * cb_prev < math.inf
+            or ca_curr <= self.tau * ca_prev < math.inf
+        )
         p = self.current
         # All-zero parameters are a fixed point of the scaling.
         if progress or p.gamma == p.theta == p.lam == 0.0:
@@ -157,7 +153,8 @@ class SolveReport:
     parameters and inner iteration count of the step that produced row ``k``
     (row 0 carries the initial parameters and zero inner iterations).
     ``inner_cap_iters`` lists outer iterations whose inner loop hit its cap.
-    A solver fills an empty report row by row and then sets its stop fields.
+    All four solvers share one driver, which fills an empty report row by
+    row and then sets its stop fields.
     """
 
     x_trace: list[Vector] = field(default_factory=list)
@@ -203,7 +200,7 @@ class SolveReport:
 
 
 def _inf_norm(d: Vector) -> float:
-    return float(np.max(np.abs(d)))
+    return float(np.abs(d).max())  # the method skips np.max's dispatch
 
 
 def check_pair(
@@ -279,6 +276,49 @@ def _inexact(body: ConvexBody, limits: CondGLimits) -> _Projector:
     return project
 
 
+def _drive(
+    rep: SolveReport,
+    first_row: tuple[Vector, Vector | None, tuple[float, float]],
+    step: Callable[[ForcingParams], tuple],
+    verdict: Callable[[tuple[float, float]], float],
+    schedule: ForcingSchedule,
+    stop: StoppingConfig,
+    feas_tol: float,
+) -> SolveReport:
+    """The one outer loop: row 0 is ``first_row`` ``(x, y, violations)``,
+    and each later row comes from ``step(params)``, which returns ``(x, y,
+    violations, inner_iters, capped, moved)`` with ``moved`` the max-norm
+    distance its iterates moved. ``verdict`` reduces a violation pair to
+    the number the stops read. After each step, in this order: a verdict of
+    exactly 0 converges (an iterate lies in the other set); ``moved <=
+    eps_lack`` for the second step in a row stops for lack of progress; a
+    verdict at most ``feas_tol`` converges; otherwise the schedule applies
+    its progress rule. A stalled run is thus reported as stalled even when
+    its verdict dips under ``feas_tol`` in the same step.
+    """
+    rep._add_row(0, *first_row, schedule.current, 0, False)
+    if verdict(first_row[2]) <= feas_tol:
+        return rep._stop(StopCode.CONVERGED_FEASIBLE, 0)
+
+    lack_streak, prev = 0, first_row[2]
+    for k in range(1, stop.max_outer_iters + 1):
+        params = schedule.current
+        x, y, viol, inner, capped, moved = step(params)
+        rep._add_row(k, x, y, viol, params, inner, capped)
+        v = verdict(viol)
+        if v == 0.0:
+            return rep._stop(StopCode.CONVERGED_FEASIBLE, k)
+        lack_streak = lack_streak + 1 if moved <= stop.eps_lack else 0
+        if lack_streak >= 2:
+            return rep._stop(StopCode.LACK_OF_PROGRESS, k)
+        if v <= feas_tol:
+            return rep._stop(StopCode.CONVERGED_FEASIBLE, k)
+        schedule = schedule.updated(prev[0], viol[0], prev[1], viol[1])
+        prev = viol
+
+    return rep._stop(StopCode.ITERATION_CAP, stop.max_outer_iters)
+
+
 def _alternate(
     a: ConvexBody,
     b: ConvexBody,
@@ -292,50 +332,28 @@ def _alternate(
 ) -> SolveReport:
     """Alternate ``y = proj_b(y, x)`` and ``x = proj_a(x, y)`` from ``x0``.
 
-    Without ``y0`` the y-sequence starts at iteration 1. The run converges
-    when an iterate lands exactly in the other set, or when the smaller of
-    the two violations is at most ``feas_tol``.
+    Without ``y0`` the y-sequence starts at iteration 1, and ``moved`` is
+    ``inf`` until it has two entries. A y-iterate exactly in A ends the
+    step, and so the run, with ``x`` and its violation unchanged.
     """
-    rep = SolveReport()
-    x, y = x0, y0
-    ca0 = a.violation(y) if y is not None else math.inf
-    rep._add_row(0, x, y, (b.violation(x), ca0), schedule.current, 0, False)
-    if min(rep.violations[0]) <= feas_tol:
-        return rep._stop(StopCode.CONVERGED_FEASIBLE, 0)
+    x, y, cb_x = x0, y0, b.violation(x0)
 
-    lack_streak = 0
-    for k in range(1, stop.max_outer_iters + 1):
-        params = schedule.current
+    def step(params):
+        nonlocal x, y, cb_x
         y_new, inner_b, cap_b = proj_b(y, x, params)
         ca_y = a.violation(y_new)
         if ca_y == 0.0:
-            cb_x = rep.violations[-1][0]
-            rep._add_row(k, x, y_new, (cb_x, ca_y), params, inner_b, cap_b)
-            return rep._stop(StopCode.CONVERGED_FEASIBLE, k)
-
+            return x, y_new, (cb_x, ca_y), inner_b, cap_b, math.inf
         x_new, inner_a, cap_a = proj_a(x, y_new, params)
-        cb_x = b.violation(x_new)
-        inner, capped = inner_b + inner_a, cap_b or cap_a
-        rep._add_row(k, x_new, y_new, (cb_x, ca_y), params, inner, capped)
-        if cb_x == 0.0:
-            return rep._stop(StopCode.CONVERGED_FEASIBLE, k)
-
-        small = _inf_norm(x_new - x) <= stop.eps_lack and (
-            y is not None and _inf_norm(y_new - y) <= stop.eps_lack
+        moved = math.inf if y is None else max(
+            _inf_norm(x_new - x), _inf_norm(y_new - y)
         )
-        lack_streak = lack_streak + 1 if small else 0
-        if lack_streak >= 2:
-            return rep._stop(StopCode.LACK_OF_PROGRESS, k)
-        if min(cb_x, ca_y) <= feas_tol:
-            return rep._stop(StopCode.CONVERGED_FEASIBLE, k)
+        x, y, cb_x = x_new, y_new, b.violation(x_new)
+        return x, y, (cb_x, ca_y), inner_b + inner_a, cap_b or cap_a, moved
 
-        cb_prev, ca_prev = rep.violations[-2]
-        if not math.isfinite(ca_prev):  # no y0: no baseline, no progress
-            ca_prev = math.nan
-        schedule = schedule.updated(cb_prev, cb_x, ca_prev, ca_y)
-        x, y = x_new, y_new
-
-    return rep._stop(StopCode.ITERATION_CAP, stop.max_outer_iters)
+    ca0 = a.violation(y0) if y0 is not None else math.inf
+    first_row = (x0, y0, (cb_x, ca0))
+    return _drive(SolveReport(), first_row, step, min, schedule, stop, feas_tol)
 
 
 def acondg1(
@@ -394,40 +412,21 @@ def averaged_projection(
     """
     x0, y0, sched = check_pair(a, b, x0, y0, "compact", "compact", schedule)
     proj_a, proj_b = _inexact(a, limits), _inexact(b, limits)
-
+    z, anchor_a, anchor_b = 0.5 * (x0 + y0), x0, y0
     rep = SolveReport(anchor_trace=[x0])
-    z = 0.5 * (x0 + y0)
-    viol = (b.violation(z), a.violation(z))
-    rep._add_row(0, z, y0, viol, sched.current, 0, False)
-    if max(rep.violations[0]) <= stop.eps_feas:
-        return rep._stop(StopCode.CONVERGED_FEASIBLE, 0)
 
-    anchor_a, anchor_b = x0, y0
-    lack_streak = 0
-    for k in range(1, stop.max_outer_iters + 1):
-        params = sched.current
+    def step(params):
+        nonlocal z, anchor_a, anchor_b
         anchor_a, inner_a, cap_a = proj_a(anchor_a, z, params)
         anchor_b, inner_b, cap_b = proj_b(anchor_b, z, params)
-        z_new = 0.5 * (anchor_a + anchor_b)
         rep.anchor_trace.append(anchor_a)
-        viol = (b.violation(z_new), a.violation(z_new))
-        inner, capped = inner_a + inner_b, cap_a or cap_b
-        rep._add_row(k, z_new, anchor_b, viol, params, inner, capped)
-        if max(rep.violations[-1]) == 0.0:
-            return rep._stop(StopCode.CONVERGED_FEASIBLE, k)
+        z_new = 0.5 * (anchor_a + anchor_b)
+        moved, z = _inf_norm(z_new - z), z_new
+        viol = (b.violation(z), a.violation(z))
+        return z, anchor_b, viol, inner_a + inner_b, cap_a or cap_b, moved
 
-        lack_streak = lack_streak + 1 if _inf_norm(z_new - z) <= stop.eps_lack else 0
-        if lack_streak >= 2:
-            return rep._stop(StopCode.LACK_OF_PROGRESS, k)
-        if max(rep.violations[-1]) <= stop.eps_feas:
-            return rep._stop(StopCode.CONVERGED_FEASIBLE, k)
-
-        cb_prev, ca_prev = rep.violations[-2]
-        cb_curr, ca_curr = rep.violations[-1]
-        sched = sched.updated(cb_prev, cb_curr, ca_prev, ca_curr)
-        z = z_new
-
-    return rep._stop(StopCode.ITERATION_CAP, stop.max_outer_iters)
+    first_row = (z, y0, (b.violation(z), a.violation(z)))
+    return _drive(rep, first_row, step, max, sched, stop, stop.eps_feas)
 
 
 def exact_alternating(

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from feasib import START_TOL, Ball, Box, Ellipsoid, Halfspace, UnsupportedOracleError
+from feasib import (
+    START_TOL,
+    Ball,
+    Box,
+    Ellipsoid,
+    Halfspace,
+    InputError,
+    UnsupportedOracleError,
+)
 
 from _helpers import (
     diameter,
@@ -58,6 +66,38 @@ class TestConstruction:
             Ellipsoid(center=[0.0, 0.0], shape=np.diag([1.0, -1.0]))
         with pytest.raises(ValueError):
             Ellipsoid(center=[0.0, 0.0], shape=np.diag([1.0, 0.0]))
+
+    @pytest.mark.parametrize(
+        "center, shape, path",
+        [
+            ([0.0, np.nan], np.eye(2), "center"),
+            ([0.0, 0.0], np.eye(3), "shape"),
+            ([0.0, 0.0], np.diag([1.0, np.inf]), "shape"),
+            ([0.0, 0.0], np.array([[1.0, 0.5], [0.0, 1.0]]), "shape"),
+            ([0.0, 0.0], np.diag([1.0, 0.0]), "shape"),
+            # Finite entries whose eigenvalues eigh returns as NaN.
+            ([0.0, 0.0], np.diag([1e308, 25.0]), "shape"),
+        ],
+        ids=["center", "size", "entries", "symmetry", "definite", "nan-eigvals"],
+    )
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_ellipsoid_errors_name_the_field(self, center, shape, path):
+        with pytest.raises(InputError) as err:
+            Ellipsoid(center=center, shape=shape)
+        assert err.value.path == path
+
+    @pytest.mark.parametrize(
+        "angle, semi_axes",
+        [(0.0, (1e-154, 0.2)), (0.3, (1e-150, 0.2))],
+        ids=["nan-eigvals", "indefinite"],
+    )
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_axes_beyond_the_eigensolver_range_rejected(self, angle, semi_axes):
+        # 1/a^2 is a finite float here, but eigh returns NaN eigenvalues
+        # (angle 0) or a negative one (angle 0.3) for the shape matrix.
+        with pytest.raises(InputError) as err:
+            Ellipsoid.from_axes([0.0, 0.0], angle, semi_axes)
+        assert err.value.path == "semi_axes"
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

@@ -241,6 +241,22 @@ BODY_CASES = [
         id="ellipse-semi_axes-huge",
     ),
     pytest.param(
+        "set_a",
+        {"kind": "ellipse", "center": [0.0, 0.0], "angle": 0.0, "semi_axes": [1e-154, 0.2]},
+        lambda: Ellipsoid.from_axes([0.0, 0.0], 0.0, (1e-154, 0.2)),
+        "semi_axes",
+        id="ellipse-semi_axes-nan-eigvals",
+        marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"),
+    ),
+    pytest.param(
+        "set_a",
+        {"kind": "ellipse", "center": [0.0, 0.0], "angle": 0.3, "semi_axes": [1e-150, 0.2]},
+        lambda: Ellipsoid.from_axes([0.0, 0.0], 0.3, (1e-150, 0.2)),
+        "semi_axes",
+        id="ellipse-semi_axes-indefinite",
+        marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"),
+    ),
+    pytest.param(
         "set_b",
         {"kind": "halfspace", "normal": [0.0, 0.0], "offset": -1.3},
         lambda: Halfspace(normal=[0.0, 0.0], offset=-1.3),

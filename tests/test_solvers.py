@@ -106,6 +106,13 @@ class TestForcingSchedule:
         s = default_schedule()
         assert s.updated(0.0, 0.0, 1.0, 0.99) is s
 
+    def test_no_baseline_shows_no_progress(self):
+        # Before a y-iterate exists its violation is inf: there is no
+        # baseline to improve on, so only the x side can show progress.
+        s = default_schedule()
+        assert s.updated(1.0, 1.0, math.inf, 0.5).current == s.current.scaled(s.delta)
+        assert s.updated(1.0, 0.5, math.inf, 0.5) is s
+
     def test_zero_parameters_are_kept_without_progress(self):
         s = ForcingSchedule(ForcingParams(0.0, 0.0, 0.0))
         assert s.updated(1.0, 1.0, 1.0, 1.0) is s
@@ -398,11 +405,37 @@ class TestExactAlternating:
         gap = float(np.linalg.norm(rep.x_last - rep.y_last))
         assert gap == pytest.approx(dist_ellipse_halfspace(a, b), abs=1e-4)
 
-    def test_iteration_cap_code(self):
-        a, b = slim_ellipse(), halfspace_at(1.50)
-        rep = exact_alternating(a, b, [0.0, 0.0], stop=StoppingConfig(max_outer_iters=3))
+    @pytest.mark.parametrize(
+        "solve, with_y0",
+        [
+            (acondg1, False),
+            (acondg2, True),
+            (averaged_projection, True),
+            (exact_alternating, False),
+            (exact_alternating, True),
+        ],
+        ids=["acondg1", "acondg2", "averaged", "exact_alternating",
+             "exact_alternating-y0"],
+    )
+    def test_iteration_cap_code(self, solve, with_y0):
+        a, b = slim_ellipse(), second_ellipse(2.50)
+        y0 = {"y0": [2.50, 0.5]} if with_y0 else {}
+        rep = solve(a, b, [0.0, 0.0], stop=StoppingConfig(max_outer_iters=3), **y0)
         assert rep.stop_code is StopCode.ITERATION_CAP
         assert rep.outer_iters == 3
+        assert len(rep.x_trace) == len(rep.violations) == 4
+
+    @pytest.mark.parametrize("solve", [acondg1, exact_alternating])
+    def test_y_iterate_in_a_stops_on_the_half_step(self, solve):
+        # y1 = (0.5, 0) lies in the unit disk, so step 1 ends before its
+        # projection onto A: x and its violation stay those of row 0.
+        rep = solve(unit_disk(), halfspace_at(0.5), [0.0, 0.0])
+        assert rep.stop_code is StopCode.CONVERGED_FEASIBLE
+        assert rep.outer_iters == 1
+        assert np.array_equal(rep.x_trace[1], rep.x_trace[0])
+        assert [tuple(y) for y in rep.y_trace] == [(0.5, 0.0)]
+        assert rep.violations[1] == (0.5, 0.0)
+        assert rep.inner_iters_per_k == [0, 0]
 
 
 CAPPED = CondGLimits(max_inner_iters=2, degenerate_gap_tol=1e-14)
