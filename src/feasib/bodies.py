@@ -16,17 +16,20 @@ Python floats in 2-D and numpy vectors otherwise.
 
 Each compact body has a private frame, an isometry ``u = R^T (x - o)``
 in which its linear oracle costs O(n): ``_to_frame`` and ``_from_frame`` map
-points in and out, and ``_frame_lo(g)`` minimizes ``<g, u>`` over the body
-in frame coordinates. Distances and inner products are the same in the
-frame, so the Frank-Wolfe loop of :mod:`feasib.condg` runs there and maps
-only its result back. The public ``lo_minimize`` is the frame oracle between
-the two maps.
+points in and out, ``_frame_lo(g)`` minimizes ``<g, u>`` over the body in
+frame coordinates, and ``_frame_violation(u)`` is the membership formula
+there. Distances and inner products are the same in the frame, so the
+Frank-Wolfe loop of :mod:`feasib.condg` runs there, tests its anchor with
+``_frame_violation`` and maps only its result back. The public
+``lo_minimize`` is the frame oracle between the two maps, and the public
+``violation`` is ``_frame_violation`` after ``_to_frame``.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from typing import ClassVar, TypeAlias
 
@@ -57,6 +60,7 @@ __all__ = [
     "Vector",
     "as_vector",
     "check_count",
+    "check_member",
     "member_vector",
 ]
 
@@ -93,14 +97,19 @@ def as_vector(x, dim: int | None = None) -> Vector:
     return v
 
 
+def check_member(violation: float, path: str) -> None:
+    """Raise InputError unless ``violation`` is at most ``START_TOL``."""
+    if violation > START_TOL:
+        raise InputError(path, f"must belong to its set (violation <= {START_TOL:g})")
+
+
 def member_vector(body: ConvexBody, x, path: str) -> Vector:
     """``x`` as a vector in ``body`` to within ``START_TOL``, or InputError."""
     try:
         v = as_vector(x, body.dim)
     except ValueError as exc:
         raise InputError(path, str(exc)) from None
-    if body.violation(v) > START_TOL:
-        raise InputError(path, f"must belong to its set (violation <= {START_TOL:g})")
+    check_member(body.violation(v), path)
     return v
 
 
@@ -206,11 +215,13 @@ class Ball(ConvexBody):
         return self.center.shape[0]
 
     def violation(self, z) -> float:
-        z = as_vector(z, self.dim)
-        return max(0.0, float(np.linalg.norm(z - self.center)) - self.radius)
+        return self._frame_violation(self._to_frame(as_vector(z, self.dim)))
 
     def _to_frame(self, x: Vector) -> Vector:
         return x - self.center
+
+    def _frame_violation(self, u: Vector) -> float:
+        return max(0.0, float(np.linalg.norm(u)) - self.radius)
 
     def _from_frame(self, u: Vector) -> Vector:
         return self.center + u
@@ -262,14 +273,16 @@ class Box(ConvexBody):
         return self.lower.shape[0]
 
     def violation(self, z) -> float:
-        z = as_vector(z, self.dim)
-        under = np.max(self.lower - z, initial=0.0)
-        over = np.max(z - self.upper, initial=0.0)
-        return float(max(0.0, under, over))
+        return self._frame_violation(self._to_frame(as_vector(z, self.dim)))
 
     # The frame is the identity.
     def _to_frame(self, x: Vector) -> Vector:
         return x
+
+    def _frame_violation(self, u: Vector) -> float:
+        under = np.max(self.lower - u, initial=0.0)
+        over = np.max(u - self.upper, initial=0.0)
+        return float(max(0.0, under, over))
 
     def _from_frame(self, u: Vector) -> Vector:
         return u
@@ -320,10 +333,17 @@ class Ellipsoid(ConvexBody):
         n = center.shape[0]
         if q.shape != (n, n):
             raise InputError("shape", f"must be {n}x{n}, got {q.shape}")
-        if not np.all(np.isfinite(q)):
-            raise InputError("shape", "entries must be finite")
-        scale = float(np.linalg.norm(q))
-        if float(np.linalg.norm(q - q.T)) > 1e-12 * max(scale, 1.0):
+        # The symmetrization below adds q to its transpose, which overflows
+        # for entries above half the largest float.
+        peak, limit = float(np.abs(q).max(initial=0.0)), 0.5 * sys.float_info.max
+        if not peak <= limit:
+            raise InputError("shape", f"entries must be finite and at most {limit:.3g}")
+        # The test ||q - q^T|| <= 1e-12 max(||q||, 1), run on q / max(peak, 1):
+        # its entries are at most 1 in magnitude, so its norms cannot overflow.
+        s = max(peak, 1.0)
+        qs = q / s
+        scale = max(float(np.linalg.norm(qs)), 1.0 / s)
+        if float(np.linalg.norm(qs - qs.T)) > 1e-12 * scale:
             raise InputError("shape", "must be symmetric")
         q = 0.5 * (q + q.T)
         vals, vecs = np.linalg.eigh(q)
@@ -367,13 +387,15 @@ class Ellipsoid(ConvexBody):
         return self.center.shape[0]
 
     def violation(self, z) -> float:
-        u = self._to_frame(as_vector(z, self.dim))
-        return max(0.0, float(self._eigvals @ (u * u)) - 1.0)
+        return self._frame_violation(self._to_frame(as_vector(z, self.dim)))
 
     # The frame is the eigenbasis, centred: u = V^T (x - center), in which
     # the body is {u : sum lam_i u_i^2 <= 1}.
     def _to_frame(self, x: Vector) -> Vector:
         return self._eigvecs.T @ (x - self.center)
+
+    def _frame_violation(self, u: Vector) -> float:
+        return max(0.0, float(self._eigvals @ (u * u)) - 1.0)
 
     def _from_frame(self, u: Vector) -> Vector:
         return self.center + self._eigvecs @ u

@@ -22,6 +22,13 @@ A 2-D ellipsoid, the body of every instance in the paper's tables, runs the
 same loop unrolled over Python floats (``_planar_ellipse``); every other
 body runs the numpy loop (``_frame_loop``). ``phi`` itself stays as the
 reference the tests compare against.
+
+``condg_project`` converts the anchor and the point; each kernel then tests
+that the anchor is a member on the frame coordinates ``u_a`` it computes
+anyway, by the body's membership formula in the frame (``_frame_violation``,
+written out in the planar kernel). The solvers call ``condg_project`` once
+or twice per outer step, warm-started at their last iterate, and the test
+maps no point into the frame a second time.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ from .bodies import (
     Vector,
     as_vector,
     check_count,
-    member_vector,
+    check_member,
 )
 
 __all__ = [
@@ -149,7 +156,8 @@ def condg_project(
     body : compact ConvexBody with a linear minimization oracle.
     params : forcing coefficients; all zero yields the exact projection.
     anchor : member of the body (violation <= ``START_TOL``), the warm start
-        and the reference point of the tolerance.
+        and the reference point of the tolerance. A non-member raises
+        InputError at ``anchor``; the kernel tests it in the body's frame.
     point : the point being projected.
     limits : inner iteration cap and degenerate-gap cutoff.
     keep_trace : record every inner iterate in the result.
@@ -164,17 +172,21 @@ def condg_project(
         raise UnsupportedOracleError(
             f"{type(body).__name__} is not compact; no linear oracle available"
         )
-    anchor = member_vector(body, anchor, "anchor")
+    try:
+        anchor = as_vector(anchor, body.dim)
+    except ValueError as exc:
+        raise InputError("anchor", str(exc)) from None
     point = as_vector(point, body.dim)
     if isinstance(body, Ellipsoid) and body.dim == 2:
         return _planar_ellipse(body, params, anchor, point, limits, keep_trace)
     return _frame_loop(body, params, anchor, point, limits, keep_trace)
 
 
-# Both kernels take validated arrays and stop on the same rules in the same
-# order: tolerance met, degenerate gap, degenerate step, iteration cap. When
-# no step was taken the result is a copy of the anchor, not its round trip
-# through the frame.
+# Both kernels take finite arrays of the body's dimension, test the anchor's
+# membership in the frame, and stop on the same rules in the same order:
+# tolerance met, degenerate gap, degenerate step, iteration cap. When no step
+# was taken the result is a copy of the anchor, not its round trip through
+# the frame.
 
 
 def _frame_loop(
@@ -188,6 +200,7 @@ def _frame_loop(
     """Frank-Wolfe in the frame of any compact body, with numpy vectors."""
     to_global, frame_lo = body._from_frame, body._frame_lo
     u_a = body._to_frame(anchor)
+    check_member(body._frame_violation(u_a), "anchor")
     u_p = body._to_frame(point)
     d = point - anchor
     base = params.gamma * float(d @ d)
@@ -213,7 +226,7 @@ def _frame_loop(
         if ell >= limits.max_inner_iters:
             stop = CondGStop.ITERATION_CAP
             break
-        u = u + min(1.0, gap / dd) * s
+        u = u + (gap / dd if gap < dd else 1.0) * s
         ell += 1
         if trace is not None:
             trace.append(to_global(u))
@@ -244,6 +257,7 @@ def _planar_ellipse(
         return np.array([c0 + (v00 * u0 + v01 * u1), c1 + (v10 * u0 + v11 * u1)])
 
     ua0, ua1 = v00 * (a0 - c0) + v10 * (a1 - c1), v01 * (a0 - c0) + v11 * (a1 - c1)
+    check_member(l0 * ua0 * ua0 + l1 * ua1 * ua1 - 1.0, "anchor")
     up0, up1 = v00 * (p0 - c0) + v10 * (p1 - c1), v01 * (p0 - c0) + v11 * (p1 - c1)
     base = params.gamma * ((p0 - a0) * (p0 - a0) + (p1 - a1) * (p1 - a1))
     theta, lam = params.theta, params.lam
@@ -275,7 +289,7 @@ def _planar_ellipse(
         if ell >= cap:
             stop = CondGStop.ITERATION_CAP
             break
-        t = min(1.0, gap / dd)
+        t = gap / dd if gap < dd else 1.0
         u0, u1 = u0 + t * s0, u1 + t * s1
         ell += 1
         if trace is not None:

@@ -288,7 +288,8 @@ def _drive(
     """The one outer loop: row 0 is ``first_row`` ``(x, y, violations)``,
     and each later row comes from ``step(params)``, which returns ``(x, y,
     violations, inner_iters, capped, moved)`` with ``moved`` the max-norm
-    distance its iterates moved. ``verdict`` reduces a violation pair to
+    distance its iterates moved (exact when at most ``eps_lack``, and any
+    larger number otherwise). ``verdict`` reduces a violation pair to
     the number the stops read. After each step, in this order: a verdict of
     exactly 0 converges (an iterate lies in the other set); ``moved <=
     eps_lack`` for the second step in a row stops for lack of progress; a
@@ -345,9 +346,11 @@ def _alternate(
         if ca_y == 0.0:
             return x, y_new, (cb_x, ca_y), inner_b, cap_b, math.inf
         x_new, inner_a, cap_a = proj_a(x, y_new, params)
-        moved = math.inf if y is None else max(
-            _inf_norm(x_new - x), _inf_norm(y_new - y)
-        )
+        # The driver reads ``moved`` only against eps_lack, so y's norm is
+        # needed only when x moved that little.
+        moved = math.inf if y is None else _inf_norm(x_new - x)
+        if moved <= stop.eps_lack:
+            moved = max(moved, _inf_norm(y_new - y))
         x, y, cb_x = x_new, y_new, b.violation(x_new)
         return x, y, (cb_x, ca_y), inner_b + inner_a, cap_b or cap_a, moved
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -75,12 +76,12 @@ class TestConstruction:
             ([0.0, 0.0], np.diag([1.0, np.inf]), "shape"),
             ([0.0, 0.0], np.array([[1.0, 0.5], [0.0, 1.0]]), "shape"),
             ([0.0, 0.0], np.diag([1.0, 0.0]), "shape"),
-            # Finite entries whose eigenvalues eigh returns as NaN.
+            # Finite entries whose sum with the transpose overflows (the
+            # parent's symmetrization turned them into NaN eigenvalues).
             ([0.0, 0.0], np.diag([1e308, 25.0]), "shape"),
         ],
         ids=["center", "size", "entries", "symmetry", "definite", "nan-eigvals"],
     )
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_ellipsoid_errors_name_the_field(self, center, shape, path):
         with pytest.raises(InputError) as err:
             Ellipsoid(center=center, shape=shape)
@@ -91,13 +92,41 @@ class TestConstruction:
         [(0.0, (1e-154, 0.2)), (0.3, (1e-150, 0.2))],
         ids=["nan-eigvals", "indefinite"],
     )
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_axes_beyond_the_eigensolver_range_rejected(self, angle, semi_axes):
-        # 1/a^2 is a finite float here, but eigh returns NaN eigenvalues
-        # (angle 0) or a negative one (angle 0.3) for the shape matrix.
+        # 1/a^2 is a finite float here, but at angle 0 it is a shape entry
+        # above half the largest float, and at angle 0.3 eigh returns a
+        # negative eigenvalue for the shape matrix.
         with pytest.raises(InputError) as err:
             Ellipsoid.from_axes([0.0, 0.0], angle, semi_axes)
         assert err.value.path == "semi_axes"
+
+    @pytest.mark.parametrize(
+        "build, path, message",
+        [
+            (
+                lambda: Ellipsoid(
+                    center=[0.0, 0.0], shape=[[1e200, 1e199], [0.0, 1e200]]
+                ),
+                "shape",
+                "must be symmetric",
+            ),
+            (
+                lambda: Ellipsoid.from_axes([0.0, 0.0], 0.0, (1e-154, 0.2)),
+                "semi_axes",
+                "entries must be finite",
+            ),
+        ],
+        ids=["asymmetric", "from_axes"],
+    )
+    def test_huge_shape_entries_checked_without_overflow(self, build, path, message):
+        # The symmetry test scales the shape by its largest entry; unscaled,
+        # its norm overflowed to inf and accepted any asymmetry.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError) as err:
+                build()
+        assert err.value.path == path
+        assert err.value.message.startswith(message)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

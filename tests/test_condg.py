@@ -171,6 +171,78 @@ class TestCondGBasics:
                     check_certificate(body, params, u, v, res)
 
 
+def _ellipsoid_anchor(body, t):
+    """The point of violation ``t`` on the ray from the centre through a
+    boundary point."""
+    b = body.boundary_point(np.ones(body.dim) / math.sqrt(body.dim))
+    return body.center + math.sqrt(1.0 + t) * (b - body.center)
+
+
+# (body, anchor_at) with ``anchor_at(t)`` a point of violation t. The 2-D
+# ellipsoid runs the planar kernel, the others the numpy frame loop.
+ANCHOR_CASES = [
+    pytest.param(
+        Ellipsoid(center=[0.5, -0.2], shape=[[4.0, 1.0], [1.0, 1.0]]),
+        _ellipsoid_anchor,
+        id="ellipsoid-2d",
+    ),
+    pytest.param(
+        Ellipsoid(center=[0.5, -0.2, 1.0], shape=np.diag([4.0, 1.0, 0.25])),
+        _ellipsoid_anchor,
+        id="ellipsoid-3d",
+    ),
+    pytest.param(
+        Ball(center=[0.5, -0.2, 1.0], radius=2.0),
+        lambda body, t: body.center + [2.0 + t, 0.0, 0.0],
+        id="ball-3d",
+    ),
+    pytest.param(
+        Box(lower=[-1.0, 0.0, 2.0], upper=[1.0, 0.5, 3.0]),
+        lambda body, t: np.array([0.0, 0.25, 3.0 + t]),
+        id="box-3d",
+    ),
+]
+
+
+@pytest.mark.parametrize("body, anchor_at", ANCHOR_CASES)
+class TestAnchorChecks:
+    """Each kernel tests the anchor in its frame; the checks and messages
+    are those of ``member_vector``."""
+
+    def far_point(self, body):
+        return np.full(body.dim, 10.0)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "length"])
+    def test_malformed_anchor_names_the_anchor(self, body, anchor_at, bad):
+        anchor = anchor_at(body, 0.0)
+        if bad == "length":
+            anchor = np.append(anchor, 0.0)
+        else:
+            anchor[0] = float(bad)
+        with pytest.raises(InputError) as err:
+            condg_project(body, EXACT, anchor, self.far_point(body))
+        assert err.value.path == "anchor"
+
+    def test_anchor_beyond_start_tol_rejected(self, body, anchor_at):
+        anchor = anchor_at(body, 2.0 * START_TOL)
+        assert body.violation(anchor) == pytest.approx(2.0 * START_TOL, rel=1e-3)
+        with pytest.raises(InputError) as err:
+            condg_project(body, EXACT, anchor, self.far_point(body))
+        assert err.value.path == "anchor"
+        assert err.value.message == f"must belong to its set (violation <= {START_TOL:g})"
+
+    def test_anchor_within_start_tol_accepted(self, body, anchor_at):
+        anchor = anchor_at(body, 0.5 * START_TOL)
+        assert body.violation(anchor) == pytest.approx(0.5 * START_TOL, rel=1e-3)
+        res = condg_project(body, EXACT, anchor, self.far_point(body))
+        assert body.violation(res.w_plus) <= START_TOL
+
+    def test_nan_point_rejected(self, body, anchor_at):
+        point = np.full(body.dim, np.nan)
+        with pytest.raises(ValueError):
+            condg_project(body, EXACT, anchor_at(body, 0.0), point)
+
+
 class TestIterateProperties:
     # condg_project sends 2-D ellipsoids to the planar kernel; the numpy
     # frame loop is called directly.

@@ -246,7 +246,6 @@ BODY_CASES = [
         lambda: Ellipsoid.from_axes([0.0, 0.0], 0.0, (1e-154, 0.2)),
         "semi_axes",
         id="ellipse-semi_axes-nan-eigvals",
-        marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"),
     ),
     pytest.param(
         "set_a",
@@ -254,7 +253,6 @@ BODY_CASES = [
         lambda: Ellipsoid.from_axes([0.0, 0.0], 0.3, (1e-150, 0.2)),
         "semi_axes",
         id="ellipse-semi_axes-indefinite",
-        marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"),
     ),
     pytest.param(
         "set_b",

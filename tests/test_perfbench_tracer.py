@@ -2,8 +2,8 @@
 
 This keeps a rename in the package from silently breaking the tracer: it
 installs the tracer, runs one instance of each solver, and checks that the
-outer steps (and, for the inexact solvers, the inner projections) were
-counted and that uninstalling restores every original.
+outer steps (and, for the inexact solvers, the inner projections and every
+inner iteration) were counted and that uninstalling restores every original.
 """
 
 import dataclasses
@@ -62,6 +62,7 @@ def test_tracer_counts_a_table_run_and_restores_the_package(tmp_path, config):
     m = tracer.metrics()
     if config.solver != "ExactAlt1":
         assert m["condg.project.calls"] > 0
+        assert m["condg.project.inner_iters"] == report.inner_iter_total
     assert m["solvers.outer_iters"] == report.outer_iters
     after = feasib_bindings()
     assert after.keys() == before.keys()

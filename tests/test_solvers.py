@@ -425,6 +425,15 @@ class TestExactAlternating:
         assert rep.outer_iters == 3
         assert len(rep.x_trace) == len(rep.violations) == 4
 
+    def test_y_movement_counts_toward_lack_of_progress(self):
+        # x stays at (1, 0) from the start, but step 1 moves y from y0 =
+        # (2, 5) to (2, 0): only steps 2 and 3 make the stalled streak.
+        a = Ball(center=[0.0, 0.0], radius=1.0)
+        b = Halfspace(normal=[-1.0, 0.0], offset=-2.0)
+        rep = exact_alternating(a, b, [1.0, 0.0], y0=[2.0, 5.0])
+        assert rep.stop_code is StopCode.LACK_OF_PROGRESS
+        assert rep.outer_iters == 3
+
     @pytest.mark.parametrize("solve", [acondg1, exact_alternating])
     def test_y_iterate_in_a_stops_on_the_half_step(self, solve):
         # y1 = (0.5, 0) lies in the unit disk, so step 1 ends before its
