@@ -85,16 +85,19 @@ def check_count(value, path: str) -> None:
         raise InputError(path, "must be >= 1")
 
 
-def as_vector(x, dim: int | None = None) -> Vector:
-    """Validate and convert ``x`` to a finite 1-D float64 array."""
+def as_vector(x, dim: int | None = None, path: str | None = None) -> Vector:
+    """Validate and convert ``x`` to a finite 1-D float64 array; a bad ``x``
+    raises InputError at ``path``, or ValueError when no path is given."""
     v = np.asarray(x, dtype=np.float64)
     if v.ndim != 1:
-        raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
-    if not np.isfinite(v).all():
-        raise ValueError("vector entries must be finite")
-    if dim is not None and v.shape[0] != dim:
-        raise ValueError(f"dimension mismatch: expected {dim}, got {v.shape[0]}")
-    return v
+        problem = f"expected a 1-D vector, got shape {v.shape}"
+    elif not np.isfinite(v).all():
+        problem = "vector entries must be finite"
+    elif dim is not None and v.shape[0] != dim:
+        problem = f"dimension mismatch: expected {dim}, got {v.shape[0]}"
+    else:
+        return v
+    raise ValueError(problem) if path is None else InputError(path, problem)
 
 
 def check_member(violation: float, path: str) -> None:
@@ -105,10 +108,7 @@ def check_member(violation: float, path: str) -> None:
 
 def member_vector(body: ConvexBody, x, path: str) -> Vector:
     """``x`` as a vector in ``body`` to within ``START_TOL``, or InputError."""
-    try:
-        v = as_vector(x, body.dim)
-    except ValueError as exc:
-        raise InputError(path, str(exc)) from None
+    v = as_vector(x, body.dim, path)
     check_member(body.violation(v), path)
     return v
 
@@ -116,12 +116,13 @@ def member_vector(body: ConvexBody, x, path: str) -> Vector:
 class ConvexBody:
     """Base class for closed convex sets.
 
-    Subclasses set ``is_compact`` / ``has_exact_projection`` and implement
-    the geometric operations. All instances are immutable after construction.
+    Subclasses set ``is_compact`` (whether the body has a linear oracle, and
+    so a conditional-gradient projection) and implement the geometric
+    operations. Every body kind projects exactly. All instances are
+    immutable after construction.
     """
 
     is_compact: ClassVar[bool]
-    has_exact_projection: ClassVar[bool]
 
     @property
     def dim(self) -> int:
@@ -165,10 +166,9 @@ class Halfspace(ConvexBody):
     offset: float
 
     is_compact: ClassVar[bool] = False
-    has_exact_projection: ClassVar[bool] = True
 
     def __post_init__(self):
-        a = as_vector(self.normal)
+        a = as_vector(self.normal, path="normal")
         if not np.any(a != 0.0):
             raise InputError("normal", "must be nonzero")
         offset = float(self.offset)
@@ -201,10 +201,9 @@ class Ball(ConvexBody):
     radius: float
 
     is_compact: ClassVar[bool] = True
-    has_exact_projection: ClassVar[bool] = True
 
     def __post_init__(self):
-        object.__setattr__(self, "center", as_vector(self.center))
+        object.__setattr__(self, "center", as_vector(self.center, path="center"))
         r = float(self.radius)
         if not 0.0 < r < math.inf:
             raise InputError("radius", f"must be finite and positive, got {r}")
@@ -258,11 +257,10 @@ class Box(ConvexBody):
     upper: Vector
 
     is_compact: ClassVar[bool] = True
-    has_exact_projection: ClassVar[bool] = True
 
     def __post_init__(self):
-        lo = as_vector(self.lower)
-        hi = as_vector(self.upper, lo.shape[0])
+        lo = as_vector(self.lower, path="lower")
+        hi = as_vector(self.upper, lo.shape[0], "upper")
         if np.any(lo > hi):
             raise InputError("upper", "must be >= lower componentwise")
         object.__setattr__(self, "lower", lo)
@@ -320,15 +318,11 @@ class Ellipsoid(ConvexBody):
     _eigvecs: NDArray[np.float64] = field(init=False, repr=False)
 
     is_compact: ClassVar[bool] = True
-    has_exact_projection: ClassVar[bool] = True
 
     SECULAR_MAX_ITERS: ClassVar[int] = 200
 
     def __post_init__(self):
-        try:
-            center = as_vector(self.center)
-        except ValueError as exc:
-            raise InputError("center", str(exc)) from None
+        center = as_vector(self.center, path="center")
         q = np.asarray(self.shape, dtype=np.float64)
         n = center.shape[0]
         if q.shape != (n, n):
@@ -363,7 +357,7 @@ class Ellipsoid(ConvexBody):
         The shape matrix is ``R(angle)^T diag(1/a^2, 1/b^2) R(angle)`` with
         ``R = [[cos, sin], [-sin, cos]]``.
         """
-        center = as_vector(center, 2)
+        center = as_vector(center, 2, "center")
         a, b = (float(s) for s in semi_axes)
         if not (0.0 < a < math.inf and 0.0 < b < math.inf):
             raise InputError("semi_axes", f"must be finite and positive, got {(a, b)}")

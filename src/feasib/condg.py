@@ -172,10 +172,7 @@ def condg_project(
         raise UnsupportedOracleError(
             f"{type(body).__name__} is not compact; no linear oracle available"
         )
-    try:
-        anchor = as_vector(anchor, body.dim)
-    except ValueError as exc:
-        raise InputError("anchor", str(exc)) from None
+    anchor = as_vector(anchor, body.dim, "anchor")
     point = as_vector(point, body.dim)
     if isinstance(body, Ellipsoid) and body.dim == 2:
         return _planar_ellipse(body, params, anchor, point, limits, keep_trace)

@@ -36,13 +36,19 @@ def _read_trace(path) -> tuple[list, list]:
     xs, ys = [], []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "x1" not in reader.fieldnames:
+        header = reader.fieldnames or []
+        if "x1" not in header:
             raise ValueError(f"{path} is not a trace CSV")
-        if "x3" in reader.fieldnames:
+        if "x3" in header or not {"x2", "y1", "y2"} <= set(header):
             raise ValueError("only 2-D traces can be rendered")
         for row in reader:
-            x = (float(row["x1"]), float(row["x2"]))
-            y = (float(row["y1"]), float(row["y2"]))
+            try:  # a missing cell reads as None
+                x = (float(row["x1"]), float(row["x2"]))
+                y = (float(row["y1"]), float(row["y2"]))
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"{path}, line {reader.line_num}: x1, x2, y1, y2 must be numbers"
+                ) from None
             if all(math.isfinite(c) for c in x):
                 xs.append(x)
             if all(math.isfinite(c) for c in y):

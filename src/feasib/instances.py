@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
 
 from .bodies import Ball, Box, ConvexBody, Ellipsoid, Halfspace, InputError
@@ -54,14 +55,14 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-# What each solver needs of set A and set B (see ``check_pair``), and
-# whether its run reads ``y0``.
+# Whether each solver projects set A and set B inexactly (see
+# ``check_pair``), and whether its run reads ``y0``.
 _SOLVERS = {
-    "ACondG1": ("compact", "exact", False),
-    "ACondG2": ("compact", "compact", True),
-    "Averaged": ("compact", "compact", True),
-    "ExactAlt1": ("exact", "exact", False),
-    "ExactAlt2": ("exact", "exact", True),
+    "ACondG1": ((True, False), False),
+    "ACondG2": ((True, True), True),
+    "Averaged": ((True, True), True),
+    "ExactAlt1": ((False, False), False),
+    "ExactAlt2": ((False, False), True),
 }
 SOLVER_NAMES = tuple(_SOLVERS)
 _SOLVER_LOOKUP = {n.lower().replace("_", ""): n for n in SOLVER_NAMES}
@@ -98,6 +99,12 @@ class InstanceConfig:
     schedule: ScheduleSpec = ScheduleSpec()
     stopping: StoppingConfig = StoppingConfig()
     seed: int | None = None
+
+    @cached_property
+    def bodies(self) -> tuple[ConvexBody, ConvexBody]:
+        """``(set_a, set_b)``, built on first use; the cache is no field, so
+        it changes neither equality nor hashing."""
+        return _build_body(self.set_a, "set_a"), _build_body(self.set_b, "set_b")
 
 
 def _number(obj, path: str) -> float:
@@ -233,10 +240,11 @@ def _build_body(spec: BodySpec, path: str) -> ConvexBody:
 
 
 def build_bodies(config: InstanceConfig) -> tuple[ConvexBody, ConvexBody]:
-    return _build_body(config.set_a, "set_a"), _build_body(config.set_b, "set_b")
+    """The config's two bodies, built once (see ``InstanceConfig.bodies``)."""
+    return config.bodies
 
 
-def _solver_rule(solver: str) -> tuple[str, str, bool]:
+def _solver_rule(solver: str) -> tuple[tuple[bool, bool], bool]:
     if solver not in _SOLVERS:
         expected = f"expected one of {SOLVER_NAMES}"
         raise ConfigError("solver", f"unknown solver {solver!r}; {expected}")
@@ -246,7 +254,7 @@ def _solver_rule(solver: str) -> tuple[str, str, bool]:
 def start_points(config: InstanceConfig) -> tuple[tuple, tuple | None]:
     """``(x0, y0)`` as the config's solver reads them; ``y0`` is None when
     the solver does not read it."""
-    reads_y0 = _solver_rule(config.solver)[2]
+    reads_y0 = _solver_rule(config.solver)[1]
     return config.x0, config.y0 if reads_y0 else None
 
 
@@ -259,7 +267,7 @@ def build_schedule(config: InstanceConfig) -> ForcingSchedule | None:
     inexactly and so takes none. The range rules are those of
     ``ForcingParams`` and ``ForcingSchedule``; the regime rules are
     ``check_pair``'s."""
-    if "compact" not in _solver_rule(config.solver)[:2]:
+    if not any(_solver_rule(config.solver)[0]):
         return None
     s = config.schedule
     try:
@@ -273,11 +281,11 @@ def validate_config(config: InstanceConfig) -> tuple[ConvexBody, ConvexBody]:
     """Hold the config to its solver's input rules, as the solver would.
 
     Only the start points and the schedule the solver reads are checked.
-    Returns the two bodies it built, ``(set_a, set_b)``.
+    Returns the config's bodies, ``(set_a, set_b)``.
     """
     a, b = build_bodies(config)
-    first, second = _solver_rule(config.solver)[:2]
-    check_pair(a, b, *start_points(config), first, second, build_schedule(config))
+    inexact = _solver_rule(config.solver)[0]
+    check_pair(a, b, *start_points(config), inexact, build_schedule(config))
     return a, b
 
 

@@ -175,9 +175,6 @@ def dist_two_bodies(
     starts until both iterates move less than ``cfg.tolerance`` in the max
     norm, and returns the best ``(distance, point_in_a, point_in_b)`` found.
     """
-    if not (a.has_exact_projection and b.has_exact_projection):
-        raise ValueError("both bodies must support exact projection")
-
     starts = [_anchor(a), a.project(_anchor(b))]
     best: tuple[float, Vector, Vector] | None = None
     for x in starts:

@@ -11,25 +11,22 @@ Four schemes are provided, all producing a :class:`SolveReport`:
 
 All four run one outer loop, ``_drive``, and differ only in its step and
 in the verdict that reduces a violation pair to the number the stops read.
-The alternating schemes (``_alternate``) project the x-iterate onto B, then
-the new y-iterate onto A, through two projector callables ``(anchor, point,
-params) -> (w, inner_iters, capped)``, where ``capped`` says the inner loop
-stopped at its cap. An exact projector ignores the anchor and the forcing
-parameters and reports zero inner iterations; an inexact projector runs
-:func:`~feasib.condg.condg_project` warm-started at the anchor. ACondG1
-pairs an exact projector on B with an inexact one on A, ACondG2 uses two
-inexact ones, and ExactAlt two exact ones under a constant zero schedule;
-their verdict is the smaller violation. The averaged scheme's step averages
-the two inexact projections of its iterate, and its verdict is the larger
-violation of that iterate.
+Each solver states one fact, which of set A and set B it projects
+inexactly: ``(True, False)`` for ACondG1, ``(True, True)`` for ACondG2 and
+the averaged scheme, ``(False, False)`` for ExactAlt. :func:`check_pair`
+derives the input rules and the forcing regime from it, and ``_alternate``
+the two projectors and the convergence tolerance. A broken rule raises
+:class:`~feasib.bodies.InputError`, whose ``path`` names the argument; the
+config layer runs the same checks and so the same messages.
 
-Each solver first runs :func:`check_pair`, the one statement of the input
-rules. The forcing regime is one of them: it follows from how many sets the
-solver projects inexactly, one for ACondG1 and two for ACondG2 and the
-averaged scheme, and each regime has its own conditions on the schedule. A
-broken rule raises :class:`~feasib.bodies.InputError`, whose ``path`` names
-the argument; the config layer runs the same checks and so the same
-messages.
+The alternating schemes project the x-iterate onto B, then the new
+y-iterate onto A, through projector callables ``(anchor, point, params) ->
+(w, inner_iters, capped)``, where ``capped`` says the inner loop stopped at
+its cap. An inexact projector runs :func:`~feasib.condg.condg_project`
+warm-started at the anchor; an exact one ignores the anchor and the forcing
+parameters. Their verdict is the smaller violation. The averaged scheme's
+step averages the two inexact projections of its iterate, and its verdict
+is the larger violation of that iterate.
 
 Forcing parameters follow an adaptive schedule that shrinks them by a fixed
 factor whenever neither violation improved by the progress factor ``tau``.
@@ -208,41 +205,38 @@ def check_pair(
     b: ConvexBody,
     x0,
     y0,
-    first: str,
-    second: str,
+    inexact: tuple[bool, bool],
     schedule: ForcingSchedule | None = None,
 ) -> tuple[Vector, Vector | None, ForcingSchedule]:
     """Check a solver's input; return ``x0`` and ``y0`` as vectors and the
     schedule the solver runs on.
 
-    ``first`` and ``second`` say what the solver needs of set A and set B:
-    ``"compact"`` (a linear oracle, for an inexact projection) or
-    ``"exact"`` (an exact projection). ``x0`` must lie in A and ``y0``, when
-    given, in B; ``y0`` is required when B is projected inexactly.
+    ``inexact`` says whether the solver projects set A and set B inexactly,
+    which needs a compact set (a linear oracle); every body projects
+    exactly. ``x0`` must lie in A and ``y0``, when given, in B; ``y0`` is
+    required when B is projected inexactly.
 
-    The number of ``"compact"`` needs is the forcing regime. With none, the
-    solver projects exactly and runs on the constant zero schedule; with one
-    or two, ``schedule`` (default :func:`default_schedule`) must meet that
-    regime's conditions.
+    The number of sets projected inexactly is the forcing regime. With none,
+    the solver runs on the constant zero schedule; with one or two,
+    ``schedule`` (default :func:`default_schedule`) must meet that regime's
+    conditions.
     """
-    for path, body, need in (("set_a", a, first), ("set_b", b, second)):
-        if need == "compact" and not body.is_compact:
+    for path, body, approx in (("set_a", a, inexact[0]), ("set_b", b, inexact[1])):
+        if approx and not body.is_compact:
             raise InputError(path, "must be compact for an inexact projection")
-        if need == "exact" and not body.has_exact_projection:
-            raise InputError(path, "must support exact projection")
     if a.dim != b.dim:
         raise InputError("set_b", f"has dimension {b.dim}, set_a has {a.dim}")
     x0 = member_vector(a, x0, "x0")
     if y0 is not None:
         y0 = member_vector(b, y0, "y0")
-    elif second == "compact":
+    elif inexact[1]:
         raise InputError("y0", "is required when set_b is projected inexactly")
-    inexact = (first, second).count("compact")
-    if inexact == 0:
+    regime = sum(inexact)
+    if regime == 0:
         return x0, y0, _ZERO_SCHEDULE
     schedule = schedule or default_schedule()
     p = schedule.current
-    if inexact == 1:
+    if regime == 1:
         ok, rule = p.theta < 0.5, "one-set regime requires theta < 1/2"
     else:
         ok = p.theta < 0.25 and 2.0 * (p.gamma + p.theta + p.lam) < 1.0
@@ -323,20 +317,28 @@ def _drive(
 def _alternate(
     a: ConvexBody,
     b: ConvexBody,
-    proj_a: _Projector,
-    proj_b: _Projector,
-    x0: Vector,
-    y0: Vector | None,
-    schedule: ForcingSchedule,
+    x0,
+    y0,
+    inexact: tuple[bool, bool],
+    schedule: ForcingSchedule | None,
     stop: StoppingConfig,
-    feas_tol: float,
+    limits: CondGLimits = CondGLimits(),
 ) -> SolveReport:
-    """Alternate ``y = proj_b(y, x)`` and ``x = proj_a(x, y)`` from ``x0``.
+    """Alternate ``y = proj_b(y, x)`` and ``x = proj_a(x, y)`` from ``x0``,
+    projecting inexactly the sets ``inexact`` names (see :func:`check_pair`).
 
-    Without ``y0`` the y-sequence starts at iteration 1, and ``moved`` is
-    ``inf`` until it has two entries. A y-iterate exactly in A ends the
-    step, and so the run, with ``x`` and its violation unchanged.
+    A run with an inexact projection converges at ``stop.eps_feas``, one
+    with none only at an exactly feasible iterate. Without ``y0`` the
+    y-sequence starts at iteration 1, and ``moved`` is ``inf`` until it has
+    two entries. A y-iterate exactly in A ends the step, and so the run,
+    with ``x`` and its violation unchanged.
     """
+    x0, y0, schedule = check_pair(a, b, x0, y0, inexact, schedule)
+    proj_a, proj_b = (
+        _inexact(body, limits) if approx else _exact(body)
+        for body, approx in ((a, inexact[0]), (b, inexact[1]))
+    )
+    feas_tol = stop.eps_feas if any(inexact) else 0.0
     x, y, cb_x = x0, y0, b.violation(x0)
 
     def step(params):
@@ -370,10 +372,7 @@ def acondg1(
     """Alternate the exact projection onto ``b`` with a conditional-gradient
     inexact projection onto the compact set ``a``, starting from ``x0 in a``.
     """
-    x0, _, sched = check_pair(a, b, x0, None, "compact", "exact", schedule)
-    return _alternate(
-        a, b, _inexact(a, limits), _exact(b), x0, None, sched, stop, stop.eps_feas
-    )
+    return _alternate(a, b, x0, None, (True, False), schedule, stop, limits)
 
 
 def acondg2(
@@ -387,11 +386,7 @@ def acondg2(
 ) -> SolveReport:
     """Alternate conditional-gradient inexact projections onto both compact
     sets, starting from ``x0 in a`` and ``y0 in b``."""
-    x0, y0, sched = check_pair(a, b, x0, y0, "compact", "compact", schedule)
-    return _alternate(
-        a, b, _inexact(a, limits), _inexact(b, limits), x0, y0, sched, stop,
-        stop.eps_feas,
-    )
+    return _alternate(a, b, x0, y0, (True, True), schedule, stop, limits)
 
 
 def averaged_projection(
@@ -413,7 +408,7 @@ def averaged_projection(
     holds the averaged iterates and ``y_trace`` / ``anchor_trace`` the two
     projection outputs.
     """
-    x0, y0, sched = check_pair(a, b, x0, y0, "compact", "compact", schedule)
+    x0, y0, sched = check_pair(a, b, x0, y0, (True, True), schedule)
     proj_a, proj_b = _inexact(a, limits), _inexact(b, limits)
     z, anchor_a, anchor_b = 0.5 * (x0 + y0), x0, y0
     rep = SolveReport(anchor_trace=[x0])
@@ -450,5 +445,4 @@ def exact_alternating(
     intersection stops for lack of progress, with the report's violations
     showing how close it got.
     """
-    x0, y0, zero = check_pair(a, b, x0, y0, "exact", "exact")
-    return _alternate(a, b, _exact(a), _exact(b), x0, y0, zero, stop, 0.0)
+    return _alternate(a, b, x0, y0, (False, False), None, stop)

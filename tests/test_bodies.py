@@ -139,13 +139,23 @@ class TestConstruction:
         assert Ball(center=[0.0], radius=1.0).is_compact
         assert Box(lower=[0.0], upper=[1.0]).is_compact
         assert not Halfspace(normal=[1.0], offset=0.0).is_compact
-        for body in (
-            slim_ellipse(),
-            Ball(center=[0.0], radius=1.0),
-            Box(lower=[0.0], upper=[1.0]),
-            Halfspace(normal=[1.0], offset=0.0),
-        ):
-            assert body.has_exact_projection
+
+    @pytest.mark.parametrize(
+        "build, path",
+        [
+            (lambda: Ball(center=[np.nan], radius=1.0), "center"),
+            (lambda: Halfspace(normal=[np.nan, 1.0], offset=0.0), "normal"),
+            (lambda: Box(lower=[[0.0]], upper=[1.0]), "lower"),
+            (lambda: Box(lower=[0.0], upper=[1.0, 2.0]), "upper"),
+            (lambda: Ellipsoid.from_axes([0.0, 0.0, 0.0], 0.0, (1.0, 1.0)), "center"),
+        ],
+        ids=["ball-center", "halfspace-normal", "box-lower", "box-upper",
+             "from_axes-center"],
+    )
+    def test_vector_errors_name_the_field(self, build, path):
+        with pytest.raises(InputError) as err:
+            build()
+        assert err.value.path == path
 
 
 class TestViolation:

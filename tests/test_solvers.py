@@ -65,9 +65,9 @@ def regime_check(inexact_sets: int, gamma: float, theta: float, lam: float):
     """``check_pair`` on a solver that projects ``inexact_sets`` sets
     inexactly, with a schedule starting at ``(gamma, theta, lam)``."""
     a, b = unit_disk(), unit_disk()
-    needs = ("compact", "exact") if inexact_sets == 1 else ("compact", "compact")
+    inexact = (True, inexact_sets == 2)
     schedule = ForcingSchedule(ForcingParams(gamma, theta, lam))
-    return check_pair(a, b, [0.0, 0.0], [0.0, 0.0], *needs, schedule)[2]
+    return check_pair(a, b, [0.0, 0.0], [0.0, 0.0], inexact, schedule)[2]
 
 
 class TestForcingSchedule:
