@@ -88,16 +88,28 @@ def check_count(value, path: str) -> None:
 def as_vector(x, dim: int | None = None, path: str | None = None) -> Vector:
     """Validate and convert ``x`` to a finite 1-D float64 array; a bad ``x``
     raises InputError at ``path``, or ValueError when no path is given."""
-    v = np.asarray(x, dtype=np.float64)
-    if v.ndim != 1:
-        problem = f"expected a 1-D vector, got shape {v.shape}"
-    elif not np.isfinite(v).all():
-        problem = "vector entries must be finite"
-    elif dim is not None and v.shape[0] != dim:
-        problem = f"dimension mismatch: expected {dim}, got {v.shape[0]}"
+    try:
+        v = np.asarray(x, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        problem = f"malformed vector: {exc}"
     else:
-        return v
+        if v.ndim != 1:
+            problem = f"expected a 1-D vector, got shape {v.shape}"
+        elif not np.isfinite(v).all():
+            problem = "vector entries must be finite"
+        elif dim is not None and v.shape[0] != dim:
+            problem = f"dimension mismatch: expected {dim}, got {v.shape[0]}"
+        else:
+            return v
     raise ValueError(problem) if path is None else InputError(path, problem)
+
+
+def _as_float(x, path: str) -> float:
+    """``x`` as a float, or InputError at ``path`` when ``float`` refuses it."""
+    try:
+        return float(x)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(path, f"malformed number: {exc}") from None
 
 
 def check_member(violation: float, path: str) -> None:
@@ -171,7 +183,7 @@ class Halfspace(ConvexBody):
         a = as_vector(self.normal, path="normal")
         if not np.any(a != 0.0):
             raise InputError("normal", "must be nonzero")
-        offset = float(self.offset)
+        offset = _as_float(self.offset, "offset")
         if not math.isfinite(offset):
             raise InputError("offset", f"must be finite, got {self.offset}")
         object.__setattr__(self, "normal", a)
@@ -204,7 +216,7 @@ class Ball(ConvexBody):
 
     def __post_init__(self):
         object.__setattr__(self, "center", as_vector(self.center, path="center"))
-        r = float(self.radius)
+        r = _as_float(self.radius, "radius")
         if not 0.0 < r < math.inf:
             raise InputError("radius", f"must be finite and positive, got {r}")
         object.__setattr__(self, "radius", r)
@@ -323,7 +335,10 @@ class Ellipsoid(ConvexBody):
 
     def __post_init__(self):
         center = as_vector(self.center, path="center")
-        q = np.asarray(self.shape, dtype=np.float64)
+        try:
+            q = np.asarray(self.shape, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InputError("shape", f"malformed matrix: {exc}") from None
         n = center.shape[0]
         if q.shape != (n, n):
             raise InputError("shape", f"must be {n}x{n}, got {q.shape}")
@@ -358,9 +373,12 @@ class Ellipsoid(ConvexBody):
         ``R = [[cos, sin], [-sin, cos]]``.
         """
         center = as_vector(center, 2, "center")
-        a, b = (float(s) for s in semi_axes)
-        if not (0.0 < a < math.inf and 0.0 < b < math.inf):
-            raise InputError("semi_axes", f"must be finite and positive, got {(a, b)}")
+        angle = _as_float(angle, "angle")
+        if not math.isfinite(angle):
+            raise InputError("angle", f"must be finite, got {angle}")
+        a, b = as_vector(semi_axes, 2, "semi_axes").tolist()
+        if not (a > 0.0 and b > 0.0):
+            raise InputError("semi_axes", f"must be positive, got {(a, b)}")
         try:
             diag = [1.0 / a**2, 1.0 / b**2]
         except (OverflowError, ZeroDivisionError):  # a**2 or b**2 out of range

@@ -98,7 +98,6 @@ class InstanceConfig:
     y0: tuple[float, ...] | None = None
     schedule: ScheduleSpec = ScheduleSpec()
     stopping: StoppingConfig = StoppingConfig()
-    seed: int | None = None
 
     @cached_property
     def bodies(self) -> tuple[ConvexBody, ConvexBody]:
@@ -207,10 +206,6 @@ def parse_config(obj) -> InstanceConfig:
     schedule = _section(obj, "schedule", ScheduleSpec)
     stopping = _section(obj, "stopping", StoppingConfig)
 
-    seed = obj.get("seed")
-    if seed is not None:
-        seed = _integer(seed, "seed")
-
     config = InstanceConfig(
         dimension=dim,
         set_a=set_a,
@@ -220,7 +215,6 @@ def parse_config(obj) -> InstanceConfig:
         solver=solver,
         schedule=schedule,
         stopping=stopping,
-        seed=seed,
     )
     validate_config(config)
     return config
@@ -304,8 +298,6 @@ def serialize_config(config: InstanceConfig) -> dict:
     }
     if config.y0 is not None:
         obj["y0"] = config.y0
-    if config.seed is not None:
-        obj["seed"] = config.seed
     return obj
 
 

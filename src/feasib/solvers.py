@@ -15,18 +15,19 @@ Each solver states one fact, which of set A and set B it projects
 inexactly: ``(True, False)`` for ACondG1, ``(True, True)`` for ACondG2 and
 the averaged scheme, ``(False, False)`` for ExactAlt. :func:`check_pair`
 derives the input rules and the forcing regime from it, and ``_alternate``
-the two projectors and the convergence tolerance. A broken rule raises
-:class:`~feasib.bodies.InputError`, whose ``path`` names the argument; the
-config layer runs the same checks and so the same messages.
+the convergence tolerance. A broken rule raises :class:`~feasib.bodies.InputError`,
+whose ``path`` names the argument; the config layer runs the same checks
+and so the same messages.
 
-The alternating schemes project the x-iterate onto B, then the new
-y-iterate onto A, through projector callables ``(anchor, point, params) ->
-(w, inner_iters, capped)``, where ``capped`` says the inner loop stopped at
-its cap. An inexact projector runs :func:`~feasib.condg.condg_project`
-warm-started at the anchor; an exact one ignores the anchor and the forcing
-parameters. Their verdict is the smaller violation. The averaged scheme's
-step averages the two inexact projections of its iterate, and its verdict
-is the larger violation of that iterate.
+Every projection of every step is one call, ``_project(body, inexact,
+anchor, point, params, limits) -> (w, inner_iters, capped)``, where
+``capped`` says the inner loop stopped at its cap. An inexact projection
+runs :func:`~feasib.condg.condg_project` warm-started at the anchor; an
+exact one ignores the anchor and the forcing parameters. The alternating
+schemes project the x-iterate onto B, then the new y-iterate onto A, and
+their verdict is the smaller violation. The averaged scheme's step averages
+the two inexact projections of its iterate, and its verdict is the larger
+violation of that iterate.
 
 Forcing parameters follow an adaptive schedule that shrinks them by a fixed
 factor whenever neither violation improved by the progress factor ``tau``.
@@ -122,14 +123,13 @@ class StoppingConfig:
 
 
 class StopCode(enum.Enum):
-    CONVERGED_FEASIBLE = "converged_feasible"
-    LACK_OF_PROGRESS = "lack_of_progress"
-    ITERATION_CAP = "iteration_cap"
+    CONVERGED_FEASIBLE = "C"
+    LACK_OF_PROGRESS = "L"
+    ITERATION_CAP = "I"
 
     @property
     def letter(self) -> str:
-        return {"converged_feasible": "C", "lack_of_progress": "L",
-                "iteration_cap": "I"}[self.value]
+        return self.value
 
 
 @dataclass(eq=False)
@@ -151,19 +151,26 @@ class SolveReport:
     (row 0 carries the initial parameters and zero inner iterations).
     ``inner_cap_iters`` lists outer iterations whose inner loop hit its cap.
     All four solvers share one driver, which fills an empty report row by
-    row and then sets its stop fields.
+    row and then sets its stop code; ``outer_iters`` (the last row's index)
+    and ``inner_iter_total`` are read off the rows.
     """
 
     x_trace: list[Vector] = field(default_factory=list)
     y_trace: list[Vector] = field(default_factory=list)
     violations: list[tuple[float, float]] = field(default_factory=list)
     stop_code: StopCode = StopCode.ITERATION_CAP
-    outer_iters: int = 0
-    inner_iter_total: int = 0
     schedule_trace: list[ForcingParams] = field(default_factory=list)
     inner_iters_per_k: list[int] = field(default_factory=list)
     inner_cap_iters: list[int] = field(default_factory=list)
     anchor_trace: list[Vector] | None = None
+
+    @property
+    def outer_iters(self) -> int:
+        return len(self.x_trace) - 1
+
+    @property
+    def inner_iter_total(self) -> int:
+        return sum(self.inner_iters_per_k)
 
     @property
     def min_violation(self) -> float:
@@ -179,20 +186,19 @@ class SolveReport:
     def y_last(self) -> Vector:
         return self.y_trace[-1]
 
-    def _add_row(self, k, x, y, violations, params, inner, capped) -> None:
-        """Append row ``k``; a ``y`` of None leaves ``y_trace`` unchanged."""
+    def _add_row(self, x, y, violations, params, inner, capped) -> None:
+        """Append a row; a ``y`` of None leaves ``y_trace`` unchanged."""
         self.x_trace.append(x)
         if y is not None:
             self.y_trace.append(y)
         self.violations.append(violations)
         self.schedule_trace.append(params)
         self.inner_iters_per_k.append(inner)
-        self.inner_iter_total += inner
         if capped:
-            self.inner_cap_iters.append(k)
+            self.inner_cap_iters.append(self.outer_iters)
 
-    def _stop(self, code: StopCode, outer: int) -> "SolveReport":
-        self.stop_code, self.outer_iters = code, outer
+    def _stop(self, code: StopCode) -> "SolveReport":
+        self.stop_code = code
         return self
 
 
@@ -246,28 +252,15 @@ def check_pair(
     return x0, y0, schedule
 
 
-_Projector = Callable[
-    [Vector | None, Vector, ForcingParams], tuple[Vector, int, bool]
-]
-
-
-def _exact(body: ConvexBody) -> _Projector:
-    """Exact projection; ignores the anchor and the forcing parameters."""
-
-    def project(anchor, point, params):
+def _project(body, inexact, anchor, point, params, limits) -> tuple[Vector, int, bool]:
+    """Project ``point`` onto ``body``; return ``(w, inner_iters, capped)``,
+    where ``capped`` says the inner loop stopped at its cap. An inexact
+    projection runs :func:`~feasib.condg.condg_project` warm-started at
+    ``anchor``; an exact one ignores ``anchor``, ``params`` and ``limits``."""
+    if not inexact:
         return body.project(point), 0, False
-
-    return project
-
-
-def _inexact(body: ConvexBody, limits: CondGLimits) -> _Projector:
-    """Conditional-gradient projection warm-started at the anchor."""
-
-    def project(anchor, point, params):
-        res = condg_project(body, params, anchor, point, limits)
-        return res.w_plus, res.inner_iters, res.stop_reason is CondGStop.ITERATION_CAP
-
-    return project
+    res = condg_project(body, params, anchor, point, limits)
+    return res.w_plus, res.inner_iters, res.stop_reason is CondGStop.ITERATION_CAP
 
 
 def _drive(
@@ -291,27 +284,27 @@ def _drive(
     its progress rule. A stalled run is thus reported as stalled even when
     its verdict dips under ``feas_tol`` in the same step.
     """
-    rep._add_row(0, *first_row, schedule.current, 0, False)
+    rep._add_row(*first_row, schedule.current, 0, False)
     if verdict(first_row[2]) <= feas_tol:
-        return rep._stop(StopCode.CONVERGED_FEASIBLE, 0)
+        return rep._stop(StopCode.CONVERGED_FEASIBLE)
 
     lack_streak, prev = 0, first_row[2]
-    for k in range(1, stop.max_outer_iters + 1):
+    for _ in range(stop.max_outer_iters):
         params = schedule.current
         x, y, viol, inner, capped, moved = step(params)
-        rep._add_row(k, x, y, viol, params, inner, capped)
+        rep._add_row(x, y, viol, params, inner, capped)
         v = verdict(viol)
         if v == 0.0:
-            return rep._stop(StopCode.CONVERGED_FEASIBLE, k)
+            return rep._stop(StopCode.CONVERGED_FEASIBLE)
         lack_streak = lack_streak + 1 if moved <= stop.eps_lack else 0
         if lack_streak >= 2:
-            return rep._stop(StopCode.LACK_OF_PROGRESS, k)
+            return rep._stop(StopCode.LACK_OF_PROGRESS)
         if v <= feas_tol:
-            return rep._stop(StopCode.CONVERGED_FEASIBLE, k)
+            return rep._stop(StopCode.CONVERGED_FEASIBLE)
         schedule = schedule.updated(prev[0], viol[0], prev[1], viol[1])
         prev = viol
 
-    return rep._stop(StopCode.ITERATION_CAP, stop.max_outer_iters)
+    return rep._stop(StopCode.ITERATION_CAP)
 
 
 def _alternate(
@@ -334,20 +327,16 @@ def _alternate(
     with ``x`` and its violation unchanged.
     """
     x0, y0, schedule = check_pair(a, b, x0, y0, inexact, schedule)
-    proj_a, proj_b = (
-        _inexact(body, limits) if approx else _exact(body)
-        for body, approx in ((a, inexact[0]), (b, inexact[1]))
-    )
     feas_tol = stop.eps_feas if any(inexact) else 0.0
     x, y, cb_x = x0, y0, b.violation(x0)
 
     def step(params):
         nonlocal x, y, cb_x
-        y_new, inner_b, cap_b = proj_b(y, x, params)
+        y_new, inner_b, cap_b = _project(b, inexact[1], y, x, params, limits)
         ca_y = a.violation(y_new)
         if ca_y == 0.0:
             return x, y_new, (cb_x, ca_y), inner_b, cap_b, math.inf
-        x_new, inner_a, cap_a = proj_a(x, y_new, params)
+        x_new, inner_a, cap_a = _project(a, inexact[0], x, y_new, params, limits)
         # The driver reads ``moved`` only against eps_lack, so y's norm is
         # needed only when x moved that little.
         moved = math.inf if y is None else _inf_norm(x_new - x)
@@ -409,14 +398,13 @@ def averaged_projection(
     projection outputs.
     """
     x0, y0, sched = check_pair(a, b, x0, y0, (True, True), schedule)
-    proj_a, proj_b = _inexact(a, limits), _inexact(b, limits)
     z, anchor_a, anchor_b = 0.5 * (x0 + y0), x0, y0
     rep = SolveReport(anchor_trace=[x0])
 
     def step(params):
         nonlocal z, anchor_a, anchor_b
-        anchor_a, inner_a, cap_a = proj_a(anchor_a, z, params)
-        anchor_b, inner_b, cap_b = proj_b(anchor_b, z, params)
+        anchor_a, inner_a, cap_a = _project(a, True, anchor_a, z, params, limits)
+        anchor_b, inner_b, cap_b = _project(b, True, anchor_b, z, params, limits)
         rep.anchor_trace.append(anchor_a)
         z_new = 0.5 * (anchor_a + anchor_b)
         moved, z = _inf_norm(z_new - z), z_new

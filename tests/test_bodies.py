@@ -10,9 +10,12 @@ from feasib import (
     Ball,
     Box,
     Ellipsoid,
+    ForcingParams,
     Halfspace,
     InputError,
     UnsupportedOracleError,
+    acondg2,
+    condg_project,
 )
 
 from _helpers import (
@@ -153,6 +156,37 @@ class TestConstruction:
              "from_axes-center"],
     )
     def test_vector_errors_name_the_field(self, build, path):
+        with pytest.raises(InputError) as err:
+            build()
+        assert err.value.path == path
+
+    @pytest.mark.parametrize(
+        "build, path",
+        [
+            (lambda: Ball(center=["a", 0.0], radius=1.0), "center"),
+            (lambda: Ball(center=[[0.0], [1.0, 2.0]], radius=1.0), "center"),
+            (lambda: acondg2(unit_disk(), unit_disk(), [0.0, 0.0], ["a", 0.0]), "y0"),
+            (
+                lambda: condg_project(
+                    unit_disk(), ForcingParams(0.0, 0.0, 0.0), ["a", 0.0], [0.0, 0.0]
+                ),
+                "anchor",
+            ),
+            (lambda: Ellipsoid(center=[0.0, 0.0], shape=[[1.0, 0.0], [0.0]]), "shape"),
+            (lambda: Halfspace(normal=[1.0, 0.0], offset="x"), "offset"),
+            (lambda: Ball(center=[0.0, 0.0], radius="x"), "radius"),
+            (lambda: Ball(center=[0.0, 0.0], radius=None), "radius"),
+            (lambda: Ellipsoid.from_axes([0.0, 0.0], math.nan, (2.0, 0.2)), "angle"),
+            (lambda: Ellipsoid.from_axes([0.0, 0.0], math.inf, (2.0, 0.2)), "angle"),
+            (lambda: Ellipsoid.from_axes([0.0, 0.0], "x", (2.0, 0.2)), "angle"),
+            (lambda: Ellipsoid.from_axes([0.0, 0.0], 0.0, (2.0,)), "semi_axes"),
+        ],
+        ids=["ball-center-str", "ball-center-ragged", "acondg2-y0", "condg-anchor",
+             "ellipsoid-shape-ragged", "halfspace-offset-str", "ball-radius-str",
+             "ball-radius-none", "angle-nan", "angle-inf", "angle-str",
+             "semi_axes-one-entry"],
+    )
+    def test_malformed_input_names_the_field(self, build, path):
         with pytest.raises(InputError) as err:
             build()
         assert err.value.path == path

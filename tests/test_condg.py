@@ -158,6 +158,27 @@ class TestCondGBasics:
         assert res.inner_iters == 2
         assert unit_disk().violation(res.w_plus) <= 1e-10
 
+    @pytest.mark.parametrize(
+        "body, anchor, point",
+        [
+            (unit_disk(), [1.0 - 1e-13, 0.0], [1e5, 0.0]),
+            (Ellipsoid(center=np.zeros(3), shape=np.eye(3)),
+             [1.0 - 1e-13, 0.0, 0.0], [1e5, 0.0, 0.0]),
+            (Box(lower=[0.0, 0.0], upper=[1.0, 1.0]),
+             [1.0 - 1e-13, 1.0 - 1e-13], [1e3, 1e3]),
+        ],
+        ids=["ellipsoid-2d", "ellipsoid-3d", "box"],
+    )
+    def test_degenerate_step_stops_before_the_first_step(self, body, anchor, point):
+        # The anchor sits 1e-13 from the oracle's answer, so the step is
+        # below the degenerate-step cutoff while the gap, far above the
+        # degenerate-gap cutoff, is not.
+        res = condg_project(body, EXACT, anchor, point)
+        assert res.stop_reason is CondGStop.DEGENERATE_GAP
+        assert res.inner_iters == 0
+        assert res.final_gap > CondGLimits().degenerate_gap_tol
+        assert np.array_equal(res.w_plus, anchor)
+
     def test_result_gap_certificate_on_tolerance_met(self):
         # ITERATION_CAP is allowed on the ill-conditioned ellipsoids; the
         # certificate and membership must hold for every result.

@@ -18,6 +18,7 @@ from feasib import (
     acondg2,
 )
 from feasib.instances import (
+    BodySpec,
     ConfigError,
     SCHEMA_VERSION,
     ScheduleSpec,
@@ -142,6 +143,32 @@ def slim_ellipse():
 HALFSPACE_A = {"kind": "halfspace", "normal": [1.0, 0.0], "offset": 0.0}
 HALFSPACE_B = {"kind": "halfspace", "normal": [-1.0, 0.0], "offset": -1.3}
 BALL_B = {"kind": "ball", "center": [3.0, 0.0], "radius": 1.0}
+
+
+@pytest.mark.parametrize(
+    "obj, path",
+    [
+        pytest.param(
+            base_config(set_b={**HALFSPACE_B, "offset": "-1.3"}), "set_b.offset",
+            id="non-number",
+        ),
+        pytest.param(base_config(dimension=2.0), "dimension", id="non-integer-dimension"),
+        pytest.param(base_config(dimension=0), "dimension", id="zero-dimension"),
+        pytest.param(base_config(x0="00"), "x0", id="non-list-x0"),
+        pytest.param(base_config(set_a=[HALFSPACE_A]), "set_a", id="non-object-set_a"),
+        pytest.param(
+            base_config(dimension=3, x0=[0.0, 0.0, 0.0]), "set_a.kind",
+            id="ellipse-in-3d",
+        ),
+        pytest.param(base_config(schedule=[0.1]), "schedule", id="non-object-schedule"),
+        pytest.param([base_config()], "$", id="non-object-config"),
+        pytest.param(base_config(solver=1), "solver", id="non-string-solver"),
+    ],
+)
+def test_malformed_config_names_the_field(obj, path):
+    with pytest.raises(ConfigError) as err:
+        parse_config(obj)
+    assert err.value.path == path
 
 
 def halfspace(spec):
@@ -431,3 +458,17 @@ class TestTables:
             table_reference(3)
         with pytest.raises(ConfigError):
             table1_config("9.99", "ACondG1")
+        with pytest.raises(ConfigError) as err:
+            table1_config("1.30", "ACondG2")
+        assert err.value.path == "solver"
+        assert err.value.message == "table 1 uses ACondG1/ExactAlt1, got 'ACondG2'"
+
+    def test_unknown_kind_in_a_built_config_names_the_set(self):
+        # parse_config rejects the kind first; a config built directly
+        # reaches the check in build_bodies.
+        cfg = replace(
+            table1_config("1.30", "ExactAlt1"), set_a=BodySpec(kind="torus", params={})
+        )
+        with pytest.raises(ConfigError) as err:
+            build_bodies(cfg)
+        assert err.value.path == "set_a.kind"

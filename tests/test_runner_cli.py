@@ -433,6 +433,12 @@ class TestCLI:
         assert code == 0
         assert (tmp_path / "table1_comparison.csv").exists()
 
+    def test_table_verbose_echoes_the_comparison(self, tmp_path, capsys):
+        assert main(["table", "--which", "1", "--out-dir", str(tmp_path), "--verbose"]) == 0
+        out = capsys.readouterr().out
+        comparison = (tmp_path / "table1_comparison.csv").read_text()
+        assert out == comparison + f"comparison written to {comparison_path(1, tmp_path)}\n"
+
     def test_table_exit_code_follows_the_returned_rows(self, tmp_path, monkeypatch):
         capped = TableRow("1.30", "ACondG1", "I", 3, 0.5, "C", "0.00e+00")
         monkeypatch.setattr(cli, "reproduce_table", lambda which, out_dir: [capped])

@@ -446,6 +446,23 @@ class TestExactAlternating:
         assert rep.violations[1] == (0.5, 0.0)
         assert rep.inner_iters_per_k == [0, 0]
 
+    @pytest.mark.parametrize(
+        "solve, code, outer",
+        [(acondg1, StopCode.CONVERGED_FEASIBLE, 1),
+         (exact_alternating, StopCode.LACK_OF_PROGRESS, 3)],
+        ids=["acondg1", "exact_alternating"],
+    )
+    def test_eps_feas_stops_only_a_run_with_an_inexact_projection(
+        self, solve, code, outer
+    ):
+        # The sets lie 0.05 apart, under eps_feas = 0.1: ACondG1 converges
+        # at the first step, while ExactAlt ignores eps_feas and stalls.
+        a = Ball(center=[0.0, 0.0], radius=1.0)
+        rep = solve(a, halfspace_at(1.05), [0.0, 0.0], stop=StoppingConfig(eps_feas=0.1))
+        assert rep.stop_code is code
+        assert rep.outer_iters == outer
+        assert rep.min_violation == pytest.approx(0.05)
+
 
 CAPPED = CondGLimits(max_inner_iters=2, degenerate_gap_tol=1e-14)
 
