@@ -40,7 +40,6 @@ from .solvers import (
     acondg1,
     acondg2,
     averaged_projection,
-    default_schedule,
     exact_alternating,
 )
 
@@ -69,7 +68,6 @@ __all__ = [
     "averaged_projection",
     "brute_project",
     "condg_project",
-    "default_schedule",
     "dist_ellipse_halfspace",
     "dist_two_bodies",
     "exact_alternating",

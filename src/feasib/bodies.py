@@ -58,6 +58,7 @@ __all__ = [
     "START_TOL",
     "UnsupportedOracleError",
     "Vector",
+    "as_float",
     "as_vector",
     "check_count",
     "check_member",
@@ -85,6 +86,14 @@ def check_count(value, path: str) -> None:
         raise InputError(path, "must be >= 1")
 
 
+def as_float(x, path: str) -> float:
+    """``x`` as a float, or InputError at ``path`` when ``float`` refuses it."""
+    try:
+        return float(x)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(path, f"malformed number: {exc}") from None
+
+
 def as_vector(x, dim: int | None = None, path: str | None = None) -> Vector:
     """Validate and convert ``x`` to a finite 1-D float64 array; a bad ``x``
     raises InputError at ``path``, or ValueError when no path is given."""
@@ -102,14 +111,6 @@ def as_vector(x, dim: int | None = None, path: str | None = None) -> Vector:
         else:
             return v
     raise ValueError(problem) if path is None else InputError(path, problem)
-
-
-def _as_float(x, path: str) -> float:
-    """``x`` as a float, or InputError at ``path`` when ``float`` refuses it."""
-    try:
-        return float(x)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(path, f"malformed number: {exc}") from None
 
 
 def check_member(violation: float, path: str) -> None:
@@ -183,7 +184,7 @@ class Halfspace(ConvexBody):
         a = as_vector(self.normal, path="normal")
         if not np.any(a != 0.0):
             raise InputError("normal", "must be nonzero")
-        offset = _as_float(self.offset, "offset")
+        offset = as_float(self.offset, "offset")
         if not math.isfinite(offset):
             raise InputError("offset", f"must be finite, got {self.offset}")
         object.__setattr__(self, "normal", a)
@@ -216,7 +217,7 @@ class Ball(ConvexBody):
 
     def __post_init__(self):
         object.__setattr__(self, "center", as_vector(self.center, path="center"))
-        r = _as_float(self.radius, "radius")
+        r = as_float(self.radius, "radius")
         if not 0.0 < r < math.inf:
             raise InputError("radius", f"must be finite and positive, got {r}")
         object.__setattr__(self, "radius", r)
@@ -373,7 +374,7 @@ class Ellipsoid(ConvexBody):
         ``R = [[cos, sin], [-sin, cos]]``.
         """
         center = as_vector(center, 2, "center")
-        angle = _as_float(angle, "angle")
+        angle = as_float(angle, "angle")
         if not math.isfinite(angle):
             raise InputError("angle", f"must be finite, got {angle}")
         a, b = as_vector(semi_axes, 2, "semi_axes").tolist()

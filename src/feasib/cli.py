@@ -15,6 +15,8 @@ from .instances import load_config
 from .runner import comparison_path, reproduce_table, run_instance, trace_lines
 from .solvers import StopCode
 
+__all__ = ["main"]
+
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_ITERATION_CAP = 3

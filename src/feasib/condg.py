@@ -45,6 +45,7 @@ from .bodies import (
     InputError,
     UnsupportedOracleError,
     Vector,
+    as_float,
     as_vector,
     check_count,
     check_member,
@@ -74,7 +75,7 @@ class ForcingParams:
 
     def __post_init__(self):
         for name in ("gamma", "theta", "lam"):
-            v = float(getattr(self, name))
+            v = as_float(getattr(self, name), name)
             if not (v >= 0.0 and math.isfinite(v)):
                 raise InputError(name, f"must be finite and >= 0, got {v}")
             object.__setattr__(self, name, v)
@@ -99,8 +100,11 @@ class CondGLimits:
 
     def __post_init__(self):
         check_count(self.max_inner_iters, "limits.max_inner_iters")
-        if not 0.0 <= self.degenerate_gap_tol < math.inf:
-            raise InputError("limits.degenerate_gap_tol", "must be finite and >= 0")
+        path = "limits.degenerate_gap_tol"
+        tol = as_float(self.degenerate_gap_tol, path)
+        if not 0.0 <= tol < math.inf:
+            raise InputError(path, "must be finite and >= 0")
+        object.__setattr__(self, "degenerate_gap_tol", tol)
 
 
 class CondGStop(enum.Enum):

@@ -6,19 +6,21 @@ descriptions are tagged by ``kind``: ``ellipse`` (center / angle /
 semi_axes, 2-D), ``halfspace`` (normal / offset), ``ball`` (center /
 radius), ``box`` (lower / upper); ``_KINDS`` states each kind's constructor
 and fields once, for parsing and building alike. The ``schedule`` and
-``stopping`` objects take their keys and defaults from the fields of
-:class:`ScheduleSpec` and :class:`~feasib.solvers.StoppingConfig`.
-Validation errors carry the path of the offending field.
+``stopping`` objects are the solvers' own
+:class:`~feasib.solvers.ForcingSchedule` and
+:class:`~feasib.solvers.StoppingConfig`: their fields are the keys, and
+their defaults fill missing keys. Validation errors carry the path of the
+offending field.
 
 Parsing checks each field's JSON type alone, and that numbers are finite.
 The range rules are those of the API: the body constructors (re-pathed
-under ``set_a`` / ``set_b``), :class:`~feasib.solvers.StoppingConfig`,
-:class:`~feasib.condg.ForcingParams` and
-:class:`~feasib.solvers.ForcingSchedule`. :func:`validate_config` then runs
-the solvers' own input check, :func:`~feasib.solvers.check_pair`, on the
-start points and the schedule the solver reads, so a config fails with the
-same path and message as the call. The forcing regime is not a config
-field: ``check_pair`` derives it from what the solver projects inexactly.
+under ``set_a`` / ``set_b``), ``ForcingSchedule`` and ``StoppingConfig``,
+for every solver. :func:`validate_config` then runs the solvers' own input
+check, :func:`~feasib.solvers.check_pair`, on the start points and the
+schedule, so a config fails with the same path and message as the call.
+The forcing regime is not a config field: ``check_pair`` derives it from
+what the solver projects inexactly, and ignores the schedule of a solver
+that projects nothing inexactly.
 """
 
 from __future__ import annotations
@@ -30,8 +32,7 @@ from functools import cached_property
 from pathlib import Path
 
 from .bodies import Ball, Box, ConvexBody, Ellipsoid, Halfspace, InputError
-from .condg import ForcingParams
-from .solvers import ForcingSchedule, StoppingConfig, check_pair, default_schedule
+from .solvers import ForcingSchedule, StoppingConfig, check_pair
 
 __all__ = [
     "ConfigError",
@@ -41,7 +42,6 @@ __all__ = [
     "TABLE1_OFFSETS",
     "TABLE2_CENTERS",
     "build_bodies",
-    "build_schedule",
     "load_config",
     "parse_config",
     "save_config",
@@ -67,19 +67,8 @@ _SOLVERS = {
 SOLVER_NAMES = tuple(_SOLVERS)
 _SOLVER_LOOKUP = {n.lower().replace("_", ""): n for n in SOLVER_NAMES}
 
-_SOLVER_DEFAULTS = default_schedule()
-
 # Config and solver input errors are one class; ``path`` names the field.
 ConfigError = InputError
-
-
-@dataclass(frozen=True)
-class ScheduleSpec:
-    gamma0: float = _SOLVER_DEFAULTS.current.gamma
-    theta0: float = _SOLVER_DEFAULTS.current.theta
-    lambda0: float = _SOLVER_DEFAULTS.current.lam
-    tau: float = _SOLVER_DEFAULTS.tau
-    delta: float = _SOLVER_DEFAULTS.delta
 
 
 @dataclass(frozen=True)
@@ -96,7 +85,7 @@ class InstanceConfig:
     x0: tuple[float, ...]
     solver: str
     y0: tuple[float, ...] | None = None
-    schedule: ScheduleSpec = ScheduleSpec()
+    schedule: ForcingSchedule = ForcingSchedule()
     stopping: StoppingConfig = StoppingConfig()
 
     @cached_property
@@ -203,7 +192,7 @@ def parse_config(obj) -> InstanceConfig:
     x0 = _vector(obj.get("x0"), "x0", dim)
     y0 = None if obj.get("y0") is None else _vector(obj.get("y0"), "y0", dim)
 
-    schedule = _section(obj, "schedule", ScheduleSpec)
+    schedule = _section(obj, "schedule", ForcingSchedule)
     stopping = _section(obj, "stopping", StoppingConfig)
 
     config = InstanceConfig(
@@ -252,34 +241,16 @@ def start_points(config: InstanceConfig) -> tuple[tuple, tuple | None]:
     return config.x0, config.y0 if reads_y0 else None
 
 
-# ForcingParams names its own fields; a config names their initial values.
-_PARAM_FIELDS = {"gamma": "gamma0", "theta": "theta0", "lam": "lambda0"}
-
-
-def build_schedule(config: InstanceConfig) -> ForcingSchedule | None:
-    """The solver's schedule, or None for a solver that projects nothing
-    inexactly and so takes none. The range rules are those of
-    ``ForcingParams`` and ``ForcingSchedule``; the regime rules are
-    ``check_pair``'s."""
-    if not any(_solver_rule(config.solver)[0]):
-        return None
-    s = config.schedule
-    try:
-        current = ForcingParams(s.gamma0, s.theta0, s.lambda0)
-    except InputError as exc:
-        raise InputError(f"schedule.{_PARAM_FIELDS[exc.path]}", exc.message) from None
-    return ForcingSchedule(current=current, tau=s.tau, delta=s.delta)
-
-
 def validate_config(config: InstanceConfig) -> tuple[ConvexBody, ConvexBody]:
     """Hold the config to its solver's input rules, as the solver would.
 
-    Only the start points and the schedule the solver reads are checked.
-    Returns the config's bodies, ``(set_a, set_b)``.
+    Only the start points the solver reads are checked, and the schedule
+    only against the regime of a solver that projects inexactly. Returns
+    the config's bodies, ``(set_a, set_b)``.
     """
     a, b = build_bodies(config)
     inexact = _solver_rule(config.solver)[0]
-    check_pair(a, b, *start_points(config), inexact, build_schedule(config))
+    check_pair(a, b, *start_points(config), inexact, config.schedule)
     return a, b
 
 

@@ -29,7 +29,6 @@ from typing import NamedTuple
 from .instances import (
     InstanceConfig,
     build_bodies,
-    build_schedule,
     start_points,
     table1_config,
     table2_config,
@@ -59,9 +58,7 @@ def solve_config(config: InstanceConfig) -> SolveReport:
     the config to the same input rules as ``validate_config``."""
     a, b = build_bodies(config)
     x0, y0 = start_points(config)
-    stop = config.stopping
-    schedule = build_schedule(config)
-    solver = config.solver
+    schedule, stop, solver = config.schedule, config.stopping, config.solver
     if solver == "ACondG1":
         return acondg1(a, b, x0, schedule, stop)
     if solver == "ACondG2":

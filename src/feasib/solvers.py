@@ -29,21 +29,24 @@ their verdict is the smaller violation. The averaged scheme's step averages
 the two inexact projections of its iterate, and its verdict is the larger
 violation of that iterate.
 
-Forcing parameters follow an adaptive schedule that shrinks them by a fixed
-factor whenever neither violation improved by the progress factor ``tau``.
-``_drive`` states the stop rules and their order.
+A :class:`ForcingSchedule`, which is also the config's ``schedule``
+section, holds the initial forcing parameters and the factors ``tau`` and
+``delta``. ``_drive`` keeps the current
+:class:`~feasib.condg.ForcingParams` as a local and scales them by
+``delta`` whenever neither violation improved by the progress factor
+``tau``. It also states the stop rules and their order.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
 
-from .bodies import ConvexBody, InputError, Vector, check_count, member_vector
+from .bodies import ConvexBody, InputError, Vector, as_float, check_count, member_vector
 from .condg import CondGLimits, CondGStop, ForcingParams, condg_project
 
 __all__ = [
@@ -55,58 +58,44 @@ __all__ = [
     "acondg2",
     "averaged_projection",
     "check_pair",
-    "default_schedule",
     "exact_alternating",
 ]
 
 
 @dataclass(frozen=True)
 class ForcingSchedule:
-    """Adaptive forcing parameters with their update policy.
+    """Initial forcing parameters and the factors of their update policy.
 
     ``tau`` is the progress factor: if either feasibility violation shrank
     by at least that factor between consecutive outer iterations the
-    parameters are kept, otherwise all three are multiplied by ``delta``.
-    Updates never increase any component, so once decreases become permanent
-    the parameter sequences are geometric and hence summable.
+    parameters are kept, otherwise all three are multiplied by ``delta``
+    (``_drive`` applies the rule). Updates never increase any component, so
+    once decreases become permanent the parameter sequences are geometric
+    and hence summable. The defaults are the experiment values; they meet
+    the conditions of both regimes.
     """
 
-    current: ForcingParams
+    gamma0: float = 0.1 - 1e-8
+    theta0: float = 0.2 - 1e-8
+    lambda0: float = 0.2 - 1e-8
     tau: float = 0.9
     delta: float = 0.1
 
     def __post_init__(self):
-        for name, v in (("tau", self.tau), ("delta", self.delta)):
-            if not 0.0 < v < 1.0:
-                raise InputError(f"schedule.{name}", f"must lie in (0, 1), got {v}")
-
-    def updated(
-        self, cb_prev: float, cb_curr: float, ca_prev: float, ca_curr: float
-    ) -> "ForcingSchedule":
-        """Apply the progress rule; a non-finite baseline (no iterate yet)
-        shows no progress."""
-        progress = (
-            cb_curr <= self.tau * cb_prev < math.inf
-            or ca_curr <= self.tau * ca_prev < math.inf
-        )
-        p = self.current
-        # All-zero parameters are a fixed point of the scaling.
-        if progress or p.gamma == p.theta == p.lam == 0.0:
-            return self
-        return replace(self, current=self.current.scaled(self.delta))
-
-
-def default_schedule() -> ForcingSchedule:
-    """Experiment defaults: gamma0 = 0.1 - 1e-8, theta0 = lam0 = 0.2 - 1e-8,
-    tau = 0.9, delta = 0.1. They meet the conditions of both regimes."""
-    eps = 1e-8
-    return ForcingSchedule(
-        current=ForcingParams(0.1 - eps, 0.2 - eps, 0.2 - eps), tau=0.9, delta=0.1
-    )
+        for f in fields(self):
+            path = f"schedule.{f.name}"
+            v = as_float(getattr(self, f.name), path)
+            if f.name in ("tau", "delta"):
+                ok, rule = 0.0 < v < 1.0, "must lie in (0, 1)"
+            else:
+                ok, rule = 0.0 <= v < math.inf, "must be finite and >= 0"
+            if not ok:
+                raise InputError(path, f"{rule}, got {v}")
+            object.__setattr__(self, f.name, v)
 
 
 # Exact projections take no forcing parameters.
-_ZERO_SCHEDULE = ForcingSchedule(ForcingParams(0.0, 0.0, 0.0))
+_ZERO_SCHEDULE = ForcingSchedule(0.0, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -117,8 +106,11 @@ class StoppingConfig:
 
     def __post_init__(self):
         for name in ("eps_feas", "eps_lack"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise InputError(f"stopping.{name}", "must be finite and positive")
+            path = f"stopping.{name}"
+            v = as_float(getattr(self, name), path)
+            if not 0.0 < v < math.inf:
+                raise InputError(path, "must be finite and positive")
+            object.__setattr__(self, name, v)
         check_count(self.max_outer_iters, "stopping.max_outer_iters")
 
 
@@ -148,7 +140,8 @@ class SolveReport:
 
     ``schedule_trace[k]`` and ``inner_iters_per_k[k]`` record the forcing
     parameters and inner iteration count of the step that produced row ``k``
-    (row 0 carries the initial parameters and zero inner iterations).
+    (row 0 carries the schedule's initial parameters and zero inner
+    iterations); the parameters change only by the driver's progress rule.
     ``inner_cap_iters`` lists outer iterations whose inner loop hit its cap.
     All four solvers share one driver, which fills an empty report row by
     row and then sets its stop code; ``outer_iters`` (the last row's index)
@@ -223,9 +216,10 @@ def check_pair(
     required when B is projected inexactly.
 
     The number of sets projected inexactly is the forcing regime. With none,
-    the solver runs on the constant zero schedule; with one or two,
-    ``schedule`` (default :func:`default_schedule`) must meet that regime's
-    conditions.
+    the solver runs on the constant zero schedule and ``schedule`` is
+    ignored; with one or two, ``schedule`` (default ``ForcingSchedule()``)
+    must meet that regime's conditions. Its range rules are its own and
+    hold for every solver.
     """
     for path, body, approx in (("set_a", a, inexact[0]), ("set_b", b, inexact[1])):
         if approx and not body.is_compact:
@@ -240,14 +234,14 @@ def check_pair(
     regime = sum(inexact)
     if regime == 0:
         return x0, y0, _ZERO_SCHEDULE
-    schedule = schedule or default_schedule()
-    p = schedule.current
+    schedule = schedule or ForcingSchedule()
+    gamma, theta, lam = schedule.gamma0, schedule.theta0, schedule.lambda0
     if regime == 1:
-        ok, rule = p.theta < 0.5, "one-set regime requires theta < 1/2"
+        ok, rule = theta < 0.5, "one-set regime requires theta < 1/2"
     else:
-        ok = p.theta < 0.25 and 2.0 * (p.gamma + p.theta + p.lam) < 1.0
+        ok = theta < 0.25 and 2.0 * (gamma + theta + lam) < 1.0
         rule = "two-set regime requires theta < 1/4, 2*(gamma + theta + lam) < 1"
-    if not (ok and 2.0 * p.gamma + 4.0 * p.lam < 1.0):
+    if not (ok and 2.0 * gamma + 4.0 * lam < 1.0):
         raise InputError("schedule", f"{rule} and 2*gamma + 4*lam < 1")
     return x0, y0, schedule
 
@@ -274,23 +268,26 @@ def _drive(
 ) -> SolveReport:
     """The one outer loop: row 0 is ``first_row`` ``(x, y, violations)``,
     and each later row comes from ``step(params)``, which returns ``(x, y,
-    violations, inner_iters, capped, moved)`` with ``moved`` the max-norm
-    distance its iterates moved (exact when at most ``eps_lack``, and any
-    larger number otherwise). ``verdict`` reduces a violation pair to
+    violations, inner_iters, capped, moved)``. ``params`` are the current
+    forcing parameters, a local that starts at the schedule's initial values
+    and that only the progress rule changes. ``moved`` is the max-norm
+    distance the step's iterates moved (exact when at most ``eps_lack``, and
+    any larger number otherwise). ``verdict`` reduces a violation pair to
     the number the stops read. After each step, in this order: a verdict of
     exactly 0 converges (an iterate lies in the other set); ``moved <=
     eps_lack`` for the second step in a row stops for lack of progress; a
-    verdict at most ``feas_tol`` converges; otherwise the schedule applies
-    its progress rule. A stalled run is thus reported as stalled even when
-    its verdict dips under ``feas_tol`` in the same step.
+    verdict at most ``feas_tol`` converges; otherwise the progress rule
+    scales ``params`` by ``delta`` unless either violation is at most ``tau``
+    times its value in the previous row. A stalled run is thus reported as
+    stalled even when its verdict dips under ``feas_tol`` in the same step.
     """
-    rep._add_row(*first_row, schedule.current, 0, False)
+    params = ForcingParams(schedule.gamma0, schedule.theta0, schedule.lambda0)
+    rep._add_row(*first_row, params, 0, False)
     if verdict(first_row[2]) <= feas_tol:
         return rep._stop(StopCode.CONVERGED_FEASIBLE)
 
     lack_streak, prev = 0, first_row[2]
     for _ in range(stop.max_outer_iters):
-        params = schedule.current
         x, y, viol, inner, capped, moved = step(params)
         rep._add_row(x, y, viol, params, inner, capped)
         v = verdict(viol)
@@ -301,7 +298,14 @@ def _drive(
             return rep._stop(StopCode.LACK_OF_PROGRESS)
         if v <= feas_tol:
             return rep._stop(StopCode.CONVERGED_FEASIBLE)
-        schedule = schedule.updated(prev[0], viol[0], prev[1], viol[1])
+        # A non-finite baseline (no iterate yet) shows no progress, and
+        # all-zero parameters are a fixed point of the scaling.
+        progress = (
+            viol[0] <= schedule.tau * prev[0] < math.inf
+            or viol[1] <= schedule.tau * prev[1] < math.inf
+        )
+        if not (progress or params.gamma == params.theta == params.lam == 0.0):
+            params = params.scaled(schedule.delta)
         prev = viol
 
     return rep._stop(StopCode.ITERATION_CAP)

@@ -235,6 +235,11 @@ class TestLinearOracle:
         assert np.allclose(z, e.center)
         assert val == 0.0
 
+    def test_ball_zero_direction_returns_its_center(self):
+        z, val = Ball(center=[1.0, -2.0], radius=0.5).lo_minimize([0.0, 0.0])
+        assert z.tolist() == [1.0, -2.0]
+        assert val == 0.0
+
     def test_slim_ellipse_extreme_first_coordinate(self):
         # Independent check: densely sample the boundary and maximize z1.
         e = slim_ellipse()

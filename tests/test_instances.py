@@ -10,7 +10,6 @@ from feasib import (
     Ball,
     Box,
     Ellipsoid,
-    ForcingParams,
     ForcingSchedule,
     Halfspace,
     StoppingConfig,
@@ -21,11 +20,9 @@ from feasib.instances import (
     BodySpec,
     ConfigError,
     SCHEMA_VERSION,
-    ScheduleSpec,
     TABLE1_OFFSETS,
     TABLE2_CENTERS,
     build_bodies,
-    build_schedule,
     load_config,
     parse_config,
     save_config,
@@ -127,7 +124,7 @@ class TestParsing:
 
         one_set = base_config(schedule={"theta0": 0.3})
         cfg = parse_config(one_set)
-        assert build_schedule(cfg).current.theta == 0.3
+        assert solve_config(cfg).schedule_trace[0].theta == 0.3
 
     def test_invalid_json_reported(self, tmp_path):
         p = tmp_path / "bad.json"
@@ -217,7 +214,7 @@ PARITY_CASES = [
          "schedule": {"theta0": 0.3}},
         lambda: acondg2(
             slim_ellipse(), ball(BALL_B), [0.0, 0.0], [3.0, 0.0],
-            schedule=ForcingSchedule(ForcingParams(0.1 - 1e-8, 0.3, 0.2 - 1e-8)),
+            schedule=ForcingSchedule(0.1 - 1e-8, 0.3, 0.2 - 1e-8),
         ),
         "schedule",
         id="two-set-schedule",
@@ -332,6 +329,17 @@ def test_schedule_range_rules_name_the_config_field(schedule, path):
     assert err.value.path == path
 
 
+def test_schedule_range_rules_hold_for_every_solver():
+    # ExactAlt1 projects nothing inexactly and so never reads its schedule,
+    # but the schedule's own range rules still hold at parse time.
+    obj = serialize_config(table1_config("1.30", "ExactAlt1"))
+    obj["schedule"]["tau"] = 1.0
+    with pytest.raises(ConfigError) as err:
+        parse_config(obj)
+    assert err.value.path == "schedule.tau"
+    assert err.value.message == "must lie in (0, 1), got 1.0"
+
+
 def test_unread_y0_is_not_checked():
     # ExactAlt1 never reads y0, so a y0 outside set B does not reject it.
     cfg = table1_config("1.30", "ExactAlt1")
@@ -398,7 +406,7 @@ def test_readme_config_example_is_table1():
     expected = table1_config("1.30", "ACondG1")
     assert replace(cfg, schedule=expected.schedule) == expected
     # The schedule is shown as the defaults rounded to 8 digits.
-    for f in fields(ScheduleSpec):
+    for f in fields(ForcingSchedule):
         shown, default = getattr(cfg.schedule, f.name), getattr(expected.schedule, f.name)
         assert math.isclose(shown, default, rel_tol=1e-9)
 

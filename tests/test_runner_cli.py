@@ -349,6 +349,41 @@ class TestFigures:
         assert err.startswith("error: ") and message in err
         assert not out.exists()
 
+    @staticmethod
+    def run_ball_box(tmp_path, dim):
+        """``feasib run`` ExactAlt1 on a unit ball against a disjoint box in
+        ``dim`` dimensions; return the ``feasib plot`` argv for its trace."""
+        zeros = [0.0] * dim
+        cfg_path = tmp_path / "ball_box.json"
+        cfg_path.write_text(json.dumps({
+            "schema": 1, "dimension": dim, "solver": "ExactAlt1", "x0": zeros,
+            "set_a": {"kind": "ball", "center": zeros, "radius": 1.0},
+            "set_b": {"kind": "box", "lower": [2.0] + [-1.0] * (dim - 1),
+                      "upper": [3.0] + [1.0] * (dim - 1)},
+        }))
+        assert main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 0
+        trace = tmp_path / "ball_box_trace.csv"
+        return ["plot", "--trace", str(trace), "--config", str(cfg_path),
+                "--out", str(tmp_path / "ball_box.svg")]
+
+    def test_ball_and_box_boundaries_are_drawn(self, tmp_path):
+        assert main(self.run_ball_box(tmp_path, 2)) == 0
+        text = (tmp_path / "ball_box.svg").read_text()
+        # The two set boundaries, then the two iterate paths.
+        polylines = re.findall(r'<polyline points="([^"]*)"', text)
+        assert len(polylines) == 4
+        circle = [tuple(map(float, p.split(","))) for p in polylines[0].split()]
+        assert len(circle) == 513
+        assert all(abs(math.hypot(x, y) - 1.0) <= 1e-5 for x, y in circle)
+        assert polylines[1] == "2,1 3,1 3,-1 2,-1 2,1"  # the y axis is flipped
+
+    def test_three_dimensional_instance_is_not_plotted(self, tmp_path, capsys):
+        argv = self.run_ball_box(tmp_path, 3)
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: only 2-D instances can be rendered\n"
+        assert not (tmp_path / "ball_box.svg").exists()
+
     def test_make_figures_script(self, tmp_path):
         script = Path(__file__).resolve().parents[1] / "scripts" / "make_figures.py"
         proc = subprocess.run(

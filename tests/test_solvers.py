@@ -5,6 +5,7 @@ import pytest
 
 from feasib import (
     Ball,
+    Box,
     CondGLimits,
     Ellipsoid,
     ForcingParams,
@@ -13,16 +14,16 @@ from feasib import (
     InputError,
     START_TOL,
     StopCode,
+    SolveReport,
     StoppingConfig,
     acondg1,
     acondg2,
     averaged_projection,
-    default_schedule,
     dist_ellipse_halfspace,
     dist_two_bodies,
     exact_alternating,
 )
-from feasib.solvers import check_pair
+from feasib.solvers import _drive, check_pair
 
 from _helpers import containing_body, ill_conditioned_ellipsoid, sample_members
 
@@ -66,8 +67,38 @@ def regime_check(inexact_sets: int, gamma: float, theta: float, lam: float):
     inexactly, with a schedule starting at ``(gamma, theta, lam)``."""
     a, b = unit_disk(), unit_disk()
     inexact = (True, inexact_sets == 2)
-    schedule = ForcingSchedule(ForcingParams(gamma, theta, lam))
+    schedule = ForcingSchedule(gamma, theta, lam)
     return check_pair(a, b, [0.0, 0.0], [0.0, 0.0], inexact, schedule)[2]
+
+
+def driven_params(rows, schedule=ForcingSchedule()):
+    """The forcing parameters of each row when the outer driver steps
+    through the violation pairs ``rows``, row 0 first. The step stores no
+    iterates and never stalls, and the verdict is the larger violation, so
+    only a zero pair or the iteration cap stops the run."""
+    pairs = iter(rows[1:])
+
+    def step(params):
+        return None, None, next(pairs), 0, False, math.inf
+
+    stop = StoppingConfig(max_outer_iters=len(rows) - 1)
+    rep = _drive(SolveReport(), (None, None, rows[0]), step, max, schedule, stop, 0.0)
+    return rep.schedule_trace
+
+
+# Each scalar field of the solver and inner-loop config objects, by path,
+# and the call that sets it to ``bad``.
+SCALAR_FIELDS = {
+    "gamma": lambda bad: ForcingParams(bad, 0.0, 0.0),
+    "lam": lambda bad: ForcingParams(0.0, 0.0, bad),
+    "stopping.eps_feas": lambda bad: StoppingConfig(eps_feas=bad),
+    "stopping.eps_lack": lambda bad: StoppingConfig(eps_lack=bad),
+    "limits.degenerate_gap_tol": lambda bad: CondGLimits(degenerate_gap_tol=bad),
+    **{
+        f"schedule.{name}": lambda bad, name=name: ForcingSchedule(**{name: bad})
+        for name in ("gamma0", "theta0", "lambda0", "tau", "delta")
+    },
+}
 
 
 class TestForcingSchedule:
@@ -76,52 +107,93 @@ class TestForcingSchedule:
             regime_check(1, 0.3, 0.1, 0.11)
         with pytest.raises(ValueError):
             regime_check(1, 0.0, 0.5, 0.0)
-        assert regime_check(1, 0.3, 0.45, 0.09).current.theta == 0.45
+        assert regime_check(1, 0.3, 0.45, 0.09).theta0 == 0.45
 
     def test_two_set_conditions_enforced(self):
         with pytest.raises(ValueError):
             regime_check(2, 0.0, 0.25, 0.0)
         with pytest.raises(ValueError):
             regime_check(2, 0.3, 0.1, 0.11)
-        assert regime_check(2, 0.1, 0.2, 0.19).current.theta == 0.2
+        assert regime_check(2, 0.1, 0.2, 0.19).theta0 == 0.2
 
     def test_factor_ranges(self):
         with pytest.raises(ValueError):
-            ForcingSchedule(ForcingParams(0.0, 0.0, 0.0), tau=1.0)
+            ForcingSchedule(0.0, 0.0, 0.0, tau=1.0)
         with pytest.raises(ValueError):
-            ForcingSchedule(ForcingParams(0.0, 0.0, 0.0), delta=0.0)
+            ForcingSchedule(0.0, 0.0, 0.0, delta=0.0)
 
+    # Row k + 1 carries the parameters the driver chose after comparing
+    # row k with row k - 1; rows 0 and 1 carry the initial parameters.
     def test_progress_keeps_parameters(self):
-        s = default_schedule()
-        assert s.updated(1.0, 0.5, 2.0, 2.0) is s
+        trace = driven_params([(1.0, 2.0), (0.5, 2.0), (1.0, 1.0)])
+        assert trace[2] is trace[0]
 
     def test_no_progress_scales_by_delta(self):
-        s = ForcingSchedule(ForcingParams(0.09, 0.19, 0.19), tau=0.9, delta=0.1)
-        s2 = s.updated(1.0, 0.95, 1.0, 0.95)
-        assert s2.current.gamma == pytest.approx(0.009)
-        assert s2.current.theta == pytest.approx(0.019)
-        assert s2.current.lam == pytest.approx(0.019)
+        s = ForcingSchedule(0.09, 0.19, 0.19, tau=0.9, delta=0.1)
+        trace = driven_params([(1.0, 1.0), (0.95, 0.95), (1.0, 1.0)], s)
+        assert trace[2].gamma == pytest.approx(0.009)
+        assert trace[2].theta == pytest.approx(0.019)
+        assert trace[2].lam == pytest.approx(0.019)
 
     def test_zero_violations_count_as_progress(self):
-        s = default_schedule()
-        assert s.updated(0.0, 0.0, 1.0, 0.99) is s
+        trace = driven_params([(0.0, 1.0), (0.0, 0.99), (1.0, 1.0)])
+        assert trace[2] is trace[0]
 
     def test_no_baseline_shows_no_progress(self):
         # Before a y-iterate exists its violation is inf: there is no
         # baseline to improve on, so only the x side can show progress.
-        s = default_schedule()
-        assert s.updated(1.0, 1.0, math.inf, 0.5).current == s.current.scaled(s.delta)
-        assert s.updated(1.0, 0.5, math.inf, 0.5) is s
+        s = ForcingSchedule()
+        trace = driven_params([(1.0, math.inf), (1.0, 0.5), (1.0, 1.0)], s)
+        assert trace[2] == trace[0].scaled(s.delta)
+        trace = driven_params([(1.0, math.inf), (0.5, 0.5), (1.0, 1.0)], s)
+        assert trace[2] is trace[0]
 
     def test_zero_parameters_are_kept_without_progress(self):
-        s = ForcingSchedule(ForcingParams(0.0, 0.0, 0.0))
-        assert s.updated(1.0, 1.0, 1.0, 1.0) is s
+        s = ForcingSchedule(0.0, 0.0, 0.0)
+        trace = driven_params([(1.0, 1.0), (1.0, 1.0), (1.0, 1.0)], s)
+        assert trace[2] is trace[0]
+
+    @pytest.mark.parametrize(
+        "solve, shows",
+        [
+            # Row 0 of ACondG1 has no y-iterate: an inf baseline.
+            (lambda: acondg1(slim_ellipse(), halfspace_at(1.50), [0.0, 0.0]),
+             lambda p, c, params: p[1] == math.inf),
+            (lambda: exact_alternating(slim_ellipse(), halfspace_at(1.42), [0.0, 0.0]),
+             lambda p, c, params: params == ForcingParams(0.0, 0.0, 0.0)
+             and not any(cv <= 0.9 * pv for pv, cv in zip(p, c))),
+            (lambda: acondg2(slim_ellipse(), second_ellipse(2.36), [0.0, 0.0],
+                             [2.36, 0.5]),
+             lambda p, c, params: not any(cv <= 0.9 * pv for pv, cv in zip(p, c))),
+            # Set A lies inside set B, so every averaged iterate is in B.
+            (lambda: averaged_projection(
+                Ball(center=[0.0, 0.0], radius=1.0),
+                Box(lower=[-2.0, -2.0], upper=[2.0, 2.0]), [1.0, 0.0], [2.0, 2.0]),
+             lambda p, c, params: p[0] == c[0] == 0.0),
+        ],
+        ids=["acondg1-inf-baseline", "exact-zero-parameters", "acondg2-shrinks",
+             "averaged-zero-violations"],
+    )
+    def test_solves_follow_the_progress_rule(self, solve, shows):
+        """Recompute every row's parameters from the two rows before it, on
+        a solve that shows the case ``shows`` names at some step."""
+        rep, tau, delta = solve(), 0.9, 0.1
+        trace, viol = rep.schedule_trace, rep.violations
+        assert trace[1] == trace[0]
+        seen = False
+        for k in range(1, rep.outer_iters):
+            prev, curr, params = viol[k - 1], viol[k], trace[k]
+            progress = any(cv <= tau * pv < math.inf for pv, cv in zip(prev, curr))
+            kept = progress or params == ForcingParams(0.0, 0.0, 0.0)
+            assert trace[k + 1] == (params if kept else params.scaled(delta))
+            seen = seen or shows(prev, curr, params)
+        assert seen
 
     def test_defaults_match_experiment_values(self):
-        s = default_schedule()
-        assert s.current.gamma == pytest.approx(0.1 - 1e-8)
-        assert s.current.theta == pytest.approx(0.2 - 1e-8)
-        assert s.current.lam == pytest.approx(0.2 - 1e-8)
+        s = ForcingSchedule()
+        assert s.gamma0 == pytest.approx(0.1 - 1e-8)
+        assert s.theta0 == pytest.approx(0.2 - 1e-8)
+        assert s.lambda0 == pytest.approx(0.2 - 1e-8)
         assert s.tau == 0.9 and s.delta == 0.1
 
     def test_stopping_validation(self):
@@ -152,14 +224,21 @@ class TestForcingSchedule:
                 id="<lambda>-stopping.eps_lack-finite",
             ),
             (lambda: ForcingParams(0.0, math.nan, 0.0), "theta"),
-            (lambda: ForcingSchedule(ForcingParams(0.0, 0.0, 0.0), tau=1.0),
-             "schedule.tau"),
+            (lambda: ForcingSchedule(0.0, 0.0, 0.0, tau=1.0), "schedule.tau"),
         ],
     )
     def test_range_errors_name_the_field(self, build, path):
         with pytest.raises(InputError) as err:
             build()
         assert err.value.path == path
+
+    @pytest.mark.parametrize("path", list(SCALAR_FIELDS))
+    @pytest.mark.parametrize("bad", ["x", None])
+    def test_malformed_numbers_name_the_field(self, path, bad):
+        with pytest.raises(InputError) as err:
+            SCALAR_FIELDS[path](bad)
+        assert err.value.path == path
+        assert err.value.message.startswith("malformed number: ")
 
 
 class TestACondG1:
@@ -501,7 +580,7 @@ class TestInnerCapPropagation:
 class TestInputRules:
     # theta = 0.3 meets the one-set condition (theta < 1/2) but not the
     # two-set one (theta < 1/4).
-    ONE_SET_ONLY = ForcingSchedule(ForcingParams(0.0, 0.3, 0.0))
+    ONE_SET_ONLY = ForcingSchedule(0.0, 0.3, 0.0)
 
     @pytest.mark.parametrize("solve", [acondg2, averaged_projection])
     def test_two_set_solvers_hold_a_schedule_to_their_regime(self, solve):
