@@ -86,22 +86,54 @@ def check_count(value, path: str) -> None:
         raise InputError(path, "must be >= 1")
 
 
+def _number_problem(x) -> str | None:
+    """Why ``x`` is no number, or None; a bool is none."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        return f"expected a number, got {type(x).__name__}"
+    return None
+
+
 def as_float(x, path: str) -> float:
-    """``x`` as a float, or InputError at ``path`` when ``float`` refuses it."""
+    """``x`` as a finite float, or InputError at ``path``; an integer beyond
+    the float range is not finite."""
+    if (problem := _number_problem(x)) is not None:
+        raise InputError(path, f"malformed number: {problem}")
     try:
-        return float(x)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(path, f"malformed number: {exc}") from None
+        v = float(x)
+    except OverflowError:
+        v = math.inf
+    if not math.isfinite(v):
+        raise InputError(path, "must be finite")
+    return v
+
+
+def _entry_problem(x) -> str | None:
+    """Why ``x`` holds no numbers, or None: it must be an integer or float
+    ndarray, or a list or tuple of numbers. The entries are tested before
+    ``np.asarray``, which converts bools and numeric strings."""
+    if isinstance(x, np.ndarray):
+        return None if x.dtype.kind in "iuf" else f"expected numbers, got dtype {x.dtype}"
+    if not isinstance(x, (list, tuple)):
+        return f"expected a list of numbers, got {type(x).__name__}"
+    for i, e in enumerate(x):
+        if (problem := _number_problem(e)) is not None:
+            return f"entry {i}: {problem}"
+    return None
 
 
 def as_vector(x, dim: int | None = None, path: str | None = None) -> Vector:
-    """Validate and convert ``x`` to a finite 1-D float64 array; a bad ``x``
-    raises InputError at ``path``, or ValueError when no path is given."""
-    try:
-        v = np.asarray(x, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as exc:
-        problem = f"malformed vector: {exc}"
+    """Validate and convert ``x`` (see :func:`_entry_problem`) to a finite
+    1-D float64 array; a bad ``x`` raises InputError at ``path``, or
+    ValueError when no path is given."""
+    # The solvers pass only float64 arrays: for them the dtype is the test.
+    typed = isinstance(x, np.ndarray) and x.dtype.kind in "iuf"
+    if not typed and (problem := _entry_problem(x)) is not None:
+        problem = f"malformed vector: {problem}"
     else:
+        try:
+            v = np.asarray(x, dtype=np.float64)
+        except OverflowError:  # an integer entry beyond the float range
+            v = np.array([math.inf])
         if v.ndim != 1:
             problem = f"expected a 1-D vector, got shape {v.shape}"
         elif not np.isfinite(v).all():
@@ -184,11 +216,8 @@ class Halfspace(ConvexBody):
         a = as_vector(self.normal, path="normal")
         if not np.any(a != 0.0):
             raise InputError("normal", "must be nonzero")
-        offset = as_float(self.offset, "offset")
-        if not math.isfinite(offset):
-            raise InputError("offset", f"must be finite, got {self.offset}")
         object.__setattr__(self, "normal", a)
-        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "offset", as_float(self.offset, "offset"))
 
     @property
     def dim(self) -> int:
@@ -218,8 +247,8 @@ class Ball(ConvexBody):
     def __post_init__(self):
         object.__setattr__(self, "center", as_vector(self.center, path="center"))
         r = as_float(self.radius, "radius")
-        if not 0.0 < r < math.inf:
-            raise InputError("radius", f"must be finite and positive, got {r}")
+        if r <= 0.0:
+            raise InputError("radius", f"must be positive, got {r}")
         object.__setattr__(self, "radius", r)
 
     @property
@@ -336,9 +365,14 @@ class Ellipsoid(ConvexBody):
 
     def __post_init__(self):
         center = as_vector(self.center, path="center")
+        # A list or tuple shape is a list of rows, each with a vector's entries.
+        rows = self.shape if isinstance(self.shape, (list, tuple)) else [self.shape]
+        for problem in map(_entry_problem, rows):
+            if problem is not None:
+                raise InputError("shape", f"malformed matrix: {problem}")
         try:
             q = np.asarray(self.shape, dtype=np.float64)
-        except (TypeError, ValueError, OverflowError) as exc:
+        except (ValueError, OverflowError) as exc:  # ragged rows, a huge integer
             raise InputError("shape", f"malformed matrix: {exc}") from None
         n = center.shape[0]
         if q.shape != (n, n):
@@ -375,8 +409,6 @@ class Ellipsoid(ConvexBody):
         """
         center = as_vector(center, 2, "center")
         angle = as_float(angle, "angle")
-        if not math.isfinite(angle):
-            raise InputError("angle", f"must be finite, got {angle}")
         a, b = as_vector(semi_axes, 2, "semi_axes").tolist()
         if not (a > 0.0 and b > 0.0):
             raise InputError("semi_axes", f"must be positive, got {(a, b)}")

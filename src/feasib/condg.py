@@ -76,8 +76,8 @@ class ForcingParams:
     def __post_init__(self):
         for name in ("gamma", "theta", "lam"):
             v = as_float(getattr(self, name), name)
-            if not (v >= 0.0 and math.isfinite(v)):
-                raise InputError(name, f"must be finite and >= 0, got {v}")
+            if v < 0.0:
+                raise InputError(name, f"must be >= 0, got {v}")
             object.__setattr__(self, name, v)
 
     def scaled(self, factor: float) -> "ForcingParams":
@@ -102,8 +102,8 @@ class CondGLimits:
         check_count(self.max_inner_iters, "limits.max_inner_iters")
         path = "limits.degenerate_gap_tol"
         tol = as_float(self.degenerate_gap_tol, path)
-        if not 0.0 <= tol < math.inf:
-            raise InputError(path, "must be finite and >= 0")
+        if tol < 0.0:
+            raise InputError(path, "must be >= 0")
         object.__setattr__(self, "degenerate_gap_tol", tol)
 
 

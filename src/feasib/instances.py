@@ -12,15 +12,17 @@ and fields once, for parsing and building alike. The ``schedule`` and
 their defaults fill missing keys. Validation errors carry the path of the
 offending field.
 
-Parsing checks each field's JSON type alone, and that numbers are finite.
-The range rules are those of the API: the body constructors (re-pathed
-under ``set_a`` / ``set_b``), ``ForcingSchedule`` and ``StoppingConfig``,
-for every solver. :func:`validate_config` then runs the solvers' own input
-check, :func:`~feasib.solvers.check_pair`, on the start points and the
-schedule, so a config fails with the same path and message as the call.
-The forcing regime is not a config field: ``check_pair`` derives it from
-what the solver projects inexactly, and ignores the schedule of a solver
-that projects nothing inexactly.
+Parsing checks only the JSON structure: objects, body ``kind``, and that
+an ellipse needs dimension 2. Numbers, counts and vectors follow the API's
+one rule for each (``as_float``, ``check_count`` and ``as_vector`` of
+:mod:`feasib.bodies`), and the range rules are the API's: the body
+constructors (re-pathed under ``set_a`` / ``set_b``), ``ForcingSchedule``
+and ``StoppingConfig``, for every solver. :func:`validate_config` then
+runs the solvers' own input check, :func:`~feasib.solvers.check_pair`, on
+the start points and the schedule, so a config fails with the same path
+and message as the call. The forcing regime is not a config field:
+``check_pair`` derives it from what the solver projects inexactly, and
+ignores the schedule of a solver that projects nothing inexactly.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from functools import cached_property
 from pathlib import Path
 
 from .bodies import Ball, Box, ConvexBody, Ellipsoid, Halfspace, InputError
+from .bodies import as_float, as_vector, check_count
 from .solvers import ForcingSchedule, StoppingConfig, check_pair
 
 __all__ = [
@@ -95,33 +98,8 @@ class InstanceConfig:
         return _build_body(self.set_a, "set_a"), _build_body(self.set_b, "set_b")
 
 
-def _number(obj, path: str) -> float:
-    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
-        raise ConfigError(path, f"expected a number, got {type(obj).__name__}")
-    try:
-        v = float(obj)
-    except OverflowError:  # an integer beyond the float range
-        v = math.inf
-    if not math.isfinite(v):
-        raise ConfigError(path, "must be finite")
-    return v
-
-
-def _integer(obj, path: str, minimum: int | None = None) -> int:
-    if isinstance(obj, bool) or not isinstance(obj, int):
-        raise ConfigError(path, f"expected an integer, got {type(obj).__name__}")
-    if minimum is not None and obj < minimum:
-        raise ConfigError(path, f"must be >= {minimum}")
-    return obj
-
-
 def _vector(obj, path: str, dim: int) -> tuple[float, ...]:
-    if not isinstance(obj, (list, tuple)):
-        raise ConfigError(path, "expected a list of numbers")
-    v = tuple(_number(x, f"{path}[{i}]") for i, x in enumerate(obj))
-    if len(v) != dim:
-        raise ConfigError(path, f"expected {dim} entries, got {len(v)}")
-    return v
+    return tuple(as_vector(obj, dim, path).tolist())
 
 
 # Each body kind: its constructor, called by keyword, and its fields in
@@ -153,22 +131,17 @@ def _parse_body(obj, path: str, dim: int) -> BodySpec:
     params = {}
     for name, shape in _KINDS[kind][1].items():
         value, at = obj.get(name), f"{path}.{name}"
-        params[name] = _vector(value, at, dim) if shape is tuple else _number(value, at)
+        params[name] = _vector(value, at, dim) if shape is tuple else as_float(value, at)
     return BodySpec(kind=kind, params=params)
 
 
 def _section(obj: dict, name: str, cls):
-    """The config's ``name`` object read into ``cls``, field by field; a
-    missing field takes its default, and an ``int`` default makes it an
-    integer."""
+    """The config's ``name`` object read into ``cls``, which checks each of
+    its fields at ``name.<field>``; a missing field takes its default."""
     section = obj.get(name, {})
     if not isinstance(section, dict):
         raise ConfigError(name, "expected an object")
-    values = {}
-    for f in fields(cls):
-        read = _integer if isinstance(f.default, int) else _number
-        values[f.name] = read(section.get(f.name, f.default), f"{name}.{f.name}")
-    return cls(**values)
+    return cls(**{f.name: section[f.name] for f in fields(cls) if f.name in section})
 
 
 def parse_config(obj) -> InstanceConfig:
@@ -178,7 +151,8 @@ def parse_config(obj) -> InstanceConfig:
     schema = obj.get("schema")
     if schema != SCHEMA_VERSION:
         raise ConfigError("schema", f"expected version {SCHEMA_VERSION}, got {schema}")
-    dim = _integer(obj.get("dimension"), "dimension", minimum=1)
+    dim = obj.get("dimension")
+    check_count(dim, "dimension")
 
     solver_raw = obj.get("solver")
     if not isinstance(solver_raw, str):

@@ -13,15 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import (
-    Ball,
-    Box,
-    ConvexBody,
-    Ellipsoid,
-    Halfspace,
-    Vector,
-    as_vector,
-)
+from .bodies import Ball, Box, ConvexBody, Ellipsoid, Halfspace, InputError, Vector
+from .bodies import as_float, as_vector, check_count
 
 __all__ = [
     "OracleConfig",
@@ -41,12 +34,12 @@ class OracleConfig:
     tolerance: float = 1e-12
 
     def __post_init__(self):
+        check_count(self.boundary_samples, "boundary_samples")
         if self.boundary_samples < 1000:
-            raise ValueError("boundary_samples must be >= 1000 for 2-D bodies")
-        if self.refine_iters < 1:
-            raise ValueError("refine_iters must be >= 1")
-        if not self.tolerance > 0.0:
-            raise ValueError("tolerance must be positive")
+            raise InputError("boundary_samples", "must be >= 1000 for 2-D bodies")
+        check_count(self.refine_iters, "refine_iters")
+        if as_float(self.tolerance, "tolerance") <= 0.0:
+            raise InputError("tolerance", "must be positive")
 
 
 def _boundary_curve(body: ConvexBody, v: Vector):

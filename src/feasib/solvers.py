@@ -88,7 +88,7 @@ class ForcingSchedule:
             if f.name in ("tau", "delta"):
                 ok, rule = 0.0 < v < 1.0, "must lie in (0, 1)"
             else:
-                ok, rule = 0.0 <= v < math.inf, "must be finite and >= 0"
+                ok, rule = v >= 0.0, "must be >= 0"
             if not ok:
                 raise InputError(path, f"{rule}, got {v}")
             object.__setattr__(self, f.name, v)
@@ -108,8 +108,8 @@ class StoppingConfig:
         for name in ("eps_feas", "eps_lack"):
             path = f"stopping.{name}"
             v = as_float(getattr(self, name), path)
-            if not 0.0 < v < math.inf:
-                raise InputError(path, "must be finite and positive")
+            if v <= 0.0:
+                raise InputError(path, "must be positive")
             object.__setattr__(self, name, v)
         check_count(self.max_outer_iters, "stopping.max_outer_iters")
 

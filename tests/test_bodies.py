@@ -180,11 +180,24 @@ class TestConstruction:
             (lambda: Ellipsoid.from_axes([0.0, 0.0], math.inf, (2.0, 0.2)), "angle"),
             (lambda: Ellipsoid.from_axes([0.0, 0.0], "x", (2.0, 0.2)), "angle"),
             (lambda: Ellipsoid.from_axes([0.0, 0.0], 0.0, (2.0,)), "semi_axes"),
+            (lambda: Ball(center=[0, 0], radius=True), "radius"),
+            (lambda: Ball(center=["1", "2"], radius=1.0), "center"),
+            (lambda: Ball(center=[True, 0.0], radius=1.0), "center"),
+            (lambda: Ball(center=np.array([True, False]), radius=1.0), "center"),
+            (
+                lambda: Ellipsoid(center=[0, 0], shape=[["1", "0"], ["0", "1"]]),
+                "shape",
+            ),
+            (lambda: Ellipsoid(center=[0, 0], shape=np.eye(2, dtype=bool)), "shape"),
+            (lambda: Halfspace(normal=[1.0, 0.0], offset=10**400), "offset"),
         ],
         ids=["ball-center-str", "ball-center-ragged", "acondg2-y0", "condg-anchor",
              "ellipsoid-shape-ragged", "halfspace-offset-str", "ball-radius-str",
              "ball-radius-none", "angle-nan", "angle-inf", "angle-str",
-             "semi_axes-one-entry"],
+             "semi_axes-one-entry", "ball-radius-bool", "ball-center-numeric-str",
+             "ball-center-bool-entry", "ball-center-bool-array",
+             "ellipsoid-shape-numeric-str", "ellipsoid-shape-bool-array",
+             "halfspace-offset-huge-int"],
     )
     def test_malformed_input_names_the_field(self, build, path):
         with pytest.raises(InputError) as err:

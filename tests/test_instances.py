@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -12,10 +13,12 @@ from feasib import (
     Ellipsoid,
     ForcingSchedule,
     Halfspace,
+    InputError,
     StoppingConfig,
     acondg1,
     acondg2,
 )
+from feasib.bodies import check_count
 from feasib.instances import (
     BodySpec,
     ConfigError,
@@ -480,3 +483,166 @@ class TestTables:
         with pytest.raises(ConfigError) as err:
             build_bodies(cfg)
         assert err.value.path == "set_a.kind"
+
+
+# Every numeric field a config can reach: the config that carries ``bad`` in
+# that field, the direct API call that takes the same value, and the path
+# that call names (the config names it under the set, as ``set_b.radius``).
+BALL_SET_B = {"set_b": BALL_B}
+BOX_SET_B = {"set_b": {"kind": "box", "lower": [1.3, -1.0], "upper": [2.0, 1.0]}}
+
+
+def body_field(which, base, name):
+    def config(bad):
+        obj = base_config(**base)
+        obj[which] = {**obj[which], name: bad}
+        return obj
+    return config
+
+
+def section_field(section, name):
+    return lambda bad: base_config(**{section: {name: bad}})
+
+
+ELLIPSE = dict(center=[0.0, 0.0], angle=-math.pi / 4.0, semi_axes=(2.0, 0.2))
+NUMBER_FIELDS = {
+    "set_a.angle": (
+        body_field("set_a", {}, "angle"),
+        lambda bad: Ellipsoid.from_axes(**{**ELLIPSE, "angle": bad}),
+    ),
+    "set_b.offset": (
+        body_field("set_b", {}, "offset"),
+        lambda bad: Halfspace(normal=[-1.0, 0.0], offset=bad),
+    ),
+    "set_b.radius": (
+        body_field("set_b", BALL_SET_B, "radius"),
+        lambda bad: Ball(center=[3.0, 0.0], radius=bad),
+    ),
+    **{
+        f"schedule.{name}": (
+            section_field("schedule", name),
+            lambda bad, name=name: ForcingSchedule(**{name: bad}),
+        )
+        for name in ("gamma0", "theta0", "lambda0", "tau", "delta")
+    },
+    **{
+        f"stopping.{name}": (
+            section_field("stopping", name),
+            lambda bad, name=name: StoppingConfig(**{name: bad}),
+        )
+        for name in ("eps_feas", "eps_lack")
+    },
+}
+VECTOR_FIELDS = {
+    "set_a.center": (
+        body_field("set_a", {}, "center"),
+        lambda bad: Ellipsoid.from_axes(**{**ELLIPSE, "center": bad}),
+    ),
+    "set_a.semi_axes": (
+        body_field("set_a", {}, "semi_axes"),
+        lambda bad: Ellipsoid.from_axes(**{**ELLIPSE, "semi_axes": bad}),
+    ),
+    "set_b.normal": (
+        body_field("set_b", {}, "normal"),
+        lambda bad: Halfspace(normal=bad, offset=-1.3),
+    ),
+    "set_b.center": (
+        body_field("set_b", BALL_SET_B, "center"),
+        lambda bad: Ball(center=bad, radius=1.0),
+    ),
+    "set_b.lower": (
+        body_field("set_b", BOX_SET_B, "lower"),
+        lambda bad: Box(lower=bad, upper=[2.0, 1.0]),
+    ),
+    "set_b.upper": (
+        body_field("set_b", BOX_SET_B, "upper"),
+        lambda bad: Box(lower=[1.3, -1.0], upper=bad),
+    ),
+    "x0": (
+        lambda bad: base_config(x0=bad),
+        lambda bad: acondg1(slim_ellipse(), halfspace(HALFSPACE_B), bad),
+    ),
+    "y0": (
+        lambda bad: base_config(solver="ACondG2", y0=bad, **BALL_SET_B),
+        lambda bad: acondg2(slim_ellipse(), ball(BALL_B), [0.0, 0.0], bad),
+    ),
+}
+COUNT_FIELDS = {
+    "dimension": (
+        lambda bad: base_config(dimension=bad),
+        lambda bad: check_count(bad, "dimension"),
+    ),
+    "stopping.max_outer_iters": (
+        lambda bad: base_config(stopping={"max_outer_iters": bad}),
+        lambda bad: StoppingConfig(max_outer_iters=bad),
+    ),
+}
+BAD_NUMBERS = {
+    "bool": True, "str": "1", "none": None, "list": [1.0], "nan": math.nan,
+    "inf": math.inf, "huge-int": 10**400,
+}
+BAD_VECTORS = {
+    "str": "00", "bool-entry": [True, 0.0], "str-entry": [0.0, "1"],
+    "nan-entry": [math.nan, 0.0], "huge-int-entry": [10**400, 0.0],
+    "list-entry": [[0.0], 0.0], "none": None,
+}
+# A count is an integer >= 1; 10**400 is one.
+BAD_COUNTS = {**BAD_NUMBERS, "fraction": 2.5, "float": 2.0, "zero": 0}
+del BAD_COUNTS["huge-int"]
+
+NUMERIC_CASES = [
+    pytest.param(path, config, call, bad, id=f"{path}-{label}")
+    for table, values in (
+        (NUMBER_FIELDS, BAD_NUMBERS),
+        (VECTOR_FIELDS, BAD_VECTORS),
+        (COUNT_FIELDS, BAD_COUNTS),
+    )
+    for path, (config, call) in table.items()
+    for label, bad in values.items()
+]
+
+
+@pytest.mark.parametrize("path, config, call, bad", NUMERIC_CASES)
+def test_config_and_api_refuse_bad_numbers_alike(path, config, call, bad):
+    # The config and the call share one rule per number, count and vector,
+    # so both refuse the value with the same message.
+    with pytest.raises(InputError) as from_config:
+        parse_config(config(bad))
+    with pytest.raises(InputError) as from_call:
+        call(bad)
+    assert from_config.value.path == path
+    assert path.endswith(from_call.value.path)
+    assert from_config.value.message == from_call.value.message
+
+
+# Each error example in README's config section, and a config that raises it.
+README_ERRORS = {
+    "set_b.radius: must be positive, got 0.0":
+        {"set_b": {**BALL_B, "radius": 0.0}},
+    "set_b.radius: malformed number: expected a number, got bool":
+        {"set_b": {**BALL_B, "radius": True}},
+    "set_b.offset: must be finite": {"set_b": {**HALFSPACE_B, "offset": 10**400}},
+    "x0: malformed vector: entry 1: expected a number, got str":
+        {"x0": [0.0, "0"]},
+    "schedule.tau: must lie in (0, 1), got 1.0": {"schedule": {"tau": 1.0}},
+    "stopping.eps_feas: must be positive": {"stopping": {"eps_feas": 0.0}},
+    "x0: must belong to its set (violation <= 1e-10)": {"x0": [5.0, 5.0]},
+    "y0: is required when set_b is projected inexactly":
+        {"solver": "ACondG2", "set_b": BALL_B},
+}
+
+
+def readme_error_examples():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Instance config format", 1)[1].split("\n## ", 1)[0]
+    prose = re.sub(r"```.*?```", "", section, flags=re.S)
+    spans = (" ".join(span.split()) for span in re.findall(r"`([^`]+)`", prose))
+    return [span for span in spans if re.fullmatch(r"[\w.\[\]]+: .+", span)]
+
+
+@pytest.mark.parametrize("example", readme_error_examples())
+def test_readme_error_examples_are_raised(example):
+    assert example in README_ERRORS, "add the config that raises it to README_ERRORS"
+    with pytest.raises(InputError) as err:
+        parse_config(base_config(**README_ERRORS[example]))
+    assert str(err.value) == example

@@ -7,6 +7,7 @@ from feasib import (
     Ball,
     Ellipsoid,
     Halfspace,
+    InputError,
     OracleConfig,
     brute_project,
     dist_ellipse_halfspace,
@@ -29,6 +30,25 @@ def test_config_validation():
         OracleConfig(tolerance=0.0)
     with pytest.raises(ValueError):
         OracleConfig(refine_iters=0)
+
+
+@pytest.mark.parametrize(
+    "kwargs, path, message",
+    [
+        ({"boundary_samples": 1e6}, "boundary_samples", "must be an integer"),
+        ({"boundary_samples": 999}, "boundary_samples", "must be >= 1000 for 2-D bodies"),
+        ({"refine_iters": True}, "refine_iters", "must be an integer"),
+        ({"tolerance": "x"}, "tolerance", "malformed number: expected a number, got str"),
+        ({"tolerance": math.inf}, "tolerance", "must be finite"),
+        ({"tolerance": -1e-12}, "tolerance", "must be positive"),
+    ],
+    ids=["float-samples", "few-samples", "bool-iters", "str-tolerance",
+         "inf-tolerance", "negative-tolerance"],
+)
+def test_config_errors_name_the_field(kwargs, path, message):
+    with pytest.raises(InputError) as err:
+        OracleConfig(**kwargs)
+    assert (err.value.path, err.value.message) == (path, message)
 
 
 def test_brute_project_radial_disk():

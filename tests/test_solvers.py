@@ -233,7 +233,7 @@ class TestForcingSchedule:
         assert err.value.path == path
 
     @pytest.mark.parametrize("path", list(SCALAR_FIELDS))
-    @pytest.mark.parametrize("bad", ["x", None])
+    @pytest.mark.parametrize("bad", ["x", None, "1e-3", True])
     def test_malformed_numbers_name_the_field(self, path, bad):
         with pytest.raises(InputError) as err:
             SCALAR_FIELDS[path](bad)
