@@ -1,0 +1,48 @@
+#!/usr/bin/env python3
+"""Print a digest of the experiment tables' output files and one line per run.
+
+Runs ``reproduce_table`` for table 1, table 2 or, by default, both, into a
+temporary directory that is removed afterwards. The first line is
+``sha256 <hex> <n> files``: the SHA-256 of all output files' bytes, read in
+path order. Each further line is ``label solver stop outer inner`` for one
+run, where ``inner`` is the sum of the trace's ``inner_iters`` column. Two
+checkouts that print the same lines wrote the same bytes.
+
+Usage:
+    python scripts/table_digest.py [--which 1|2]
+"""
+
+import argparse
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from feasib.runner import reproduce_table
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--which", type=int, choices=(1, 2))
+    args = parser.parse_args()
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        rows = [row for which in ([args.which] if args.which else [1, 2])
+                for row in reproduce_table(which, out)]
+        files = sorted(out.iterdir())
+        digest = hashlib.sha256()
+        for path in files:
+            digest.update(path.read_bytes())
+        print(f"sha256 {digest.hexdigest()} {len(files)} files")
+        for row in rows:
+            trace = out / f"table_{row.instance}_{row.solver}_trace.csv"
+            lines = trace.read_text().splitlines()[1:]
+            inner = sum(int(line.rsplit(",", 1)[1]) for line in lines)
+            print(row.instance, row.solver, row.stop_code, row.iters, inner)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

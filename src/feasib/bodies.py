@@ -21,8 +21,9 @@ frame coordinates, and ``_frame_violation(u)`` is the membership formula
 there. Distances and inner products are the same in the frame, so the
 Frank-Wolfe loop of :mod:`feasib.condg` runs there, tests its anchor with
 ``_frame_violation`` and maps only its result back. The public
-``lo_minimize`` is the frame oracle between the two maps, and the public
-``violation`` is ``_frame_violation`` after ``_to_frame``.
+``lo_minimize`` is the frame oracle between the two maps. The public
+``violation`` and ``project`` check their input, then call the unchecked
+``_violation`` and ``_project``, which the solvers call on their iterates.
 """
 
 from __future__ import annotations
@@ -125,9 +126,7 @@ def as_vector(x, dim: int | None = None, path: str | None = None) -> Vector:
     """Validate and convert ``x`` (see :func:`_entry_problem`) to a finite
     1-D float64 array; a bad ``x`` raises InputError at ``path``, or
     ValueError when no path is given."""
-    # The solvers pass only float64 arrays: for them the dtype is the test.
-    typed = isinstance(x, np.ndarray) and x.dtype.kind in "iuf"
-    if not typed and (problem := _entry_problem(x)) is not None:
+    if (problem := _entry_problem(x)) is not None:
         problem = f"malformed vector: {problem}"
     else:
         try:
@@ -154,7 +153,7 @@ def check_member(violation: float, path: str) -> None:
 def member_vector(body: ConvexBody, x, path: str) -> Vector:
     """``x`` as a vector in ``body`` to within ``START_TOL``, or InputError."""
     v = as_vector(x, body.dim, path)
-    check_member(body.violation(v), path)
+    check_member(body._violation(v), path)
     return v
 
 
@@ -162,20 +161,15 @@ class ConvexBody:
     """Base class for closed convex sets.
 
     Subclasses set ``is_compact`` (whether the body has a linear oracle, and
-    so a conditional-gradient projection) and implement the geometric
-    operations. Every body kind projects exactly. All instances are
-    immutable after construction.
+    so a conditional-gradient projection) and define ``dim``, ``violation``
+    and ``project`` (see the module docstring). Every body kind projects
+    exactly. All instances are immutable after construction.
     """
 
     is_compact: ClassVar[bool]
 
-    @property
-    def dim(self) -> int:
-        raise NotImplementedError
-
-    def violation(self, z) -> float:
-        """Constraint violation ``max(0, g(z))``; zero iff ``z`` is a member."""
-        raise NotImplementedError
+    def _violation(self, z: Vector) -> float:
+        return self._frame_violation(self._to_frame(z))
 
     def contains(self, z) -> bool:
         return self.violation(z) <= MEMBER_TOL
@@ -190,12 +184,6 @@ class ConvexBody:
         """Support function ``max_z <c, z>`` over the body."""
         raise UnsupportedOracleError(
             f"{type(self).__name__} does not support the support function"
-        )
-
-    def project(self, v) -> Vector:
-        """Exact Euclidean projection of ``v`` onto the body."""
-        raise UnsupportedOracleError(
-            f"{type(self).__name__} does not support exact projection"
         )
 
 
@@ -214,8 +202,9 @@ class Halfspace(ConvexBody):
 
     def __post_init__(self):
         a = as_vector(self.normal, path="normal")
-        if not np.any(a != 0.0):
-            raise InputError("normal", "must be nonzero")
+        with np.errstate(over="ignore"):  # ``project`` divides by the squared norm
+            if not 0.0 < float(a @ a) < math.inf:
+                raise InputError("normal", "must have a nonzero, finite squared norm")
         object.__setattr__(self, "normal", a)
         object.__setattr__(self, "offset", as_float(self.offset, "offset"))
 
@@ -224,11 +213,15 @@ class Halfspace(ConvexBody):
         return self.normal.shape[0]
 
     def violation(self, z) -> float:
-        z = as_vector(z, self.dim)
+        return self._violation(as_vector(z, self.dim))
+
+    def _violation(self, z: Vector) -> float:
         return max(0.0, float(self.normal @ z) - self.offset)
 
     def project(self, v) -> Vector:
-        v = as_vector(v, self.dim)
+        return self._project(as_vector(v, self.dim))
+
+    def _project(self, v: Vector) -> Vector:
         excess = float(self.normal @ v) - self.offset
         if excess <= 0.0:
             return v.copy()
@@ -256,7 +249,7 @@ class Ball(ConvexBody):
         return self.center.shape[0]
 
     def violation(self, z) -> float:
-        return self._frame_violation(self._to_frame(as_vector(z, self.dim)))
+        return self._violation(as_vector(z, self.dim))
 
     def _to_frame(self, x: Vector) -> Vector:
         return x - self.center
@@ -283,7 +276,9 @@ class Ball(ConvexBody):
         return float(c @ self.center) + self.radius * float(np.linalg.norm(c))
 
     def project(self, v) -> Vector:
-        v = as_vector(v, self.dim)
+        return self._project(as_vector(v, self.dim))
+
+    def _project(self, v: Vector) -> Vector:
         d = v - self.center
         nd = float(np.linalg.norm(d))
         if nd <= self.radius:
@@ -313,7 +308,7 @@ class Box(ConvexBody):
         return self.lower.shape[0]
 
     def violation(self, z) -> float:
-        return self._frame_violation(self._to_frame(as_vector(z, self.dim)))
+        return self._violation(as_vector(z, self.dim))
 
     # The frame is the identity.
     def _to_frame(self, x: Vector) -> Vector:
@@ -341,7 +336,9 @@ class Box(ConvexBody):
         return float(np.sum(np.where(c > 0.0, c * self.upper, c * self.lower)))
 
     def project(self, v) -> Vector:
-        v = as_vector(v, self.dim)
+        return self._project(as_vector(v, self.dim))
+
+    def _project(self, v: Vector) -> Vector:
         return np.clip(v, self.lower, self.upper)
 
 
@@ -365,16 +362,13 @@ class Ellipsoid(ConvexBody):
 
     def __post_init__(self):
         center = as_vector(self.center, path="center")
-        # A list or tuple shape is a list of rows, each with a vector's entries.
-        rows = self.shape if isinstance(self.shape, (list, tuple)) else [self.shape]
-        for problem in map(_entry_problem, rows):
-            if problem is not None:
-                raise InputError("shape", f"malformed matrix: {problem}")
-        try:
-            q = np.asarray(self.shape, dtype=np.float64)
-        except (ValueError, OverflowError) as exc:  # ragged rows, a huge integer
-            raise InputError("shape", f"malformed matrix: {exc}") from None
         n = center.shape[0]
+        if isinstance(self.shape, (list, tuple)):  # a list of rows, each a vector
+            q = np.array([as_vector(row, n, "shape") for row in self.shape])
+        elif (problem := _entry_problem(self.shape)) is not None:
+            raise InputError("shape", f"malformed matrix: {problem}")
+        else:
+            q = np.asarray(self.shape, dtype=np.float64)
         if q.shape != (n, n):
             raise InputError("shape", f"must be {n}x{n}, got {q.shape}")
         # The symmetrization below adds q to its transpose, which overflows
@@ -432,7 +426,7 @@ class Ellipsoid(ConvexBody):
         return self.center.shape[0]
 
     def violation(self, z) -> float:
-        return self._frame_violation(self._to_frame(as_vector(z, self.dim)))
+        return self._violation(as_vector(z, self.dim))
 
     # The frame is the eigenbasis, centred: u = V^T (x - center), in which
     # the body is {u : sum lam_i u_i^2 <= 1}.
@@ -470,7 +464,9 @@ class Ellipsoid(ConvexBody):
         )
 
     def project(self, v) -> Vector:
-        v = as_vector(v, self.dim)
+        return self._project(as_vector(v, self.dim))
+
+    def _project(self, v: Vector) -> Vector:
         # In the eigenbasis the projection is z(mu) with coordinates
         # z_i = b_i e_i, e_i = 1 / (1 + mu lam_i), and mu > 0 solves the
         # secular equation s2(mu) = sum lam_i b_i^2 e_i^2 = 1. As Moré and

@@ -20,14 +20,15 @@ whose ``path`` names the argument; the config layer runs the same checks
 and so the same messages.
 
 Every projection of every step is one call, ``_project(body, inexact,
-anchor, point, params, limits) -> (w, inner_iters, capped)``, where
-``capped`` says the inner loop stopped at its cap. An inexact projection
-runs :func:`~feasib.condg.condg_project` warm-started at the anchor; an
-exact one ignores the anchor and the forcing parameters. The alternating
-schemes project the x-iterate onto B, then the new y-iterate onto A, and
-their verdict is the smaller violation. The averaged scheme's step averages
-the two inexact projections of its iterate, and its verdict is the larger
-violation of that iterate.
+anchor, point, params, limits) -> (w, inner_iters, capped)``: inexact,
+:func:`~feasib.condg.condg_project` warm-started at the anchor, where
+``capped`` says it stopped at its cap; or exact, the body's unchecked
+``_project``. After ``check_pair`` the loop checks only that each ``w`` and
+averaged midpoint is finite, so an overflow raises ValueError before a stop
+rule reads its row. The alternating schemes project the x-iterate onto B,
+then the new y-iterate onto A, and their verdict is the smaller violation.
+The averaged scheme's step averages the two inexact projections of its
+iterate, and its verdict is the larger violation of that iterate.
 
 A :class:`ForcingSchedule`, which is also the config's ``schedule``
 section, holds the initial forcing parameters and the factors ``tau`` and
@@ -246,15 +247,18 @@ def check_pair(
     return x0, y0, schedule
 
 
+def _finite(w: Vector) -> Vector:
+    if not np.isfinite(w).all():  # an overflow; a stop rule would read nan as 0
+        raise ValueError(f"an iterate is not finite, the run overflowed: {w}")
+    return w
+
+
 def _project(body, inexact, anchor, point, params, limits) -> tuple[Vector, int, bool]:
-    """Project ``point`` onto ``body``; return ``(w, inner_iters, capped)``,
-    where ``capped`` says the inner loop stopped at its cap. An inexact
-    projection runs :func:`~feasib.condg.condg_project` warm-started at
-    ``anchor``; an exact one ignores ``anchor``, ``params`` and ``limits``."""
+    """One projection of a step, as the module docstring states."""
     if not inexact:
-        return body.project(point), 0, False
+        return _finite(body._project(point)), 0, False
     res = condg_project(body, params, anchor, point, limits)
-    return res.w_plus, res.inner_iters, res.stop_reason is CondGStop.ITERATION_CAP
+    return _finite(res.w_plus), res.inner_iters, res.stop_reason is CondGStop.ITERATION_CAP
 
 
 def _drive(
@@ -332,12 +336,12 @@ def _alternate(
     """
     x0, y0, schedule = check_pair(a, b, x0, y0, inexact, schedule)
     feas_tol = stop.eps_feas if any(inexact) else 0.0
-    x, y, cb_x = x0, y0, b.violation(x0)
+    x, y, cb_x = x0, y0, b._violation(x0)
 
     def step(params):
         nonlocal x, y, cb_x
         y_new, inner_b, cap_b = _project(b, inexact[1], y, x, params, limits)
-        ca_y = a.violation(y_new)
+        ca_y = a._violation(y_new)
         if ca_y == 0.0:
             return x, y_new, (cb_x, ca_y), inner_b, cap_b, math.inf
         x_new, inner_a, cap_a = _project(a, inexact[0], x, y_new, params, limits)
@@ -346,10 +350,10 @@ def _alternate(
         moved = math.inf if y is None else _inf_norm(x_new - x)
         if moved <= stop.eps_lack:
             moved = max(moved, _inf_norm(y_new - y))
-        x, y, cb_x = x_new, y_new, b.violation(x_new)
+        x, y, cb_x = x_new, y_new, b._violation(x_new)
         return x, y, (cb_x, ca_y), inner_b + inner_a, cap_b or cap_a, moved
 
-    ca0 = a.violation(y0) if y0 is not None else math.inf
+    ca0 = a._violation(y0) if y0 is not None else math.inf
     first_row = (x0, y0, (cb_x, ca0))
     return _drive(SolveReport(), first_row, step, min, schedule, stop, feas_tol)
 
@@ -402,7 +406,7 @@ def averaged_projection(
     projection outputs.
     """
     x0, y0, sched = check_pair(a, b, x0, y0, (True, True), schedule)
-    z, anchor_a, anchor_b = 0.5 * (x0 + y0), x0, y0
+    z, anchor_a, anchor_b = _finite(0.5 * (x0 + y0)), x0, y0
     rep = SolveReport(anchor_trace=[x0])
 
     def step(params):
@@ -410,12 +414,12 @@ def averaged_projection(
         anchor_a, inner_a, cap_a = _project(a, True, anchor_a, z, params, limits)
         anchor_b, inner_b, cap_b = _project(b, True, anchor_b, z, params, limits)
         rep.anchor_trace.append(anchor_a)
-        z_new = 0.5 * (anchor_a + anchor_b)
+        z_new = _finite(0.5 * (anchor_a + anchor_b))
         moved, z = _inf_norm(z_new - z), z_new
-        viol = (b.violation(z), a.violation(z))
+        viol = (b._violation(z), a._violation(z))
         return z, anchor_b, viol, inner_a + inner_b, cap_a or cap_b, moved
 
-    first_row = (z, y0, (b.violation(z), a.violation(z)))
+    first_row = (z, y0, (b._violation(z), a._violation(z)))
     return _drive(rep, first_row, step, max, sched, stop, stop.eps_feas)
 
 

@@ -118,8 +118,14 @@ class TestConstruction:
                 "semi_axes",
                 "entries must be finite",
             ),
+            (
+                # Each row of a list-form shape follows the vector rule.
+                lambda: Ellipsoid(center=[0, 0], shape=[[10**400, 0], [0, 1]]),
+                "shape",
+                "vector entries must be finite",
+            ),
         ],
-        ids=["asymmetric", "from_axes"],
+        ids=["asymmetric", "from_axes", "huge-int-row"],
     )
     def test_huge_shape_entries_checked_without_overflow(self, build, path, message):
         # The symmetry test scales the shape by its largest entry; unscaled,

@@ -289,6 +289,21 @@ BODY_CASES = [
         "normal",
         id="halfspace-normal",
     ),
+    # A squared norm that overflows or underflows: ``project`` divides by it.
+    pytest.param(
+        "set_b",
+        {"kind": "halfspace", "normal": [1e200, 0.0], "offset": -1e200},
+        lambda: Halfspace(normal=[1e200, 0.0], offset=-1e200),
+        "normal",
+        id="halfspace-normal-huge",
+    ),
+    pytest.param(
+        "set_b",
+        {"kind": "halfspace", "normal": [1e-200, 0.0], "offset": 0.0},
+        lambda: Halfspace(normal=[1e-200, 0.0], offset=0.0),
+        "normal",
+        id="halfspace-normal-tiny",
+    ),
     pytest.param(
         "set_b",
         {"kind": "ball", "center": [3.0, 0.0], "radius": 0.0},

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -31,6 +32,7 @@ from feasib.runner import (
     comparison_path,
     reproduce_table,
     run_instance,
+    solve_config,
     write_trace_csv,
 )
 from feasib.solvers import SolveReport
@@ -198,6 +200,24 @@ class TestRunInstance:
 
 
 class TestReproduceTable:
+    def test_table_digest_script(self, table1_dir):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "table_digest.py"
+        proc = subprocess.run(
+            [sys.executable, str(script), "--which", "1"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        first, *runs = proc.stdout.splitlines()
+        files = sorted(table1_dir.iterdir())
+        digest = hashlib.sha256(b"".join(path.read_bytes() for path in files))
+        assert first == f"sha256 {digest.hexdigest()} {len(files)} files"
+        expected = []
+        for label, solver, stop, outer, *_ in comparison_rows(table1_dir, 1):
+            inner = solve_config(table1_config(label, solver)).inner_iter_total
+            expected.append(f"{label} {solver} {stop} {outer} {inner}")
+        assert runs == expected
+
     def test_comparison_layout_and_codes(self, table1_dir):
         text = (table1_dir / "table1_comparison.csv").read_text()
         lines = text.strip().splitlines()

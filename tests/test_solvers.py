@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -23,6 +24,9 @@ from feasib import (
     dist_two_bodies,
     exact_alternating,
 )
+from feasib import bodies, solvers
+from feasib.instances import table2_config
+from feasib.runner import solve_config
 from feasib.solvers import _drive, check_pair
 
 from _helpers import containing_body, ill_conditioned_ellipsoid, sample_members
@@ -615,3 +619,60 @@ class TestInputRules:
         with pytest.raises(InputError) as err:
             exact_alternating(unit_disk(), b, [0.0, 0.0])
         assert err.value.path == "set_b"
+
+
+def count_calls(monkeypatch, fn) -> list:
+    """Wrap ``fn`` in every feasib module that binds it, as the benchmark's
+    tracer does, and return the list that each call appends to."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "feasib" or name.startswith("feasib."):
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+class TestCheckedOnce:
+    """A run checks its input vectors once, in ``check_pair``; the loop
+    checks only that what it builds is finite."""
+
+    @pytest.mark.parametrize(
+        "label, solver", [("2.359", "ExactAlt2"), ("2.358", "ACondG2")]
+    )
+    def test_a_table_run_checks_each_vector_where_it_enters(
+        self, monkeypatch, label, solver
+    ):
+        config = table2_config(label, solver)
+        config.bodies  # built before counting
+        checks = count_calls(monkeypatch, bodies.as_vector)
+        projections = count_calls(monkeypatch, solvers.condg_project)
+        report = solve_config(config)
+        assert report.outer_iters > 100
+        assert (len(projections) > 0) == (solver == "ACondG2")
+        # x0 and y0, then the anchor and the point of each inner projection.
+        assert len(checks) == 2 + 2 * len(projections)
+
+    @pytest.mark.parametrize("solver", ["ExactAlt", "ACondG1", "Averaged"])
+    def test_an_overflowing_iterate_raises(self, solver):
+        # Valid input whose first step overflows: a stop rule would read
+        # the non-finite iterate's violation max(0.0, nan) as 0.0.
+        x0 = [1e308, 1e308]
+        a = Ball(center=x0, radius=1.0)
+        b = Halfspace(normal=[1.0, 1.0], offset=0.0)
+        # The averaged midpoint of x0 and y0 overflows; its violation of a
+        # disk centred there is nan, since the frame map multiplies inf by 0.
+        disk = Ellipsoid(center=x0, shape=np.eye(2))
+        run = {
+            "ExactAlt": lambda: exact_alternating(a, b, x0),
+            "ACondG1": lambda: acondg1(a, b, x0),
+            "Averaged": lambda: averaged_projection(disk, disk, x0, x0),
+        }[solver]
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(ValueError):
+                run()
