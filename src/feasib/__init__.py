@@ -19,7 +19,6 @@ from .bodies import (
     as_vector,
 )
 from .condg import (
-    CondGLimits,
     CondGResult,
     CondGStop,
     ForcingParams,
@@ -27,7 +26,6 @@ from .condg import (
     phi,
 )
 from .oracles import (
-    OracleConfig,
     brute_project,
     dist_ellipse_halfspace,
     dist_two_bodies,
@@ -46,7 +44,6 @@ from .solvers import (
 __all__ = [
     "Ball",
     "Box",
-    "CondGLimits",
     "CondGResult",
     "CondGStop",
     "ConvexBody",
@@ -57,7 +54,6 @@ __all__ = [
     "InputError",
     "MEMBER_TOL",
     "START_TOL",
-    "OracleConfig",
     "SolveReport",
     "StopCode",
     "StoppingConfig",

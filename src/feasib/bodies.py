@@ -47,6 +47,7 @@ Vector: TypeAlias = NDArray[np.float64]
 # let ``project`` return points that far outside unchanged.
 MEMBER_TOL = 1e-12
 START_TOL = 1e-10
+_SECULAR_MAX_ITERS = 200  # the safety cap of Ellipsoid's Newton loops
 
 __all__ = [
     "Ball",
@@ -280,7 +281,11 @@ class Ball(ConvexBody):
 
     def _project(self, v: Vector) -> Vector:
         d = v - self.center
-        nd = float(np.linalg.norm(d))
+        with np.errstate(over="ignore"):
+            nd = float(np.linalg.norm(d))
+        if nd == math.inf:  # the sum of squares overflowed, not the distance
+            m = float(np.abs(d).max())
+            nd = m * float(np.linalg.norm(d / m))
         if nd <= self.radius:
             return v.copy()
         return self.center + (self.radius / nd) * d
@@ -357,8 +362,6 @@ class Ellipsoid(ConvexBody):
     _eigvecs: NDArray[np.float64] = field(init=False, repr=False)
 
     is_compact: ClassVar[bool] = True
-
-    SECULAR_MAX_ITERS: ClassVar[int] = 200
 
     def __post_init__(self):
         center = as_vector(self.center, path="center")
@@ -480,7 +483,7 @@ class Ellipsoid(ConvexBody):
 
     # Both Newton loops stop once s2 - 1 <= MEMBER_TOL (that test also ends
     # a rounding overshoot past the root, where the step would be negative),
-    # when a step no longer increases mu, or at SECULAR_MAX_ITERS, a safety
+    # when a step no longer increases mu, or at _SECULAR_MAX_ITERS, a safety
     # cap. At mu = 0, s2 - 1 is the violation, so a member returns as itself.
     # Each returns the projection and its number of Newton steps.
 
@@ -490,7 +493,7 @@ class Ellipsoid(ConvexBody):
         b = self._to_frame(v)
         t = lam * b * b
         mu, steps = 0.0, 0
-        while steps < self.SECULAR_MAX_ITERS:
+        while steps < _SECULAR_MAX_ITERS:
             e = 1.0 / (1.0 + mu * lam)
             q = t * e * e
             s2 = float(q.sum())
@@ -514,7 +517,7 @@ class Ellipsoid(ConvexBody):
         b0, b1 = v00 * d0 + v10 * d1, v01 * d0 + v11 * d1
         t0, t1 = l0 * b0 * b0, l1 * b1 * b1
         mu, steps = 0.0, 0
-        while steps < self.SECULAR_MAX_ITERS:
+        while steps < _SECULAR_MAX_ITERS:
             e0, e1 = 1.0 / (1.0 + mu * l0), 1.0 / (1.0 + mu * l1)
             q0, q1 = t0 * e0 * e0, t1 * e1 * e1
             s2 = q0 + q1

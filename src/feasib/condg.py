@@ -5,7 +5,9 @@ body satisfying ``<point - w, z - w> <= phi(params, anchor, point, w)`` for
 every member ``z``. With zero forcing parameters the tolerance collapses and
 the output is the exact projection of ``point`` up to the degenerate-gap
 tolerance. The loop never leaves the body: iterates are convex combinations
-of members.
+of members. Two safeguards outside the method end it too, as module
+constants: the iteration cap ``_MAX_INNER_ITERS`` and the degenerate-gap
+cutoff ``_DEGENERATE_GAP_TOL``.
 
 The loop runs in the body's own frame (see :mod:`feasib.bodies`), an
 isometry in which the linear oracle costs O(n), and maps only its result
@@ -47,12 +49,10 @@ from .bodies import (
     Vector,
     as_float,
     as_vector,
-    check_count,
     check_member,
 )
 
 __all__ = [
-    "CondGLimits",
     "CondGResult",
     "CondGStop",
     "ForcingParams",
@@ -60,8 +60,16 @@ __all__ = [
     "phi",
 ]
 
-# Steps with squared length at or below this would divide by ~0 in the
-# line-search formula; the gap is then numerically zero and we stop.
+# The inner loop's safeguards: ITERATION_CAP after _MAX_INNER_ITERS steps,
+# and DEGENERATE_GAP once the gap is at most _DEGENERATE_GAP_TOL (a gap g puts
+# the iterate within sqrt(2 g) of the exact projection). Both kernels copy
+# them into locals when called.
+_MAX_INNER_ITERS = 10_000
+_DEGENERATE_GAP_TOL = 1e-11
+# A step ``s`` with |s|^2 at most this is too short to move the iterate: the
+# loop stops before it with DEGENERATE_GAP, whatever the gap, and returns the
+# anchor unchanged when no step was taken. (No division is at stake: the line
+# search divides the gap by |s|^2 only when the gap is smaller.)
 _DEGENERATE_STEP_SQ = 1e-24
 
 
@@ -84,27 +92,6 @@ class ForcingParams:
         return ForcingParams(
             self.gamma * factor, self.theta * factor, self.lam * factor
         )
-
-
-@dataclass(frozen=True)
-class CondGLimits:
-    """Iteration cap and degenerate-gap cutoff for the inner loop.
-
-    The cutoff ends the loop once the optimality gap certifies the iterate
-    is the exact projection to ~1e-11, which matters only when the
-    tolerance function has collapsed toward zero.
-    """
-
-    max_inner_iters: int = 10_000
-    degenerate_gap_tol: float = 1e-11
-
-    def __post_init__(self):
-        check_count(self.max_inner_iters, "limits.max_inner_iters")
-        path = "limits.degenerate_gap_tol"
-        tol = as_float(self.degenerate_gap_tol, path)
-        if tol < 0.0:
-            raise InputError(path, "must be >= 0")
-        object.__setattr__(self, "degenerate_gap_tol", tol)
 
 
 class CondGStop(enum.Enum):
@@ -150,7 +137,6 @@ def condg_project(
     params: ForcingParams,
     anchor,
     point,
-    limits: CondGLimits = CondGLimits(),
     keep_trace: bool = False,
 ) -> CondGResult:
     """Project ``point`` onto ``body`` inexactly, warm-started at ``anchor``.
@@ -163,14 +149,13 @@ def condg_project(
         and the reference point of the tolerance. A non-member raises
         InputError at ``anchor``; the kernel tests it in the body's frame.
     point : the point being projected.
-    limits : inner iteration cap and degenerate-gap cutoff.
     keep_trace : record every inner iterate in the result.
 
     Returns
     -------
     CondGResult with ``w_plus`` a member of the body. ``ITERATION_CAP``
-    signals that the tolerance was not certified within the cap; the point
-    is still feasible.
+    signals that the tolerance was not certified within ``_MAX_INNER_ITERS``
+    steps; the point is still feasible.
     """
     if not body.is_compact:
         raise UnsupportedOracleError(
@@ -179,8 +164,8 @@ def condg_project(
     anchor = as_vector(anchor, body.dim, "anchor")
     point = as_vector(point, body.dim)
     if isinstance(body, Ellipsoid) and body.dim == 2:
-        return _planar_ellipse(body, params, anchor, point, limits, keep_trace)
-    return _frame_loop(body, params, anchor, point, limits, keep_trace)
+        return _planar_ellipse(body, params, anchor, point, keep_trace)
+    return _frame_loop(body, params, anchor, point, keep_trace)
 
 
 # Both kernels take finite arrays of the body's dimension, test the anchor's
@@ -195,7 +180,6 @@ def _frame_loop(
     params: ForcingParams,
     anchor: Vector,
     point: Vector,
-    limits: CondGLimits,
     keep_trace: bool,
 ) -> CondGResult:
     """Frank-Wolfe in the frame of any compact body, with numpy vectors."""
@@ -206,6 +190,7 @@ def _frame_loop(
     d = point - anchor
     base = params.gamma * float(d @ d)
     theta, lam = params.theta, params.lam
+    gap_tol, cap = _DEGENERATE_GAP_TOL, _MAX_INNER_ITERS
     trace = [anchor.copy()] if keep_trace else None
     u = u_a
     ell = 0
@@ -217,14 +202,14 @@ def _frame_loop(
         if gap <= base + theta * float(g @ g) + lam * float(e @ e):
             stop = CondGStop.TOLERANCE_MET
             break
-        if gap <= limits.degenerate_gap_tol:
+        if gap <= gap_tol:
             stop = CondGStop.DEGENERATE_GAP
             break
         dd = float(s @ s)
         if dd <= _DEGENERATE_STEP_SQ:
             stop = CondGStop.DEGENERATE_GAP
             break
-        if ell >= limits.max_inner_iters:
+        if ell >= cap:
             stop = CondGStop.ITERATION_CAP
             break
         u = u + (gap / dd if gap < dd else 1.0) * s
@@ -240,7 +225,6 @@ def _planar_ellipse(
     params: ForcingParams,
     anchor: Vector,
     point: Vector,
-    limits: CondGLimits,
     keep_trace: bool,
 ) -> CondGResult:
     """``_frame_loop`` for a 2-D ellipsoid, unrolled over Python floats.
@@ -262,7 +246,7 @@ def _planar_ellipse(
     up0, up1 = v00 * (p0 - c0) + v10 * (p1 - c1), v01 * (p0 - c0) + v11 * (p1 - c1)
     base = params.gamma * ((p0 - a0) * (p0 - a0) + (p1 - a1) * (p1 - a1))
     theta, lam = params.theta, params.lam
-    gap_tol, cap = limits.degenerate_gap_tol, limits.max_inner_iters
+    gap_tol, cap = _DEGENERATE_GAP_TOL, _MAX_INNER_ITERS
     trace = [anchor.copy()] if keep_trace else None
     u0, u1 = ua0, ua1
     ell = 0

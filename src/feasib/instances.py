@@ -41,7 +41,6 @@ __all__ = [
     "ConfigError",
     "InstanceConfig",
     "SCHEMA_VERSION",
-    "SOLVER_NAMES",
     "TABLE1_OFFSETS",
     "TABLE2_CENTERS",
     "build_bodies",
@@ -67,8 +66,7 @@ _SOLVERS = {
     "ExactAlt1": ((False, False), False),
     "ExactAlt2": ((False, False), True),
 }
-SOLVER_NAMES = tuple(_SOLVERS)
-_SOLVER_LOOKUP = {n.lower().replace("_", ""): n for n in SOLVER_NAMES}
+_SOLVER_LOOKUP = {n.lower().replace("_", ""): n for n in _SOLVERS}
 
 # Config and solver input errors are one class; ``path`` names the field.
 ConfigError = InputError
@@ -203,7 +201,7 @@ def build_bodies(config: InstanceConfig) -> tuple[ConvexBody, ConvexBody]:
 
 def _solver_rule(solver: str) -> tuple[tuple[bool, bool], bool]:
     if solver not in _SOLVERS:
-        expected = f"expected one of {SOLVER_NAMES}"
+        expected = f"expected one of {tuple(_SOLVERS)}"
         raise ConfigError("solver", f"unknown solver {solver!r}; {expected}")
     return _SOLVERS[solver]
 

@@ -4,20 +4,20 @@ These exist to manufacture expected values for tests and cross-checks:
 boundary-sampling projection (2-D only), analytic ellipsoid/halfspace
 distance via support functions, and a tight-tolerance alternating-projection
 distance estimator (any dimension). Solvers never call into this module.
+Their settings are module constants: ``brute_project``'s boundary sample
+count and golden-section step cap, and the tolerance at which it and
+``dist_two_bodies`` stop.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import Ball, Box, ConvexBody, Ellipsoid, Halfspace, InputError, Vector
-from .bodies import as_float, as_vector, check_count
+from .bodies import Ball, Box, ConvexBody, Ellipsoid, Halfspace, Vector, as_vector
 
 __all__ = [
-    "OracleConfig",
     "brute_project",
     "dist_ellipse_halfspace",
     "dist_two_bodies",
@@ -25,21 +25,9 @@ __all__ = [
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _ALTERNATION_CAP = 500_000
-
-
-@dataclass(frozen=True)
-class OracleConfig:
-    boundary_samples: int = 100_000
-    refine_iters: int = 200
-    tolerance: float = 1e-12
-
-    def __post_init__(self):
-        check_count(self.boundary_samples, "boundary_samples")
-        if self.boundary_samples < 1000:
-            raise InputError("boundary_samples", "must be >= 1000 for 2-D bodies")
-        check_count(self.refine_iters, "refine_iters")
-        if as_float(self.tolerance, "tolerance") <= 0.0:
-            raise InputError("tolerance", "must be positive")
+_BOUNDARY_SAMPLES = 100_000
+_REFINE_ITERS = 200
+_TOLERANCE = 1e-12
 
 
 def _boundary_curve(body: ConvexBody, v: Vector):
@@ -97,7 +85,7 @@ def _boundary_curve(body: ConvexBody, v: Vector):
     raise NotImplementedError(f"no boundary parameterization for {type(body)}")
 
 
-def brute_project(body: ConvexBody, v, cfg: OracleConfig = OracleConfig()) -> Vector:
+def brute_project(body: ConvexBody, v) -> Vector:
     """Projection by dense boundary sampling plus golden-section refinement.
 
     2-D bodies only. Members project to themselves.
@@ -109,10 +97,10 @@ def brute_project(body: ConvexBody, v, cfg: OracleConfig = OracleConfig()) -> Ve
         return v.copy()
 
     t_lo, t_hi, curve = _boundary_curve(body, v)
-    ts = np.linspace(t_lo, t_hi, cfg.boundary_samples, endpoint=False)
+    ts = np.linspace(t_lo, t_hi, _BOUNDARY_SAMPLES, endpoint=False)
     dists = np.linalg.norm(curve(ts) - v, axis=-1)
     i = int(np.argmin(dists))
-    step = (t_hi - t_lo) / cfg.boundary_samples
+    step = (t_hi - t_lo) / _BOUNDARY_SAMPLES
 
     # The true minimizer lies within one sample spacing of the best sample;
     # golden-section search needs only unimodality on that bracket.
@@ -121,8 +109,8 @@ def brute_project(body: ConvexBody, v, cfg: OracleConfig = OracleConfig()) -> Ve
     c = hi - _GOLDEN * (hi - lo)
     d = lo + _GOLDEN * (hi - lo)
     fc, fd = f(c), f(d)
-    for _ in range(cfg.refine_iters):
-        if hi - lo <= cfg.tolerance:
+    for _ in range(_REFINE_ITERS):
+        if hi - lo <= _TOLERANCE:
             break
         if fc < fd:
             hi, d, fd = d, c, fc
@@ -159,13 +147,11 @@ def _anchor(body: ConvexBody) -> Vector:
     raise NotImplementedError(f"no anchor for {type(body)}")
 
 
-def dist_two_bodies(
-    a: ConvexBody, b: ConvexBody, cfg: OracleConfig = OracleConfig()
-) -> tuple[float, Vector, Vector]:
+def dist_two_bodies(a: ConvexBody, b: ConvexBody) -> tuple[float, Vector, Vector]:
     """Distance between two bodies via tight exact alternating projections.
 
     Runs plain alternating exact projections from several deterministic
-    starts until both iterates move less than ``cfg.tolerance`` in the max
+    starts until both iterates move less than ``_TOLERANCE`` in the max
     norm, and returns the best ``(distance, point_in_a, point_in_b)`` found.
     """
     starts = [_anchor(a), a.project(_anchor(b))]
@@ -179,7 +165,7 @@ def dist_two_bodies(
                 float(np.max(np.abs(x_new - x))), float(np.max(np.abs(y_new - y)))
             )
             x, y = x_new, y_new
-            if moved <= cfg.tolerance:
+            if moved <= _TOLERANCE:
                 break
         d = float(np.linalg.norm(x - y))
         if best is None or d < best[0]:

@@ -20,12 +20,13 @@ whose ``path`` names the argument; the config layer runs the same checks
 and so the same messages.
 
 Every projection of every step is one call, ``_project(body, inexact,
-anchor, point, params, limits) -> (w, inner_iters, capped)``: inexact,
+anchor, point, params) -> (w, inner_iters, capped)``: inexact,
 :func:`~feasib.condg.condg_project` warm-started at the anchor, where
-``capped`` says it stopped at its cap; or exact, the body's unchecked
-``_project``. After ``check_pair`` the loop checks only that each ``w`` and
-averaged midpoint is finite, so an overflow raises ValueError before a stop
-rule reads its row. The alternating schemes project the x-iterate onto B,
+``capped`` says it stopped at its cap, the module constant
+``condg._MAX_INNER_ITERS``; or exact, the body's unchecked ``_project``.
+After ``check_pair`` the loop checks only that each ``w`` and averaged
+midpoint is finite, so an overflow raises ValueError before a stop rule
+reads its row. The alternating schemes project the x-iterate onto B,
 then the new y-iterate onto A, and their verdict is the smaller violation.
 The averaged scheme's step averages the two inexact projections of its
 iterate, and its verdict is the larger violation of that iterate.
@@ -48,7 +49,7 @@ from typing import Callable
 import numpy as np
 
 from .bodies import ConvexBody, InputError, Vector, as_float, check_count, member_vector
-from .condg import CondGLimits, CondGStop, ForcingParams, condg_project
+from .condg import CondGStop, ForcingParams, condg_project
 
 __all__ = [
     "ForcingSchedule",
@@ -253,11 +254,11 @@ def _finite(w: Vector) -> Vector:
     return w
 
 
-def _project(body, inexact, anchor, point, params, limits) -> tuple[Vector, int, bool]:
+def _project(body, inexact, anchor, point, params) -> tuple[Vector, int, bool]:
     """One projection of a step, as the module docstring states."""
     if not inexact:
         return _finite(body._project(point)), 0, False
-    res = condg_project(body, params, anchor, point, limits)
+    res = condg_project(body, params, anchor, point)
     return _finite(res.w_plus), res.inner_iters, res.stop_reason is CondGStop.ITERATION_CAP
 
 
@@ -323,7 +324,6 @@ def _alternate(
     inexact: tuple[bool, bool],
     schedule: ForcingSchedule | None,
     stop: StoppingConfig,
-    limits: CondGLimits = CondGLimits(),
 ) -> SolveReport:
     """Alternate ``y = proj_b(y, x)`` and ``x = proj_a(x, y)`` from ``x0``,
     projecting inexactly the sets ``inexact`` names (see :func:`check_pair`).
@@ -340,11 +340,11 @@ def _alternate(
 
     def step(params):
         nonlocal x, y, cb_x
-        y_new, inner_b, cap_b = _project(b, inexact[1], y, x, params, limits)
+        y_new, inner_b, cap_b = _project(b, inexact[1], y, x, params)
         ca_y = a._violation(y_new)
         if ca_y == 0.0:
             return x, y_new, (cb_x, ca_y), inner_b, cap_b, math.inf
-        x_new, inner_a, cap_a = _project(a, inexact[0], x, y_new, params, limits)
+        x_new, inner_a, cap_a = _project(a, inexact[0], x, y_new, params)
         # The driver reads ``moved`` only against eps_lack, so y's norm is
         # needed only when x moved that little.
         moved = math.inf if y is None else _inf_norm(x_new - x)
@@ -364,12 +364,11 @@ def acondg1(
     x0,
     schedule: ForcingSchedule | None = None,
     stop: StoppingConfig = StoppingConfig(),
-    limits: CondGLimits = CondGLimits(),
 ) -> SolveReport:
     """Alternate the exact projection onto ``b`` with a conditional-gradient
     inexact projection onto the compact set ``a``, starting from ``x0 in a``.
     """
-    return _alternate(a, b, x0, None, (True, False), schedule, stop, limits)
+    return _alternate(a, b, x0, None, (True, False), schedule, stop)
 
 
 def acondg2(
@@ -379,11 +378,10 @@ def acondg2(
     y0,
     schedule: ForcingSchedule | None = None,
     stop: StoppingConfig = StoppingConfig(),
-    limits: CondGLimits = CondGLimits(),
 ) -> SolveReport:
     """Alternate conditional-gradient inexact projections onto both compact
     sets, starting from ``x0 in a`` and ``y0 in b``."""
-    return _alternate(a, b, x0, y0, (True, True), schedule, stop, limits)
+    return _alternate(a, b, x0, y0, (True, True), schedule, stop)
 
 
 def averaged_projection(
@@ -393,7 +391,6 @@ def averaged_projection(
     y0,
     schedule: ForcingSchedule | None = None,
     stop: StoppingConfig = StoppingConfig(),
-    limits: CondGLimits = CondGLimits(),
 ) -> SolveReport:
     """Average the two inexact projections of a single iterate.
 
@@ -411,8 +408,8 @@ def averaged_projection(
 
     def step(params):
         nonlocal z, anchor_a, anchor_b
-        anchor_a, inner_a, cap_a = _project(a, True, anchor_a, z, params, limits)
-        anchor_b, inner_b, cap_b = _project(b, True, anchor_b, z, params, limits)
+        anchor_a, inner_a, cap_a = _project(a, True, anchor_a, z, params)
+        anchor_b, inner_b, cap_b = _project(b, True, anchor_b, z, params)
         rep.anchor_trace.append(anchor_a)
         z_new = _finite(0.5 * (anchor_a + anchor_b))
         moved, z = _inf_norm(z_new - z), z_new

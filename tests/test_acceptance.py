@@ -11,11 +11,9 @@ import pytest
 
 from feasib import (
     Ball,
-    CondGLimits,
     Ellipsoid,
     ForcingParams,
     Halfspace,
-    OracleConfig,
     StopCode,
     acondg1,
     acondg2,
@@ -28,8 +26,10 @@ from feasib import (
 )
 
 from _helpers import (
+    boundary_samples,
     containing_body,
     diameter,
+    inner_limits,
     random_ball,
     random_body,
     random_compact_body,
@@ -158,16 +158,16 @@ def test_criterion_04_feasible_ellipse_pair_behavior():
     check(4, "feasible ellipse pairs: converge vs. stall", failures)
 
 
+@inner_limits(cap=500, gap_tol=1e-14)
 def test_criterion_05_sublinear_rate_suite():
     failures = []
     rng = np.random.default_rng(2025)
-    limits = CondGLimits(max_inner_iters=500, degenerate_gap_tol=1e-14)
     for i in range(100):
         kind = "ellipsoid" if i % 2 == 0 else "box"
         body = random_compact_body(rng, kinds=(kind,))
         u = sample_members(body, rng, 1)[0]
         v = rng.uniform(-5.0, 5.0, 2)
-        res = condg_project(body, EXACT, u, v, limits, keep_trace=True)
+        res = condg_project(body, EXACT, u, v, keep_trace=True)
         best = 0.5 * float(np.sum((body.project(v) - v) ** 2))
         bound = 8.0 * diameter(body) ** 2
         gaps = psi_gap(res.trace, v, best)
@@ -178,10 +178,10 @@ def test_criterion_05_sublinear_rate_suite():
     check(5, "sublinear rate bound on 100 ellipsoid/box instances", failures)
 
 
+@inner_limits(gap_tol=1e-14)
 def test_criterion_06_strongly_convex_rate_suite():
     failures = []
     rng = np.random.default_rng(2026)
-    limits = CondGLimits(degenerate_gap_tol=1e-14)
     done = 0
     while done < 100:
         body = random_ball(rng)
@@ -190,7 +190,7 @@ def test_criterion_06_strongly_convex_rate_suite():
         if dist < 0.1:
             continue
         u = sample_members(body, rng, 1)[0]
-        res = condg_project(body, EXACT, u, v, limits, keep_trace=True)
+        res = condg_project(body, EXACT, u, v, keep_trace=True)
         best = 0.5 * float(np.sum((body.project(v) - v) ** 2))
         q = max(0.5, 1.0 - (1.0 / body.radius) * dist / 8.0)
         gaps = psi_gap(res.trace, v, best)
@@ -271,23 +271,23 @@ def test_criterion_09_disjoint_disk_direction_limit():
     check(9, "disjoint disks: displacement matches the minimal vector", failures)
 
 
+@boundary_samples(20_000)
+@inner_limits(gap_tol=1e-12)
 def test_criterion_10_oracle_consistency():
     failures = []
     rng = np.random.default_rng(2030)
-    cfg = OracleConfig(boundary_samples=20_000)
     for i in range(200):
         body = random_body(rng)
         v = rng.uniform(-5.0, 5.0, 2)
-        err = float(np.max(np.abs(brute_project(body, v, cfg) - body.project(v))))
+        err = float(np.max(np.abs(brute_project(body, v) - body.project(v))))
         if err > 1e-6:
             failures.append(f"brute instance {i}: {err:.2e}")
 
-    limits = CondGLimits(degenerate_gap_tol=1e-12)
     for i in range(200):
         body = random_compact_body(rng, kinds=("ellipsoid", "ball"))
         u = sample_members(body, rng, 1)[0]
         v = rng.uniform(-6.0, 6.0, 2)
-        res = condg_project(body, EXACT, u, v, limits)
+        res = condg_project(body, EXACT, u, v)
         err = float(np.linalg.norm(res.w_plus - body.project(v)))
         if err > 1e-5:
             failures.append(f"condg instance {i}: {err:.2e}")

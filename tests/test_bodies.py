@@ -157,9 +157,10 @@ class TestConstruction:
             (lambda: Box(lower=[[0.0]], upper=[1.0]), "lower"),
             (lambda: Box(lower=[0.0], upper=[1.0, 2.0]), "upper"),
             (lambda: Ellipsoid.from_axes([0.0, 0.0, 0.0], 0.0, (1.0, 1.0)), "center"),
+            (lambda: Ball(center=np.zeros((1, 2)), radius=1.0), "center"),
         ],
         ids=["ball-center", "halfspace-normal", "box-lower", "box-upper",
-             "from_axes-center"],
+             "from_axes-center", "ball-center-2d-array"],
     )
     def test_vector_errors_name_the_field(self, build, path):
         with pytest.raises(InputError) as err:
@@ -321,6 +322,12 @@ class TestProjection:
 
     def test_unit_disk_radial(self):
         assert np.allclose(unit_disk().project([3.0, 4.0]), [0.6, 0.8], atol=1e-12)
+
+    def test_ball_projects_a_far_point(self):
+        # |v - center|^2 overflows beyond a distance of about 1.3e154; the
+        # distance does not, and the projection keeps the point's direction.
+        w = Ball(center=[0.0, 0.0], radius=1.0).project([1e200, 1e200])
+        assert np.allclose(w, [math.sqrt(0.5), math.sqrt(0.5)], rtol=0, atol=1e-15)
 
     def test_slim_ellipse_against_boundary_sampling(self):
         # Frozen from the boundary-sampling oracle at 1e5 and 1e4 samples,

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from feasib import (
     Ball,
     Box,
-    CondGLimits,
     CondGStop,
     Ellipsoid,
     ForcingParams,
@@ -15,6 +14,7 @@ from feasib import (
     InputError,
     START_TOL,
     UnsupportedOracleError,
+    condg,
     condg_project,
     phi,
 )
@@ -23,13 +23,14 @@ from feasib.condg import _frame_loop
 from _helpers import (
     diameter,
     ill_conditioned_ellipsoid,
+    inner_limits,
     random_ball,
     random_compact_body,
     sample_members,
 )
 
 EXACT = ForcingParams(0.0, 0.0, 0.0)
-TIGHT = CondGLimits(degenerate_gap_tol=1e-14)
+TIGHT_GAP = 1e-14
 
 
 def unit_disk():
@@ -99,30 +100,18 @@ class TestPhi:
         with pytest.raises(ValueError):
             ForcingParams(0.0, math.nan, 0.0)
 
-    def test_limits_validation(self):
-        cases = (
-            ({"max_inner_iters": 0}, "limits.max_inner_iters"),
-            ({"max_inner_iters": 2.5}, "limits.max_inner_iters"),
-            ({"max_inner_iters": True}, "limits.max_inner_iters"),
-            ({"degenerate_gap_tol": math.inf}, "limits.degenerate_gap_tol"),
-            ({"degenerate_gap_tol": -1.0}, "limits.degenerate_gap_tol"),
-            ({"degenerate_gap_tol": math.nan}, "limits.degenerate_gap_tol"),
-        )
-        for kwargs, path in cases:
-            with pytest.raises(InputError) as err:
-                CondGLimits(**kwargs)
-            assert err.value.path == path
-
 
 class TestCondGBasics:
+    @inner_limits(gap_tol=TIGHT_GAP)
     def test_interior_point_projects_to_itself(self):
-        res = condg_project(unit_disk(), EXACT, [1.0, 0.0], [0.5, 0.0], TIGHT)
+        res = condg_project(unit_disk(), EXACT, [1.0, 0.0], [0.5, 0.0])
         assert res.stop_reason is CondGStop.TOLERANCE_MET
         assert np.allclose(res.w_plus, [0.5, 0.0], atol=1e-12)
         assert res.inner_iters <= 5
 
+    @inner_limits(gap_tol=TIGHT_GAP)
     def test_exterior_point_matches_exact_projection(self):
-        res = condg_project(unit_disk(), EXACT, [0.0, 1.0], [3.0, 4.0], TIGHT)
+        res = condg_project(unit_disk(), EXACT, [0.0, 1.0], [3.0, 4.0])
         assert np.allclose(res.w_plus, [0.6, 0.8], atol=1e-6)
 
     def test_loose_tolerance_contract_by_sampling(self):
@@ -146,14 +135,9 @@ class TestCondGBasics:
         with pytest.raises(ValueError):
             condg_project(unit_disk(), EXACT, [2.0, 0.0], [0.0, 0.0])
 
+    @inner_limits(cap=2, gap_tol=TIGHT_GAP)
     def test_iteration_cap_is_tagged(self):
-        res = condg_project(
-            unit_disk(),
-            EXACT,
-            [0.0, 1.0],
-            [3.0, 4.0],
-            CondGLimits(max_inner_iters=2, degenerate_gap_tol=1e-14),
-        )
+        res = condg_project(unit_disk(), EXACT, [0.0, 1.0], [3.0, 4.0])
         assert res.stop_reason is CondGStop.ITERATION_CAP
         assert res.inner_iters == 2
         assert unit_disk().violation(res.w_plus) <= 1e-10
@@ -176,7 +160,7 @@ class TestCondGBasics:
         res = condg_project(body, EXACT, anchor, point)
         assert res.stop_reason is CondGStop.DEGENERATE_GAP
         assert res.inner_iters == 0
-        assert res.final_gap > CondGLimits().degenerate_gap_tol
+        assert res.final_gap > condg._DEGENERATE_GAP_TOL
         assert np.array_equal(res.w_plus, anchor)
 
     def test_result_gap_certificate_on_tolerance_met(self):
@@ -275,36 +259,38 @@ class TestIterateProperties:
         ],
         ids=["planar", "frame"],
     )
+    @inner_limits(gap_tol=TIGHT_GAP)
     def test_inner_iterates_stay_feasible_and_descend(self, kernel, kinds):
         rng = np.random.default_rng(21)
         for _ in range(15):
             body = random_compact_body(rng, kinds=kinds)
             u = sample_members(body, rng, 1)[0]
             v = rng.uniform(-5.0, 5.0, 2)
-            res = kernel(body, EXACT, u, v, TIGHT, keep_trace=True)
+            res = kernel(body, EXACT, u, v, keep_trace=True)
             values = [psi(w, v) for w in res.trace]
             for w in res.trace:
                 assert body.violation(w) <= 1e-10
             for a, b in zip(values, values[1:]):
                 assert b <= a + 1e-12
 
+    @inner_limits(cap=10, gap_tol=0.0)
     def test_planar_kernel_follows_the_frame_loop(self):
         # Same recurrence, different summation order. Near the projection
         # Frank-Wolfe zig-zags and the rounding difference grows about 10x
         # every 5 steps, so only the first 10 steps are compared; they agree
         # to 1e-11 or better.
         rng = np.random.default_rng(27)
-        limits = CondGLimits(max_inner_iters=10, degenerate_gap_tol=0.0)
         for _ in range(15):
             body = random_compact_body(rng, kinds=("ellipsoid",))
             u = sample_members(body, rng, 1)[0]
             v = rng.uniform(-5.0, 5.0, 2)
-            planar = condg_project(body, EXACT, u, v, limits, keep_trace=True)
-            frame = _frame_loop(body, EXACT, u, v, limits, keep_trace=True)
+            planar = condg_project(body, EXACT, u, v, keep_trace=True)
+            frame = _frame_loop(body, EXACT, u, v, keep_trace=True)
             steps = min(len(planar.trace), len(frame.trace))
             assert steps >= 2
             assert np.allclose(planar.trace[:steps], frame.trace[:steps], rtol=0, atol=1e-9)
 
+    @inner_limits(cap=400, gap_tol=TIGHT_GAP)
     def test_sublinear_rate_bound(self):
         rng = np.random.default_rng(22)
         for _ in range(10):
@@ -312,30 +298,24 @@ class TestIterateProperties:
             body = random_compact_body(rng, kinds=(kind,))
             u = sample_members(body, rng, 1)[0]
             v = rng.uniform(-5.0, 5.0, 2)
-            res = condg_project(
-                body,
-                EXACT,
-                u,
-                v,
-                CondGLimits(max_inner_iters=400, degenerate_gap_tol=1e-14),
-                keep_trace=True,
-            )
+            res = condg_project(body, EXACT, u, v, keep_trace=True)
             best = psi(body.project(v), v)
             bound = 8.0 * diameter(body) ** 2
             for ell, w in enumerate(res.trace):
                 if ell >= 1:
                     assert psi(w, v) - best <= bound / ell + 1e-10
 
+    @inner_limits(gap_tol=1e-12)
     def test_exactness_limit(self):
         rng = np.random.default_rng(23)
-        limits = CondGLimits(degenerate_gap_tol=1e-12)
         for _ in range(20):
             body = random_compact_body(rng, kinds=("ellipsoid", "ball"))
             u = sample_members(body, rng, 1)[0]
             v = rng.uniform(-6.0, 6.0, 2)
-            res = condg_project(body, EXACT, u, v, limits)
+            res = condg_project(body, EXACT, u, v)
             assert np.linalg.norm(res.w_plus - body.project(v)) <= 1e-5
 
+    @inner_limits(gap_tol=TIGHT_GAP)
     def test_strongly_convex_per_step_contraction(self):
         rng = np.random.default_rng(24)
         for _ in range(15):
@@ -345,7 +325,7 @@ class TestIterateProperties:
             dist = body.violation(v)
             if dist <= 0.1:
                 continue
-            res = condg_project(body, EXACT, u, v, TIGHT, keep_trace=True)
+            res = condg_project(body, EXACT, u, v, keep_trace=True)
             best = psi(body.project(v), v)
             q = max(0.5, 1.0 - (1.0 / body.radius) * dist / 8.0)
             values = [psi(w, v) - best for w in res.trace]

@@ -7,48 +7,18 @@ from feasib import (
     Ball,
     Ellipsoid,
     Halfspace,
-    InputError,
-    OracleConfig,
     brute_project,
     dist_ellipse_halfspace,
     dist_two_bodies,
 )
 
-from _helpers import random_body
+from _helpers import boundary_samples, random_body
 
 SQRT_202 = math.sqrt(2.02)
 
 
 def slim_ellipse():
     return Ellipsoid.from_axes([0.0, 0.0], -math.pi / 4.0, (2.0, 0.2))
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        OracleConfig(boundary_samples=10)
-    with pytest.raises(ValueError):
-        OracleConfig(tolerance=0.0)
-    with pytest.raises(ValueError):
-        OracleConfig(refine_iters=0)
-
-
-@pytest.mark.parametrize(
-    "kwargs, path, message",
-    [
-        ({"boundary_samples": 1e6}, "boundary_samples", "must be an integer"),
-        ({"boundary_samples": 999}, "boundary_samples", "must be >= 1000 for 2-D bodies"),
-        ({"refine_iters": True}, "refine_iters", "must be an integer"),
-        ({"tolerance": "x"}, "tolerance", "malformed number: expected a number, got str"),
-        ({"tolerance": math.inf}, "tolerance", "must be finite"),
-        ({"tolerance": -1e-12}, "tolerance", "must be positive"),
-    ],
-    ids=["float-samples", "few-samples", "bool-iters", "str-tolerance",
-         "inf-tolerance", "negative-tolerance"],
-)
-def test_config_errors_name_the_field(kwargs, path, message):
-    with pytest.raises(InputError) as err:
-        OracleConfig(**kwargs)
-    assert (err.value.path, err.value.message) == (path, message)
 
 
 def test_brute_project_radial_disk():
@@ -78,8 +48,10 @@ def test_brute_project_rejects_higher_dimensions():
 
 def test_brute_project_two_densities_agree():
     e = slim_ellipse()
-    dense = brute_project(e, [2.0, 2.0], OracleConfig(boundary_samples=100_000))
-    sparse = brute_project(e, [2.0, 2.0], OracleConfig(boundary_samples=10_000))
+    with boundary_samples(100_000):
+        dense = brute_project(e, [2.0, 2.0])
+    with boundary_samples(10_000):
+        sparse = brute_project(e, [2.0, 2.0])
     assert np.max(np.abs(dense - sparse)) <= 1e-6
     assert np.max(np.abs(dense - e.project([2.0, 2.0]))) <= 1e-6
 
@@ -121,7 +93,7 @@ def test_dist_two_bodies_disjoint_disks():
 def test_dist_two_bodies_intersecting():
     a = Ball(center=[0.0, 0.0], radius=1.0)
     b = Ball(center=[1.0, 0.0], radius=1.0)
-    d, _, _ = dist_two_bodies(a, b, OracleConfig(tolerance=1e-12))
+    d, _, _ = dist_two_bodies(a, b)  # at the oracle's tolerance, 1e-12
     assert d <= 1e-11
 
 
@@ -143,12 +115,12 @@ def test_dist_two_bodies_agrees_with_support_formula():
         assert d == pytest.approx(expected, abs=1e-6)
 
 
+@boundary_samples(20_000)
 def test_brute_project_matches_exact_projection_randomized():
     rng = np.random.default_rng(32)
-    cfg = OracleConfig(boundary_samples=20_000)
     for _ in range(30):
         body = random_body(rng)
         v = rng.uniform(-5.0, 5.0, 2)
         assert (
-            np.max(np.abs(brute_project(body, v, cfg) - body.project(v))) <= 1e-6
+            np.max(np.abs(brute_project(body, v) - body.project(v))) <= 1e-6
         )

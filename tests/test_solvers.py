@@ -7,7 +7,6 @@ import pytest
 from feasib import (
     Ball,
     Box,
-    CondGLimits,
     Ellipsoid,
     ForcingParams,
     ForcingSchedule,
@@ -29,7 +28,12 @@ from feasib.instances import table2_config
 from feasib.runner import solve_config
 from feasib.solvers import _drive, check_pair
 
-from _helpers import containing_body, ill_conditioned_ellipsoid, sample_members
+from _helpers import (
+    containing_body,
+    ill_conditioned_ellipsoid,
+    inner_limits,
+    sample_members,
+)
 
 SQRT_202 = math.sqrt(2.02)
 
@@ -97,7 +101,6 @@ SCALAR_FIELDS = {
     "lam": lambda bad: ForcingParams(0.0, 0.0, bad),
     "stopping.eps_feas": lambda bad: StoppingConfig(eps_feas=bad),
     "stopping.eps_lack": lambda bad: StoppingConfig(eps_lack=bad),
-    "limits.degenerate_gap_tol": lambda bad: CondGLimits(degenerate_gap_tol=bad),
     **{
         f"schedule.{name}": lambda bad, name=name: ForcingSchedule(**{name: bad})
         for name in ("gamma0", "theta0", "lambda0", "tau", "delta")
@@ -547,25 +550,23 @@ class TestExactAlternating:
         assert rep.min_violation == pytest.approx(0.05)
 
 
-CAPPED = CondGLimits(max_inner_iters=2, degenerate_gap_tol=1e-14)
-
-
 class TestInnerCapPropagation:
     @pytest.mark.parametrize(
         "b, run",
         [
             pytest.param(
                 halfspace_at(1.50),
-                lambda a, b: acondg1(a, b, [0.0, 0.0], limits=CAPPED),
+                lambda a, b: acondg1(a, b, [0.0, 0.0]),
                 id="acondg1",
             ),
             pytest.param(
                 second_ellipse(2.40),
-                lambda a, b: acondg2(a, b, [0.0, 0.0], [2.40, 0.5], limits=CAPPED),
+                lambda a, b: acondg2(a, b, [0.0, 0.0], [2.40, 0.5]),
                 id="acondg2",
             ),
         ],
     )
+    @inner_limits(cap=2, gap_tol=1e-14)
     def test_outer_continues_after_inner_cap(self, b, run):
         a = slim_ellipse()
         rep = run(a, b)
