@@ -24,6 +24,11 @@ Frank-Wolfe loop of :mod:`feasib.condg` runs there, tests its anchor with
 ``lo_minimize`` is the frame oracle between the two maps. The public
 ``violation`` and ``project`` check their input, then call the unchecked
 ``_violation`` and ``_project``, which the solvers call on their iterates.
+
+Code on the solvers' paths, here (``_violation``, ``_project`` and the frame
+methods) and in :mod:`feasib.condg`, takes products as ``ndarray.dot``: it
+makes the same BLAS call as ``@``, so it gives the same bits, with less
+dispatch.
 """
 
 from __future__ import annotations
@@ -158,6 +163,19 @@ def member_vector(body: ConvexBody, x, path: str) -> Vector:
     return v
 
 
+def _norm(d: Vector) -> float:
+    """``|d|`` as numpy's norm computes it, ``sqrt(d . d)``; only when the
+    sum of squares overflows is it recomputed as ``m |d / m|`` with
+    ``m = max |d_i|``, so the distance itself need not overflow."""
+    with np.errstate(over="ignore"):
+        nd = math.sqrt(float(d.dot(d)))
+    if nd == math.inf:
+        m = float(np.abs(d).max())
+        d = d / m
+        nd = m * math.sqrt(float(d.dot(d)))
+    return nd
+
+
 class ConvexBody:
     """Base class for closed convex sets.
 
@@ -217,16 +235,16 @@ class Halfspace(ConvexBody):
         return self._violation(as_vector(z, self.dim))
 
     def _violation(self, z: Vector) -> float:
-        return max(0.0, float(self.normal @ z) - self.offset)
+        return max(0.0, float(self.normal.dot(z)) - self.offset)
 
     def project(self, v) -> Vector:
         return self._project(as_vector(v, self.dim))
 
     def _project(self, v: Vector) -> Vector:
-        excess = float(self.normal @ v) - self.offset
+        excess = float(self.normal.dot(v)) - self.offset
         if excess <= 0.0:
             return v.copy()
-        return v - (excess / float(self.normal @ self.normal)) * self.normal
+        return v - (excess / float(self.normal.dot(self.normal))) * self.normal
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,13 +274,13 @@ class Ball(ConvexBody):
         return x - self.center
 
     def _frame_violation(self, u: Vector) -> float:
-        return max(0.0, float(np.linalg.norm(u)) - self.radius)
+        return max(0.0, _norm(u) - self.radius)
 
     def _from_frame(self, u: Vector) -> Vector:
         return self.center + u
 
     def _frame_lo(self, g: Vector) -> Vector:
-        ng = math.sqrt(float(g @ g))
+        ng = math.sqrt(float(g.dot(g)))
         if ng == 0.0:
             return np.zeros_like(g)
         return (-self.radius / ng) * g
@@ -281,11 +299,7 @@ class Ball(ConvexBody):
 
     def _project(self, v: Vector) -> Vector:
         d = v - self.center
-        with np.errstate(over="ignore"):
-            nd = float(np.linalg.norm(d))
-        if nd == math.inf:  # the sum of squares overflowed, not the distance
-            m = float(np.abs(d).max())
-            nd = m * float(np.linalg.norm(d / m))
+        nd = _norm(d)
         if nd <= self.radius:
             return v.copy()
         return self.center + (self.radius / nd) * d
@@ -320,8 +334,8 @@ class Box(ConvexBody):
         return x
 
     def _frame_violation(self, u: Vector) -> float:
-        under = np.max(self.lower - u, initial=0.0)
-        over = np.max(u - self.upper, initial=0.0)
+        under = (self.lower - u).max(initial=0.0)
+        over = (u - self.upper).max(initial=0.0)
         return float(max(0.0, under, over))
 
     def _from_frame(self, u: Vector) -> Vector:
@@ -434,17 +448,17 @@ class Ellipsoid(ConvexBody):
     # The frame is the eigenbasis, centred: u = V^T (x - center), in which
     # the body is {u : sum lam_i u_i^2 <= 1}.
     def _to_frame(self, x: Vector) -> Vector:
-        return self._eigvecs.T @ (x - self.center)
+        return self._eigvecs.T.dot(x - self.center)
 
     def _frame_violation(self, u: Vector) -> float:
-        return max(0.0, float(self._eigvals @ (u * u)) - 1.0)
+        return max(0.0, float(self._eigvals.dot(u * u)) - 1.0)
 
     def _from_frame(self, u: Vector) -> Vector:
-        return self.center + self._eigvecs @ u
+        return self.center + self._eigvecs.dot(u)
 
     def _frame_lo(self, g: Vector) -> Vector:
         w = g / self._eigvals
-        s = float(g @ w)
+        s = float(g.dot(w))
         if s == 0.0:
             return np.zeros_like(g)
         return w * (-1.0 / math.sqrt(s))
@@ -505,7 +519,7 @@ class Ellipsoid(ConvexBody):
             mu, steps = nxt, steps + 1
         if steps == 0:
             return v.copy(), 0
-        return self.center + self._eigvecs @ (b / (1.0 + mu * lam)), steps
+        return self.center + self._eigvecs.dot(b / (1.0 + mu * lam)), steps
 
     def _newton_planar(self, v: Vector) -> tuple[Vector, int]:
         """``_newton_frame`` for ``dim == 2``, unrolled over Python floats."""

@@ -188,7 +188,7 @@ def _frame_loop(
     check_member(body._frame_violation(u_a), "anchor")
     u_p = body._to_frame(point)
     d = point - anchor
-    base = params.gamma * float(d @ d)
+    base = params.gamma * float(d.dot(d))
     theta, lam = params.theta, params.lam
     gap_tol, cap = _DEGENERATE_GAP_TOL, _MAX_INNER_ITERS
     trace = [anchor.copy()] if keep_trace else None
@@ -197,15 +197,15 @@ def _frame_loop(
     while True:
         g = u - u_p
         s = frame_lo(g) - u
-        gap = -float(g @ s)
+        gap = -float(g.dot(s))
         e = u - u_a
-        if gap <= base + theta * float(g @ g) + lam * float(e @ e):
+        if gap <= base + theta * float(g.dot(g)) + lam * float(e.dot(e)):
             stop = CondGStop.TOLERANCE_MET
             break
         if gap <= gap_tol:
             stop = CondGStop.DEGENERATE_GAP
             break
-        dd = float(s @ s)
+        dd = float(s.dot(s))
         if dd <= _DEGENERATE_STEP_SQ:
             stop = CondGStop.DEGENERATE_GAP
             break

@@ -71,13 +71,15 @@ def solve_config(config: InstanceConfig) -> SolveReport:
 def trace_lines(report: SolveReport, dim: int):
     """Yield the trace CSV data lines of ``report``, each ending in a newline."""
     line = "%d," + "%.17g," * (2 * dim + 5) + "%d\n"
+    # ``tolist`` gives Python floats, which format faster than numpy scalars
+    # and to the same bytes.
     no_y = (math.nan,) * dim
     y_offset = len(report.x_trace) - len(report.y_trace)
     for k, x in enumerate(report.x_trace):
-        y = report.y_trace[k - y_offset] if k >= y_offset else no_y
+        y = report.y_trace[k - y_offset].tolist() if k >= y_offset else no_y
         params = report.schedule_trace[k]
         yield line % (
-            k, *x, *y, *report.violations[k],
+            k, *x.tolist(), *y, *report.violations[k],
             params.gamma, params.theta, params.lam, report.inner_iters_per_k[k],
         )
 

@@ -223,6 +223,12 @@ class TestViolation:
     def test_slim_ellipse_center_is_interior(self):
         assert slim_ellipse().violation([0.0, 0.0]) == 0.0
 
+    def test_ball_violation_of_a_far_point(self):
+        # |z - center|^2 overflows beyond a distance of about 1.3e154; the
+        # distance does not, and no overflow warning may escape.
+        v = Ball(center=[0.0, 0.0], radius=1.0).violation([1e200, 1e200])
+        assert v == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-12)
+
     def test_zero_iff_member(self):
         rng = np.random.default_rng(7)
         for _ in range(30):

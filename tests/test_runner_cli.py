@@ -92,12 +92,14 @@ class TestRunInstance:
         assert float(rows[k]["x1"]) == report.x_trace[k][0]
         assert float(rows[k]["cB_x"]) == report.violations[k][0]
 
-    def test_trace_bytes_match_a_csv_writer_reference(self, tmp_path):
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_trace_bytes_match_a_csv_writer_reference(self, tmp_path, dim):
         # Row 0 has no y-iterate; the values probe signed zero, subnormal,
-        # huge and inexact floats.
+        # huge and inexact floats. A 2-D row takes the first two entries.
         report = SolveReport(
-            x_trace=[np.array([-0.0, 5e-324]), np.array([0.1, 3.0])],
-            y_trace=[np.array([1e308, -0.0])],
+            x_trace=[np.array([-0.0, 5e-324, 1e308][:dim]),
+                     np.array([0.1, 3.0, 5e-324][:dim])],
+            y_trace=[np.array([1e308, -0.0, 0.1][:dim])],
             violations=[(3.0, math.inf), (5e-324, 0.1)],
             schedule_trace=[
                 ForcingParams(0.1, 3.0, -0.0),
@@ -106,7 +108,11 @@ class TestRunInstance:
             inner_iters_per_k=[0, 17],
         )
         path = tmp_path / "probe.csv"
-        write_trace_csv(path, report, 2)
+        write_trace_csv(path, report, dim)
+        header = {
+            2: EXPECTED_HEADER,
+            3: "k,x1,x2,x3,y1,y2,y3,cB_x,cA_y,gamma,theta,lambda,inner_iters",
+        }[dim]
 
         # The reference is csv.writer with format(x, ".17g") per cell.
         def cell(x):
@@ -114,8 +120,8 @@ class TestRunInstance:
 
         ref = io.StringIO()
         writer = csv.writer(ref, lineterminator="\n")
-        writer.writerow(EXPECTED_HEADER.split(","))
-        ys = [["nan", "nan"]] + [[cell(c) for c in y] for y in report.y_trace]
+        writer.writerow(header.split(","))
+        ys = [["nan"] * dim] + [[cell(c) for c in y] for y in report.y_trace]
         for k, x in enumerate(report.x_trace):
             p = report.schedule_trace[k]
             writer.writerow(
@@ -129,7 +135,7 @@ class TestRunInstance:
             rows = list(csv.reader(fh))[1:]
         for k, row in enumerate(rows):
             p = report.schedule_trace[k]
-            y = report.y_trace[k - 1] if k else (math.nan, math.nan)
+            y = report.y_trace[k - 1] if k else (math.nan,) * dim
             want = [*report.x_trace[k], *y, *report.violations[k],
                     p.gamma, p.theta, p.lam]
             for text, value in zip(row[1:-1], want, strict=True):
