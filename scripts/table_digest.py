@@ -4,9 +4,12 @@
 Runs ``reproduce_table`` for table 1, table 2 or, by default, both, into a
 temporary directory that is removed afterwards. The first line is
 ``sha256 <hex> <n> files``: the SHA-256 of all output files' bytes, read in
-path order. Each further line is ``label solver stop outer inner`` for one
-run, where ``inner`` is the sum of the trace's ``inner_iters`` column. Two
-checkouts that print the same lines wrote the same bytes.
+path order. The second is ``iterates <hex>``: the SHA-256 of the trace files
+alone, in path order, with their violation columns ``cB_x`` and ``cA_y``
+left out, so a change that rounds only the violations differently keeps it.
+Each further line is ``label solver stop outer inner`` for one run, where
+``inner`` is the sum of the trace's ``inner_iters`` column. Two checkouts
+that print the same lines wrote the same bytes.
 
 Usage:
     python scripts/table_digest.py [--which 1|2]
@@ -22,6 +25,21 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from feasib.runner import reproduce_table
 
+VIOLATION_COLUMNS = ("cB_x", "cA_y")
+
+
+def iterates_digest(traces) -> str:
+    """SHA-256 of the trace files' lines without their violation columns."""
+    digest = hashlib.sha256()
+    for path in traces:
+        header, *lines = path.read_text().splitlines()
+        names = header.split(",")
+        keep = [i for i, name in enumerate(names) if name not in VIOLATION_COLUMNS]
+        for line in (header, *lines):
+            fields = line.split(",")
+            digest.update((",".join(fields[i] for i in keep) + "\n").encode())
+    return digest.hexdigest()
+
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -36,6 +54,8 @@ def main() -> int:
         for path in files:
             digest.update(path.read_bytes())
         print(f"sha256 {digest.hexdigest()} {len(files)} files")
+        traces = [path for path in files if path.name.endswith("_trace.csv")]
+        print(f"iterates {iterates_digest(traces)}")
         for row in rows:
             trace = out / f"table_{row.instance}_{row.solver}_trace.csv"
             lines = trace.read_text().splitlines()[1:]

@@ -24,6 +24,19 @@ Frank-Wolfe loop of :mod:`feasib.condg` runs there, tests its anchor with
 ``lo_minimize`` is the frame oracle between the two maps. The public
 ``violation`` and ``project`` check their input, then call the unchecked
 ``_violation`` and ``_project``, which the solvers call on their iterates.
+A point whose offset from a compact body overflows gets the violation
+``inf``: the frame formula would read ``0 * inf`` or ``inf - inf`` as nan,
+which ``max(0, .)`` turns into 0.
+
+A 2-D ellipsoid, the body of every instance in the paper's tables, caches
+its frame as Python floats at construction (``_planar``: the entries of
+``V``, the eigenvalues and the centre), and every operation of it on the
+solvers' paths runs over Python floats from that tuple: ``_violation``,
+the Newton solve of ``_project``, and the Frank-Wolfe kernel
+``condg._planar_ellipse``. Each writes the membership formula
+``l0 b0^2 + l1 b1^2 - 1``, ``b = V^T (p - c)``, as the same expression, so
+the three agree bitwise; numpy's form rounds ``b`` differently, in the last
+bits.
 
 Code on the solvers' paths, here (``_violation``, ``_project`` and the frame
 methods) and in :mod:`feasib.condg`, takes products as ``ndarray.dot``: it
@@ -151,8 +164,9 @@ def as_vector(x, dim: int | None = None, path: str | None = None) -> Vector:
 
 
 def check_member(violation: float, path: str) -> None:
-    """Raise InputError unless ``violation`` is at most ``START_TOL``."""
-    if violation > START_TOL:
+    """Raise InputError unless ``violation`` is at most ``START_TOL``; a nan
+    is no member."""
+    if not violation <= START_TOL:
         raise InputError(path, f"must belong to its set (violation <= {START_TOL:g})")
 
 
@@ -171,9 +185,21 @@ def _norm(d: Vector) -> float:
         nd = math.sqrt(float(d.dot(d)))
     if nd == math.inf:
         m = float(np.abs(d).max())
+        if m == math.inf:  # d / m would hold inf / inf, a nan
+            return math.inf
         d = d / m
         nd = m * math.sqrt(float(d.dot(d)))
     return nd
+
+
+def _excess(r: float) -> float:
+    """``max(0, r)``, except that a nan ``r`` reads ``inf``. A violation is
+    nan only when a point's offset from a compact body overflowed (``0 * inf``
+    or ``inf - inf``), so the point lies far outside; ``max`` would read the
+    nan as 0, a member."""
+    if r > 0.0:
+        return r
+    return 0.0 if r <= 0.0 else math.inf
 
 
 class ConvexBody:
@@ -274,7 +300,7 @@ class Ball(ConvexBody):
         return x - self.center
 
     def _frame_violation(self, u: Vector) -> float:
-        return max(0.0, _norm(u) - self.radius)
+        return _excess(_norm(u) - self.radius)
 
     def _from_frame(self, u: Vector) -> Vector:
         return self.center + u
@@ -292,7 +318,7 @@ class Ball(ConvexBody):
 
     def support(self, c) -> float:
         c = as_vector(c, self.dim)
-        return float(c @ self.center) + self.radius * float(np.linalg.norm(c))
+        return float(c @ self.center) + self.radius * _norm(c)
 
     def project(self, v) -> Vector:
         return self._project(as_vector(v, self.dim))
@@ -374,6 +400,11 @@ class Ellipsoid(ConvexBody):
     shape: NDArray[np.float64]
     _eigvals: Vector = field(init=False, repr=False)
     _eigvecs: NDArray[np.float64] = field(init=False, repr=False)
+    _eigvecs_t: NDArray[np.float64] = field(init=False, repr=False)
+    # In 2-D, the frame as Python floats (v00, v01, v10, v11, l0, l1, c0, c1):
+    # V = [[v00, v01], [v10, v11]], the eigenvalues and the centre. None
+    # in any other dimension.
+    _planar: tuple[float, ...] | None = field(init=False, repr=False)
 
     is_compact: ClassVar[bool] = True
 
@@ -410,6 +441,11 @@ class Ellipsoid(ConvexBody):
         object.__setattr__(self, "shape", q)
         object.__setattr__(self, "_eigvals", vals)
         object.__setattr__(self, "_eigvecs", vecs)
+        object.__setattr__(self, "_eigvecs_t", vecs.T)
+        planar = None
+        if n == 2:
+            planar = (*vecs.ravel().tolist(), *vals.tolist(), *center.tolist())
+        object.__setattr__(self, "_planar", planar)
 
     @classmethod
     def from_axes(cls, center, angle: float, semi_axes) -> "Ellipsoid":
@@ -445,13 +481,26 @@ class Ellipsoid(ConvexBody):
     def violation(self, z) -> float:
         return self._violation(as_vector(z, self.dim))
 
+    def _violation(self, z: Vector) -> float:
+        f = self._planar
+        if f is None:
+            return self._frame_violation(self._to_frame(z))
+        # The planar form (module docstring): the anchor test of
+        # ``condg._planar_ellipse`` and the mu = 0 residual of
+        # ``_newton_planar`` are this expression, bit for bit.
+        v00, v01, v10, v11, l0, l1, c0, c1 = f
+        p0, p1 = z.tolist()
+        d0, d1 = p0 - c0, p1 - c1
+        b0, b1 = v00 * d0 + v10 * d1, v01 * d0 + v11 * d1
+        return _excess(l0 * b0 * b0 + l1 * b1 * b1 - 1.0)
+
     # The frame is the eigenbasis, centred: u = V^T (x - center), in which
     # the body is {u : sum lam_i u_i^2 <= 1}.
     def _to_frame(self, x: Vector) -> Vector:
-        return self._eigvecs.T.dot(x - self.center)
+        return self._eigvecs_t.dot(x - self.center)
 
     def _frame_violation(self, u: Vector) -> float:
-        return max(0.0, float(self._eigvals.dot(u * u)) - 1.0)
+        return _excess(float(self._eigvals.dot(u * u)) - 1.0)
 
     def _from_frame(self, u: Vector) -> Vector:
         return self.center + self._eigvecs.dot(u)
@@ -492,7 +541,7 @@ class Ellipsoid(ConvexBody):
         # monotonically to the root, with no bracket or safeguard. With
         # s3 = sum lam_i^2 b_i^2 e_i^3 = -s2'/2, the step is
         # (1 - h)/h' = (sqrt(s2) - 1) s2 / s3.
-        solve = self._newton_planar if self.dim == 2 else self._newton_frame
+        solve = self._newton_frame if self._planar is None else self._newton_planar
         return solve(v)[0]
 
     # Both Newton loops stop once s2 - 1 <= MEMBER_TOL (that test also ends
@@ -523,9 +572,7 @@ class Ellipsoid(ConvexBody):
 
     def _newton_planar(self, v: Vector) -> tuple[Vector, int]:
         """``_newton_frame`` for ``dim == 2``, unrolled over Python floats."""
-        (v00, v01), (v10, v11) = self._eigvecs.tolist()
-        l0, l1 = self._eigvals.tolist()
-        c0, c1 = self.center.tolist()
+        v00, v01, v10, v11, l0, l1, c0, c1 = self._planar
         p0, p1 = v.tolist()
         d0, d1 = p0 - c0, p1 - c1
         b0, b1 = v00 * d0 + v10 * d1, v01 * d0 + v11 * d1

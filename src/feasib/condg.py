@@ -27,10 +27,11 @@ reference the tests compare against.
 
 ``condg_project`` converts the anchor and the point; each kernel then tests
 that the anchor is a member on the frame coordinates ``u_a`` it computes
-anyway, by the body's membership formula in the frame (``_frame_violation``,
-written out in the planar kernel). The solvers call ``condg_project`` once
-or twice per outer step, warm-started at their last iterate, and the test
-maps no point into the frame a second time.
+anyway, by the body's membership formula in the frame (``_frame_violation``;
+in the planar kernel the expression of ``Ellipsoid._violation``, over the
+frame the body caches as Python floats). The solvers call
+``condg_project`` once or twice per outer step, warm-started at their last
+iterate, and the test maps no point into the frame a second time.
 """
 
 from __future__ import annotations
@@ -89,9 +90,14 @@ class ForcingParams:
             object.__setattr__(self, name, v)
 
     def scaled(self, factor: float) -> "ForcingParams":
-        return ForcingParams(
-            self.gamma * factor, self.theta * factor, self.lam * factor
+        """The parameters times ``factor``, a float in [0, 1]. The products
+        of checked nonnegative floats and such a factor are again finite and
+        nonnegative, so they skip ``__post_init__``'s checks."""
+        out = object.__new__(ForcingParams)
+        out.__dict__.update(
+            gamma=self.gamma * factor, theta=self.theta * factor, lam=self.lam * factor
         )
+        return out
 
 
 class CondGStop(enum.Enum):
@@ -232,9 +238,7 @@ def _planar_ellipse(
     The frame and its oracle are those of ``Ellipsoid._to_frame`` and
     ``Ellipsoid._frame_lo``, written out per coordinate.
     """
-    (v00, v01), (v10, v11) = body._eigvecs.tolist()
-    l0, l1 = body._eigvals.tolist()
-    c0, c1 = body.center.tolist()
+    v00, v01, v10, v11, l0, l1, c0, c1 = body._planar
     a0, a1 = anchor.tolist()
     p0, p1 = point.tolist()
 

@@ -197,8 +197,10 @@ class SolveReport:
         return self
 
 
+# ``_inf_norm`` and ``_finite`` call the ufunc reductions that ``ndarray.max``
+# and ``ndarray.all`` wrap in Python.
 def _inf_norm(d: Vector) -> float:
-    return float(np.abs(d).max())  # the method skips np.max's dispatch
+    return float(np.maximum.reduce(np.abs(d)))
 
 
 def check_pair(
@@ -249,7 +251,8 @@ def check_pair(
 
 
 def _finite(w: Vector) -> Vector:
-    if not np.isfinite(w).all():  # an overflow; a stop rule would read nan as 0
+    # An overflow; a stop rule would read nan as 0.
+    if not np.logical_and.reduce(np.isfinite(w)):
         raise ValueError(f"an iterate is not finite, the run overflowed: {w}")
     return w
 

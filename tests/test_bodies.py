@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from feasib import (
     START_TOL,
+    bodies,
+    condg,
     Ball,
     Box,
     Ellipsoid,
@@ -29,6 +31,7 @@ from _helpers import (
 )
 
 SQRT_202 = math.sqrt(2.02)
+NUMPY_OVERFLOW = {"over": "ignore", "invalid": "ignore"}
 
 
 def slim_ellipse():
@@ -229,6 +232,26 @@ class TestViolation:
         v = Ball(center=[0.0, 0.0], radius=1.0).violation([1e200, 1e200])
         assert v == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-12)
 
+    # A point whose offset from the centre overflows lies far outside, but
+    # 0 * inf or inf - inf in the frame gives a nan, which ``max(0, nan)``
+    # read as 0. The 2-D ellipsoid runs over Python floats and raises no
+    # warning; the numpy forms warn of the overflow, so those cases ignore it.
+    @pytest.mark.parametrize(
+        "body, point, ignore",
+        [
+            (Ellipsoid(center=[-1e308, 0.0], shape=[[1.0, 0.0], [0.0, 1.0]]),
+             [1e308, 0.0], {}),
+            (Ellipsoid(center=[-1e308, 0.0, 0.0], shape=np.diag([1.0, 1.0, 1.0])),
+             [1e308, 0.0, 0.0], NUMPY_OVERFLOW),
+            (Ball(center=[-1e308, 0.0], radius=1.0), [1e308, 0.0], NUMPY_OVERFLOW),
+        ],
+        ids=["ellipsoid-2d", "ellipsoid-3d", "ball"],
+    )
+    def test_a_point_whose_offset_overflows_is_no_member(self, body, point, ignore):
+        with np.errstate(**ignore):
+            assert body.violation(point) == math.inf
+            assert not body.contains(point)
+
     def test_zero_iff_member(self):
         rng = np.random.default_rng(7)
         for _ in range(30):
@@ -311,6 +334,12 @@ class TestSupport:
         assert slim_ellipse().support([1.0, 0.0]) == pytest.approx(
             1.4212670403551895, abs=1e-6
         )
+
+    def test_ball_support_of_a_large_direction(self):
+        # |c|^2 overflows; the support value 1.41e200 does not, and no
+        # overflow warning may escape.
+        v = Ball(center=[0.0, 0.0], radius=1.0).support([1e200, 1e200])
+        assert v == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-12)
 
     def test_duality_with_linear_oracle(self):
         rng = np.random.default_rng(13)
@@ -444,6 +473,115 @@ def test_planar_newton_agrees_with_the_numpy_solve(kind):
         w_numpy, steps_numpy = body._newton_frame(v)
         assert np.linalg.norm(w_planar - w_numpy) <= 1e-12 * np.linalg.norm(w_numpy)
         assert steps_planar == steps_numpy
+
+
+def planar_membership_cases(kind, n_bodies=10, n_points=20):
+    """Random 2-D ellipsoids (``ill_conditioned``: condition number 1e8),
+    each with points on rays from the centre at up to twice the boundary's
+    distance, moved by noise of random size."""
+    rng = np.random.default_rng(PROJ_KINDS.index(kind))
+    for _ in range(n_bodies):
+        if kind == "ill_conditioned":
+            body = ill_conditioned_ellipsoid(rng, 2, cond=1e8)
+        else:
+            body = random_ellipsoid(rng, 2)
+        for _ in range(n_points):
+            direction = rng.normal(size=2)
+            edge = body.boundary_point(direction / np.linalg.norm(direction))
+            noise = rng.normal(size=2) * 10.0 ** rng.uniform(-8.0, 0.0)
+            along = rng.uniform(0.0, 2.0) * (edge - body.center)
+            yield body, body.center + along + noise
+
+
+class _Recorded(Exception):
+    pass
+
+
+def kernel_anchor_test(monkeypatch, body, anchor):
+    """The value the planar Frank-Wolfe kernel's anchor test computes."""
+    seen = []
+
+    def record(violation, path):
+        seen.append(violation)
+        raise _Recorded
+
+    monkeypatch.setattr(condg, "check_member", record)
+    with pytest.raises(_Recorded):
+        condg_project(body, ForcingParams(0.0, 0.0, 0.0), anchor, body.center)
+    monkeypatch.undo()
+    return seen[0]
+
+
+def newton_residual_is(monkeypatch, body, v, r):
+    """Whether the residual ``s2 - 1`` of ``_newton_planar`` at mu = 0 is
+    exactly ``r > 0``: under the member tolerance ``r`` the solve stops at
+    once, and under the next float below ``r`` it steps."""
+    monkeypatch.setattr(bodies, "MEMBER_TOL", r)
+    stops = body._newton_planar(v)[1] == 0
+    monkeypatch.setattr(bodies, "MEMBER_TOL", math.nextafter(r, -math.inf))
+    steps = body._newton_planar(v)[1] > 0
+    monkeypatch.undo()
+    return stops and steps
+
+
+@pytest.mark.parametrize("kind", PROJ_KINDS)
+class TestPlanarMembership:
+    """A 2-D ellipsoid has one membership formula: its violation, the
+    planar kernel's anchor test and the Newton solve's residual at mu = 0
+    are the same expression over Python floats."""
+
+    def test_violation_anchor_test_and_newton_residual_agree_bitwise(
+        self, monkeypatch, kind
+    ):
+        outside = 0
+        for body, v in planar_membership_cases(kind):
+            viol = body._violation(v)
+            raw = kernel_anchor_test(monkeypatch, body, v)
+            assert viol == max(0.0, raw)
+            # A residual this far above 0 makes a Newton step that moves mu.
+            if raw > 1e-12:
+                outside += 1
+                assert newton_residual_is(monkeypatch, body, v, raw)
+        assert outside >= 50
+
+    def test_violation_agrees_with_the_numpy_frame_formula(self, kind):
+        # Both forms round b = V^T (v - center) (numpy may fuse its
+        # multiply-adds), so they differ by a few ulps of the quadratic form
+        # q plus what each b_i's rounding, eps * sum_j |V_ji d_j|, moves q by.
+        # At condition number 1e8 the latter reaches 2e3 ulps of max(1, q).
+        eps = np.finfo(np.float64).eps
+        for body, v in planar_membership_cases(kind):
+            d = v - body.center
+            u = body._to_frame(v)
+            q = float(body._eigvals.dot(u * u))
+            spread = np.abs(body._eigvecs.T).dot(np.abs(d))
+            scale = max(1.0, q) + float(body._eigvals.dot(np.abs(u) * spread))
+            numpy_form = body._frame_violation(u)
+            assert abs(body._violation(v) - numpy_form) <= 4.0 * eps * scale
+
+    def test_non_member_anchor_rejected_at_start_tol(self, kind):
+        # The kernel's decision is the violation's: InputError exactly when
+        # it exceeds START_TOL.
+        exact = ForcingParams(0.0, 0.0, 0.0)
+        verdicts = set()
+        for body, v in planar_membership_cases(kind, n_points=2):
+            d = v - body.center
+            edge = body.boundary_point(d / np.linalg.norm(d))
+            far = body.center + 10.0 * (edge - body.center)
+            for t in np.array([0.5, 0.9, 1.1, 2.0]) * START_TOL:
+                anchor = body.center + math.sqrt(1.0 + t) * (edge - body.center)
+                member = body.violation(anchor) <= START_TOL
+                verdicts.add(member)
+                if member:
+                    condg_project(body, exact, anchor, far)
+                    continue
+                with pytest.raises(InputError) as err:
+                    condg_project(body, exact, anchor, far)
+                assert err.value.path == "anchor"
+                assert err.value.message == (
+                    f"must belong to its set (violation <= {START_TOL:g})"
+                )
+        assert verdicts == {True, False}
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -99,6 +100,24 @@ class TestPhi:
             ForcingParams(-0.1, 0.0, 0.0)
         with pytest.raises(ValueError):
             ForcingParams(0.0, math.nan, 0.0)
+
+    def test_scaled_matches_the_checked_constructor_bitwise(self):
+        # scaled skips the constructor's checks; its value must not differ.
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            values = 10.0 ** rng.uniform(-300.0, 0.0, 3)
+            values[rng.integers(3)] = 0.0
+            p, factor = ForcingParams(*values), float(rng.uniform(0.0, 1.0))
+            got = p.scaled(factor)
+            ref = ForcingParams(p.gamma * factor, p.theta * factor, p.lam * factor)
+            assert got == ref and hash(got) == hash(ref)
+            fields = ("gamma", "theta", "lam")
+            assert all(type(getattr(got, f)) is float for f in fields)
+            assert [getattr(got, f).hex() for f in fields] == [
+                getattr(ref, f).hex() for f in fields
+            ]
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                got.gamma = 1.0
 
 
 class TestCondGBasics:
@@ -246,6 +265,15 @@ class TestAnchorChecks:
         point = np.full(body.dim, np.nan)
         with pytest.raises(ValueError):
             condg_project(body, EXACT, anchor_at(body, 0.0), point)
+
+
+def test_anchor_whose_offset_overflows_rejected():
+    # The planar kernel's anchor test reads nan there, and a nan violation
+    # is no member.
+    body = Ellipsoid(center=[-1e308, 0.0], shape=np.eye(2))
+    with pytest.raises(InputError) as err:
+        condg_project(body, EXACT, [1e308, 0.0], [0.0, 0.0])
+    assert err.value.path == "anchor"
 
 
 class TestIterateProperties:
