@@ -26,9 +26,9 @@ from .condg import (
     phi,
 )
 from .oracles import (
-    brute_project,
     dist_ellipse_halfspace,
     dist_two_bodies,
+    projection_error_bound,
 )
 from .solvers import (
     ForcingSchedule,
@@ -62,12 +62,12 @@ __all__ = [
     "acondg2",
     "as_vector",
     "averaged_projection",
-    "brute_project",
     "condg_project",
     "dist_ellipse_halfspace",
     "dist_two_bodies",
     "exact_alternating",
     "phi",
+    "projection_error_bound",
 ]
 
 __version__ = "0.1.0"

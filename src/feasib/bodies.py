@@ -179,17 +179,17 @@ def member_vector(body: ConvexBody, x, path: str) -> Vector:
 
 def _norm(d: Vector) -> float:
     """``|d|`` as numpy's norm computes it, ``sqrt(d . d)``; only when the
-    sum of squares overflows is it recomputed as ``m |d / m|`` with
-    ``m = max |d_i|``, so the distance itself need not overflow."""
+    sum of squares overflows, or falls below the normal range and so loses
+    bits or reads 0, is it recomputed as ``m |d / m|`` with ``m = max |d_i|``."""
     with np.errstate(over="ignore"):
-        nd = math.sqrt(float(d.dot(d)))
-    if nd == math.inf:
+        s = float(d.dot(d))
+    if not sys.float_info.min <= s < math.inf:
         m = float(np.abs(d).max())
-        if m == math.inf:  # d / m would hold inf / inf, a nan
-            return math.inf
+        if m in (0.0, math.inf):  # d / m would hold 0 / 0 or inf / inf
+            return m
         d = d / m
-        nd = m * math.sqrt(float(d.dot(d)))
-    return nd
+        return m * math.sqrt(float(d.dot(d)))
+    return math.sqrt(s)
 
 
 def _excess(r: float) -> float:
@@ -328,6 +328,8 @@ class Ball(ConvexBody):
         nd = _norm(d)
         if nd <= self.radius:
             return v.copy()
+        if nd == math.inf:  # the offset overflows; its halves give its direction
+            nd = _norm(d := 0.5 * v - 0.5 * self.center)
         return self.center + (self.radius / nd) * d
 
 

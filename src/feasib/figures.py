@@ -24,7 +24,7 @@ _COLOR_B = "#d62728"
 _COLOR_X = "#2ca02c"
 _COLOR_Y = "#ff7f0e"
 
-_BOUNDARY_SAMPLES = 512
+_OUTLINE_POINTS = 512
 
 
 def _fmt(v: float) -> str:
@@ -58,13 +58,13 @@ def _read_trace(path) -> tuple[list, list]:
 
 def _boundary_points(body: ConvexBody, bbox) -> list[tuple[float, float]]:
     if isinstance(body, Ellipsoid):
-        ts = np.linspace(0.0, 2.0 * math.pi, _BOUNDARY_SAMPLES + 1)
+        ts = np.linspace(0.0, 2.0 * math.pi, _OUTLINE_POINTS + 1)
         return [
             tuple(body.boundary_point(np.array([math.cos(t), math.sin(t)])))
             for t in ts
         ]
     if isinstance(body, Ball):
-        ts = np.linspace(0.0, 2.0 * math.pi, _BOUNDARY_SAMPLES + 1)
+        ts = np.linspace(0.0, 2.0 * math.pi, _OUTLINE_POINTS + 1)
         c, r = body.center, body.radius
         return [(c[0] + r * math.cos(t), c[1] + r * math.sin(t)) for t in ts]
     if isinstance(body, Box):

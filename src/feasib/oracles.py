@@ -1,12 +1,11 @@
-"""Slow, independent ground-truth oracles.
+"""Slow, independent ground-truth oracles for tests and cross-checks.
 
-These exist to manufacture expected values for tests and cross-checks:
-boundary-sampling projection (2-D only), analytic ellipsoid/halfspace
-distance via support functions, and a tight-tolerance alternating-projection
-distance estimator (any dimension). Solvers never call into this module.
-Their settings are module constants: ``brute_project``'s boundary sample
-count and golden-section step cap, and the tolerance at which it and
-``dist_two_bodies`` stop.
+A certified bound on the error of a projection (any dimension), analytic
+ellipsoid/halfspace distance via support functions, and a tight-tolerance
+alternating-projection distance estimator (any dimension), whose cap and
+stopping tolerance are module constants. Solvers never call into this
+module. The first two read only a body's defining fields, never its cached
+frame: ``_support`` takes an ellipsoid's from an ``eigh`` made here.
 """
 
 from __future__ import annotations
@@ -18,123 +17,80 @@ import numpy as np
 from .bodies import Ball, Box, ConvexBody, Ellipsoid, Halfspace, Vector, as_vector
 
 __all__ = [
-    "brute_project",
     "dist_ellipse_halfspace",
     "dist_two_bodies",
+    "projection_error_bound",
 ]
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _ALTERNATION_CAP = 500_000
-_BOUNDARY_SAMPLES = 100_000
-_REFINE_ITERS = 200
 _TOLERANCE = 1e-12
 
 
-def _boundary_curve(body: ConvexBody, v: Vector):
-    """Return (t_lo, t_hi, curve) parameterizing the body's boundary.
-
-    ``curve`` accepts a scalar parameter or an array of parameters. The
-    ellipsoid decomposition is recomputed here so the oracle trusts nothing
-    cached inside the body.
-    """
+def _support(body: ConvexBody, c: Vector) -> float:
+    """``max_z <c, z>`` over a compact body, from its defining fields."""
     if isinstance(body, Ellipsoid):
         lam, vecs = np.linalg.eigh(body.shape)
-        half = vecs @ np.diag(1.0 / np.sqrt(lam)) @ vecs.T
-
-        def curve(t):
-            circ = np.stack([np.cos(t), np.sin(t)], axis=-1)
-            return body.center + circ @ half.T
-
-        return 0.0, 2.0 * math.pi, curve
+        b = vecs.T @ c
+        return float(c @ body.center) + math.sqrt(float(np.sum(b * b / lam)))
     if isinstance(body, Ball):
-        c, r = body.center, body.radius
-
-        def curve(t):
-            return c + r * np.stack([np.cos(t), np.sin(t)], axis=-1)
-
-        return 0.0, 2.0 * math.pi, curve
+        return float(c @ body.center) + body.radius * float(np.linalg.norm(c))
     if isinstance(body, Box):
-        lo, hi = body.lower, body.upper
-        w, h = hi - lo
-        # Degenerate edges still need nonzero spans for the parameterization.
-        spans = np.maximum(np.array([w, h, w, h]), 1e-300)
-        offsets = np.concatenate([[0.0], np.cumsum(spans)])
-        corners = np.array(
-            [[lo[0], lo[1]], [hi[0], lo[1]], [hi[0], hi[1]], [lo[0], hi[1]]]
-        )
-        directions = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
-
-        def curve(t):
-            t = np.asarray(t, dtype=np.float64) % offsets[-1]
-            edge = np.clip(np.searchsorted(offsets, t, side="right") - 1, 0, 3)
-            local = t - offsets[edge]
-            return corners[edge] + local[..., None] * directions[edge]
-
-        return 0.0, float(offsets[-1]), curve
-    if isinstance(body, Halfspace):
-        a = body.normal
-        foot = v - ((float(a @ v) - body.offset) / float(a @ a)) * a
-        tangent = np.array([-a[1], a[0]]) / float(np.linalg.norm(a))
-        span = 10.0 * (1.0 + float(np.linalg.norm(v - foot)))
-
-        def curve(t):
-            t = np.asarray(t, dtype=np.float64)
-            return foot + t[..., None] * tangent
-
-        return -span, span, curve
-    raise NotImplementedError(f"no boundary parameterization for {type(body)}")
+        return float(np.sum(np.maximum(c * body.lower, c * body.upper)))
+    raise NotImplementedError(f"no support function for {type(body)}")
 
 
-def brute_project(body: ConvexBody, v) -> Vector:
-    """Projection by dense boundary sampling plus golden-section refinement.
+def _member(body: ConvexBody, w: Vector) -> Vector:
+    """A member near ``w``, from the fields: ``w`` itself, its clip to a box,
+    or the boundary point on the ray from the centre through ``w``. The
+    ellipsoid gauge is summed in the eigenbasis, as ``d @ shape @ d`` would
+    cancel to an error of about eps * cond(shape)."""
+    if isinstance(body, Box):
+        return np.clip(w, body.lower, body.upper)
+    d = w - body.center
+    if isinstance(body, Ball):
+        s = float(np.linalg.norm(d)) / body.radius
+    else:
+        lam, vecs = np.linalg.eigh(body.shape)
+        s = math.sqrt(float(lam @ (vecs.T @ d) ** 2))
+    return w if s <= 1.0 else body.center + d / s
 
-    2-D bodies only. Members project to themselves.
+
+def projection_error_bound(body: ConvexBody, point, w) -> float:
+    """An upper bound on ``|w - proj_body(point)|``, in any dimension.
+
+    For a compact body it is the Frank-Wolfe duality-gap certificate
+    (Jaggi, ICML 2013): for a member ``m``, ``g = point - m`` and the
+    projection ``p*``, ``|m - p*|^2 <= <g, p* - m> <= support(g) - <g, m>``.
+    ``m`` is ``w`` or, when ``w`` lies outside (a ``project`` output does so
+    only by rounding or its Newton tolerance), a member near it
+    (``_member``), and the bound adds ``|w - m|``. For a halfspace it is the
+    exact distance. Neither reads a body's cached frame.
     """
-    v = as_vector(v, body.dim)
-    if body.dim != 2:
-        raise NotImplementedError("brute_project supports 2-D bodies only")
-    if body.contains(v):
-        return v.copy()
-
-    t_lo, t_hi, curve = _boundary_curve(body, v)
-    ts = np.linspace(t_lo, t_hi, _BOUNDARY_SAMPLES, endpoint=False)
-    dists = np.linalg.norm(curve(ts) - v, axis=-1)
-    i = int(np.argmin(dists))
-    step = (t_hi - t_lo) / _BOUNDARY_SAMPLES
-
-    # The true minimizer lies within one sample spacing of the best sample;
-    # golden-section search needs only unimodality on that bracket.
-    lo, hi = float(ts[i]) - step, float(ts[i]) + step
-    f = lambda t: float(np.linalg.norm(curve(t) - v))
-    c = hi - _GOLDEN * (hi - lo)
-    d = lo + _GOLDEN * (hi - lo)
-    fc, fd = f(c), f(d)
-    for _ in range(_REFINE_ITERS):
-        if hi - lo <= _TOLERANCE:
-            break
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - _GOLDEN * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _GOLDEN * (hi - lo)
-            fd = f(d)
-    return curve(0.5 * (lo + hi))
+    point, w = as_vector(point, body.dim), as_vector(w, body.dim)
+    if isinstance(body, Halfspace):
+        a, g = body.normal, point - w
+        if float(a @ point) <= body.offset:  # the point is its own projection
+            return float(np.linalg.norm(g))
+        # p* lies on the boundary and differs from the point along a only.
+        na = float(np.linalg.norm(a))
+        across = float(np.linalg.norm(g - (float(a @ g) / na**2) * a))
+        return math.hypot((float(a @ w) - body.offset) / na, across)
+    m = _member(body, w)
+    g = point - m
+    gap = _support(body, g) - float(g @ m)
+    return float(np.linalg.norm(w - m)) + math.sqrt(max(0.0, gap))
 
 
 def dist_ellipse_halfspace(ellipse: Ellipsoid, halfspace: Halfspace) -> float:
     """Euclidean distance between an ellipsoid and a halfspace.
 
     The nearest face of the halfspace is its boundary hyperplane; the signed
-    clearance is the hyperplane distance of the center minus the ellipsoid's
-    support radius along the normal.
+    clearance is the smallest value of ``<normal, z>`` over the ellipsoid
+    minus the offset, over the normal's length.
     """
     a = halfspace.normal
-    na = float(np.linalg.norm(a))
-    gap = (float(a @ ellipse.center) - halfspace.offset) / na
-    radius = math.sqrt(float(a @ np.linalg.solve(ellipse.shape, a)))
-    return max(0.0, gap - radius / na)
+    low = -_support(ellipse, -a)  # the smallest <a, z> over the ellipsoid
+    return max(0.0, (low - halfspace.offset) / float(np.linalg.norm(a)))
 
 
 def _anchor(body: ConvexBody) -> Vector:

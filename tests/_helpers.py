@@ -7,19 +7,13 @@ from unittest import mock
 
 import numpy as np
 
-from feasib import START_TOL, Ball, Box, Ellipsoid, Halfspace, condg, oracles
+from feasib import START_TOL, Ball, Box, Ellipsoid, Halfspace, condg
 
 
 def inner_limits(cap=condg._MAX_INNER_ITERS, gap_tol=condg._DEGENERATE_GAP_TOL):
     """Patch setting the inner loop's iteration cap and degenerate-gap
     cutoff, as a context manager or a test decorator."""
     return mock.patch.multiple(condg, _MAX_INNER_ITERS=cap, _DEGENERATE_GAP_TOL=gap_tol)
-
-
-def boundary_samples(n):
-    """Patch setting ``brute_project``'s boundary sample count, as
-    ``inner_limits`` does."""
-    return mock.patch.object(oracles, "_BOUNDARY_SAMPLES", n)
 
 
 def random_rotation(rng, dim):

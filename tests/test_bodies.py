@@ -252,6 +252,23 @@ class TestViolation:
             assert body.violation(point) == math.inf
             assert not body.contains(point)
 
+    def test_a_tiny_ball_measures_its_points(self):
+        # |z - center|^2 underflows below a distance of about 1.5e-154, so
+        # the sum of squares read 0 and every point looked like a member.
+        ball = Ball(center=[0.0, 0.0], radius=1e-300)
+        assert ball.violation([2e-300, 0.0]) == pytest.approx(1e-300, rel=1e-15)
+        assert ball.violation([0.0, 0.0]) == 0.0
+        # contains() still reads True at twice the radius: MEMBER_TOL is an
+        # absolute 1e-12, whatever the size of the body.
+        assert ball.contains([2e-300, 0.0])
+
+    def test_the_norm_keeps_its_bits_in_range(self):
+        # The rescaled sum runs only outside the normal range of d . d.
+        rng = np.random.default_rng(11)
+        for _ in range(2000):
+            d = rng.normal(size=rng.integers(1, 20)) * 10.0 ** rng.uniform(-150, 150)
+            assert bodies._norm(d) == math.sqrt(float(d.dot(d)))
+
     def test_zero_iff_member(self):
         rng = np.random.default_rng(7)
         for _ in range(30):
@@ -364,9 +381,27 @@ class TestProjection:
         w = Ball(center=[0.0, 0.0], radius=1.0).project([1e200, 1e200])
         assert np.allclose(w, [math.sqrt(0.5), math.sqrt(0.5)], rtol=0, atol=1e-15)
 
+    def test_ball_projects_a_point_whose_offset_overflows(self):
+        # v - center overflows to inf, and (radius / inf) * inf read nan; the
+        # halves of v and the centre give the direction.
+        with np.errstate(over="ignore"):  # the overflow of v - center
+            w = Ball(center=[-1e308, 0.0], radius=1.0).project([1e308, 0.0])
+        assert np.array_equal(w, [-1e308, 0.0])
+        # Here only the norm overflows, not the offset.
+        w = Ball(center=[0.0, 0.0], radius=1.0).project([1.5e308, 1.5e308])
+        assert np.allclose(w, [math.sqrt(0.5), math.sqrt(0.5)], rtol=0, atol=1e-15)
+
+    def test_tiny_ball_projects_outside_points(self):
+        # |v - center|^2 underflowed: at radius 1e-300 a point was its own
+        # projection, and at 1e-160 the projection was off by 5.6e-6.
+        ball = Ball(center=[0.0, 0.0], radius=1e-300)
+        assert np.allclose(ball.project([3e-300, 0.0]), [1e-300, 0.0], rtol=1e-15, atol=0)
+        w = Ball(center=[0.0, 0.0], radius=1e-160).project([3e-160, 4e-160])
+        assert np.allclose(w, [6e-161, 8e-161], rtol=1e-15, atol=0)
+
     def test_slim_ellipse_against_boundary_sampling(self):
-        # Frozen from the boundary-sampling oracle at 1e5 and 1e4 samples,
-        # which agree to 3e-8.
+        # Frozen from a boundary-sampling oracle (since retired) at 1e5 and
+        # 1e4 samples, which agreed to 3e-8.
         w = slim_ellipse().project([2.0, 2.0])
         assert np.allclose(w, [0.14142132, 0.14142140], atol=1e-6)
         assert slim_ellipse().violation(w) <= 1e-12

@@ -7,12 +7,12 @@ from feasib import (
     Ball,
     Ellipsoid,
     Halfspace,
-    brute_project,
     dist_ellipse_halfspace,
     dist_two_bodies,
+    projection_error_bound,
 )
 
-from _helpers import boundary_samples, random_body
+from _helpers import random_body
 
 SQRT_202 = math.sqrt(2.02)
 
@@ -21,39 +21,59 @@ def slim_ellipse():
     return Ellipsoid.from_axes([0.0, 0.0], -math.pi / 4.0, (2.0, 0.2))
 
 
-def test_brute_project_radial_disk():
-    disk = Ellipsoid(center=np.zeros(2), shape=np.eye(2))
-    w = brute_project(disk, [3.0, 4.0])
-    assert np.allclose(w, [0.6, 0.8], atol=1e-8)
+def known_projections():
+    """``(body, point, projection)`` triples whose projection is known in
+    closed form: a disk, a member, a halfspace's foot, a halfspace member
+    and a 5-D ball."""
+    c = np.array([1.0, -2.0, 0.5, 3.0, -1.0])
+    u = np.array([1.0, 2.0, -2.0, 4.0, 0.0]) / 5.0
+    foot = Halfspace(normal=[-1.0, 0.0], offset=-1.5)
+    return [
+        (Ellipsoid(center=np.zeros(2), shape=np.eye(2)), [3.0, 4.0], [0.6, 0.8]),
+        (Ball(center=[0.0, 0.0], radius=1.0), [0.2, -0.3], [0.2, -0.3]),
+        (foot, [0.0, 0.0], [1.5, 0.0]),
+        (foot, [2.0, 1.0], [2.0, 1.0]),
+        (Ball(center=c, radius=2.0), c + 5.0 * u, c + 2.0 * u),
+    ]
 
 
-def test_brute_project_member_is_identity():
-    disk = Ball(center=[0.0, 0.0], radius=1.0)
-    v = np.array([0.2, -0.3])
-    assert np.array_equal(brute_project(disk, v), v)
+def test_projection_error_bound_reads_zero_on_known_projections():
+    for body, point, proj in known_projections():
+        assert projection_error_bound(body, point, proj) <= 1e-7
 
 
-def test_brute_project_halfspace():
-    # The distance curve is flat to machine precision near the foot point,
-    # so the refinement resolves the minimizer only to ~sqrt(eps).
-    h = Halfspace(normal=[-1.0, 0.0], offset=-1.5)
-    assert np.allclose(brute_project(h, [0.0, 0.0]), [1.5, 0.0], atol=1e-6)
+def test_projection_error_bound_covers_a_known_error():
+    # Moved off the projection by t, a point's bound reads at least t,
+    # whether the move leaves the body or not.
+    rng = np.random.default_rng(33)
+    for body, point, proj in known_projections():
+        for t in (1e-3, 0.1, 1.0):
+            for _ in range(20):
+                step = rng.normal(size=body.dim)
+                w = np.asarray(proj) + t * step / np.linalg.norm(step)
+                assert projection_error_bound(body, point, w) >= t * (1.0 - 1e-9)
 
 
-def test_brute_project_rejects_higher_dimensions():
-    ball = Ball(center=[0.0, 0.0, 0.0], radius=1.0)
-    with pytest.raises(NotImplementedError):
-        brute_project(ball, [2.0, 0.0, 0.0])
-
-
-def test_brute_project_two_densities_agree():
+def test_projection_error_bound_ignores_the_cached_frame():
+    # The bound checks the body's own projection, so it must not read the
+    # eigendecomposition that projection uses: with the cached eigenvalues
+    # scaled, the projection lands on a smaller ellipse, and the bound
+    # sees it.
     e = slim_ellipse()
-    with boundary_samples(100_000):
-        dense = brute_project(e, [2.0, 2.0])
-    with boundary_samples(10_000):
-        sparse = brute_project(e, [2.0, 2.0])
-    assert np.max(np.abs(dense - sparse)) <= 1e-6
-    assert np.max(np.abs(dense - e.project([2.0, 2.0]))) <= 1e-6
+    planar = list(e._planar)
+    planar[4:6] = [4.0 * planar[4], 4.0 * planar[5]]
+    object.__setattr__(e, "_eigvals", 4.0 * e._eigvals)
+    object.__setattr__(e, "_planar", tuple(planar))
+    assert projection_error_bound(e, [2.0, 2.0], e.project([2.0, 2.0])) > 0.1
+
+
+def test_projection_error_bound_certifies_exact_projection_randomized():
+    rng = np.random.default_rng(32)
+    for dim in (2, 3, 16):
+        for _ in range(30):
+            body = random_body(rng, dim)
+            v = rng.uniform(-5.0, 5.0, dim)
+            assert projection_error_bound(body, v, body.project(v)) <= 1e-6
 
 
 def test_distance_formula_against_slim_ellipse():
@@ -113,14 +133,3 @@ def test_dist_two_bodies_agrees_with_support_formula():
         expected = dist_ellipse_halfspace(e, h)
         d, xa, yb = dist_two_bodies(e, h)
         assert d == pytest.approx(expected, abs=1e-6)
-
-
-@boundary_samples(20_000)
-def test_brute_project_matches_exact_projection_randomized():
-    rng = np.random.default_rng(32)
-    for _ in range(30):
-        body = random_body(rng)
-        v = rng.uniform(-5.0, 5.0, 2)
-        assert (
-            np.max(np.abs(brute_project(body, v) - body.project(v))) <= 1e-6
-        )

@@ -32,6 +32,9 @@ from _helpers import (
     containing_body,
     ill_conditioned_ellipsoid,
     inner_limits,
+    random_ball,
+    random_box,
+    random_halfspace,
     sample_members,
 )
 
@@ -580,6 +583,67 @@ class TestInnerCapPropagation:
         for y in rep.y_trace:
             assert b.violation(y) <= 1e-10
         assert rep.stop_code in (StopCode.LACK_OF_PROGRESS, StopCode.ITERATION_CAP)
+
+
+def descent_pair(rng, n, b_kinds):
+    """A random A (an ellipsoid of condition number 1 to 1e8, or a ball) and
+    a random B of one of ``b_kinds``, in dimension ``n``, with centres in
+    ``[-1, 1]^n`` so that many pairs meet or nearly touch."""
+
+    def body(kind):
+        if kind == "ellipsoid":
+            cond = 10.0 ** rng.uniform(0.0, 8.0)
+            return ill_conditioned_ellipsoid(rng, n, cond, center_scale=1.0)
+        if kind == "halfspace":
+            return random_halfspace(rng, n)
+        return {"ball": random_ball, "box": random_box}[kind](rng, n, center_scale=1.0)
+
+    return body(("ellipsoid", "ball")[rng.integers(2)]), body(rng.choice(b_kinds))
+
+
+class TestDescentInvariant:
+    """The alternating solvers never let ``d_k = |x_k - y_k|`` grow.
+
+    ``y_{k+1}`` is at least as near ``x_k`` as the member ``y_k``: an exact
+    projection is the nearest point, and a Frank-Wolfe loop warm-started at
+    its anchor lowers ``|w - p|`` at every step and returns the anchor when
+    it takes none. In the same way ``x_{k+1}`` is at least as near
+    ``y_{k+1}`` as ``x_k``. So ``d_{k+1} <= d_k`` on every pair of rows that
+    both have a y-iterate, up to ``8 eps (|x_k| + |y_k|)`` of rounding. The
+    averaged scheme moves a midpoint, not a pair, and has no such
+    invariant. A box projected by Frank-Wolfe is left out: its inner loop
+    runs to the cap, and one such run took 87 s.
+    """
+
+    ANY_B = ("ellipsoid", "ball", "box", "halfspace")
+    # Each solver's kinds of B, and its call.
+    SOLVES = {
+        "ACondG1": (ANY_B, lambda a, b, x0, y0, stop: acondg1(a, b, x0, stop=stop)),
+        "ACondG2": (
+            ("ellipsoid", "ball"),
+            lambda a, b, x0, y0, stop: acondg2(a, b, x0, y0, stop=stop),
+        ),
+        "ExactAlt": (ANY_B, lambda a, b, x0, y0, stop: exact_alternating(a, b, x0, stop)),
+    }
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("solver", list(SOLVES))
+    def test_the_distance_between_the_iterates_never_grows(self, solver, seed):
+        b_kinds, solve = self.SOLVES[solver]
+        rng = np.random.default_rng(900 + seed)
+        eps = np.finfo(float).eps
+        for n in [2] * 4 + [3] * 4 + [16] * 4:
+            a, b = descent_pair(rng, n, b_kinds)
+            x0, y0 = sample_members(a, rng, 1)[0], sample_members(b, rng, 1)[0]
+            rep = solve(a, b, x0, y0, StoppingConfig(max_outer_iters=60))
+            # Row k holds x_trace[k]; the rows with a y-iterate are the last
+            # len(y_trace) rows.
+            xs = rep.x_trace[len(rep.x_trace) - len(rep.y_trace):]
+            rows = zip(xs, rep.y_trace, xs[1:], rep.y_trace[1:])
+            for k, (xk, yk, x_next, y_next) in enumerate(rows):
+                rise = np.linalg.norm(x_next - y_next) - np.linalg.norm(xk - yk)
+                slack = 8.0 * eps * (np.linalg.norm(xk) + np.linalg.norm(yk))
+                assert rise <= slack, (n, k, rise, slack)
 
 
 class TestInputRules:
