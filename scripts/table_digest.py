@@ -17,6 +17,7 @@ Usage:
 
 import argparse
 import hashlib
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -65,4 +66,12 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe, as ``| head -1`` does. Point stdout at
+        # devnull, so the flush at exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 0
+    sys.exit(status)

@@ -154,6 +154,8 @@ def as_vector(x, dim: int | None = None, path: str | None = None) -> Vector:
             v = np.array([math.inf])
         if v.ndim != 1:
             problem = f"expected a 1-D vector, got shape {v.shape}"
+        elif v.shape[0] == 0:
+            problem = "expected at least one entry"
         elif not np.isfinite(v).all():
             problem = "vector entries must be finite"
         elif dim is not None and v.shape[0] != dim:
@@ -521,8 +523,10 @@ class Ellipsoid(ConvexBody):
 
     def support(self, c) -> float:
         c = as_vector(c, self.dim)
-        b = self._eigvecs.T @ c
-        return float(c @ self.center) + math.sqrt(float(np.sum(b * b / self._eigvals)))
+        # Not the cached frame: ``oracles`` certifies ``project``, which reads it.
+        lam, vecs = np.linalg.eigh(self.shape)
+        b = vecs.T @ c
+        return float(c @ self.center) + math.sqrt(float(np.sum(b * b / lam)))
 
     def boundary_point(self, direction) -> Vector:
         """Boundary point in unit-quadratic coordinates along ``direction``."""

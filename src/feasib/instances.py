@@ -20,9 +20,11 @@ constructors (re-pathed under ``set_a`` / ``set_b``), ``ForcingSchedule``
 and ``StoppingConfig``, for every solver. :func:`validate_config` then
 runs the solvers' own input check, :func:`~feasib.solvers.check_pair`, on
 the start points and the schedule, so a config fails with the same path
-and message as the call. The forcing regime is not a config field:
-``check_pair`` derives it from what the solver projects inexactly, and
-ignores the schedule of a solver that projects nothing inexactly.
+and message as the call. One ``_SOLVERS`` row per solver is its whole
+contract, which :func:`validate_config` and :func:`solve_config` both
+read: the :mod:`feasib.solvers` function that runs it, the sets it
+projects inexactly (``check_pair`` derives the forcing regime from them,
+so it is no config field) and whether it reads ``y0``.
 """
 
 from __future__ import annotations
@@ -33,9 +35,10 @@ from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 
+from . import solvers
 from .bodies import Ball, Box, ConvexBody, Ellipsoid, Halfspace, InputError
 from .bodies import as_float, as_vector, check_count
-from .solvers import ForcingSchedule, StoppingConfig, check_pair
+from .solvers import ForcingSchedule, SolveReport, StoppingConfig, check_pair
 
 __all__ = [
     "ConfigError",
@@ -48,7 +51,7 @@ __all__ = [
     "parse_config",
     "save_config",
     "serialize_config",
-    "start_points",
+    "solve_config",
     "table1_config",
     "table2_config",
     "table_reference",
@@ -57,14 +60,15 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-# Whether each solver projects set A and set B inexactly (see
-# ``check_pair``), and whether its run reads ``y0``.
+# Each solver's ``solvers`` function, looked up by name at call time (so a
+# wrapper set on that module sees the call), whether it projects set A and
+# set B inexactly (see ``check_pair``), and whether its run reads ``y0``.
 _SOLVERS = {
-    "ACondG1": ((True, False), False),
-    "ACondG2": ((True, True), True),
-    "Averaged": ((True, True), True),
-    "ExactAlt1": ((False, False), False),
-    "ExactAlt2": ((False, False), True),
+    "ACondG1": ("acondg1", (True, False), False),
+    "ACondG2": ("acondg2", (True, True), True),
+    "Averaged": ("averaged_projection", (True, True), True),
+    "ExactAlt1": ("exact_alternating", (False, False), False),
+    "ExactAlt2": ("exact_alternating", (False, False), True),
 }
 _SOLVER_LOOKUP = {n.lower().replace("_", ""): n for n in _SOLVERS}
 
@@ -199,18 +203,23 @@ def build_bodies(config: InstanceConfig) -> tuple[ConvexBody, ConvexBody]:
     return config.bodies
 
 
-def _solver_rule(solver: str) -> tuple[tuple[bool, bool], bool]:
+def _solver_rule(solver: str) -> tuple[str, tuple[bool, bool], bool]:
     if solver not in _SOLVERS:
         expected = f"expected one of {tuple(_SOLVERS)}"
         raise ConfigError("solver", f"unknown solver {solver!r}; {expected}")
     return _SOLVERS[solver]
 
 
-def start_points(config: InstanceConfig) -> tuple[tuple, tuple | None]:
-    """``(x0, y0)`` as the config's solver reads them; ``y0`` is None when
-    the solver does not read it."""
-    reads_y0 = _solver_rule(config.solver)[1]
-    return config.x0, config.y0 if reads_y0 else None
+def _solver_call(config: InstanceConfig) -> tuple[str, tuple[bool, bool], dict]:
+    """The solver's function name, inexact pair and keyword arguments: the
+    schedule only if it projects a set inexactly, ``y0`` only if it reads it."""
+    name, inexact, reads_y0 = _solver_rule(config.solver)
+    kwargs = {"stop": config.stopping}
+    if any(inexact):
+        kwargs["schedule"] = config.schedule
+    if reads_y0:
+        kwargs["y0"] = config.y0
+    return name, inexact, kwargs
 
 
 def validate_config(config: InstanceConfig) -> tuple[ConvexBody, ConvexBody]:
@@ -221,9 +230,17 @@ def validate_config(config: InstanceConfig) -> tuple[ConvexBody, ConvexBody]:
     the config's bodies, ``(set_a, set_b)``.
     """
     a, b = build_bodies(config)
-    inexact = _solver_rule(config.solver)[0]
-    check_pair(a, b, *start_points(config), inexact, config.schedule)
+    _, inexact, kwargs = _solver_call(config)
+    check_pair(a, b, config.x0, kwargs.get("y0"), inexact, kwargs.get("schedule"))
     return a, b
+
+
+def solve_config(config: InstanceConfig) -> SolveReport:
+    """Build the instance and run its solver, whose ``check_pair`` holds
+    the config to the same input rules as ``validate_config``."""
+    a, b = build_bodies(config)
+    name, _, kwargs = _solver_call(config)
+    return getattr(solvers, name)(a, b, config.x0, **kwargs)
 
 
 def serialize_config(config: InstanceConfig) -> dict:

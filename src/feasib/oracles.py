@@ -5,7 +5,9 @@ ellipsoid/halfspace distance via support functions, and a tight-tolerance
 alternating-projection distance estimator (any dimension), whose cap and
 stopping tolerance are module constants. Solvers never call into this
 module. The first two read only a body's defining fields, never its cached
-frame: ``_support`` takes an ellipsoid's from an ``eigh`` made here.
+frame: ``body.support`` reads only those (an ellipsoid's makes its own
+``eigh``). The estimator alternates the unchecked ``_project``, as the
+solvers do.
 """
 
 from __future__ import annotations
@@ -24,19 +26,6 @@ __all__ = [
 
 _ALTERNATION_CAP = 500_000
 _TOLERANCE = 1e-12
-
-
-def _support(body: ConvexBody, c: Vector) -> float:
-    """``max_z <c, z>`` over a compact body, from its defining fields."""
-    if isinstance(body, Ellipsoid):
-        lam, vecs = np.linalg.eigh(body.shape)
-        b = vecs.T @ c
-        return float(c @ body.center) + math.sqrt(float(np.sum(b * b / lam)))
-    if isinstance(body, Ball):
-        return float(c @ body.center) + body.radius * float(np.linalg.norm(c))
-    if isinstance(body, Box):
-        return float(np.sum(np.maximum(c * body.lower, c * body.upper)))
-    raise NotImplementedError(f"no support function for {type(body)}")
 
 
 def _member(body: ConvexBody, w: Vector) -> Vector:
@@ -77,7 +66,7 @@ def projection_error_bound(body: ConvexBody, point, w) -> float:
         return math.hypot((float(a @ w) - body.offset) / na, across)
     m = _member(body, w)
     g = point - m
-    gap = _support(body, g) - float(g @ m)
+    gap = body.support(g) - float(g @ m)
     return float(np.linalg.norm(w - m)) + math.sqrt(max(0.0, gap))
 
 
@@ -89,7 +78,7 @@ def dist_ellipse_halfspace(ellipse: Ellipsoid, halfspace: Halfspace) -> float:
     minus the offset, over the normal's length.
     """
     a = halfspace.normal
-    low = -_support(ellipse, -a)  # the smallest <a, z> over the ellipsoid
+    low = -ellipse.support(-a)  # the smallest <a, z> over the ellipsoid
     return max(0.0, (low - halfspace.offset) / float(np.linalg.norm(a)))
 
 
@@ -99,7 +88,7 @@ def _anchor(body: ConvexBody) -> Vector:
     if isinstance(body, Box):
         return 0.5 * (body.lower + body.upper)
     if isinstance(body, Halfspace):
-        return body.project(np.zeros(body.dim))
+        return body._project(np.zeros(body.dim))
     raise NotImplementedError(f"no anchor for {type(body)}")
 
 
@@ -110,21 +99,17 @@ def dist_two_bodies(a: ConvexBody, b: ConvexBody) -> tuple[float, Vector, Vector
     starts until both iterates move less than ``_TOLERANCE`` in the max
     norm, and returns the best ``(distance, point_in_a, point_in_b)`` found.
     """
-    starts = [_anchor(a), a.project(_anchor(b))]
-    best: tuple[float, Vector, Vector] | None = None
-    for x in starts:
-        y = b.project(x)
+    runs = []
+    for x in (_anchor(a), a._project(_anchor(b))):
+        y = b._project(x)
         for _ in range(_ALTERNATION_CAP):
-            x_new = a.project(y)
-            y_new = b.project(x_new)
+            x_new = a._project(y)
+            y_new = b._project(x_new)
             moved = max(
                 float(np.max(np.abs(x_new - x))), float(np.max(np.abs(y_new - y)))
             )
             x, y = x_new, y_new
             if moved <= _TOLERANCE:
                 break
-        d = float(np.linalg.norm(x - y))
-        if best is None or d < best[0]:
-            best = (d, x, y)
-    assert best is not None
-    return best
+        runs.append((float(np.linalg.norm(x - y)), x, y))
+    return min(runs, key=lambda run: run[0])  # the first of equal distances

@@ -15,7 +15,8 @@ File conventions:
 
 Each CSV row shape is stated once, as one ``%``-format string per line, and
 no cell needs quoting. The trace file and ``feasib run --verbose`` share
-:func:`trace_lines`.
+:func:`trace_lines`. This module only runs configs and writes files:
+:func:`feasib.instances.solve_config`, re-exported here, picks the solver.
 """
 
 from __future__ import annotations
@@ -28,19 +29,12 @@ from typing import NamedTuple
 
 from .instances import (
     InstanceConfig,
-    build_bodies,
-    start_points,
+    solve_config,
     table1_config,
     table2_config,
     table_reference,
 )
-from .solvers import (
-    SolveReport,
-    acondg1,
-    acondg2,
-    averaged_projection,
-    exact_alternating,
-)
+from .solvers import SolveReport
 
 __all__ = [
     "TableRow",
@@ -51,21 +45,6 @@ __all__ = [
     "trace_lines",
     "write_trace_csv",
 ]
-
-
-def solve_config(config: InstanceConfig) -> SolveReport:
-    """Build the instance and run its solver, whose ``check_pair`` holds
-    the config to the same input rules as ``validate_config``."""
-    a, b = build_bodies(config)
-    x0, y0 = start_points(config)
-    schedule, stop, solver = config.schedule, config.stopping, config.solver
-    if solver == "ACondG1":
-        return acondg1(a, b, x0, schedule, stop)
-    if solver == "ACondG2":
-        return acondg2(a, b, x0, y0, schedule, stop)
-    if solver == "Averaged":
-        return averaged_projection(a, b, x0, y0, schedule, stop)
-    return exact_alternating(a, b, x0, stop, y0=y0)
 
 
 def trace_lines(report: SolveReport, dim: int):

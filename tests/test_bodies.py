@@ -64,6 +64,14 @@ class TestConstruction:
             with pytest.raises(ValueError, match="offset"):
                 Halfspace(normal=[-1.0, 0.0], offset=offset)
 
+    def test_ellipsoid_of_dimension_zero_refused(self):
+        # The config refuses dimension 0, and the one vector rule refuses
+        # the empty centre that would give a body that dimension.
+        with pytest.raises(InputError) as err:
+            Ellipsoid(center=[], shape=np.zeros((0, 0)))
+        assert err.value.path == "center"
+        assert err.value.message == "expected at least one entry"
+
     def test_ellipsoid_requires_symmetry(self):
         with pytest.raises(ValueError):
             Ellipsoid(center=[0.0, 0.0], shape=np.array([[1.0, 0.5], [0.0, 1.0]]))

@@ -17,6 +17,8 @@ from feasib import (
     StoppingConfig,
     acondg1,
     acondg2,
+    averaged_projection,
+    exact_alternating,
 )
 from feasib.bodies import check_count
 from feasib.instances import (
@@ -30,7 +32,6 @@ from feasib.instances import (
     parse_config,
     save_config,
     serialize_config,
-    start_points,
     table1_config,
     table2_config,
     table_reference,
@@ -363,12 +364,57 @@ def test_unread_y0_is_not_checked():
     cfg = table1_config("1.30", "ExactAlt1")
     with_y0 = parse_config({**serialize_config(cfg), "y0": [0.0, 0.0]})
     assert with_y0.y0 == (0.0, 0.0)
-    assert start_points(with_y0) == (cfg.x0, None)
     ran, plain = solve_config(with_y0), solve_config(cfg)
     assert ran.stop_code is plain.stop_code
     assert ran.outer_iters == plain.outer_iters
     assert np.array_equal(ran.x_trace, plain.x_trace)
     assert ran.violations == plain.violations
+
+
+# Each config solver, an instance for it and the direct public call that
+# the config stands for: ``(config, (a, b))`` to a report.
+DIRECT_CALLS = {
+    "ACondG1": (
+        table1_config("1.42", "ACondG1"),
+        lambda c, a, b: acondg1(a, b, c.x0, c.schedule, c.stopping),
+    ),
+    "ACondG2": (
+        table2_config("2.358", "ACondG2"),
+        lambda c, a, b: acondg2(a, b, c.x0, c.y0, c.schedule, c.stopping),
+    ),
+    "Averaged": (
+        replace(table2_config("2.30", "ACondG2"), solver="Averaged"),
+        lambda c, a, b: averaged_projection(a, b, c.x0, c.y0, c.schedule, c.stopping),
+    ),
+    # y0 lies in B, so a run that read it would start with a y row.
+    "ExactAlt1": (
+        replace(table1_config("1.42", "ExactAlt1"), y0=(2.0, 0.0)),
+        lambda c, a, b: exact_alternating(a, b, c.x0, c.stopping),
+    ),
+    "ExactAlt2": (
+        table2_config("2.358", "ExactAlt2"),
+        lambda c, a, b: exact_alternating(a, b, c.x0, c.stopping, y0=c.y0),
+    ),
+}
+
+
+@pytest.mark.parametrize("solver", list(DIRECT_CALLS))
+def test_solve_config_is_the_direct_call(solver):
+    # A schedule other than the default, valid in both regimes, shows that
+    # it reaches each solver that reads one.
+    table_config, call = DIRECT_CALLS[solver]
+    config = replace(
+        table_config,
+        schedule=ForcingSchedule(theta0=0.15),
+        stopping=StoppingConfig(max_outer_iters=5),
+    )
+    ran, direct = solve_config(config), call(config, *build_bodies(config))
+    assert ran.stop_code is direct.stop_code
+    assert ran.outer_iters == direct.outer_iters
+    assert np.array_equal(ran.x_trace, direct.x_trace)
+    assert np.array_equal(ran.y_trace, direct.y_trace)
+    assert ran.violations == direct.violations
+    assert ran.schedule_trace == direct.schedule_trace
 
 
 # One body of each kind, as set B of an ExactAlt1 config whose set A is the
@@ -599,7 +645,7 @@ BAD_NUMBERS = {
 BAD_VECTORS = {
     "str": "00", "bool-entry": [True, 0.0], "str-entry": [0.0, "1"],
     "nan-entry": [math.nan, 0.0], "huge-int-entry": [10**400, 0.0],
-    "list-entry": [[0.0], 0.0], "none": None,
+    "list-entry": [[0.0], 0.0], "none": None, "empty": [],
 }
 # A count is an integer >= 1; 10**400 is one.
 BAD_COUNTS = {**BAD_NUMBERS, "fraction": 2.5, "float": 2.0, "zero": 0}
