@@ -214,6 +214,7 @@ class ConvexBody:
     """
 
     is_compact: ClassVar[bool]
+    _diameter: float  # compact bodies: the diameter once grown by START_TOL
 
     def _violation(self, z: Vector) -> float:
         return self._frame_violation(self._to_frame(z))
@@ -290,6 +291,7 @@ class Ball(ConvexBody):
         if r <= 0.0:
             raise InputError("radius", f"must be positive, got {r}")
         object.__setattr__(self, "radius", r)
+        object.__setattr__(self, "_diameter", 2.0 * (r + START_TOL))
 
     @property
     def dim(self) -> int:
@@ -351,6 +353,8 @@ class Box(ConvexBody):
             raise InputError("upper", "must be >= lower componentwise")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
+        # From half-widths, which cannot overflow; the diameter may read inf.
+        object.__setattr__(self, "_diameter", 2.0 * _norm(0.5 * hi - 0.5 * lo + START_TOL))
 
     @property
     def dim(self) -> int:
@@ -446,6 +450,8 @@ class Ellipsoid(ConvexBody):
         object.__setattr__(self, "_eigvals", vals)
         object.__setattr__(self, "_eigvecs", vecs)
         object.__setattr__(self, "_eigvecs_t", vecs.T)
+        d = 2.0 * math.sqrt((1.0 + START_TOL) / float(vals[0]))  # eigh sorts ascending
+        object.__setattr__(self, "_diameter", d)
         planar = None
         if n == 2:
             planar = (*vecs.ravel().tolist(), *vals.tolist(), *center.tolist())

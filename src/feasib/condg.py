@@ -20,6 +20,13 @@ and the point, and ``z`` the oracle's answer for the gradient ``g = u - u_p``:
   keeps distances;
 * the step is the exact line search ``min(1, gap / |z - u|^2)``.
 
+Most loops end at the cutoff. The anchor and the iterates lie in the body
+grown by ``START_TOL``, of diameter ``D = body._diameter``, so with
+``|u - u_a| <= D`` and ``|g| <= D + |p - a|`` the tolerance is at most
+``gamma*|p - a|^2 + theta*(D + |p - a|)^2 + lam*D^2``. Where that is at most
+half the cutoff (``_phi_can_stop``; the half absorbs rounding), no larger gap
+meets it, and the loop evaluates it only at gaps up to the cutoff: same bits.
+
 A 2-D ellipsoid, the body of every instance in the paper's tables, runs the
 same loop unrolled over Python floats (``_planar_ellipse``); every other
 body runs the numpy loop (``_frame_loop``). ``phi`` itself stays as the
@@ -64,7 +71,7 @@ __all__ = [
 # The inner loop's safeguards: ITERATION_CAP after _MAX_INNER_ITERS steps,
 # and DEGENERATE_GAP once the gap is at most _DEGENERATE_GAP_TOL (a gap g puts
 # the iterate within sqrt(2 g) of the exact projection). Both kernels copy
-# them into locals when called.
+# them and _DEGENERATE_STEP_SQ into locals when called.
 _MAX_INNER_ITERS = 10_000
 _DEGENERATE_GAP_TOL = 1e-11
 # A step ``s`` with |s|^2 at most this is too short to move the iterate: the
@@ -174,6 +181,13 @@ def condg_project(
     return _frame_loop(body, params, anchor, point, keep_trace)
 
 
+def _phi_can_stop(params: ForcingParams, pa_sq: float, diam: float) -> bool:
+    """Whether the module docstring's bound exceeds half the cutoff (or is nan)."""
+    reach = diam + math.sqrt(pa_sq)
+    bound = params.gamma * pa_sq + params.theta * reach * reach + params.lam * diam * diam
+    return not bound <= 0.5 * _DEGENERATE_GAP_TOL
+
+
 # Both kernels take finite arrays of the body's dimension, test the anchor's
 # membership in the frame, and stop on the same rules in the same order:
 # tolerance met, degenerate gap, degenerate step, iteration cap. When no step
@@ -194,9 +208,10 @@ def _frame_loop(
     check_member(body._frame_violation(u_a), "anchor")
     u_p = body._to_frame(point)
     d = point - anchor
-    base = params.gamma * float(d.dot(d))
-    theta, lam = params.theta, params.lam
-    gap_tol, cap = _DEGENERATE_GAP_TOL, _MAX_INNER_ITERS
+    pa_sq = float(d.dot(d))
+    base, theta, lam = params.gamma * pa_sq, params.theta, params.lam
+    gap_tol, cap, step_sq = _DEGENERATE_GAP_TOL, _MAX_INNER_ITERS, _DEGENERATE_STEP_SQ
+    phi_can_stop = _phi_can_stop(params, pa_sq, body._diameter)
     trace = [anchor.copy()] if keep_trace else None
     u = u_a
     ell = 0
@@ -204,15 +219,16 @@ def _frame_loop(
         g = u - u_p
         s = frame_lo(g) - u
         gap = -float(g.dot(s))
-        e = u - u_a
-        if gap <= base + theta * float(g.dot(g)) + lam * float(e.dot(e)):
-            stop = CondGStop.TOLERANCE_MET
-            break
-        if gap <= gap_tol:
-            stop = CondGStop.DEGENERATE_GAP
-            break
+        if phi_can_stop or gap <= gap_tol:
+            e = u - u_a
+            if gap <= base + theta * float(g.dot(g)) + lam * float(e.dot(e)):
+                stop = CondGStop.TOLERANCE_MET
+                break
+            if gap <= gap_tol:
+                stop = CondGStop.DEGENERATE_GAP
+                break
         dd = float(s.dot(s))
-        if dd <= _DEGENERATE_STEP_SQ:
+        if dd <= step_sq:
             stop = CondGStop.DEGENERATE_GAP
             break
         if ell >= cap:
@@ -248,9 +264,10 @@ def _planar_ellipse(
     ua0, ua1 = v00 * (a0 - c0) + v10 * (a1 - c1), v01 * (a0 - c0) + v11 * (a1 - c1)
     check_member(l0 * ua0 * ua0 + l1 * ua1 * ua1 - 1.0, "anchor")
     up0, up1 = v00 * (p0 - c0) + v10 * (p1 - c1), v01 * (p0 - c0) + v11 * (p1 - c1)
-    base = params.gamma * ((p0 - a0) * (p0 - a0) + (p1 - a1) * (p1 - a1))
-    theta, lam = params.theta, params.lam
-    gap_tol, cap = _DEGENERATE_GAP_TOL, _MAX_INNER_ITERS
+    pa_sq = (p0 - a0) * (p0 - a0) + (p1 - a1) * (p1 - a1)
+    base, theta, lam, sqrt = params.gamma * pa_sq, params.theta, params.lam, math.sqrt
+    gap_tol, cap, step_sq = _DEGENERATE_GAP_TOL, _MAX_INNER_ITERS, _DEGENERATE_STEP_SQ
+    phi_can_stop = _phi_can_stop(params, pa_sq, body._diameter)
     trace = [anchor.copy()] if keep_trace else None
     u0, u1 = ua0, ua1
     ell = 0
@@ -261,18 +278,19 @@ def _planar_ellipse(
         if q == 0.0:
             s0, s1 = -u0, -u1
         else:
-            r = -1.0 / math.sqrt(q)
+            r = -1.0 / sqrt(q)
             s0, s1 = w0 * r - u0, w1 * r - u1
         gap = -(g0 * s0 + g1 * s1)
-        e0, e1 = u0 - ua0, u1 - ua1
-        if gap <= base + theta * (g0 * g0 + g1 * g1) + lam * (e0 * e0 + e1 * e1):
-            stop = CondGStop.TOLERANCE_MET
-            break
-        if gap <= gap_tol:
-            stop = CondGStop.DEGENERATE_GAP
-            break
+        if phi_can_stop or gap <= gap_tol:
+            e0, e1 = u0 - ua0, u1 - ua1
+            if gap <= base + theta * (g0 * g0 + g1 * g1) + lam * (e0 * e0 + e1 * e1):
+                stop = CondGStop.TOLERANCE_MET
+                break
+            if gap <= gap_tol:
+                stop = CondGStop.DEGENERATE_GAP
+                break
         dd = s0 * s0 + s1 * s1
-        if dd <= _DEGENERATE_STEP_SQ:
+        if dd <= step_sq:
             stop = CondGStop.DEGENERATE_GAP
             break
         if ell >= cap:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from feasib import (
     CondGStop,
     Ellipsoid,
     ForcingParams,
+    ForcingSchedule,
     Halfspace,
     InputError,
     START_TOL,
@@ -416,3 +418,233 @@ def test_inexact_projection_contract_property(data, gamma, theta, lam):
     # Sampled members obey the certified bound.
     members = sample_members(body, rng, 500)
     assert ((members - res.w_plus) @ (v - res.w_plus)).max() <= res.final_gap + 1e-9
+
+
+# The tolerance skip: each kernel evaluates the tolerance only where it can
+# end the loop (condg module docstring). ``skip_cases`` spans the bodies,
+# anchors, points and forcing levels that decide it.
+def _schedule_levels():
+    """The schedule defaults scaled by 0.1^k, as the solvers' progress rule
+    scales them, at levels k from 0 to the first at which all three are
+    exactly 0."""
+    s = ForcingSchedule()
+    params, chain = ForcingParams(s.gamma0, s.theta0, s.lambda0), []
+    while params != EXACT:
+        chain.append(params)
+        params = params.scaled(0.1)
+    return [chain[k] for k in (0, 6, 11, 12, 13, 15)] + [params]
+
+
+FORCING_LEVELS = _schedule_levels()
+SKIP_DISTANCES = (1e-8, 1e-5, 1e-2, 1.0, 10.0)
+# Violations of the anchors: on the boundary, and up to START_TOL outside.
+SKIP_ANCHOR_VIOLATIONS = (0.0, 0.5 * START_TOL, 0.9 * START_TOL)
+
+
+def _box_with_flat_coordinates(rng, dim):
+    center = rng.uniform(-3.0, 3.0, dim)
+    span = rng.uniform(0.2, 1.5, dim)
+    span[rng.permutation(dim)[: max(1, dim // 3)]] = 0.0
+    return Box(lower=center - span, upper=center + span)
+
+
+def skip_bodies(rng):
+    bodies = [
+        ill_conditioned_ellipsoid(rng, n, cond=cond)
+        for n, cond in ((2, 1.0), (2, 1e4), (2, 1e8), (3, 1e8), (16, 1.0), (16, 1e8))
+    ]
+    bodies += [
+        Ball(center=rng.uniform(-3.0, 3.0, n), radius=r)
+        for n, r in ((2, 1.0), (2, 1e-6), (3, 1e-6), (16, 0.7))
+    ]
+    bodies += [_box_with_flat_coordinates(rng, n) for n in (2, 3, 16)]
+    return bodies + [Box(lower=[0.5, -1.0, 2.0], upper=[0.5 + 1e-6, -1.0, 2.0])]
+
+
+def _unit(rng, dim):
+    d = rng.normal(size=dim)
+    return d / np.linalg.norm(d)
+
+
+def boundary_anchor(body, rng, t):
+    """A point of violation about ``t`` at most START_TOL: on the boundary
+    for ``t = 0``."""
+    dim = body.dim
+    if isinstance(body, Ellipsoid):
+        b = body.boundary_point(_unit(rng, dim))
+        return body.center + math.sqrt(1.0 + t) * (b - body.center)
+    if isinstance(body, Ball):
+        return body.center + (body.radius + t) * _unit(rng, dim)
+    anchor = rng.uniform(body.lower, body.upper)
+    j = int(np.argmin(body.upper - body.lower))  # a flat coordinate
+    anchor[j] = body.upper[j] + t
+    return anchor
+
+
+def skip_cases(rng):
+    """``(body, anchor, point)`` triples over every body, anchor violation
+    and distance above."""
+    for body in skip_bodies(rng):
+        for t in SKIP_ANCHOR_VIOLATIONS:
+            anchor = boundary_anchor(body, rng, t)
+            assert body.violation(anchor) <= START_TOL
+            for dist in SKIP_DISTANCES:
+                yield body, anchor, anchor + dist * _unit(rng, body.dim)
+
+
+def far_side_cases(rng):
+    """``(body, anchor, point)`` with the anchor at an end of the body's
+    longest chord, up to START_TOL outside, and the point far beyond the
+    other end, which the loop reaches in one step: there ``|u - u_a|`` is
+    about ``D``. The point is far enough for a first gap above the cutoff
+    on the smallest bodies too."""
+    for body in skip_bodies(rng):
+        for t in SKIP_ANCHOR_VIOLATIONS:
+            if isinstance(body, Box):
+                anchor = body.lower.copy()
+                anchor[int(np.argmin(body.upper - body.lower))] -= t
+                yield body, anchor, anchor + 100.0 * (body.upper - anchor)
+                continue
+            if isinstance(body, Ellipsoid):
+                end = body.boundary_point(body._eigvecs[:, 0])
+                anchor = body.center + math.sqrt(1.0 + t) * (end - body.center)
+            else:
+                anchor = body.center + (body.radius + t) * _unit(rng, body.dim)
+            assert body.violation(anchor) <= START_TOL
+            yield body, anchor, anchor + 100.0 * (body.center - anchor)
+
+
+def forcing_terms(params):
+    """The parameters and each of their three terms alone."""
+    g, t, lam = params.gamma, params.theta, params.lam
+    alone = [(g, 0.0, 0.0), (0.0, t, 0.0), (0.0, 0.0, lam)]
+    return [params] + [ForcingParams(*terms) for terms in alone]
+
+
+def kernels_for(body):
+    """Both kernels where ``condg_project`` runs its 2-D case, else the frame
+    loop alone."""
+    if body.dim == 2:
+        return (condg_project, _frame_loop)
+    return (_frame_loop,)
+
+
+def tolerance_bound(params, body, anchor, point):
+    """The module docstring's bound on the tolerance over every iterate."""
+    d_pa = point - anchor
+    pa, d = float(np.linalg.norm(d_pa)), body._diameter
+    # The first term as phi computes it, so that a gamma alone meets it exactly.
+    return params.gamma * float(d_pa @ d_pa) + params.theta * (d + pa) ** 2 + params.lam * d * d
+
+
+def phi_can_stop(params, anchor, point, body):
+    """The kernels' decision for this call."""
+    pa_sq = sum(x * x for x in (point - anchor).tolist())  # inf for a far point
+    return condg._phi_can_stop(params, pa_sq, body._diameter)
+
+
+def never_skip():
+    """Patch under which both kernels evaluate the tolerance at every step."""
+    return mock.patch.object(condg, "_phi_can_stop", lambda *args: True)
+
+
+def same_result(a, b):
+    return (
+        a.w_plus.tobytes() == b.w_plus.tobytes()
+        and a.inner_iters == b.inner_iters
+        and a.final_gap.hex() == b.final_gap.hex()
+        and a.stop_reason is b.stop_reason
+    )
+
+
+class TestToleranceSkip:
+    def test_diameter_is_that_of_the_grown_body(self):
+        # An ellipsoid's diameter from its shape matrix rounds apart from the
+        # cached eigenvalues, by about eps * cond(shape).
+        rng = np.random.default_rng(40)
+        for body in skip_bodies(rng):
+            if isinstance(body, Ellipsoid):
+                grown = diameter(body) * math.sqrt(1.0 + START_TOL)
+            elif isinstance(body, Ball):
+                grown = diameter(body) + 2.0 * START_TOL
+            else:
+                grown = float(np.linalg.norm(body.upper - body.lower + 2.0 * START_TOL))
+            assert body._diameter == pytest.approx(grown, rel=1e-7, abs=0.0)
+
+    @inner_limits(cap=60)
+    def test_tolerance_stays_under_the_bound_where_skipped(self):
+        # The cap only bounds the run time; the bound holds at every iterate.
+        # On the far-side cases each term alone comes close to its part of
+        # the bound, so a diameter that leaves out START_TOL fails here.
+        rng = np.random.default_rng(41)
+        levels = list(enumerate(FORCING_LEVELS))
+        cases = [(case, levels) for case in skip_cases(rng)]
+        terms = [(k, q) for k, params in levels for q in forcing_terms(params)]
+        cases += [(case, terms) for case in far_side_cases(rng)]
+        checked, skipped = 0, [0] * len(levels)
+        for (body, anchor, point), level_params in cases:
+            for k, params in level_params:
+                if phi_can_stop(params, anchor, point, body):
+                    continue
+                skipped[k] += 1
+                bound = tolerance_bound(params, body, anchor, point)
+                assert bound <= 0.5 * condg._DEGENERATE_GAP_TOL
+                for kernel in kernels_for(body):
+                    res = kernel(body, params, anchor, point, keep_trace=True)
+                    for w in res.trace:
+                        assert phi(params, anchor, point, w) <= bound
+                    checked += len(res.trace)
+        # Every level skips somewhere, the defaults on the tiny balls.
+        assert min(skipped) >= 1 and sum(skipped) >= 700 and checked >= 20_000
+
+    def test_far_point_bound_overflows_to_no_skip(self):
+        body = unit_disk()
+        anchor, point = np.array([0.0, 0.5]), np.array([1e160, 1e160])
+        for params in (EXACT, FORCING_LEVELS[-2]):
+            assert phi_can_stop(params, anchor, point, body)
+        huge = Box(lower=[-1e308, 0.0], upper=[1e308, 1.0])
+        assert huge._diameter == math.inf
+        assert phi_can_stop(EXACT, np.zeros(2), np.ones(2), huge)
+
+    @inner_limits(cap=500)
+    def test_skipping_changes_no_bit(self):
+        # The cap only bounds the run time; some runs end at it.
+        rng = np.random.default_rng(42)
+        skipped = 0
+        cases = list(skip_cases(rng)) + list(far_side_cases(rng))
+        for i, (body, anchor, point) in enumerate(cases):
+            params = FORCING_LEVELS[i % len(FORCING_LEVELS)]
+            skipped += not phi_can_stop(params, anchor, point, body)
+            for kernel in kernels_for(body):
+                got = kernel(body, params, anchor, point, keep_trace=True)
+                with never_skip():
+                    ref = kernel(body, params, anchor, point, keep_trace=True)
+                assert same_result(got, ref), (body, params, anchor, point)
+                assert [w.tobytes() for w in got.trace] == [w.tobytes() for w in ref.trace]
+        assert skipped >= 50
+
+    @inner_limits(gap_tol=0.0, cap=200)
+    def test_skipping_changes_no_bit_without_a_cutoff(self):
+        # With no cutoff, only exactly zero parameters skip, and the loop
+        # ends at the tolerance once the gap is 0, or at the cap.
+        rng = np.random.default_rng(43)
+        body = ill_conditioned_ellipsoid(rng, 2, cond=1e4)
+        anchor = boundary_anchor(body, rng, 0.0)
+        point = anchor + 3.0 * _unit(rng, 2)
+        assert not phi_can_stop(EXACT, anchor, point, body)
+        for kernel in kernels_for(body):
+            got = kernel(body, EXACT, anchor, point, keep_trace=False)
+            with never_skip():
+                ref = kernel(body, EXACT, anchor, point, keep_trace=False)
+            assert same_result(got, ref)
+
+    def test_skipping_changes_no_bit_for_a_far_point(self):
+        # |p - a|^2 overflows; the frame loop's numpy products warn of it.
+        body = unit_disk()
+        anchor, point = np.array([0.0, 0.5]), np.array([1e160, 1e160])
+        for kernel in kernels_for(body):
+            with np.errstate(over="ignore"):
+                got = kernel(body, EXACT, anchor, point, keep_trace=False)
+                with never_skip():
+                    ref = kernel(body, EXACT, anchor, point, keep_trace=False)
+            assert same_result(got, ref)
