@@ -66,6 +66,9 @@ Vector: TypeAlias = NDArray[np.float64]
 MEMBER_TOL = 1e-12
 START_TOL = 1e-10
 _SECULAR_MAX_ITERS = 200  # the safety cap of Ellipsoid's Newton loops
+# Vectors of at most _SHORT entries are tested over Python floats (timeit, n = 2:
+# 0.3 against 0.8 us; the forms cross near n = 20); nd_pairs' n >= 16 stay numpy.
+_SHORT = 8
 
 __all__ = [
     "Ball",
@@ -141,6 +144,13 @@ def _entry_problem(x) -> str | None:
     return None
 
 
+def _all_finite(v: Vector) -> bool:
+    """Whether every entry of the 1-D float64 ``v`` is finite."""
+    if v.shape[0] <= _SHORT:
+        return all(map(math.isfinite, v.tolist()))
+    return np.count_nonzero(np.isfinite(v)) == v.shape[0]
+
+
 def as_vector(x, dim: int | None = None, path: str | None = None) -> Vector:
     """Validate and convert ``x`` (see :func:`_entry_problem`) to a finite
     1-D float64 array; a bad ``x`` raises InputError at ``path``, or
@@ -156,7 +166,7 @@ def as_vector(x, dim: int | None = None, path: str | None = None) -> Vector:
             problem = f"expected a 1-D vector, got shape {v.shape}"
         elif v.shape[0] == 0:
             problem = "expected at least one entry"
-        elif not np.isfinite(v).all():
+        elif not _all_finite(v):
             problem = "vector entries must be finite"
         elif dim is not None and v.shape[0] != dim:
             problem = f"dimension mismatch: expected {dim}, got {v.shape[0]}"

@@ -1,12 +1,13 @@
 """Command-line harness for running instances, tables, and figures.
 
-Exit codes: 0 on success, 2 on validation errors or an unreadable config
-file, 3 when a run stopped at its outer iteration cap.
+Exit codes: 0 on success, 2 on validation errors, an unreadable config file or
+an overflowed run (each writes nothing), 3 when a run stopped at its iteration cap.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -22,6 +23,7 @@ EXIT_VALIDATION = 2
 EXIT_ITERATION_CAP = 3
 
 
+@functools.cache  # built on the first call, not at import
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="feasib",

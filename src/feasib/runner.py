@@ -91,7 +91,7 @@ def run_instance(
     """Run one instance; write its trace CSV and summary JSON.
 
     Returns the report and the trace path. Nothing is written when
-    validation fails.
+    validation fails or the run overflows.
     """
     start = time.perf_counter()
     report = solve_config(config)

@@ -49,6 +49,7 @@ from typing import Callable
 import numpy as np
 
 from .bodies import ConvexBody, InputError, Vector, as_float, check_count, member_vector
+from .bodies import _SHORT, _all_finite
 from .condg import CondGStop, ForcingParams, condg_project
 
 __all__ = [
@@ -197,9 +198,11 @@ class SolveReport:
         return self
 
 
-# ``_inf_norm`` and ``_finite`` call the ufunc reductions that ``ndarray.max``
-# and ``ndarray.all`` wrap in Python.
+# ``d``, a difference of finite vectors, holds finite or +-inf entries, so
+# either form of the max is exact; the length selects as in ``_all_finite``.
 def _inf_norm(d: Vector) -> float:
+    if d.shape[0] <= _SHORT:
+        return max(map(abs, d.tolist()))
     return float(np.maximum.reduce(np.abs(d)))
 
 
@@ -252,7 +255,7 @@ def check_pair(
 
 def _finite(w: Vector) -> Vector:
     # An overflow; a stop rule would read nan as 0.
-    if not np.logical_and.reduce(np.isfinite(w)):
+    if not _all_finite(w):
         raise ValueError(f"an iterate is not finite, the run overflowed: {w}")
     return w
 

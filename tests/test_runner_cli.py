@@ -461,6 +461,23 @@ class TestCLI:
         assert "x0" in capsys.readouterr().err
         assert not out_dir.exists() or not list(out_dir.iterdir())
 
+    def test_overflowing_run_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        # Valid input whose first exact projection overflows to -inf.
+        obj = serialize_config(table1_config("1.30", "ExactAlt1"))
+        obj["set_a"] = {"kind": "ball", "center": [1e308, 1e308], "radius": 1.0}
+        obj["set_b"] = {"kind": "halfspace", "normal": [1.0, 1.0], "offset": 0.0}
+        obj["x0"] = [1e308, 1e308]
+        cfg_path = tmp_path / "overflow.json"
+        cfg_path.write_text(json.dumps(obj))
+        out_dir = tmp_path / "out"
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code = main(["run", "--config", str(cfg_path), "--out-dir", str(out_dir)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: an iterate is not finite, the run overflowed: [-inf -inf]\n"
+        )
+        assert not out_dir.exists()
+
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
 

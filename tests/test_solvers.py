@@ -723,21 +723,67 @@ class TestCheckedOnce:
         # x0 and y0, then the anchor and the point of each inner projection.
         assert len(checks) == 2 + 2 * len(projections)
 
-    @pytest.mark.parametrize("solver", ["ExactAlt", "ACondG1", "Averaged"])
-    def test_an_overflowing_iterate_raises(self, solver):
+    @pytest.mark.parametrize(
+        "solver, n",
+        [("ExactAlt", 2), ("ACondG1", 2), ("Averaged", 2), ("ExactAlt", 16)],
+        ids=["ExactAlt", "ACondG1", "Averaged", "ExactAlt-16D"],
+    )
+    def test_an_overflowing_iterate_raises(self, solver, n):
         # Valid input whose first step overflows: a stop rule would read
-        # the non-finite iterate's violation max(0.0, nan) as 0.0.
-        x0 = [1e308, 1e308]
+        # the non-finite iterate's violation max(0.0, nan) as 0.0. In 16-D
+        # the loop tests the iterate with numpy, in 2-D over Python floats.
+        x0 = [1e308] * n
         a = Ball(center=x0, radius=1.0)
-        b = Halfspace(normal=[1.0, 1.0], offset=0.0)
+        b = Halfspace(normal=[1.0] * n, offset=0.0)
         # The averaged midpoint of x0 and y0 overflows; its violation of a
         # disk centred there is nan, since the frame map multiplies inf by 0.
-        disk = Ellipsoid(center=x0, shape=np.eye(2))
+        disk = Ellipsoid(center=x0, shape=np.eye(n))
         run = {
             "ExactAlt": lambda: exact_alternating(a, b, x0),
             "ACondG1": lambda: acondg1(a, b, x0),
             "Averaged": lambda: averaged_projection(disk, disk, x0, x0),
         }[solver]
         with pytest.warns(RuntimeWarning, match="overflow"):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="an iterate is not finite"):
                 run()
+
+
+def special_vectors(n):
+    """``(v, finite)`` pairs: an n-vector with inf, -inf, nan, -0.0, the
+    least subnormal or a value near the float maximum in its first or last
+    entry."""
+    for value in (math.inf, -math.inf, math.nan, -0.0, 5e-324, 1.7e308):
+        for i in sorted({0, n - 1}):
+            v = np.linspace(-3.0, 5.0, n)
+            v[i] = value
+            yield v, math.isfinite(value)
+
+
+class TestShortAndLongVectors:
+    """Vectors of at most ``bodies._SHORT`` entries are tested over Python
+    floats, longer ones with numpy; both sides give the same answers."""
+
+    SIZES = [1, 2, bodies._SHORT, bodies._SHORT + 1, 16, 256]
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_as_vector_and_the_loop_share_one_finiteness_rule(self, n):
+        for v, finite in special_vectors(n):
+            if finite:
+                assert np.array_equal(bodies.as_vector(v.tolist(), n, "x0"), v)
+                assert solvers._finite(v) is v
+                continue
+            for x in (v, v.tolist()):
+                with pytest.raises(ValueError, match="^vector entries must be finite$"):
+                    bodies.as_vector(x)
+                with pytest.raises(InputError, match="^x0: vector entries must be finite$"):
+                    bodies.as_vector(x, n, "x0")
+            with pytest.raises(ValueError, match="^an iterate is not finite, the run"):
+                solvers._finite(v)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_inf_norm_is_the_max_of_absolute_values(self, n):
+        # A difference of finite vectors holds finite or +-inf entries.
+        diffs = [v for v, _ in special_vectors(n) if not np.isnan(v).any()]
+        signed_infs = np.where(np.arange(n) % 2 == 0, -math.inf, math.inf)
+        for d in (*diffs, np.full(n, -0.0), np.full(n, 5e-324), signed_infs):
+            assert solvers._inf_norm(d).hex() == float(np.max(np.abs(d))).hex()
