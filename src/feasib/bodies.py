@@ -66,8 +66,9 @@ Vector: TypeAlias = NDArray[np.float64]
 MEMBER_TOL = 1e-12
 START_TOL = 1e-10
 _SECULAR_MAX_ITERS = 200  # the safety cap of Ellipsoid's Newton loops
-# Vectors of at most _SHORT entries are tested over Python floats (timeit, n = 2:
-# 0.3 against 0.8 us; the forms cross near n = 20); nd_pairs' n >= 16 stay numpy.
+# ``_all_finite`` and ``_inf_norm`` read vectors of at most _SHORT entries as
+# Python floats (timeit, n = 2: 0.3 against 0.8 us; the forms cross near
+# n = 20); nd_pairs' n >= 16 stay numpy.
 _SHORT = 8
 
 __all__ = [
@@ -149,6 +150,15 @@ def _all_finite(v: Vector) -> bool:
     if v.shape[0] <= _SHORT:
         return all(map(math.isfinite, v.tolist()))
     return np.count_nonzero(np.isfinite(v)) == v.shape[0]
+
+
+def _inf_norm(d: Vector) -> float:
+    """``max |d_i|``, selected by length as in ``_all_finite``. ``d``, a
+    difference of finite vectors, holds finite or +-inf entries, so either
+    form of the max is exact."""
+    if d.shape[0] <= _SHORT:
+        return max(map(abs, d.tolist()))
+    return float(np.maximum.reduce(np.abs(d)))
 
 
 def as_vector(x, dim: int | None = None, path: str | None = None) -> Vector:
@@ -547,9 +557,7 @@ class Ellipsoid(ConvexBody):
     def boundary_point(self, direction) -> Vector:
         """Boundary point in unit-quadratic coordinates along ``direction``."""
         u = as_vector(direction, self.dim)
-        return self.center + self._eigvecs @ (
-            (self._eigvecs.T @ u) / np.sqrt(self._eigvals)
-        )
+        return self._from_frame((self._eigvecs.T @ u) / np.sqrt(self._eigvals))
 
     def project(self, v) -> Vector:
         return self._project(as_vector(v, self.dim))
@@ -590,7 +598,7 @@ class Ellipsoid(ConvexBody):
             mu, steps = nxt, steps + 1
         if steps == 0:
             return v.copy(), 0
-        return self.center + self._eigvecs.dot(b / (1.0 + mu * lam)), steps
+        return self._from_frame(b / (1.0 + mu * lam)), steps
 
     def _newton_planar(self, v: Vector) -> tuple[Vector, int]:
         """``_newton_frame`` for ``dim == 2``, unrolled over Python floats."""

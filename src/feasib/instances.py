@@ -117,10 +117,8 @@ _KINDS = {
 }
 
 
-def _parse_body(obj, path: str, dim: int) -> BodySpec:
-    if not isinstance(obj, dict):
-        raise ConfigError(path, "expected an object")
-    kind = obj.get("kind")
+def _kind(kind, path: str):
+    """The ``_KINDS`` row of ``kind``, or ConfigError at ``path.kind``."""
     # The type test comes first: a list or object kind is unhashable.
     if not (isinstance(kind, str) and kind in _KINDS):
         *rest, last = _KINDS
@@ -128,10 +126,18 @@ def _parse_body(obj, path: str, dim: int) -> BodySpec:
             f"{path}.kind",
             f"unknown body kind {kind!r}; expected {', '.join(rest)} or {last}",
         )
+    return _KINDS[kind]
+
+
+def _parse_body(obj, path: str, dim: int) -> BodySpec:
+    if not isinstance(obj, dict):
+        raise ConfigError(path, "expected an object")
+    kind = obj.get("kind")
+    _, shapes = _kind(kind, path)
     if kind == "ellipse" and dim != 2:
         raise ConfigError(f"{path}.kind", "ellipse requires dimension 2")
     params = {}
-    for name, shape in _KINDS[kind][1].items():
+    for name, shape in shapes.items():
         value, at = obj.get(name), f"{path}.{name}"
         params[name] = _vector(value, at, dim) if shape is tuple else as_float(value, at)
     return BodySpec(kind=kind, params=params)
@@ -188,10 +194,7 @@ def parse_config(obj) -> InstanceConfig:
 def _build_body(spec: BodySpec, path: str) -> ConvexBody:
     """The body of ``spec``; a constructor's range error is named under
     ``path``, as in ``set_b.radius``."""
-    try:
-        constructor, _ = _KINDS[spec.kind]
-    except (KeyError, TypeError):
-        raise ConfigError(f"{path}.kind", f"unknown body kind {spec.kind!r}") from None
+    constructor, _ = _kind(spec.kind, path)
     try:
         return constructor(**spec.params)
     except InputError as exc:

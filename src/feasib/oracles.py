@@ -2,12 +2,12 @@
 
 A certified bound on the error of a projection (any dimension), analytic
 ellipsoid/halfspace distance via support functions, and a tight-tolerance
-alternating-projection distance estimator (any dimension), whose cap and
-stopping tolerance are module constants. Solvers never call into this
-module. The first two read only a body's defining fields, never its cached
-frame: ``body.support`` reads only those (an ellipsoid's makes its own
-``eigh``). The estimator alternates the unchecked ``_project``, as the
-solvers do.
+distance estimator (any dimension) by one alternation of exact
+projections, whose cap and stopping tolerance are module constants.
+Solvers never call into this module. The first two read only a body's
+defining fields, never its cached frame: ``body.support`` reads only those
+(an ellipsoid's makes its own ``eigh``). The estimator alternates the
+unchecked ``_project``, as the solvers do.
 """
 
 from __future__ import annotations
@@ -82,34 +82,22 @@ def dist_ellipse_halfspace(ellipse: Ellipsoid, halfspace: Halfspace) -> float:
     return max(0.0, (low - halfspace.offset) / float(np.linalg.norm(a)))
 
 
-def _anchor(body: ConvexBody) -> Vector:
-    if isinstance(body, (Ellipsoid, Ball)):
-        return body.center.copy()
-    if isinstance(body, Box):
-        return 0.5 * (body.lower + body.upper)
-    if isinstance(body, Halfspace):
-        return body._project(np.zeros(body.dim))
-    raise NotImplementedError(f"no anchor for {type(body)}")
-
-
 def dist_two_bodies(a: ConvexBody, b: ConvexBody) -> tuple[float, Vector, Vector]:
     """Distance between two bodies via tight exact alternating projections.
 
-    Runs plain alternating exact projections from several deterministic
-    starts until both iterates move less than ``_TOLERANCE`` in the max
-    norm, and returns the best ``(distance, point_in_a, point_in_b)`` found.
+    One alternation of exact projections, started from ``a``'s projection of
+    the origin, stops once both iterates move less than ``_TOLERANCE`` in the
+    max norm, and returns ``(distance, point_in_a, point_in_b)``. When one of
+    two closed convex sets is compact, it reaches a nearest pair from any
+    start (Cheney and Goldstein, 1959).
     """
-    runs = []
-    for x in (_anchor(a), a._project(_anchor(b))):
-        y = b._project(x)
-        for _ in range(_ALTERNATION_CAP):
-            x_new = a._project(y)
-            y_new = b._project(x_new)
-            moved = max(
-                float(np.max(np.abs(x_new - x))), float(np.max(np.abs(y_new - y)))
-            )
-            x, y = x_new, y_new
-            if moved <= _TOLERANCE:
-                break
-        runs.append((float(np.linalg.norm(x - y)), x, y))
-    return min(runs, key=lambda run: run[0])  # the first of equal distances
+    x = a._project(np.zeros(a.dim))
+    y = b._project(x)
+    for _ in range(_ALTERNATION_CAP):
+        x_new = a._project(y)
+        y_new = b._project(x_new)
+        moved = max(float(np.max(np.abs(x_new - x))), float(np.max(np.abs(y_new - y))))
+        x, y = x_new, y_new
+        if moved <= _TOLERANCE:
+            break
+    return float(np.linalg.norm(x - y)), x, y

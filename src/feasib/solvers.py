@@ -46,10 +46,8 @@ import math
 from dataclasses import dataclass, field, fields
 from typing import Callable
 
-import numpy as np
-
 from .bodies import ConvexBody, InputError, Vector, as_float, check_count, member_vector
-from .bodies import _SHORT, _all_finite
+from .bodies import _all_finite, _inf_norm
 from .condg import CondGStop, ForcingParams, condg_project
 
 __all__ = [
@@ -196,14 +194,6 @@ class SolveReport:
     def _stop(self, code: StopCode) -> "SolveReport":
         self.stop_code = code
         return self
-
-
-# ``d``, a difference of finite vectors, holds finite or +-inf entries, so
-# either form of the max is exact; the length selects as in ``_all_finite``.
-def _inf_norm(d: Vector) -> float:
-    if d.shape[0] <= _SHORT:
-        return max(map(abs, d.tolist()))
-    return float(np.maximum.reduce(np.abs(d)))
 
 
 def check_pair(

@@ -1,4 +1,5 @@
-"""Shared random-instance generators for the test suite."""
+"""Shared bodies for the test suite: the paper's table bodies and random
+instance generators."""
 
 from __future__ import annotations
 
@@ -8,6 +9,27 @@ from unittest import mock
 import numpy as np
 
 from feasib import START_TOL, Ball, Box, Ellipsoid, Halfspace, condg
+
+
+# The paper's table bodies: set A of both tables, whose extent along x1 is
+# SQRT_202; table 1's set B, x1 >= beta; table 2's set B, centred at (c1, 0.5).
+SQRT_202 = math.sqrt(2.02)
+
+
+def slim_ellipse():
+    return Ellipsoid.from_axes([0.0, 0.0], -math.pi / 4.0, (2.0, 0.2))
+
+
+def halfspace_at(beta):
+    return Halfspace(normal=[-1.0, 0.0], offset=-beta)
+
+
+def second_ellipse(c1):
+    return Ellipsoid.from_axes([c1, 0.5], math.pi / 3.0, (2.0, 0.4))
+
+
+def unit_disk():
+    return Ellipsoid(center=np.zeros(2), shape=np.eye(2))
 
 
 def inner_limits(cap=condg._MAX_INNER_ITERS, gap_tol=condg._DEGENERATE_GAP_TOL):

@@ -3,7 +3,6 @@
 Run ``pytest tests/test_acceptance.py -s`` to see the lines as they pass.
 """
 
-import math
 import time
 
 import numpy as np
@@ -11,9 +10,7 @@ import pytest
 
 from feasib import (
     Ball,
-    Ellipsoid,
     ForcingParams,
-    Halfspace,
     StopCode,
     acondg1,
     acondg2,
@@ -26,30 +23,21 @@ from feasib import (
 )
 
 from _helpers import (
+    SQRT_202,
     containing_body,
     diameter,
+    halfspace_at,
     inner_limits,
     random_ball,
     random_body,
     random_compact_body,
     random_halfspace,
     sample_members,
+    second_ellipse,
+    slim_ellipse,
 )
 
-SQRT_202 = math.sqrt(2.02)
 EXACT = ForcingParams(0.0, 0.0, 0.0)
-
-
-def slim_ellipse():
-    return Ellipsoid.from_axes([0.0, 0.0], -math.pi / 4.0, (2.0, 0.2))
-
-
-def second_ellipse(c1):
-    return Ellipsoid.from_axes([c1, 0.5], math.pi / 3.0, (2.0, 0.4))
-
-
-def halfspace_at(beta):
-    return Halfspace(normal=[-1.0, 0.0], offset=-beta)
 
 
 def check(num, name, failures, detail=""):

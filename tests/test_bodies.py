@@ -21,6 +21,7 @@ from feasib import (
 )
 
 from _helpers import (
+    SQRT_202,
     diameter,
     foot_tol,
     ill_conditioned_ellipsoid,
@@ -28,18 +29,11 @@ from _helpers import (
     random_compact_body,
     random_ellipsoid,
     sample_members,
+    slim_ellipse,
+    unit_disk,
 )
 
-SQRT_202 = math.sqrt(2.02)
 NUMPY_OVERFLOW = {"over": "ignore", "invalid": "ignore"}
-
-
-def slim_ellipse():
-    return Ellipsoid.from_axes([0.0, 0.0], -math.pi / 4.0, (2.0, 0.2))
-
-
-def unit_disk():
-    return Ellipsoid(center=np.zeros(2), shape=np.eye(2))
 
 
 class TestConstruction:

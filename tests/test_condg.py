@@ -30,14 +30,11 @@ from _helpers import (
     random_ball,
     random_compact_body,
     sample_members,
+    unit_disk,
 )
 
 EXACT = ForcingParams(0.0, 0.0, 0.0)
 TIGHT_GAP = 1e-14
-
-
-def unit_disk():
-    return Ellipsoid(center=np.zeros(2), shape=np.eye(2))
 
 
 def psi(z, v):

@@ -39,6 +39,8 @@ from feasib.instances import (
 )
 from feasib.runner import solve_config
 
+from _helpers import slim_ellipse
+
 
 def base_config(**overrides):
     obj = {
@@ -135,10 +137,6 @@ class TestParsing:
         p.write_text("{not json")
         with pytest.raises(ConfigError):
             load_config(p)
-
-
-def slim_ellipse():
-    return Ellipsoid.from_axes([0.0, 0.0], -math.pi / 4.0, (2.0, 0.2))
 
 
 HALFSPACE_A = {"kind": "halfspace", "normal": [1.0, 0.0], "offset": 0.0}
@@ -544,6 +542,9 @@ class TestTables:
         with pytest.raises(ConfigError) as err:
             build_bodies(cfg)
         assert err.value.path == "set_a.kind"
+        assert str(err.value) == (
+            "set_a.kind: unknown body kind 'torus'; expected ellipse, halfspace, ball or box"
+        )
 
 
 # Every numeric field a config can reach: the config that carries ``bad`` in

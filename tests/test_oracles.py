@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from feasib import (
+    MEMBER_TOL,
     Ball,
+    Box,
     Ellipsoid,
     Halfspace,
     dist_ellipse_halfspace,
@@ -12,13 +14,7 @@ from feasib import (
     projection_error_bound,
 )
 
-from _helpers import random_body
-
-SQRT_202 = math.sqrt(2.02)
-
-
-def slim_ellipse():
-    return Ellipsoid.from_axes([0.0, 0.0], -math.pi / 4.0, (2.0, 0.2))
+from _helpers import SQRT_202, random_body, slim_ellipse
 
 
 def known_projections():
@@ -133,3 +129,47 @@ def test_dist_two_bodies_agrees_with_support_formula():
         expected = dist_ellipse_halfspace(e, h)
         d, xa, yb = dist_two_bodies(e, h)
         assert d == pytest.approx(expected, abs=1e-6)
+
+
+def separated_pairs(n, gap):
+    """``(a, b)`` pairs in ``n`` dimensions at distance ``gap``, separated
+    along the last axis: the unit cube ``[-1, 1]^n`` against a box, a ball
+    and a halfspace (with a normal of length 2) beyond ``x_{n-1} = 1``.
+    Off that axis each other body overlaps the cube's range, so the
+    nearest points differ along the last axis only."""
+    e = np.eye(n)[-1]
+    off = np.where(np.arange(n) % 2 == 0, 0.5, -0.3) * (1.0 - e)
+    cube = Box(lower=-np.ones(n), upper=np.ones(n))
+    box = Box(lower=off - 0.7 + (1.0 + gap + 0.7) * e, upper=off + 0.7 + (3.0 + gap) * e)
+    ball = Ball(center=off + (1.0 + gap + 0.6) * e, radius=0.6)
+    halfspace = Halfspace(normal=-2.0 * e, offset=-2.0 * (1.0 + gap))
+    return [(cube, box), (cube, ball), (cube, halfspace), (ball, cube), (halfspace, cube)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 16])
+def test_dist_two_bodies_boxes_balls_and_halfspaces(n):
+    for gap in (0.05, 0.5, 2.0):
+        for a, b in separated_pairs(n, gap):
+            d, xa, yb = dist_two_bodies(a, b)
+            assert d == pytest.approx(gap, abs=1e-9)
+            assert d == pytest.approx(float(np.linalg.norm(xa - yb)), rel=1e-15)
+            assert a.violation(xa) <= MEMBER_TOL and b.violation(yb) <= MEMBER_TOL
+
+
+def test_dist_two_bodies_parallel_halfspaces():
+    # {<u, z> <= 1} and {<u, z> >= 4}, u of length 5: 3 / 5 apart.
+    u = np.array([3.0, -4.0, 0.0])
+    a = Halfspace(normal=u, offset=1.0)
+    b = Halfspace(normal=-u, offset=-4.0)
+    d, xa, yb = dist_two_bodies(a, b)
+    assert d == pytest.approx(0.6, abs=1e-12)
+    assert a.violation(xa) <= MEMBER_TOL and b.violation(yb) <= MEMBER_TOL
+
+
+@pytest.mark.parametrize("n", [2, 3, 16])
+def test_dist_two_bodies_intersecting_boxes(n):
+    a = Box(lower=-np.ones(n), upper=np.ones(n))
+    b = Box(lower=np.full(n, 0.5), upper=np.linspace(2.0, 3.0, n))
+    d, xa, yb = dist_two_bodies(a, b)
+    assert d <= 1e-11
+    assert a.violation(xa) <= MEMBER_TOL and b.violation(yb) <= MEMBER_TOL

@@ -29,32 +29,19 @@ from feasib.runner import solve_config
 from feasib.solvers import _drive, check_pair
 
 from _helpers import (
+    SQRT_202,
     containing_body,
+    halfspace_at,
     ill_conditioned_ellipsoid,
     inner_limits,
     random_ball,
     random_box,
     random_halfspace,
     sample_members,
+    second_ellipse,
+    slim_ellipse,
+    unit_disk,
 )
-
-SQRT_202 = math.sqrt(2.02)
-
-
-def slim_ellipse():
-    return Ellipsoid.from_axes([0.0, 0.0], -math.pi / 4.0, (2.0, 0.2))
-
-
-def second_ellipse(c1):
-    return Ellipsoid.from_axes([c1, 0.5], math.pi / 3.0, (2.0, 0.4))
-
-
-def halfspace_at(beta):
-    return Halfspace(normal=[-1.0, 0.0], offset=-beta)
-
-
-def unit_disk():
-    return Ellipsoid(center=np.zeros(2), shape=np.eye(2))
 
 
 def ill_conditioned_sweep():
