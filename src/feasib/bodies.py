@@ -11,8 +11,9 @@ Every body is an immutable value. The operations exposed per body are:
 An ellipsoid measures violation and projects in its eigenbasis frame (see
 below), where a point ``u`` has violation ``sum lam_i u_i^2 - 1`` and the
 projection of an outside point solves a scalar secular equation by monotone
-Newton steps (Moré and Sorensen's form, see ``Ellipsoid.project``), over
-Python floats in 2-D and numpy vectors otherwise.
+Newton steps (Moré and Sorensen's form, see
+``Ellipsoid._violation_project``), over Python floats in 2-D and numpy
+vectors otherwise.
 
 Each compact body has a private frame, an isometry ``u = R^T (x - o)``
 in which its linear oracle costs O(n): ``_to_frame`` and ``_from_frame`` map
@@ -23,7 +24,12 @@ Frank-Wolfe loop of :mod:`feasib.condg` runs there, tests its anchor with
 ``_frame_violation`` and maps only its result back. The public
 ``lo_minimize`` is the frame oracle between the two maps. The public
 ``violation`` and ``project`` check their input, then call the unchecked
-``_violation`` and ``_project``, which the solvers call on their iterates.
+``_violation`` and ``_project``. ``_violation_project(v)`` returns both,
+``(_violation(v), _project(v))`` bit for bit, from one frame map: a
+halfspace computes one excess, a ball one norm, an ellipsoid one Newton
+solve on the frame point its violation reads, and a box makes the two calls.
+The solvers measure and project each iterate with it on every side they
+project exactly, and call ``_violation`` on the others.
 A point whose offset from a compact body overflows gets the violation
 ``inf``: the frame formula would read ``0 * inf`` or ``inf - inf`` as nan,
 which ``max(0, .)`` turns into 0.
@@ -32,16 +38,17 @@ A 2-D ellipsoid, the body of every instance in the paper's tables, caches
 its frame as Python floats at construction (``_planar``: the entries of
 ``V``, the eigenvalues and the centre), and every operation of it on the
 solvers' paths runs over Python floats from that tuple: ``_violation``,
-the Newton solve of ``_project``, and the Frank-Wolfe kernel
+the Newton solve of ``_violation_project``, and the Frank-Wolfe kernel
 ``condg._planar_ellipse``. Each writes the membership formula
 ``l0 b0^2 + l1 b1^2 - 1``, ``b = V^T (p - c)``, as the same expression, so
 the three agree bitwise; numpy's form rounds ``b`` differently, in the last
-bits.
+bits. In the Newton solve that expression is also the residual at mu = 0,
+so the solve returns it as the violation.
 
-Code on the solvers' paths, here (``_violation``, ``_project`` and the frame
-methods) and in :mod:`feasib.condg`, takes products as ``ndarray.dot``: it
-makes the same BLAS call as ``@``, so it gives the same bits, with less
-dispatch.
+Code on the solvers' paths, here (``_violation``, ``_violation_project``
+and the frame methods) and in :mod:`feasib.condg`, takes products as
+``ndarray.dot``: it makes the same BLAS call as ``@``, so it gives the same
+bits, with less dispatch.
 """
 
 from __future__ import annotations
@@ -239,6 +246,15 @@ class ConvexBody:
     def _violation(self, z: Vector) -> float:
         return self._frame_violation(self._to_frame(z))
 
+    # Each kind defines ``_project`` or ``_violation_project``, and the base
+    # derives the other: a kind whose two share their frame map and
+    # membership formula defines the pair, which then computes them once.
+    def _project(self, v: Vector) -> Vector:
+        return self._violation_project(v)[1]
+
+    def _violation_project(self, v: Vector) -> tuple[float, Vector]:
+        return self._violation(v), self._project(v)
+
     def contains(self, z) -> bool:
         return self.violation(z) <= MEMBER_TOL
 
@@ -289,11 +305,12 @@ class Halfspace(ConvexBody):
     def project(self, v) -> Vector:
         return self._project(as_vector(v, self.dim))
 
-    def _project(self, v: Vector) -> Vector:
+    def _violation_project(self, v: Vector) -> tuple[float, Vector]:
         excess = float(self.normal.dot(v)) - self.offset
+        violation = max(0.0, excess)
         if excess <= 0.0:
-            return v.copy()
-        return v - (excess / float(self.normal.dot(self.normal))) * self.normal
+            return violation, v.copy()
+        return violation, v - (excess / float(self.normal.dot(self.normal))) * self.normal
 
 
 @dataclass(frozen=True, eq=False)
@@ -347,14 +364,15 @@ class Ball(ConvexBody):
     def project(self, v) -> Vector:
         return self._project(as_vector(v, self.dim))
 
-    def _project(self, v: Vector) -> Vector:
+    def _violation_project(self, v: Vector) -> tuple[float, Vector]:
         d = v - self.center
         nd = _norm(d)
+        violation = _excess(nd - self.radius)
         if nd <= self.radius:
-            return v.copy()
+            return violation, v.copy()
         if nd == math.inf:  # the offset overflows; its halves give its direction
             nd = _norm(d := 0.5 * v - 0.5 * self.center)
-        return self.center + (self.radius / nd) * d
+        return violation, self.center + (self.radius / nd) * d
 
 
 @dataclass(frozen=True, eq=False)
@@ -562,7 +580,7 @@ class Ellipsoid(ConvexBody):
     def project(self, v) -> Vector:
         return self._project(as_vector(v, self.dim))
 
-    def _project(self, v: Vector) -> Vector:
+    def _violation_project(self, v: Vector) -> tuple[float, Vector]:
         # In the eigenbasis the projection is z(mu) with coordinates
         # z_i = b_i e_i, e_i = 1 / (1 + mu lam_i), and mu > 0 solves the
         # secular equation s2(mu) = sum lam_i b_i^2 e_i^2 = 1. As Moré and
@@ -571,55 +589,62 @@ class Ellipsoid(ConvexBody):
         # monotonically to the root, with no bracket or safeguard. With
         # s3 = sum lam_i^2 b_i^2 e_i^3 = -s2'/2, the step is
         # (1 - h)/h' = (sqrt(s2) - 1) s2 / s3.
-        solve = self._newton_frame if self._planar is None else self._newton_planar
-        return solve(v)[0]
+        if self._planar is None:
+            return self._newton_frame(v)[:2]
+        return self._newton_planar(v)[:2]
 
-    # Both Newton loops stop once s2 - 1 <= MEMBER_TOL (that test also ends
-    # a rounding overshoot past the root, where the step would be negative),
-    # when a step no longer increases mu, or at _SECULAR_MAX_ITERS, a safety
-    # cap. At mu = 0, s2 - 1 is the violation, so a member returns as itself.
-    # Each returns the projection and its number of Newton steps.
+    # Both Newton loops peel their mu = 0 iteration, where e = 1 exactly and
+    # s2 - 1 is the membership formula: in 2-D ``_violation``'s expression,
+    # returned as the violation; in n-D the sum rounds apart from
+    # ``_frame_violation``'s dot, which gives the violation instead. Both stop
+    # once s2 - 1 <= MEMBER_TOL (so a member returns as itself, and a rounding
+    # overshoot past the root, where the step would be negative, ends), when
+    # a step no longer increases mu, or at _SECULAR_MAX_ITERS, a safety cap.
+    # Each returns the violation, the projection and its Newton steps.
 
-    def _newton_frame(self, v: Vector) -> tuple[Vector, int]:
+    def _newton_frame(self, v: Vector) -> tuple[float, Vector, int]:
         """The Newton solve with numpy vectors, for any dimension."""
         lam = self._eigvals
         b = self._to_frame(v)
-        t = lam * b * b
-        mu, steps = 0.0, 0
-        while steps < _SECULAR_MAX_ITERS:
-            e = 1.0 / (1.0 + mu * lam)
-            q = t * e * e
-            s2 = float(q.sum())
-            if s2 - 1.0 <= MEMBER_TOL:
-                break
+        q = t = lam * b * b
+        e, s2, mu, steps = 1.0, float(t.sum()), 0.0, 0
+        while not s2 - 1.0 <= MEMBER_TOL:
             nxt = mu + (math.sqrt(s2) - 1.0) * s2 / float((q * lam * e).sum())
             if not nxt > mu:
                 break
             mu, steps = nxt, steps + 1
+            if steps == _SECULAR_MAX_ITERS:
+                break
+            e = 1.0 / (1.0 + mu * lam)
+            q = t * e * e
+            s2 = float(q.sum())
+        violation = self._frame_violation(b)
         if steps == 0:
-            return v.copy(), 0
-        return self._from_frame(b / (1.0 + mu * lam)), steps
+            return violation, v.copy(), 0
+        return violation, self._from_frame(b / (1.0 + mu * lam)), steps
 
-    def _newton_planar(self, v: Vector) -> tuple[Vector, int]:
+    def _newton_planar(self, v: Vector) -> tuple[float, Vector, int]:
         """``_newton_frame`` for ``dim == 2``, unrolled over Python floats."""
         v00, v01, v10, v11, l0, l1, c0, c1 = self._planar
         p0, p1 = v.tolist()
         d0, d1 = p0 - c0, p1 - c1
         b0, b1 = v00 * d0 + v10 * d1, v01 * d0 + v11 * d1
         t0, t1 = l0 * b0 * b0, l1 * b1 * b1
+        q0, q1, e0, e1, s2 = t0, t1, 1.0, 1.0, t0 + t1
+        violation = _excess(s2 - 1.0)
         mu, steps = 0.0, 0
-        while steps < _SECULAR_MAX_ITERS:
-            e0, e1 = 1.0 / (1.0 + mu * l0), 1.0 / (1.0 + mu * l1)
-            q0, q1 = t0 * e0 * e0, t1 * e1 * e1
-            s2 = q0 + q1
-            if s2 - 1.0 <= MEMBER_TOL:
-                break
+        while not s2 - 1.0 <= MEMBER_TOL:
             nxt = mu + (math.sqrt(s2) - 1.0) * s2 / (q0 * l0 * e0 + q1 * l1 * e1)
             if not nxt > mu:
                 break
             mu, steps = nxt, steps + 1
+            if steps == _SECULAR_MAX_ITERS:
+                break
+            e0, e1 = 1.0 / (1.0 + mu * l0), 1.0 / (1.0 + mu * l1)
+            q0, q1 = t0 * e0 * e0, t1 * e1 * e1
+            s2 = q0 + q1
         if steps == 0:
-            return v.copy(), 0
+            return violation, v.copy(), 0
         z0, z1 = b0 / (1.0 + mu * l0), b1 / (1.0 + mu * l1)
         point = np.array([c0 + (v00 * z0 + v01 * z1), c1 + (v10 * z0 + v11 * z1)])
-        return point, steps
+        return violation, point, steps

@@ -7,7 +7,7 @@ projections, whose cap and stopping tolerance are module constants.
 Solvers never call into this module. The first two read only a body's
 defining fields, never its cached frame: ``body.support`` reads only those
 (an ellipsoid's makes its own ``eigh``). The estimator alternates the
-unchecked ``_project``, as the solvers do.
+unchecked ``_project``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .bodies import Ball, Box, ConvexBody, Ellipsoid, Halfspace, Vector, as_vector
+from .bodies import Ball, Box, ConvexBody, Ellipsoid, Halfspace, Vector, _norm, as_vector
 
 __all__ = [
     "dist_ellipse_halfspace",
@@ -86,17 +86,18 @@ def dist_two_bodies(a: ConvexBody, b: ConvexBody) -> tuple[float, Vector, Vector
     """Distance between two bodies via tight exact alternating projections.
 
     One alternation of exact projections, started from ``a``'s projection of
-    the origin, stops once both iterates move less than ``_TOLERANCE`` in the
-    max norm, and returns ``(distance, point_in_a, point_in_b)``. When one of
-    two closed convex sets is compact, it reaches a nearest pair from any
-    start (Cheney and Goldstein, 1959).
+    the origin, stops once both iterates move at most ``_TOLERANCE`` in the
+    Euclidean norm, the norm of the distance it returns, so the stop does not
+    loosen with the dimension. It returns ``(distance, point_in_a,
+    point_in_b)``. When one of two closed convex sets is compact, it reaches
+    a nearest pair from any start (Cheney and Goldstein, 1959).
     """
     x = a._project(np.zeros(a.dim))
     y = b._project(x)
     for _ in range(_ALTERNATION_CAP):
         x_new = a._project(y)
         y_new = b._project(x_new)
-        moved = max(float(np.max(np.abs(x_new - x))), float(np.max(np.abs(y_new - y))))
+        moved = max(_norm(x_new - x), _norm(y_new - y))
         x, y = x_new, y_new
         if moved <= _TOLERANCE:
             break

@@ -19,15 +19,23 @@ the convergence tolerance. A broken rule raises :class:`~feasib.bodies.InputErro
 whose ``path`` names the argument; the config layer runs the same checks
 and so the same messages.
 
-Every projection of every step is one call, ``_project(body, inexact,
+Every projection of every step is one call, ``_project(body, exact,
 anchor, point, params) -> (w, inner_iters, capped)``: inexact,
 :func:`~feasib.condg.condg_project` warm-started at the anchor, where
 ``capped`` says it stopped at its cap, the module constant
-``condg._MAX_INNER_ITERS``; or exact, the body's unchecked ``_project``.
-After ``check_pair`` the loop checks only that each ``w`` and averaged
-midpoint is finite, so an overflow raises ValueError before a stop rule
-reads its row. The alternating schemes project the x-iterate onto B,
-then the new y-iterate onto A, and their verdict is the smaller violation.
+``condg._MAX_INNER_ITERS``; or exact, the projection ``exact`` made when
+the point was measured. A step measures each new iterate against the other
+set, then projects it there. On a side projected exactly one call does
+both, the body's unchecked ``_violation_project``, with one map into the
+body's frame; on an inexact side ``_violation`` measures. So the
+alternating step measures the new x against B and projects it onto B in
+one call at its end, the next step consumes that projection, and a run
+computes at most one exact projection it does not use, of its last
+iterate. After ``check_pair`` the loop checks only that each ``w``
+and averaged midpoint is finite, so an overflow raises ValueError before a
+stop rule reads its row. The alternating schemes project the x-iterate
+onto B, then the new y-iterate onto A, and their verdict is the smaller
+violation.
 The averaged scheme's step averages the two inexact projections of its
 iterate, and its verdict is the larger violation of that iterate.
 
@@ -250,10 +258,20 @@ def _finite(w: Vector) -> Vector:
     return w
 
 
-def _project(body, inexact, anchor, point, params) -> tuple[Vector, int, bool]:
-    """One projection of a step, as the module docstring states."""
-    if not inexact:
-        return _finite(body._project(point)), 0, False
+def _measurer(body, inexact):
+    """``point -> (violation, projection)`` for one side: one call on a
+    side projected exactly, and a projection of None on an inexact side."""
+    if inexact:
+        return lambda point: (body._violation(point), None)
+    return body._violation_project
+
+
+def _project(body, exact, anchor, point, params) -> tuple[Vector, int, bool]:
+    """One projection of a step, as the module docstring states: ``exact``,
+    the projection a measurer returned for ``point``, or ``condg_project``
+    when that is None."""
+    if exact is not None:
+        return _finite(exact), 0, False
     res = condg_project(body, params, anchor, point)
     return _finite(res.w_plus), res.inner_iters, res.stop_reason is CondGStop.ITERATION_CAP
 
@@ -332,21 +350,24 @@ def _alternate(
     """
     x0, y0, schedule = check_pair(a, b, x0, y0, inexact, schedule)
     feas_tol = stop.eps_feas if any(inexact) else 0.0
-    x, y, cb_x = x0, y0, b._violation(x0)
+    measure_a, measure_b = _measurer(a, inexact[0]), _measurer(b, inexact[1])
+    x, y = x0, y0
+    cb_x, y_exact = measure_b(x0)
 
     def step(params):
-        nonlocal x, y, cb_x
-        y_new, inner_b, cap_b = _project(b, inexact[1], y, x, params)
-        ca_y = a._violation(y_new)
+        nonlocal x, y, cb_x, y_exact
+        y_new, inner_b, cap_b = _project(b, y_exact, y, x, params)
+        ca_y, x_exact = measure_a(y_new)
         if ca_y == 0.0:
             return x, y_new, (cb_x, ca_y), inner_b, cap_b, math.inf
-        x_new, inner_a, cap_a = _project(a, inexact[0], x, y_new, params)
+        x_new, inner_a, cap_a = _project(a, x_exact, x, y_new, params)
         # The driver reads ``moved`` only against eps_lack, so y's norm is
         # needed only when x moved that little.
         moved = math.inf if y is None else _inf_norm(x_new - x)
         if moved <= stop.eps_lack:
             moved = max(moved, _inf_norm(y_new - y))
-        x, y, cb_x = x_new, y_new, b._violation(x_new)
+        x, y = x_new, y_new
+        cb_x, y_exact = measure_b(x)
         return x, y, (cb_x, ca_y), inner_b + inner_a, cap_b or cap_a, moved
 
     ca0 = a._violation(y0) if y0 is not None else math.inf
@@ -404,8 +425,8 @@ def averaged_projection(
 
     def step(params):
         nonlocal z, anchor_a, anchor_b
-        anchor_a, inner_a, cap_a = _project(a, True, anchor_a, z, params)
-        anchor_b, inner_b, cap_b = _project(b, True, anchor_b, z, params)
+        anchor_a, inner_a, cap_a = _project(a, None, anchor_a, z, params)
+        anchor_b, inner_b, cap_b = _project(b, None, anchor_b, z, params)
         rep.anchor_trace.append(anchor_a)
         z_new = _finite(0.5 * (anchor_a + anchor_b))
         moved, z = _inf_norm(z_new - z), z_new

@@ -1,5 +1,5 @@
-"""Shared bodies for the test suite: the paper's table bodies and random
-instance generators."""
+"""Shared bodies for the test suite: the paper's table bodies, random
+instance generators and a reference alternation."""
 
 from __future__ import annotations
 
@@ -8,7 +8,8 @@ from unittest import mock
 
 import numpy as np
 
-from feasib import START_TOL, Ball, Box, Ellipsoid, Halfspace, condg
+from feasib import START_TOL, Ball, Box, Ellipsoid, Halfspace, StoppingConfig, condg, solvers
+from feasib.condg import CondGStop
 
 
 # The paper's table bodies: set A of both tables, whose extent along x1 is
@@ -175,3 +176,38 @@ def containing_body(rng, point, kind, dim=2):
             normal=normal, offset=float(normal @ point) + rng.uniform(0.2, 1.5)
         )
     raise ValueError(kind)
+
+
+def reference_alternate(a, b, x0, y0, inexact, schedule=None, stop=StoppingConfig()):
+    """``solvers._alternate`` with the step measuring and projecting each
+    point by two calls, ``_violation`` and then ``_project``, each mapping
+    the point into the body's frame; the loop around the step is the
+    solvers' own ``_drive``."""
+    x0, y0, schedule = solvers.check_pair(a, b, x0, y0, inexact, schedule)
+
+    def project(body, approx, anchor, point, params):
+        if not approx:
+            return solvers._finite(body._project(point)), 0, False
+        res = condg.condg_project(body, params, anchor, point)
+        capped = res.stop_reason is CondGStop.ITERATION_CAP
+        return solvers._finite(res.w_plus), res.inner_iters, capped
+
+    x, y, cb_x = x0, y0, b._violation(x0)
+
+    def step(params):
+        nonlocal x, y, cb_x
+        y_new, inner_b, cap_b = project(b, inexact[1], y, x, params)
+        ca_y = a._violation(y_new)
+        if ca_y == 0.0:
+            return x, y_new, (cb_x, ca_y), inner_b, cap_b, math.inf
+        x_new, inner_a, cap_a = project(a, inexact[0], x, y_new, params)
+        moved = math.inf
+        if y is not None:
+            moved = max(solvers._inf_norm(x_new - x), solvers._inf_norm(y_new - y))
+        x, y, cb_x = x_new, y_new, b._violation(x_new)
+        return x, y, (cb_x, ca_y), inner_b + inner_a, cap_b or cap_a, moved
+
+    ca0 = a._violation(y0) if y0 is not None else math.inf
+    feas_tol = stop.eps_feas if any(inexact) else 0.0
+    report = solvers.SolveReport()
+    return solvers._drive(report, (x0, y0, (cb_x, ca0)), step, min, schedule, stop, feas_tol)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from feasib import (
+    MEMBER_TOL,
     START_TOL,
     bodies,
     condg,
@@ -25,9 +26,12 @@ from _helpers import (
     diameter,
     foot_tol,
     ill_conditioned_ellipsoid,
+    random_ball,
     random_body,
+    random_box,
     random_compact_body,
     random_ellipsoid,
+    random_halfspace,
     sample_members,
     slim_ellipse,
     unit_disk,
@@ -492,7 +496,7 @@ def test_ellipsoid_projection_certificate(dim, kind):
     # support(v - w) - <v - w, w> is 0, and at a member it bounds
     # <v - w, z - w> over all members z.
     for body, v, foot in projection_cases(dim, kind):
-        w, steps = newton_solve(body)(v)
+        _, w, steps = newton_solve(body)(v)
         assert np.array_equal(body.project(v), w)
         r = v - w
         scale = np.linalg.norm(r) * (np.linalg.norm(w) + diameter(body))
@@ -506,8 +510,8 @@ def test_ellipsoid_projection_certificate(dim, kind):
 @pytest.mark.parametrize("kind", PROJ_KINDS)
 def test_planar_newton_agrees_with_the_numpy_solve(kind):
     for body, v, _ in projection_cases(2, kind, n_bodies=20):
-        w_planar, steps_planar = body._newton_planar(v)
-        w_numpy, steps_numpy = body._newton_frame(v)
+        _, w_planar, steps_planar = body._newton_planar(v)
+        _, w_numpy, steps_numpy = body._newton_frame(v)
         assert np.linalg.norm(w_planar - w_numpy) <= 1e-12 * np.linalg.norm(w_numpy)
         assert steps_planar == steps_numpy
 
@@ -554,9 +558,9 @@ def newton_residual_is(monkeypatch, body, v, r):
     exactly ``r > 0``: under the member tolerance ``r`` the solve stops at
     once, and under the next float below ``r`` it steps."""
     monkeypatch.setattr(bodies, "MEMBER_TOL", r)
-    stops = body._newton_planar(v)[1] == 0
+    stops = body._newton_planar(v)[2] == 0
     monkeypatch.setattr(bodies, "MEMBER_TOL", math.nextafter(r, -math.inf))
-    steps = body._newton_planar(v)[1] > 0
+    steps = body._newton_planar(v)[2] > 0
     monkeypatch.undo()
     return stops and steps
 
@@ -650,3 +654,48 @@ def test_support_is_tight_property(data):
     assert (members @ c).max() <= h + 1e-9
     z, _ = body.lo_minimize(-c)
     assert float(z @ c) == pytest.approx(h, abs=1e-9)
+
+
+MEASURED_KINDS = {
+    "ellipsoid": random_ellipsoid,
+    "ball": random_ball,
+    "box": random_box,
+    "halfspace": random_halfspace,
+}
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(MEASURED_KINDS)),
+    dim=st.sampled_from([2, 3, 16]),
+    seed=st.integers(0, 2**32 - 1),
+    where=st.sampled_from(["inside", "boundary", "outside"]),
+    share=st.floats(0.0, 1.0),
+)
+def test_violation_project_is_the_pair_of_calls_property(kind, dim, seed, where, share):
+    # One frame map gives the violation and the projection that the two
+    # separate calls give, bit for bit: members, points within MEMBER_TOL
+    # of the boundary on either side, and points outside. A kind that
+    # defines the pair derives ``_project`` from it, so the projection half
+    # pins that derivation and the box's pair of calls; the projection
+    # tests above check the projections themselves.
+    rng = np.random.default_rng(seed)
+    body = MEASURED_KINDS[kind](rng, dim)
+    member = sample_members(body, rng, 1)[0]
+    if where == "inside":
+        v = member
+    else:
+        d = rng.normal(size=dim)
+        if kind == "halfspace":  # leave along the outward normal
+            unit = body.normal / np.linalg.norm(body.normal)
+            d += (3.0 - float(d @ unit)) * unit
+        far = member + 100.0 * d / np.linalg.norm(d)
+        foot = body._project(far)
+        out = (far - foot) / np.linalg.norm(far - foot)
+        step = (2.0 * share - 1.0) * MEMBER_TOL if where == "boundary" else 1e-3 + 10.0 * share
+        v = foot + step * out
+    violation, w = body._violation_project(v)
+    assert violation == body._violation(v)
+    reference = body._project(v)
+    assert w.dtype == reference.dtype and w.tobytes() == reference.tobytes()
+    assert w is not v

@@ -14,7 +14,7 @@ from feasib import (
     projection_error_bound,
 )
 
-from _helpers import SQRT_202, random_body, slim_ellipse
+from _helpers import SQRT_202, random_body, random_rotation, slim_ellipse
 
 
 def known_projections():
@@ -173,3 +173,29 @@ def test_dist_two_bodies_intersecting_boxes(n):
     d, xa, yb = dist_two_bodies(a, b)
     assert d <= 1e-11
     assert a.violation(xa) <= MEMBER_TOL and b.violation(yb) <= MEMBER_TOL
+
+
+@pytest.mark.parametrize("kind", ["ellipsoid", "ball"])
+def test_dist_two_bodies_meeting_pairs_in_256_dimensions(kind):
+    # The benchmark's 256-D meeting pairs: a halfspace cuts 0.1 deep into a
+    # body along a random axis u; the ellipsoid's semi-axes spread over
+    # [0.6, 1.4]. In 256-D a move of 1e-12 in the max norm may be 16 times
+    # that in the Euclidean norm of the returned distance: a stop on the
+    # max-norm move returned 1.1e-11 for both kinds, above the bound of the
+    # 2-D meeting pair.
+    n = 256
+    rng = np.random.default_rng(256)
+    for _ in range(2):
+        center = rng.uniform(-1.0, 1.0, n)
+        if kind == "ellipsoid":
+            rot = random_rotation(rng, n)
+            semi = rng.permutation(np.linspace(0.6, 1.4, n))
+            a = Ellipsoid(center=center, shape=(rot * semi**-2) @ rot.T)
+        else:
+            a = Ball(center=center, radius=1.0)
+        u = rng.normal(size=n)
+        u /= np.linalg.norm(u)
+        b = Halfspace(normal=-u, offset=0.1 - a.support(u))
+        d, xa, yb = dist_two_bodies(a, b)
+        assert d <= 1e-11
+        assert a.violation(xa) <= MEMBER_TOL and b.violation(yb) <= MEMBER_TOL

@@ -24,7 +24,7 @@ from feasib import (
     exact_alternating,
 )
 from feasib import bodies, solvers
-from feasib.instances import table2_config
+from feasib.instances import _solver_call, table1_config, table2_config
 from feasib.runner import solve_config
 from feasib.solvers import _drive, check_pair
 
@@ -37,6 +37,8 @@ from _helpers import (
     random_ball,
     random_box,
     random_halfspace,
+    random_rotation,
+    reference_alternate,
     sample_members,
     second_ellipse,
     slim_ellipse,
@@ -774,3 +776,55 @@ class TestShortAndLongVectors:
         signed_infs = np.where(np.arange(n) % 2 == 0, -math.inf, math.inf)
         for d in (*diffs, np.full(n, -0.0), np.full(n, 5e-324), signed_infs):
             assert solvers._inf_norm(d).hex() == float(np.max(np.abs(d))).hex()
+
+
+def table_case(table, label, solver):
+    """A table run as ``(a, b, x0, y0, inexact, kwargs, solver function)``."""
+    config = (table1_config if table == 1 else table2_config)(label, solver)
+    name, inexact, kwargs = _solver_call(config)
+    a, b = config.bodies
+    return a, b, config.x0, kwargs.get("y0"), inexact, kwargs, getattr(solvers, name)
+
+
+def disjoint_ellipsoid_halfspace_case(n=16):
+    """An n-D ellipsoid and a halfspace 0.1 above its highest point along a
+    random axis u, with x0 the ellipsoid's lowest point, as an ExactAlt run."""
+    rng = np.random.default_rng(n)
+    rot = random_rotation(rng, n)
+    semi = rng.permutation(np.linspace(0.6, 1.4, n))
+    a = Ellipsoid(center=rng.uniform(-1.0, 1.0, n), shape=(rot * semi**-2) @ rot.T)
+    u = rng.normal(size=n)
+    u /= np.linalg.norm(u)
+    b = Halfspace(normal=-u, offset=-(a.support(u) + 0.1))
+    x0 = a.lo_minimize(u)[0]
+    return a, b, x0, None, (False, False), {}, exact_alternating
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        lambda: table_case(1, "1.42", "ExactAlt1"),
+        lambda: table_case(2, "2.358", "ExactAlt2"),
+        lambda: table_case(1, "1.42", "ACondG1"),
+        disjoint_ellipsoid_halfspace_case,
+    ],
+    ids=["ExactAlt1@1.42", "ExactAlt2@2.358", "ACondG1@1.42", "ExactAlt-16D"],
+)
+def test_one_call_per_exact_side_reports_what_two_calls_did(case):
+    # The step measures and projects a point on each exactly projected side
+    # with one ``_violation_project`` call; the reference makes the two
+    # calls. Every row of the report is the same, bit for bit.
+    a, b, x0, y0, inexact, kwargs, solve = case()
+    report = solve(a, b, x0, **kwargs)
+    reference = reference_alternate(
+        a, b, x0, y0, inexact, kwargs.get("schedule"), kwargs.get("stop", StoppingConfig())
+    )
+    assert report.outer_iters > 10
+    assert report.stop_code is reference.stop_code
+    for got, want in ((report.x_trace, reference.x_trace), (report.y_trace, reference.y_trace)):
+        assert len(got) == len(want)
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+    assert report.violations == reference.violations
+    assert report.inner_iters_per_k == reference.inner_iters_per_k
+    assert report.schedule_trace == reference.schedule_trace
+    assert report.inner_cap_iters == reference.inner_cap_iters
