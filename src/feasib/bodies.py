@@ -23,13 +23,15 @@ there. Distances and inner products are the same in the frame, so the
 Frank-Wolfe loop of :mod:`feasib.condg` runs there, tests its anchor with
 ``_frame_violation`` and maps only its result back. The public
 ``lo_minimize`` is the frame oracle between the two maps. The public
-``violation`` and ``project`` check their input, then call the unchecked
-``_violation`` and ``_project``. ``_violation_project(v)`` returns both,
-``(_violation(v), _project(v))`` bit for bit, from one frame map: a
-halfspace computes one excess, a ball one norm, an ellipsoid one Newton
-solve on the frame point its violation reads, and a box makes the two calls.
-The solvers measure and project each iterate with it on every side they
-project exactly, and call ``_violation`` on the others.
+``violation`` checks its input, then calls the unchecked ``_violation``.
+Each kind's one unchecked exact projection is ``_violation_project(v)``,
+which returns ``(violation, projection)``, the violation bit for bit that of
+``_violation(v)``, from one frame map: a halfspace computes one excess, a
+ball one norm, an ellipsoid one Newton solve on the frame point its
+violation reads, and a box its violation and one clip. The public
+``project`` checks its input and returns the second entry. The solvers
+measure and project each iterate with it on every side they project
+exactly, and call ``_violation`` on the others.
 A point whose offset from a compact body overflows gets the violation
 ``inf``: the frame formula would read ``0 * inf`` or ``inf - inf`` as nan,
 which ``max(0, .)`` turns into 0.
@@ -235,28 +237,20 @@ class ConvexBody:
     """Base class for closed convex sets.
 
     Subclasses set ``is_compact`` (whether the body has a linear oracle, and
-    so a conditional-gradient projection) and define ``dim``, ``violation``
-    and ``project`` (see the module docstring). Every body kind projects
-    exactly. All instances are immutable after construction.
+    so a conditional-gradient projection) and define ``dim``, ``violation``,
+    ``project`` and the unchecked ``_violation_project`` that ``project``
+    reads (see the module docstring). Every body kind projects exactly. All
+    instances are immutable after construction.
     """
 
     is_compact: ClassVar[bool]
     _diameter: float  # compact bodies: the diameter once grown by START_TOL
+    # A 2-D ellipsoid's frame as Python floats (see Ellipsoid); None on
+    # every other body, which ``condg_project`` reads to pick its kernel.
+    _planar: tuple[float, ...] | None = None
 
     def _violation(self, z: Vector) -> float:
         return self._frame_violation(self._to_frame(z))
-
-    # Each kind defines ``_project`` or ``_violation_project``, and the base
-    # derives the other: a kind whose two share their frame map and
-    # membership formula defines the pair, which then computes them once.
-    def _project(self, v: Vector) -> Vector:
-        return self._violation_project(v)[1]
-
-    def _violation_project(self, v: Vector) -> tuple[float, Vector]:
-        return self._violation(v), self._project(v)
-
-    def contains(self, z) -> bool:
-        return self.violation(z) <= MEMBER_TOL
 
     def lo_minimize(self, c) -> tuple[Vector, float]:
         """Return ``(z_star, value)`` minimizing ``<c, z>`` over the body."""
@@ -281,15 +275,18 @@ class Halfspace(ConvexBody):
 
     normal: Vector
     offset: float
+    _normal_sq: float = field(init=False, repr=False)  # |normal|^2
 
     is_compact: ClassVar[bool] = False
 
     def __post_init__(self):
         a = as_vector(self.normal, path="normal")
         with np.errstate(over="ignore"):  # ``project`` divides by the squared norm
-            if not 0.0 < float(a @ a) < math.inf:
-                raise InputError("normal", "must have a nonzero, finite squared norm")
+            normal_sq = float(a.dot(a))
+        if not 0.0 < normal_sq < math.inf:
+            raise InputError("normal", "must have a nonzero, finite squared norm")
         object.__setattr__(self, "normal", a)
+        object.__setattr__(self, "_normal_sq", normal_sq)
         object.__setattr__(self, "offset", as_float(self.offset, "offset"))
 
     @property
@@ -303,14 +300,14 @@ class Halfspace(ConvexBody):
         return max(0.0, float(self.normal.dot(z)) - self.offset)
 
     def project(self, v) -> Vector:
-        return self._project(as_vector(v, self.dim))
+        return self._violation_project(as_vector(v, self.dim))[1]
 
     def _violation_project(self, v: Vector) -> tuple[float, Vector]:
         excess = float(self.normal.dot(v)) - self.offset
         violation = max(0.0, excess)
         if excess <= 0.0:
             return violation, v.copy()
-        return violation, v - (excess / float(self.normal.dot(self.normal))) * self.normal
+        return violation, v - (excess / self._normal_sq) * self.normal
 
 
 @dataclass(frozen=True, eq=False)
@@ -362,7 +359,7 @@ class Ball(ConvexBody):
         return float(c @ self.center) + self.radius * _norm(c)
 
     def project(self, v) -> Vector:
-        return self._project(as_vector(v, self.dim))
+        return self._violation_project(as_vector(v, self.dim))[1]
 
     def _violation_project(self, v: Vector) -> tuple[float, Vector]:
         d = v - self.center
@@ -427,10 +424,10 @@ class Box(ConvexBody):
         return float(np.sum(np.where(c > 0.0, c * self.upper, c * self.lower)))
 
     def project(self, v) -> Vector:
-        return self._project(as_vector(v, self.dim))
+        return self._violation_project(as_vector(v, self.dim))[1]
 
-    def _project(self, v: Vector) -> Vector:
-        return np.clip(v, self.lower, self.upper)
+    def _violation_project(self, v: Vector) -> tuple[float, Vector]:
+        return self._violation(v), np.clip(v, self.lower, self.upper)
 
 
 @dataclass(frozen=True, eq=False)
@@ -446,7 +443,6 @@ class Ellipsoid(ConvexBody):
     shape: NDArray[np.float64]
     _eigvals: Vector = field(init=False, repr=False)
     _eigvecs: NDArray[np.float64] = field(init=False, repr=False)
-    _eigvecs_t: NDArray[np.float64] = field(init=False, repr=False)
     # In 2-D, the frame as Python floats (v00, v01, v10, v11, l0, l1, c0, c1):
     # V = [[v00, v01], [v10, v11]], the eigenvalues and the centre. None
     # in any other dimension.
@@ -487,7 +483,6 @@ class Ellipsoid(ConvexBody):
         object.__setattr__(self, "shape", q)
         object.__setattr__(self, "_eigvals", vals)
         object.__setattr__(self, "_eigvecs", vecs)
-        object.__setattr__(self, "_eigvecs_t", vecs.T)
         d = 2.0 * math.sqrt((1.0 + START_TOL) / float(vals[0]))  # eigh sorts ascending
         object.__setattr__(self, "_diameter", d)
         planar = None
@@ -545,7 +540,7 @@ class Ellipsoid(ConvexBody):
     # The frame is the eigenbasis, centred: u = V^T (x - center), in which
     # the body is {u : sum lam_i u_i^2 <= 1}.
     def _to_frame(self, x: Vector) -> Vector:
-        return self._eigvecs_t.dot(x - self.center)
+        return self._eigvecs.T.dot(x - self.center)
 
     def _frame_violation(self, u: Vector) -> float:
         return _excess(float(self._eigvals.dot(u * u)) - 1.0)
@@ -578,7 +573,7 @@ class Ellipsoid(ConvexBody):
         return self._from_frame((self._eigvecs.T @ u) / np.sqrt(self._eigvals))
 
     def project(self, v) -> Vector:
-        return self._project(as_vector(v, self.dim))
+        return self._violation_project(as_vector(v, self.dim))[1]
 
     def _violation_project(self, v: Vector) -> tuple[float, Vector]:
         # In the eigenbasis the projection is z(mu) with coordinates

@@ -28,8 +28,9 @@ half the cutoff (``_phi_can_stop``; the half absorbs rounding), no larger gap
 meets it, and the loop evaluates it only at gaps up to the cutoff: same bits.
 
 A 2-D ellipsoid, the body of every instance in the paper's tables, runs the
-same loop unrolled over Python floats (``_planar_ellipse``); every other
-body runs the numpy loop (``_frame_loop``). ``phi`` itself stays as the
+same loop unrolled over Python floats (``_planar_ellipse``), picked by the
+body's cached ``_planar`` frame; every other body, whose ``_planar`` is
+None, runs the numpy loop (``_frame_loop``). ``phi`` itself stays as the
 reference the tests compare against.
 
 ``condg_project`` converts the anchor and the point; each kernel then tests
@@ -176,7 +177,7 @@ def condg_project(
         )
     anchor = as_vector(anchor, body.dim, "anchor")
     point = as_vector(point, body.dim)
-    if isinstance(body, Ellipsoid) and body.dim == 2:
+    if body._planar is not None:
         return _planar_ellipse(body, params, anchor, point, keep_trace)
     return _frame_loop(body, params, anchor, point, keep_trace)
 

@@ -7,7 +7,7 @@ projections, whose cap and stopping tolerance are module constants.
 Solvers never call into this module. The first two read only a body's
 defining fields, never its cached frame: ``body.support`` reads only those
 (an ellipsoid's makes its own ``eigh``). The estimator alternates the
-unchecked ``_project``.
+projections of the bodies' unchecked ``_violation_project``.
 """
 
 from __future__ import annotations
@@ -92,11 +92,11 @@ def dist_two_bodies(a: ConvexBody, b: ConvexBody) -> tuple[float, Vector, Vector
     point_in_b)``. When one of two closed convex sets is compact, it reaches
     a nearest pair from any start (Cheney and Goldstein, 1959).
     """
-    x = a._project(np.zeros(a.dim))
-    y = b._project(x)
+    x = a._violation_project(np.zeros(a.dim))[1]
+    y = b._violation_project(x)[1]
     for _ in range(_ALTERNATION_CAP):
-        x_new = a._project(y)
-        y_new = b._project(x_new)
+        x_new = a._violation_project(y)[1]
+        y_new = b._violation_project(x_new)[1]
         moved = max(_norm(x_new - x), _norm(y_new - y))
         x, y = x_new, y_new
         if moved <= _TOLERANCE:

@@ -26,8 +26,9 @@ anchor, point, params) -> (w, inner_iters, capped)``: inexact,
 ``condg._MAX_INNER_ITERS``; or exact, the projection ``exact`` made when
 the point was measured. A step measures each new iterate against the other
 set, then projects it there. On a side projected exactly one call does
-both, the body's unchecked ``_violation_project``, with one map into the
-body's frame; on an inexact side ``_violation`` measures. So the
+both, the body's unchecked ``_violation_project``, its one exact
+projection, with one map into the body's frame; on an inexact side
+``_violation`` measures. So the
 alternating step measures the new x against B and projects it onto B in
 one call at its end, the next step consumes that projection, and a run
 computes at most one exact projection it does not use, of its last

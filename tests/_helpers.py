@@ -180,14 +180,14 @@ def containing_body(rng, point, kind, dim=2):
 
 def reference_alternate(a, b, x0, y0, inexact, schedule=None, stop=StoppingConfig()):
     """``solvers._alternate`` with the step measuring and projecting each
-    point by two calls, ``_violation`` and then ``_project``, each mapping
-    the point into the body's frame; the loop around the step is the
-    solvers' own ``_drive``."""
+    point by two calls, ``_violation`` and then ``_violation_project``,
+    each mapping the point into the body's frame; the loop around the step
+    is the solvers' own ``_drive``."""
     x0, y0, schedule = solvers.check_pair(a, b, x0, y0, inexact, schedule)
 
     def project(body, approx, anchor, point, params):
         if not approx:
-            return solvers._finite(body._project(point)), 0, False
+            return solvers._finite(body._violation_project(point)[1]), 0, False
         res = condg.condg_project(body, params, anchor, point)
         capped = res.stop_reason is CondGStop.ITERATION_CAP
         return solvers._finite(res.w_plus), res.inner_iters, capped

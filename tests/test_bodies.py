@@ -256,7 +256,7 @@ class TestViolation:
     def test_a_point_whose_offset_overflows_is_no_member(self, body, point, ignore):
         with np.errstate(**ignore):
             assert body.violation(point) == math.inf
-            assert not body.contains(point)
+            assert not body.violation(point) <= MEMBER_TOL
 
     def test_a_tiny_ball_measures_its_points(self):
         # |z - center|^2 underflows below a distance of about 1.5e-154, so
@@ -264,9 +264,9 @@ class TestViolation:
         ball = Ball(center=[0.0, 0.0], radius=1e-300)
         assert ball.violation([2e-300, 0.0]) == pytest.approx(1e-300, rel=1e-15)
         assert ball.violation([0.0, 0.0]) == 0.0
-        # contains() still reads True at twice the radius: MEMBER_TOL is an
+        # A member test still passes at twice the radius: MEMBER_TOL is an
         # absolute 1e-12, whatever the size of the body.
-        assert ball.contains([2e-300, 0.0])
+        assert ball.violation([2e-300, 0.0]) <= MEMBER_TOL
 
     def test_the_norm_keeps_its_bits_in_range(self):
         # The rescaled sum runs only outside the normal range of d . d.
@@ -282,7 +282,7 @@ class TestViolation:
             for z in sample_members(body, rng, 5):
                 assert body.violation(z) <= 1e-12
             far = rng.uniform(6.0, 9.0, 2) * np.sign(rng.normal(size=2))
-            if not body.contains(far):
+            if not body.violation(far) <= MEMBER_TOL:
                 assert body.violation(far) > 0.0
 
 
@@ -673,12 +673,10 @@ MEASURED_KINDS = {
     share=st.floats(0.0, 1.0),
 )
 def test_violation_project_is_the_pair_of_calls_property(kind, dim, seed, where, share):
-    # One frame map gives the violation and the projection that the two
-    # separate calls give, bit for bit: members, points within MEMBER_TOL
-    # of the boundary on either side, and points outside. A kind that
-    # defines the pair derives ``_project`` from it, so the projection half
-    # pins that derivation and the box's pair of calls; the projection
-    # tests above check the projections themselves.
+    # One frame map gives the violation that ``_violation`` gives, bit for
+    # bit, and the projection that ``project`` returns: members, points
+    # within MEMBER_TOL of the boundary on either side, and points outside.
+    # The projection tests above check the projections themselves.
     rng = np.random.default_rng(seed)
     body = MEASURED_KINDS[kind](rng, dim)
     member = sample_members(body, rng, 1)[0]
@@ -690,12 +688,12 @@ def test_violation_project_is_the_pair_of_calls_property(kind, dim, seed, where,
             unit = body.normal / np.linalg.norm(body.normal)
             d += (3.0 - float(d @ unit)) * unit
         far = member + 100.0 * d / np.linalg.norm(d)
-        foot = body._project(far)
+        foot = body._violation_project(far)[1]
         out = (far - foot) / np.linalg.norm(far - foot)
         step = (2.0 * share - 1.0) * MEMBER_TOL if where == "boundary" else 1e-3 + 10.0 * share
         v = foot + step * out
     violation, w = body._violation_project(v)
     assert violation == body._violation(v)
-    reference = body._project(v)
+    reference = body.project(v)
     assert w.dtype == reference.dtype and w.tobytes() == reference.tobytes()
     assert w is not v

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 
@@ -23,8 +24,16 @@ from feasib import (
     dist_two_bodies,
     exact_alternating,
 )
-from feasib import bodies, solvers
-from feasib.instances import _solver_call, table1_config, table2_config
+from feasib import bodies, condg, solvers
+from feasib.instances import (
+    TABLE1_OFFSETS,
+    TABLE2_CENTERS,
+    BodySpec,
+    _solver_call,
+    table1_config,
+    table2_config,
+    table_reference,
+)
 from feasib.runner import solve_config
 from feasib.solvers import _drive, check_pair
 
@@ -36,6 +45,7 @@ from _helpers import (
     inner_limits,
     random_ball,
     random_box,
+    random_ellipsoid,
     random_halfspace,
     random_rotation,
     reference_alternate,
@@ -635,6 +645,82 @@ class TestDescentInvariant:
                 assert rise <= slack, (n, k, rise, slack)
 
 
+def meeting_pair(rng, n, depth):
+    """A random ellipsoid A and a unit ball B that reaches ``depth`` into A
+    along A's outward normal ``nu`` at a boundary point ``p``, their common
+    point ``z = p - (depth / 2) nu``, and start points ``x0`` in A and ``y0``
+    in B: the projections of a point off ``p`` in A's tangent plane, from
+    which the runs creep along the thin gap between the two boundaries."""
+    a = random_ellipsoid(rng, n)
+    u = rng.normal(size=n)
+    p = a.boundary_point(u / np.linalg.norm(u))
+    nu = a.shape @ (p - a.center)
+    nu /= np.linalg.norm(nu)
+    b = Ball(center=p + (1.0 - depth) * nu, radius=1.0)
+    t = rng.normal(size=n)
+    t -= (t @ nu) * nu
+    off = p + 0.3 * t / np.linalg.norm(t)
+    return a, b, p - 0.5 * depth * nu, a.project(off), b.project(off)
+
+
+class TestQuasiFejer:
+    """Every row of the inexact solvers is quasi-Fejér with respect to a
+    common point ``z``, with the inner loops' final gaps as its error.
+
+    A Frank-Wolfe output ``w`` for the point ``p`` with final gap ``g``
+    has ``<p - w, z - w> <= g`` for every member ``z``, so ``|w - z|^2 <=
+    |p - z|^2 + 2 g``, and an exact projection has ``g = 0``. An
+    alternating step projects twice in a row, so ``|x_{k+1} - z|^2 <=
+    |x_k - z|^2 + 2 (g_B + g_A)``; the averaged step takes the midpoint of
+    its two outputs, and as ``|. - z|^2`` is convex its factor is 1. The
+    gaps are read by wrapping ``condg_project`` and cut into rows where
+    ``_drive`` appends each row.
+    """
+
+    SOLVES = {
+        "ACondG1": (2.0, lambda a, b, x0, y0, stop: acondg1(a, b, x0, stop=stop)),
+        "ACondG2": (2.0, lambda a, b, x0, y0, stop: acondg2(a, b, x0, y0, stop=stop)),
+        "Averaged": (
+            1.0,
+            lambda a, b, x0, y0, stop: averaged_projection(a, b, x0, y0, stop=stop),
+        ),
+    }
+
+    @pytest.mark.parametrize("solver", list(SOLVES))
+    def test_each_row_moves_away_from_a_common_point_by_at_most_its_gaps(
+        self, monkeypatch, solver
+    ):
+        c, solve = self.SOLVES[solver]
+        gaps, marks = [], []  # marks[k]: the inner calls made before row k
+
+        def condg_project(*args, **kwargs):
+            res = condg.condg_project(*args, **kwargs)
+            gaps.append(res.final_gap)
+            return res
+
+        add_row = SolveReport._add_row
+
+        def marked_add_row(report, *args):
+            marks.append(len(gaps))
+            add_row(report, *args)
+
+        monkeypatch.setattr(solvers, "condg_project", condg_project)
+        monkeypatch.setattr(SolveReport, "_add_row", marked_add_row)
+        for n in (2, 3, 16):
+            rng = np.random.default_rng(n)
+            a, b, z, x0, y0 = meeting_pair(rng, n, 1e-2)
+            assert a.violation(z) == b.violation(z) == 0.0
+            gaps.clear()
+            marks.clear()
+            rep = solve(a, b, x0, y0, StoppingConfig(max_outer_iters=100))
+            assert rep.outer_iters == 100
+            dist_sq = [float((x - z) @ (x - z)) for x in rep.x_trace]
+            for k in range(rep.outer_iters):
+                error = c * sum(gaps[marks[k]:marks[k + 1]])
+                slack = 1e-13 * (1.0 + dist_sq[k])
+                assert dist_sq[k + 1] <= dist_sq[k] + error + slack, (n, k)
+
+
 class TestInputRules:
     # theta = 0.3 meets the one-set condition (theta < 1/2) but not the
     # two-set one (theta < 1/4).
@@ -828,3 +914,35 @@ def test_one_call_per_exact_side_reports_what_two_calls_did(case):
     assert report.inner_iters_per_k == reference.inner_iters_per_k
     assert report.schedule_trace == reference.schedule_trace
     assert report.inner_cap_iters == reference.inner_cap_iters
+
+
+def long_axis_scaled(config, factor):
+    """``config`` with the long semi-axis of its set A scaled by ``factor``."""
+    params = dict(config.set_a.params)
+    long, short = params["semi_axes"]
+    params["semi_axes"] = (long * factor, short)
+    return dataclasses.replace(config, set_a=BodySpec(kind="ellipse", params=params))
+
+
+def test_a_change_in_the_13th_digit_keeps_the_stable_table_quantities():
+    # Each table run again with set A's long semi-axis scaled by 1 +- 1e-13.
+    # The inner and outer counts of the inexact runs move (README,
+    # "Rounding-sensitive results"); the stop codes, the ExactAlt outer
+    # counts, the exact 0 of a C run's min_violation and the first four
+    # digits of an L run's must not.
+    runs = [(table1_config, 1, label) for label in TABLE1_OFFSETS]
+    runs += [(table2_config, 2, label) for label in TABLE2_CENTERS]
+    for make, which, label in runs:
+        for solver in table_reference(which)[label]:
+            config = make(label, solver)
+            base = solve_config(config)
+            for factor in (1.0 + 1e-13, 1.0 - 1e-13):
+                rep = solve_config(long_axis_scaled(config, factor))
+                at = (label, solver, factor)
+                assert rep.stop_code is base.stop_code, at
+                if solver.startswith("ExactAlt"):
+                    assert rep.outer_iters == base.outer_iters, at
+                if base.stop_code is StopCode.CONVERGED_FEASIBLE:
+                    assert rep.min_violation == base.min_violation == 0.0, at
+                else:
+                    assert rep.min_violation == pytest.approx(base.min_violation, rel=1e-4), at
