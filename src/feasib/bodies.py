@@ -21,7 +21,11 @@ points in and out, ``_frame_lo(g)`` minimizes ``<g, u>`` over the body in
 frame coordinates, and ``_frame_violation(u)`` is the membership formula
 there. Distances and inner products are the same in the frame, so the
 Frank-Wolfe loop of :mod:`feasib.condg` runs there, tests its anchor with
-``_frame_violation`` and maps only its result back. The public
+``_frame_violation`` and maps only its result back. Where a call's
+iterates stay in a plane, ``_fw_plane(anchor, point)`` gives that plane
+instead, as Python floats, and tests the anchor there: a 2-D ellipsoid's
+cached frame, or a ball's plane through its centre, anchor and point,
+built per call. Every other body gives None. The public
 ``lo_minimize`` is the frame oracle between the two maps. The public
 ``violation`` checks its input, then calls the unchecked ``_violation``.
 Each kind's one unchecked exact projection is ``_violation_project(v)``,
@@ -40,8 +44,8 @@ A 2-D ellipsoid, the body of every instance in the paper's tables, caches
 its frame as Python floats at construction (``_planar``: the entries of
 ``V``, the eigenvalues and the centre), and every operation of it on the
 solvers' paths runs over Python floats from that tuple: ``_violation``,
-the Newton solve of ``_violation_project``, and the Frank-Wolfe kernel
-``condg._planar_ellipse``. Each writes the membership formula
+the Newton solve of ``_violation_project``, and the anchor test of
+``_fw_plane``. Each writes the membership formula
 ``l0 b0^2 + l1 b1^2 - 1``, ``b = V^T (p - c)``, as the same expression, so
 the three agree bitwise; numpy's form rounds ``b`` differently, in the last
 bits. In the Newton solve that expression is also the residual at mu = 0,
@@ -59,12 +63,17 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass, field
-from typing import ClassVar, TypeAlias
+from typing import Callable, ClassVar, TypeAlias
 
 import numpy as np
 from numpy.typing import NDArray
 
 Vector: TypeAlias = NDArray[np.float64]
+# A Frank-Wolfe call's plane (see ``ConvexBody._fw_plane``): the anchor's and
+# the point's coordinates ``(ua0, ua1, up0, up1)``, ``|point - anchor|^2``,
+# the disk's or ellipse's ``l0, l1``, and the map of plane coordinates back.
+Plane: TypeAlias = tuple[float, float, float, float, float, float, float,
+                         Callable[[float, float], Vector]]
 
 # Points with violation at or below MEMBER_TOL are members to the library
 # itself; experiment-level feasibility uses its own eps_feas. A start point
@@ -245,12 +254,15 @@ class ConvexBody:
 
     is_compact: ClassVar[bool]
     _diameter: float  # compact bodies: the diameter once grown by START_TOL
-    # A 2-D ellipsoid's frame as Python floats (see Ellipsoid); None on
-    # every other body, which ``condg_project`` reads to pick its kernel.
-    _planar: tuple[float, ...] | None = None
 
     def _violation(self, z: Vector) -> float:
         return self._frame_violation(self._to_frame(z))
+
+    def _fw_plane(self, anchor: Vector, point: Vector) -> Plane | None:
+        """The plane in which a Frank-Wolfe call from ``anchor`` towards
+        ``point`` runs, or None where it runs in the body's frame (see the
+        module docstring)."""
+        return None
 
     def lo_minimize(self, c) -> tuple[Vector, float]:
         """Return ``(z_star, value)`` minimizing ``<c, z>`` over the body."""
@@ -349,6 +361,44 @@ class Ball(ConvexBody):
             return np.zeros_like(g)
         return (-self.radius / ng) * g
 
+    def _fw_plane(self, anchor: Vector, point: Vector) -> Plane | None:
+        # The disk of radius r in the plane through the centre spanned by
+        # the offsets of the anchor and the point: e1 along the point's (the
+        # anchor's when the point is the centre), e2 along what of the
+        # anchor's is left, zero when the two are collinear with the centre.
+        # The kernel divides by 1/r^2, so a radius whose square leaves the
+        # float range runs in the frame.
+        r = self.radius
+        rr = r * r
+        if not 0.0 < rr < math.inf:
+            return None
+        c = self.center
+        a = anchor - c
+        na = _norm(a)
+        check_member(_excess(na - r), "anchor")
+        p = point - c
+        up0 = _norm(p)
+        e1, n1 = (p, up0) if up0 > 0.0 else (a, na)
+        if n1 > 0.0:
+            e1 = e1 / n1
+        ua0 = float(a.dot(e1))
+        e2 = a - ua0 * e1
+        first = _norm(e2)
+        # Twice is enough (Kahan and Parlett): a second pass keeps e2
+        # orthogonal to e1, unless it takes half of e2 away, in which case
+        # what was left of the anchor's offset was rounding along e1.
+        e2 -= float(e2.dot(e1)) * e1
+        n2 = _norm(e2)
+        e2 = e2 / n2 if n2 > 0.5 * first else np.zeros_like(e2)
+        ua1 = float(a.dot(e2))
+        lam = 1.0 / rr
+
+        def from_plane(u0: float, u1: float) -> Vector:
+            return c + u0 * e1 + u1 * e2
+
+        d0 = up0 - ua0
+        return ua0, ua1, up0, 0.0, d0 * d0 + ua1 * ua1, lam, lam, from_plane
+
     def lo_minimize(self, c) -> tuple[Vector, float]:
         c = as_vector(c, self.dim)
         z = self._from_frame(self._frame_lo(c))
@@ -408,7 +458,7 @@ class Box(ConvexBody):
         return float(max(0.0, under, over))
 
     def _from_frame(self, u: Vector) -> Vector:
-        return u
+        return u.copy()  # the frame loop updates its iterate in place
 
     def _frame_lo(self, g: Vector) -> Vector:
         # g_i > 0 picks the lower bound, g_i < 0 the upper; ties go to lower.
@@ -529,7 +579,7 @@ class Ellipsoid(ConvexBody):
         if f is None:
             return self._frame_violation(self._to_frame(z))
         # The planar form (module docstring): the anchor test of
-        # ``condg._planar_ellipse`` and the mu = 0 residual of
+        # ``_fw_plane`` and the mu = 0 residual of
         # ``_newton_planar`` are this expression, bit for bit.
         v00, v01, v10, v11, l0, l1, c0, c1 = f
         p0, p1 = z.tolist()
@@ -553,7 +603,26 @@ class Ellipsoid(ConvexBody):
         s = float(g.dot(w))
         if s == 0.0:
             return np.zeros_like(g)
-        return w * (-1.0 / math.sqrt(s))
+        w *= -1.0 / math.sqrt(s)
+        return w
+
+    def _fw_plane(self, anchor: Vector, point: Vector) -> Plane | None:
+        f = self._planar
+        if f is None:
+            return None
+        # The frame itself; the anchor test is ``_violation``'s expression.
+        v00, v01, v10, v11, l0, l1, c0, c1 = f
+        a0, a1 = anchor.tolist()
+        p0, p1 = point.tolist()
+        ua0, ua1 = v00 * (a0 - c0) + v10 * (a1 - c1), v01 * (a0 - c0) + v11 * (a1 - c1)
+        check_member(l0 * ua0 * ua0 + l1 * ua1 * ua1 - 1.0, "anchor")
+        up0, up1 = v00 * (p0 - c0) + v10 * (p1 - c1), v01 * (p0 - c0) + v11 * (p1 - c1)
+        pa_sq = (p0 - a0) * (p0 - a0) + (p1 - a1) * (p1 - a1)
+        return ua0, ua1, up0, up1, pa_sq, l0, l1, self._from_planar
+
+    def _from_planar(self, u0: float, u1: float) -> Vector:
+        v00, v01, v10, v11, _, _, c0, c1 = self._planar
+        return np.array([c0 + (v00 * u0 + v01 * u1), c1 + (v10 * u0 + v11 * u1)])
 
     def lo_minimize(self, c) -> tuple[Vector, float]:
         c = as_vector(c, self.dim)

@@ -27,19 +27,29 @@ grown by ``START_TOL``, of diameter ``D = body._diameter``, so with
 half the cutoff (``_phi_can_stop``; the half absorbs rounding), no larger gap
 meets it, and the loop evaluates it only at gaps up to the cutoff: same bits.
 
-A 2-D ellipsoid, the body of every instance in the paper's tables, runs the
-same loop unrolled over Python floats (``_planar_ellipse``), picked by the
-body's cached ``_planar`` frame; every other body, whose ``_planar`` is
-None, runs the numpy loop (``_frame_loop``). ``phi`` itself stays as the
-reference the tests compare against.
+Where the iterates stay in a plane, the loop runs there over Python floats
+(``_plane_loop``), in the plane the body gives (``body._fw_plane``):
 
-``condg_project`` converts the anchor and the point; each kernel then tests
-that the anchor is a member on the frame coordinates ``u_a`` it computes
-anyway, by the body's membership formula in the frame (``_frame_violation``;
-in the planar kernel the expression of ``Ellipsoid._violation``, over the
-frame the body caches as Python floats). The solvers call
-``condg_project`` once or twice per outer step, warm-started at their last
-iterate, and the test maps no point into the frame a second time.
+* a 2-D ellipsoid, the body of every instance in the paper's tables, gives
+  its cached frame;
+* a ball, in any dimension, gives the plane through its centre spanned by
+  the offsets of the anchor and the point. Its oracle ``c - r g/|g|`` points
+  along ``g``, and ``g = u - u_p`` starts in that plane, so every step stays
+  in it; in the plane the ball is a disk, the ellipse ``l0 = l1 = 1/r^2``;
+* every other body gives None and runs the numpy loop (``_frame_loop``),
+  which updates its vectors in place.
+
+Only the result, and each iterate of a kept trace, is mapped back. ``phi``
+itself stays as the reference the tests compare against.
+
+``condg_project`` converts the anchor and the point; then whoever maps the
+anchor (``_frame_loop``, or the body's ``_fw_plane``) tests that it is a
+member, on the coordinates it computes anyway, by the body's own membership
+formula: ``_frame_violation`` in the frame, ``Ellipsoid._violation``'s
+expression in the 2-D ellipsoid's plane, and the ball's ``|a - c| - r``.
+The solvers call ``condg_project`` once or twice per outer step,
+warm-started at their last iterate, and the test maps no point into the
+frame a second time.
 """
 
 from __future__ import annotations
@@ -52,8 +62,8 @@ import numpy as np
 
 from .bodies import (
     ConvexBody,
-    Ellipsoid,
     InputError,
+    Plane,
     UnsupportedOracleError,
     Vector,
     as_float,
@@ -161,7 +171,7 @@ def condg_project(
     params : forcing coefficients; all zero yields the exact projection.
     anchor : member of the body (violation <= ``START_TOL``), the warm start
         and the reference point of the tolerance. A non-member raises
-        InputError at ``anchor``; the kernel tests it in the body's frame.
+        InputError at ``anchor``; it is tested in the body's frame or plane.
     point : the point being projected.
     keep_trace : record every inner iterate in the result.
 
@@ -177,9 +187,10 @@ def condg_project(
         )
     anchor = as_vector(anchor, body.dim, "anchor")
     point = as_vector(point, body.dim)
-    if body._planar is not None:
-        return _planar_ellipse(body, params, anchor, point, keep_trace)
-    return _frame_loop(body, params, anchor, point, keep_trace)
+    plane = body._fw_plane(anchor, point)
+    if plane is None:
+        return _frame_loop(body, params, anchor, point, keep_trace)
+    return _plane_loop(plane, params, anchor, body._diameter, keep_trace)
 
 
 def _phi_can_stop(params: ForcingParams, pa_sq: float, diam: float) -> bool:
@@ -189,11 +200,9 @@ def _phi_can_stop(params: ForcingParams, pa_sq: float, diam: float) -> bool:
     return not bound <= 0.5 * _DEGENERATE_GAP_TOL
 
 
-# Both kernels take finite arrays of the body's dimension, test the anchor's
-# membership in the frame, and stop on the same rules in the same order:
-# tolerance met, degenerate gap, degenerate step, iteration cap. When no step
-# was taken the result is a copy of the anchor, not its round trip through
-# the frame.
+# Both kernels stop on the same rules in the same order: tolerance met,
+# degenerate gap, degenerate step, iteration cap. When no step was taken the
+# result is a copy of the anchor, not its round trip through the frame.
 
 
 def _frame_loop(
@@ -203,7 +212,9 @@ def _frame_loop(
     point: Vector,
     keep_trace: bool,
 ) -> CondGResult:
-    """Frank-Wolfe in the frame of any compact body, with numpy vectors."""
+    """Frank-Wolfe in the frame of any compact body, with numpy vectors
+    updated in place. It takes finite arrays of the body's dimension and
+    tests the anchor's membership in the frame."""
     to_global, frame_lo = body._from_frame, body._frame_lo
     u_a = body._to_frame(anchor)
     check_member(body._frame_violation(u_a), "anchor")
@@ -214,11 +225,12 @@ def _frame_loop(
     gap_tol, cap, step_sq = _DEGENERATE_GAP_TOL, _MAX_INNER_ITERS, _DEGENERATE_STEP_SQ
     phi_can_stop = _phi_can_stop(params, pa_sq, body._diameter)
     trace = [anchor.copy()] if keep_trace else None
-    u = u_a
+    u, g = u_a.copy(), np.empty_like(u_a)
     ell = 0
     while True:
-        g = u - u_p
-        s = frame_lo(g) - u
+        np.subtract(u, u_p, out=g)
+        s = frame_lo(g)
+        s -= u
         gap = -float(g.dot(s))
         if phi_can_stop or gap <= gap_tol:
             e = u - u_a
@@ -235,7 +247,8 @@ def _frame_loop(
         if ell >= cap:
             stop = CondGStop.ITERATION_CAP
             break
-        u = u + (gap / dd if gap < dd else 1.0) * s
+        s *= gap / dd if gap < dd else 1.0
+        u += s
         ell += 1
         if trace is not None:
             trace.append(to_global(u))
@@ -243,32 +256,23 @@ def _frame_loop(
     return CondGResult(w, ell, gap, stop, trace)
 
 
-def _planar_ellipse(
-    body: Ellipsoid,
+def _plane_loop(
+    plane: Plane,
     params: ForcingParams,
     anchor: Vector,
-    point: Vector,
+    diameter: float,
     keep_trace: bool,
 ) -> CondGResult:
-    """``_frame_loop`` for a 2-D ellipsoid, unrolled over Python floats.
+    """``_frame_loop`` in the plane of the call, over Python floats.
 
-    The frame and its oracle are those of ``Ellipsoid._to_frame`` and
-    ``Ellipsoid._frame_lo``, written out per coordinate.
+    ``plane`` is ``body._fw_plane(anchor, point)``, which has tested the
+    anchor. The oracle is ``Ellipsoid._frame_lo`` on the ellipse
+    ``l0 u0^2 + l1 u1^2 <= 1``, written out per coordinate.
     """
-    v00, v01, v10, v11, l0, l1, c0, c1 = body._planar
-    a0, a1 = anchor.tolist()
-    p0, p1 = point.tolist()
-
-    def to_global(u0: float, u1: float) -> Vector:
-        return np.array([c0 + (v00 * u0 + v01 * u1), c1 + (v10 * u0 + v11 * u1)])
-
-    ua0, ua1 = v00 * (a0 - c0) + v10 * (a1 - c1), v01 * (a0 - c0) + v11 * (a1 - c1)
-    check_member(l0 * ua0 * ua0 + l1 * ua1 * ua1 - 1.0, "anchor")
-    up0, up1 = v00 * (p0 - c0) + v10 * (p1 - c1), v01 * (p0 - c0) + v11 * (p1 - c1)
-    pa_sq = (p0 - a0) * (p0 - a0) + (p1 - a1) * (p1 - a1)
+    ua0, ua1, up0, up1, pa_sq, l0, l1, to_global = plane
     base, theta, lam, sqrt = params.gamma * pa_sq, params.theta, params.lam, math.sqrt
     gap_tol, cap, step_sq = _DEGENERATE_GAP_TOL, _MAX_INNER_ITERS, _DEGENERATE_STEP_SQ
-    phi_can_stop = _phi_can_stop(params, pa_sq, body._diameter)
+    phi_can_stop = _phi_can_stop(params, pa_sq, diameter)
     trace = [anchor.copy()] if keep_trace else None
     u0, u1 = ua0, ua1
     ell = 0

@@ -9,7 +9,6 @@ from feasib import (
     MEMBER_TOL,
     START_TOL,
     bodies,
-    condg,
     Ball,
     Box,
     Ellipsoid,
@@ -539,14 +538,14 @@ class _Recorded(Exception):
 
 
 def kernel_anchor_test(monkeypatch, body, anchor):
-    """The value the planar Frank-Wolfe kernel's anchor test computes."""
+    """The value the anchor test of the ellipsoid's Frank-Wolfe plane computes."""
     seen = []
 
     def record(violation, path):
         seen.append(violation)
         raise _Recorded
 
-    monkeypatch.setattr(condg, "check_member", record)
+    monkeypatch.setattr(bodies, "check_member", record)
     with pytest.raises(_Recorded):
         condg_project(body, ForcingParams(0.0, 0.0, 0.0), anchor, body.center)
     monkeypatch.undo()

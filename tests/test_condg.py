@@ -181,6 +181,54 @@ class TestCondGBasics:
         assert res.final_gap > condg._DEGENERATE_GAP_TOL
         assert np.array_equal(res.w_plus, anchor)
 
+    @pytest.mark.parametrize("dim", [2, 3, 16, 50, 256])
+    def test_ball_plane_certificate_on_degenerate_planes(self, dim):
+        # The plane of a ball is spanned by the offsets of the point and the
+        # anchor from the centre; here one of them, or both, is 0, or the
+        # two are collinear up to rounding, which leaves no second axis.
+        rng = np.random.default_rng(dim)
+        for _ in range(3):
+            body = random_ball(rng, dim)
+            c, r = body.center, body.radius
+            d, e = _unit(rng, dim), _unit(rng, dim)
+            cases = {
+                "point at the centre": (c + r * d, c.copy()),
+                "anchor at the centre": (c.copy(), c + 3.0 * r * e),
+                "both at the centre": (c.copy(), c.copy()),
+                "collinear, same side": (c + 0.5 * r * d, c + 4.0 * r * d),
+                "collinear, far side": (c - r * d, c + 4.0 * r * d),
+                "point inside": (c + r * d, c + 0.3 * r * e),
+            }
+            for name, (u, v) in cases.items():
+                assert body._fw_plane(u, v) is not None, name
+                for params in (EXACT, ForcingParams(0.01, 0.02, 0.02)):
+                    res = condg_project(body, params, u, v)
+                    check_certificate(body, params, u, v, res)
+
+    @pytest.mark.parametrize("end", [1.2928932188134525, 2.7071067811865475])
+    def test_ball_plane_keeps_a_diagonal_anchor_in_the_ball(self, end):
+        # Anchor and point on the diagonal through the centre: what the
+        # first pass leaves of the anchor's offset is rounding along e1, and
+        # an e2 built from it would put the anchor at the wrong plane point
+        # and map the result out of the ball. The first anchor is the
+        # projection already; from the second the loop steps.
+        body = Ball(center=[2.0, 2.0], radius=1.0)
+        u = np.full(2, end)
+        v = np.full(2, -0.4343145750507619)
+        params = ForcingParams(0.01, 0.02, 0.02)
+        res = condg_project(body, params, u, v)
+        assert res.inner_iters == (0 if end < 2.0 else 1)
+        check_certificate(body, params, u, v, res)
+
+    def test_ball_whose_squared_radius_underflows_runs_the_frame_loop(self):
+        # The plane's oracle divides by 1/r^2, which r^2 = 0 cannot give.
+        body = Ball(center=[0.0, 0.0], radius=1e-170)
+        u, v = np.array([1e-170, 0.0]), np.array([1.0, 1.0])
+        assert body._fw_plane(u, v) is None
+        res = condg_project(body, EXACT, u, v)
+        assert same_result(res, _frame_loop(body, EXACT, u, v, keep_trace=False))
+        assert body.violation(res.w_plus) <= START_TOL
+
     def test_result_gap_certificate_on_tolerance_met(self):
         # ITERATION_CAP is allowed on the ill-conditioned ellipsoids; the
         # certificate and membership must hold for every result.
@@ -192,6 +240,22 @@ class TestCondGBasics:
                     params = ForcingParams(*10.0 ** rng.uniform(-6.0, -0.6, 3))
                     res = condg_project(body, params, u, v)
                     check_certificate(body, params, u, v, res)
+
+
+def follows_the_frame_loop(kind, dim):
+    """The first 10 iterates of the plane kernel, mapped back, agree with
+    those of the frame loop on 15 random bodies and points."""
+    rng = np.random.default_rng(27)
+    for _ in range(15):
+        body = random_compact_body(rng, dim, kinds=(kind,))
+        u = sample_members(body, rng, 1)[0]
+        v = rng.uniform(-5.0, 5.0, dim)
+        assert body._fw_plane(u, v) is not None
+        planar = condg_project(body, EXACT, u, v, keep_trace=True)
+        frame = _frame_loop(body, EXACT, u, v, keep_trace=True)
+        steps = min(len(planar.trace), len(frame.trace))
+        assert steps >= 2
+        assert np.allclose(planar.trace[:steps], frame.trace[:steps], rtol=0, atol=1e-9)
 
 
 def _ellipsoid_anchor(body, t):
@@ -306,16 +370,17 @@ class TestIterateProperties:
         # Frank-Wolfe zig-zags and the rounding difference grows about 10x
         # every 5 steps, so only the first 10 steps are compared; they agree
         # to 1e-11 or better.
-        rng = np.random.default_rng(27)
-        for _ in range(15):
-            body = random_compact_body(rng, kinds=("ellipsoid",))
-            u = sample_members(body, rng, 1)[0]
-            v = rng.uniform(-5.0, 5.0, 2)
-            planar = condg_project(body, EXACT, u, v, keep_trace=True)
-            frame = _frame_loop(body, EXACT, u, v, keep_trace=True)
-            steps = min(len(planar.trace), len(frame.trace))
-            assert steps >= 2
-            assert np.allclose(planar.trace[:steps], frame.trace[:steps], rtol=0, atol=1e-9)
+        follows_the_frame_loop("ellipsoid", 2)
+
+    @pytest.mark.parametrize("dim", [2, 3, 16, 256])
+    @inner_limits(cap=10)
+    def test_ball_plane_kernel_follows_the_frame_loop(self, dim):
+        # A ball's plane is built per call, and its oracle is the ellipse's
+        # with l0 = l1 = 1/r^2. Past the cutoff a step's gap is rounding:
+        # with none, step 10 differed by up to 2e-8 over 300 draws per
+        # dimension (6e-9 on the 2-D ellipsoid), and by at most 3e-10 with
+        # it, so the balls keep it.
+        follows_the_frame_loop("ball", dim)
 
     @inner_limits(cap=400, gap_tol=TIGHT_GAP)
     def test_sublinear_rate_bound(self):
@@ -519,9 +584,9 @@ def forcing_terms(params):
 
 
 def kernels_for(body):
-    """Both kernels where ``condg_project`` runs its 2-D case, else the frame
-    loop alone."""
-    if body.dim == 2:
+    """``condg_project`` and the frame loop on a ball or a 2-D body (a 2-D
+    box runs the frame loop both times), else the frame loop alone."""
+    if isinstance(body, Ball) or body.dim == 2:
         return (condg_project, _frame_loop)
     return (_frame_loop,)
 

@@ -664,17 +664,19 @@ def meeting_pair(rng, n, depth):
 
 
 class TestQuasiFejer:
-    """Every row of the inexact solvers is quasi-Fejér with respect to a
-    common point ``z``, with the inner loops' final gaps as its error.
+    """Every row of the solvers is quasi-Fejér with respect to a common
+    point ``z``, with the inner loops' final gaps as its error.
 
     A Frank-Wolfe output ``w`` for the point ``p`` with final gap ``g``
     has ``<p - w, z - w> <= g`` for every member ``z``, so ``|w - z|^2 <=
     |p - z|^2 + 2 g``, and an exact projection has ``g = 0``. An
     alternating step projects twice in a row, so ``|x_{k+1} - z|^2 <=
     |x_k - z|^2 + 2 (g_B + g_A)``; the averaged step takes the midpoint of
-    its two outputs, and as ``|. - z|^2`` is convex its factor is 1. The
-    gaps are read by wrapping ``condg_project`` and cut into rows where
-    ``_drive`` appends each row.
+    its two outputs, and as ``|. - z|^2`` is convex its factor is 1.
+    ExactAlt projects exactly, so its factor is 0 and each row is plain
+    Fejér. The gaps are read by wrapping ``condg_project`` and cut into
+    rows where ``_drive`` appends each row. B of each pair is a ball,
+    which ACondG2 and Averaged project by its plane kernel.
     """
 
     SOLVES = {
@@ -684,6 +686,7 @@ class TestQuasiFejer:
             1.0,
             lambda a, b, x0, y0, stop: averaged_projection(a, b, x0, y0, stop=stop),
         ),
+        "ExactAlt": (0.0, lambda a, b, x0, y0, stop: exact_alternating(a, b, x0, stop=stop)),
     }
 
     @pytest.mark.parametrize("solver", list(SOLVES))
