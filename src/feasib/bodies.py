@@ -25,7 +25,8 @@ Frank-Wolfe loop of :mod:`feasib.condg` runs there, tests its anchor with
 iterates stay in a plane, ``_fw_plane(anchor, point)`` gives that plane
 instead, as Python floats, and tests the anchor there: a 2-D ellipsoid's
 cached frame, or a ball's plane through its centre, anchor and point,
-built per call. Every other body gives None. The public
+built per call where the plane's floats can hold the ball's disk. Every
+other body gives None. The public
 ``lo_minimize`` is the frame oracle between the two maps. The public
 ``violation`` checks its input, then calls the unchecked ``_violation``.
 Each kind's one unchecked exact projection is ``_violation_project(v)``,
@@ -44,12 +45,14 @@ A 2-D ellipsoid, the body of every instance in the paper's tables, caches
 its frame as Python floats at construction (``_planar``: the entries of
 ``V``, the eigenvalues and the centre), and every operation of it on the
 solvers' paths runs over Python floats from that tuple: ``_violation``,
-the Newton solve of ``_violation_project``, and the anchor test of
-``_fw_plane``. Each writes the membership formula
-``l0 b0^2 + l1 b1^2 - 1``, ``b = V^T (p - c)``, as the same expression, so
-the three agree bitwise; numpy's form rounds ``b`` differently, in the last
-bits. In the Newton solve that expression is also the residual at mu = 0,
-so the solve returns it as the violation.
+the Newton solve of ``_violation_project``, and both maps of
+``_fw_plane``. One method, ``_to_plane``, maps a point into that frame,
+``b = V^T (p - c)``, and gives the terms ``l_i b_i^2`` of the membership
+formula; each caller sums them as ``t0 + t1 - 1``, so the three agree
+bitwise, and ``_from_planar`` is the one map back, ``c + V u``. numpy's
+form rounds ``b`` differently, in the last bits. In the Newton solve that
+sum is also the residual at mu = 0, so the solve returns it as the
+violation.
 
 Code on the solvers' paths, here (``_violation``, ``_violation_project``
 and the frame methods) and in :mod:`feasib.condg`, takes products as
@@ -366,11 +369,12 @@ class Ball(ConvexBody):
         # the offsets of the anchor and the point: e1 along the point's (the
         # anchor's when the point is the centre), e2 along what of the
         # anchor's is left, zero when the two are collinear with the centre.
-        # The kernel divides by 1/r^2, so a radius whose square leaves the
-        # float range runs in the frame.
+        # The kernel divides by l = 1/r^2 and forms |g|^2 r^2, so the call
+        # runs in the frame unless r^2 is a normal float and, with
+        # |g| <= D + |p - a| over the call, |g| r < 2^510.
         r = self.radius
         rr = r * r
-        if not 0.0 < rr < math.inf:
+        if not sys.float_info.min <= rr < math.inf:
             return None
         c = self.center
         a = anchor - c
@@ -391,13 +395,16 @@ class Ball(ConvexBody):
         n2 = _norm(e2)
         e2 = e2 / n2 if n2 > 0.5 * first else np.zeros_like(e2)
         ua1 = float(a.dot(e2))
+        d0 = up0 - ua0
+        pa_sq = d0 * d0 + ua1 * ua1
+        if not (self._diameter + math.sqrt(pa_sq)) * r < 2.0**510:
+            return None
         lam = 1.0 / rr
 
         def from_plane(u0: float, u1: float) -> Vector:
             return c + u0 * e1 + u1 * e2
 
-        d0 = up0 - ua0
-        return ua0, ua1, up0, 0.0, d0 * d0 + ua1 * ua1, lam, lam, from_plane
+        return ua0, ua1, up0, 0.0, pa_sq, lam, lam, from_plane
 
     def lo_minimize(self, c) -> tuple[Vector, float]:
         c = as_vector(c, self.dim)
@@ -575,17 +582,11 @@ class Ellipsoid(ConvexBody):
         return self._violation(as_vector(z, self.dim))
 
     def _violation(self, z: Vector) -> float:
-        f = self._planar
-        if f is None:
+        if self._planar is None:
             return self._frame_violation(self._to_frame(z))
-        # The planar form (module docstring): the anchor test of
-        # ``_fw_plane`` and the mu = 0 residual of
-        # ``_newton_planar`` are this expression, bit for bit.
-        v00, v01, v10, v11, l0, l1, c0, c1 = f
         p0, p1 = z.tolist()
-        d0, d1 = p0 - c0, p1 - c1
-        b0, b1 = v00 * d0 + v10 * d1, v01 * d0 + v11 * d1
-        return _excess(l0 * b0 * b0 + l1 * b1 * b1 - 1.0)
+        _, _, t0, t1 = self._to_plane(p0, p1)
+        return _excess(t0 + t1 - 1.0)
 
     # The frame is the eigenbasis, centred: u = V^T (x - center), in which
     # the body is {u : sum lam_i u_i^2 <= 1}.
@@ -607,18 +608,26 @@ class Ellipsoid(ConvexBody):
         return w
 
     def _fw_plane(self, anchor: Vector, point: Vector) -> Plane | None:
-        f = self._planar
-        if f is None:
+        if self._planar is None:
             return None
-        # The frame itself; the anchor test is ``_violation``'s expression.
-        v00, v01, v10, v11, l0, l1, c0, c1 = f
+        # The frame itself; the anchor test is ``_violation``'s.
         a0, a1 = anchor.tolist()
         p0, p1 = point.tolist()
-        ua0, ua1 = v00 * (a0 - c0) + v10 * (a1 - c1), v01 * (a0 - c0) + v11 * (a1 - c1)
-        check_member(l0 * ua0 * ua0 + l1 * ua1 * ua1 - 1.0, "anchor")
-        up0, up1 = v00 * (p0 - c0) + v10 * (p1 - c1), v01 * (p0 - c0) + v11 * (p1 - c1)
+        ua0, ua1, t0, t1 = self._to_plane(a0, a1)
+        check_member(t0 + t1 - 1.0, "anchor")
+        up0, up1, _, _ = self._to_plane(p0, p1)
         pa_sq = (p0 - a0) * (p0 - a0) + (p1 - a1) * (p1 - a1)
+        _, _, _, _, l0, l1, _, _ = self._planar
         return ua0, ua1, up0, up1, pa_sq, l0, l1, self._from_planar
+
+    # A 2-D ellipsoid's one frame map over Python floats, and its inverse:
+    # ``b = V^T (x - c)`` with the terms ``l_i b_i^2`` of the membership
+    # formula, whose sum ``t0 + t1 - 1`` every planar caller forms alike.
+    def _to_plane(self, x0: float, x1: float) -> tuple[float, float, float, float]:
+        v00, v01, v10, v11, l0, l1, c0, c1 = self._planar
+        d0, d1 = x0 - c0, x1 - c1
+        b0, b1 = v00 * d0 + v10 * d1, v01 * d0 + v11 * d1
+        return b0, b1, l0 * b0 * b0, l1 * b1 * b1
 
     def _from_planar(self, u0: float, u1: float) -> Vector:
         v00, v01, v10, v11, _, _, c0, c1 = self._planar
@@ -635,11 +644,6 @@ class Ellipsoid(ConvexBody):
         lam, vecs = np.linalg.eigh(self.shape)
         b = vecs.T @ c
         return float(c @ self.center) + math.sqrt(float(np.sum(b * b / lam)))
-
-    def boundary_point(self, direction) -> Vector:
-        """Boundary point in unit-quadratic coordinates along ``direction``."""
-        u = as_vector(direction, self.dim)
-        return self._from_frame((self._eigvecs.T @ u) / np.sqrt(self._eigvals))
 
     def project(self, v) -> Vector:
         return self._violation_project(as_vector(v, self.dim))[1]
@@ -689,11 +693,9 @@ class Ellipsoid(ConvexBody):
 
     def _newton_planar(self, v: Vector) -> tuple[float, Vector, int]:
         """``_newton_frame`` for ``dim == 2``, unrolled over Python floats."""
-        v00, v01, v10, v11, l0, l1, c0, c1 = self._planar
+        _, _, _, _, l0, l1, _, _ = self._planar
         p0, p1 = v.tolist()
-        d0, d1 = p0 - c0, p1 - c1
-        b0, b1 = v00 * d0 + v10 * d1, v01 * d0 + v11 * d1
-        t0, t1 = l0 * b0 * b0, l1 * b1 * b1
+        b0, b1, t0, t1 = self._to_plane(p0, p1)
         q0, q1, e0, e1, s2 = t0, t1, 1.0, 1.0, t0 + t1
         violation = _excess(s2 - 1.0)
         mu, steps = 0.0, 0
@@ -709,6 +711,5 @@ class Ellipsoid(ConvexBody):
             s2 = q0 + q1
         if steps == 0:
             return violation, v.copy(), 0
-        z0, z1 = b0 / (1.0 + mu * l0), b1 / (1.0 + mu * l1)
-        point = np.array([c0 + (v00 * z0 + v01 * z1), c1 + (v10 * z0 + v11 * z1)])
+        point = self._from_planar(b0 / (1.0 + mu * l0), b1 / (1.0 + mu * l1))
         return violation, point, steps

@@ -35,7 +35,9 @@ Where the iterates stay in a plane, the loop runs there over Python floats
 * a ball, in any dimension, gives the plane through its centre spanned by
   the offsets of the anchor and the point. Its oracle ``c - r g/|g|`` points
   along ``g``, and ``g = u - u_p`` starts in that plane, so every step stays
-  in it; in the plane the ball is a disk, the ellipse ``l0 = l1 = 1/r^2``;
+  in it; in the plane the ball is a disk, the ellipse ``l0 = l1 = 1/r^2``.
+  A call whose ``1/r^2`` or ``|g|^2 r^2`` a float cannot hold gets None
+  and runs the frame loop;
 * every other body gives None and runs the numpy loop (``_frame_loop``),
   which updates its vectors in place.
 

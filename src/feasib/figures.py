@@ -2,6 +2,10 @@
 
 The output embeds no external assets: set boundaries as polylines, the two
 iterate paths with markers, start and end markers, and a small legend.
+A halfspace's boundary is its line, clipped around the data; every compact
+set's outline is drawn through its linear oracle ``lo_minimize``, the one
+place that states its geometry, as the answers to 513 outward directions
+once round the unit circle.
 Coordinates are in problem units inside a declared viewBox; the vertical
 axis is flipped to the usual mathematical orientation.
 """
@@ -9,12 +13,13 @@ axis is flipped to the usual mathematical orientation.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from pathlib import Path
 
 import numpy as np
 
-from .bodies import Ball, Box, ConvexBody, Ellipsoid, Halfspace
+from .bodies import ConvexBody, Halfspace
 from .instances import InstanceConfig, build_bodies
 
 __all__ = ["render_figure"]
@@ -57,40 +62,21 @@ def _read_trace(path) -> tuple[list, list]:
 
 
 def _boundary_points(body: ConvexBody, bbox) -> list[tuple[float, float]]:
-    if isinstance(body, Ellipsoid):
-        ts = np.linspace(0.0, 2.0 * math.pi, _OUTLINE_POINTS + 1)
-        return [
-            tuple(body.boundary_point(np.array([math.cos(t), math.sin(t)])))
-            for t in ts
-        ]
-    if isinstance(body, Ball):
-        ts = np.linspace(0.0, 2.0 * math.pi, _OUTLINE_POINTS + 1)
-        c, r = body.center, body.radius
-        return [(c[0] + r * math.cos(t), c[1] + r * math.sin(t)) for t in ts]
-    if isinstance(body, Box):
-        lo, hi = body.lower, body.upper
-        return [
-            (lo[0], lo[1]),
-            (hi[0], lo[1]),
-            (hi[0], hi[1]),
-            (lo[0], hi[1]),
-            (lo[0], lo[1]),
-        ]
     if isinstance(body, Halfspace):
         # Boundary line clipped to a generous margin around the data box.
         a = body.normal
-        foot = _foot(body)
+        foot = (body.offset / float(a @ a)) * a
         tangent = np.array([-a[1], a[0]]) / float(np.linalg.norm(a))
         (x0, x1), (y0, y1) = bbox
         span = 2.0 * max(x1 - x0, y1 - y0, 1.0)
         p, q = foot - span * tangent, foot + span * tangent
         return [tuple(p), tuple(q)]
-    raise ValueError(f"cannot draw body of type {type(body).__name__}")
-
-
-def _foot(body: Halfspace):
-    a = body.normal
-    return (body.offset / float(a @ a)) * a
+    # A compact set's outline is its oracle's answers to the outward
+    # directions once round the circle, from 225 degrees, so that a box's
+    # runs from its lower corner; a corner repeated in a row is drawn once.
+    ts = np.linspace(1.25 * math.pi, 3.25 * math.pi, _OUTLINE_POINTS + 1)
+    points = (tuple(body.lo_minimize([-math.cos(t), -math.sin(t)])[0].tolist()) for t in ts)
+    return [p for p, _ in itertools.groupby(points)]
 
 
 def _polyline(points, color, width, dashed=False, opacity=1.0) -> str:

@@ -44,8 +44,6 @@ __all__ = [
     "ConfigError",
     "InstanceConfig",
     "SCHEMA_VERSION",
-    "TABLE1_OFFSETS",
-    "TABLE2_CENTERS",
     "build_bodies",
     "load_config",
     "parse_config",
@@ -305,10 +303,6 @@ _REFERENCE_TABLE2 = {
     "2.40": {"ACondG2": ("L", "4.01e-02"), "ExactAlt2": ("L", "4.01e-02")},
     "2.50": {"ACondG2": ("L", "1.59e-01"), "ExactAlt2": ("L", "1.59e-01")},
 }
-
-# Each table's instances and solvers are the keys of its reference.
-TABLE1_OFFSETS = tuple(_REFERENCE_TABLE1)
-TABLE2_CENTERS = tuple(_REFERENCE_TABLE2)
 
 
 def _ellipse_a_spec() -> BodySpec:

@@ -33,6 +33,12 @@ def unit_disk():
     return Ellipsoid(center=np.zeros(2), shape=np.eye(2))
 
 
+def boundary_point(e, u):
+    """The point of ellipsoid ``e``'s boundary in unit-quadratic coordinates
+    along the unit vector ``u``: ``c + V diag(lam)^(-1/2) V^T u``."""
+    return e._from_frame((e._eigvecs.T @ u) / np.sqrt(e._eigvals))
+
+
 def inner_limits(cap=condg._MAX_INNER_ITERS, gap_tol=condg._DEGENERATE_GAP_TOL):
     """Patch setting the inner loop's iteration cap and degenerate-gap
     cutoff, as a context manager or a test decorator."""

@@ -22,6 +22,7 @@ from feasib import (
 
 from _helpers import (
     SQRT_202,
+    boundary_point,
     diameter,
     foot_tol,
     ill_conditioned_ellipsoid,
@@ -417,7 +418,7 @@ class TestProjection:
         w = e.project(v)
         ts = np.linspace(0.0, 2.0 * math.pi, 1000, endpoint=False)
         dirs = np.stack([np.cos(ts), np.sin(ts)], axis=-1)
-        boundary = np.array([e.boundary_point(d) for d in dirs])
+        boundary = np.array([boundary_point(e, d) for d in dirs])
         assert np.max((boundary - w) @ (v - w)) <= 1e-9
 
     def test_member_projects_to_itself(self):
@@ -478,7 +479,7 @@ def projection_cases(dim, kind, n_bodies=6):
             body = random_ellipsoid(rng, dim)
         for dist in PROJ_DISTANCES:
             direction = rng.normal(size=dim)
-            foot = body.boundary_point(direction / np.linalg.norm(direction))
+            foot = boundary_point(body, direction / np.linalg.norm(direction))
             normal = body.shape @ (foot - body.center)
             yield body, foot + dist * normal / np.linalg.norm(normal), foot
 
@@ -527,7 +528,7 @@ def planar_membership_cases(kind, n_bodies=10, n_points=20):
             body = random_ellipsoid(rng, 2)
         for _ in range(n_points):
             direction = rng.normal(size=2)
-            edge = body.boundary_point(direction / np.linalg.norm(direction))
+            edge = boundary_point(body, direction / np.linalg.norm(direction))
             noise = rng.normal(size=2) * 10.0 ** rng.uniform(-8.0, 0.0)
             along = rng.uniform(0.0, 2.0) * (edge - body.center)
             yield body, body.center + along + noise
@@ -606,7 +607,7 @@ class TestPlanarMembership:
         verdicts = set()
         for body, v in planar_membership_cases(kind, n_points=2):
             d = v - body.center
-            edge = body.boundary_point(d / np.linalg.norm(d))
+            edge = boundary_point(body, d / np.linalg.norm(d))
             far = body.center + 10.0 * (edge - body.center)
             for t in np.array([0.5, 0.9, 1.1, 2.0]) * START_TOL:
                 anchor = body.center + math.sqrt(1.0 + t) * (edge - body.center)

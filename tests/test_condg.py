@@ -24,6 +24,7 @@ from feasib import (
 from feasib.condg import _frame_loop
 
 from _helpers import (
+    boundary_point,
     diameter,
     ill_conditioned_ellipsoid,
     inner_limits,
@@ -220,14 +221,18 @@ class TestCondGBasics:
         assert res.inner_iters == (0 if end < 2.0 else 1)
         check_certificate(body, params, u, v, res)
 
-    def test_ball_whose_squared_radius_underflows_runs_the_frame_loop(self):
-        # The plane's oracle divides by 1/r^2, which r^2 = 0 cannot give.
-        body = Ball(center=[0.0, 0.0], radius=1e-170)
-        u, v = np.array([1e-170, 0.0]), np.array([1.0, 1.0])
-        assert body._fw_plane(u, v) is None
-        res = condg_project(body, EXACT, u, v)
-        assert same_result(res, _frame_loop(body, EXACT, u, v, keep_trace=False))
-        assert body.violation(res.w_plus) <= START_TOL
+    @pytest.mark.parametrize("r", [1e-170, 1e-160, 1e-156, 1e78, 1e100, 1e120, 1e150])
+    def test_ball_whose_radius_the_plane_cannot_hold_runs_the_frame_loop(self, r):
+        # The plane's oracle divides by l = 1/r^2 and forms |g|^2 r^2: for
+        # the small radii r^2 is 0 or subnormal, for the large ones
+        # |g|^2 r^2 overflows. The point inside is its own projection.
+        body = Ball(center=[0.0, 0.0], radius=r)
+        u = np.array([r, 0.0])
+        for v in (np.array([0.3 * r, 0.4 * r]), np.array([1.0, 1.0])):
+            assert body._fw_plane(u, v) is None
+            res = condg_project(body, EXACT, u, v)
+            assert same_result(res, _frame_loop(body, EXACT, u, v, keep_trace=False))
+            check_certificate(body, EXACT, u, v, res)
 
     def test_result_gap_certificate_on_tolerance_met(self):
         # ITERATION_CAP is allowed on the ill-conditioned ellipsoids; the
@@ -261,7 +266,7 @@ def follows_the_frame_loop(kind, dim):
 def _ellipsoid_anchor(body, t):
     """The point of violation ``t`` on the ray from the centre through a
     boundary point."""
-    b = body.boundary_point(np.ones(body.dim) / math.sqrt(body.dim))
+    b = boundary_point(body, np.ones(body.dim) / math.sqrt(body.dim))
     return body.center + math.sqrt(1.0 + t) * (b - body.center)
 
 
@@ -533,7 +538,7 @@ def boundary_anchor(body, rng, t):
     for ``t = 0``."""
     dim = body.dim
     if isinstance(body, Ellipsoid):
-        b = body.boundary_point(_unit(rng, dim))
+        b = boundary_point(body, _unit(rng, dim))
         return body.center + math.sqrt(1.0 + t) * (b - body.center)
     if isinstance(body, Ball):
         return body.center + (body.radius + t) * _unit(rng, dim)
@@ -568,7 +573,7 @@ def far_side_cases(rng):
                 yield body, anchor, anchor + 100.0 * (body.upper - anchor)
                 continue
             if isinstance(body, Ellipsoid):
-                end = body.boundary_point(body._eigvecs[:, 0])
+                end = boundary_point(body, body._eigvecs[:, 0])
                 anchor = body.center + math.sqrt(1.0 + t) * (end - body.center)
             else:
                 anchor = body.center + (body.radius + t) * _unit(rng, body.dim)

@@ -25,8 +25,6 @@ from feasib.instances import (
     BodySpec,
     ConfigError,
     SCHEMA_VERSION,
-    TABLE1_OFFSETS,
-    TABLE2_CENTERS,
     build_bodies,
     load_config,
     parse_config,
@@ -495,7 +493,7 @@ class TestRoundTrip:
 
 class TestTables:
     def test_table1_instances_build(self):
-        for label in TABLE1_OFFSETS:
+        for label in table_reference(1):
             for solver in ("ACondG1", "ExactAlt1"):
                 cfg = table1_config(label, solver)
                 a, b = build_bodies(cfg)
@@ -509,7 +507,7 @@ class TestTables:
         assert build_bodies(fresh)[0] is not build_bodies(cfg)[0]
 
     def test_table2_instances_build(self):
-        for label in TABLE2_CENTERS:
+        for label in table_reference(2):
             for solver in ("ACondG2", "ExactAlt2"):
                 cfg = table2_config(label, solver)
                 a, b = build_bodies(cfg)
@@ -517,11 +515,13 @@ class TestTables:
                 assert cfg.y0 is not None
 
     def test_references_cover_all_instances(self):
+        # The instances of the paper's two tables, each run by both solvers.
         ref1 = table_reference(1)
-        assert set(ref1) == set(TABLE1_OFFSETS)
+        assert list(ref1) == ["1.30", "1.35", "1.40", "1.42", "1.43", "1.45", "1.50", "1.60"]
         assert all(set(v) == {"ACondG1", "ExactAlt1"} for v in ref1.values())
         ref2 = table_reference(2)
-        assert set(ref2) == set(TABLE2_CENTERS)
+        assert list(ref2) == ["2.30", "2.35", "2.357", "2.358", "2.359", "2.36", "2.40", "2.50"]
+        assert all(set(v) == {"ACondG2", "ExactAlt2"} for v in ref2.values())
 
     def test_unknown_table_rejected(self):
         with pytest.raises(ValueError):

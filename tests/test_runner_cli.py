@@ -6,20 +6,22 @@ import math
 import re
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from feasib import StopCode, dist_two_bodies
+from feasib import MEMBER_TOL, Ball, Box, Ellipsoid, StopCode, dist_two_bodies
 from feasib import cli
 from feasib.cli import main
-from feasib.figures import render_figure
+from feasib.figures import _boundary_points, render_figure
 from feasib.instances import (
     ConfigError,
     build_bodies,
     load_config,
+    parse_config,
     save_config,
     serialize_config,
     table1_config,
@@ -353,6 +355,41 @@ class TestFigures:
         text = out.read_text()
         assert text.count("<polyline") == 2
 
+    @pytest.mark.parametrize(
+        "body, center",
+        [
+            (Ellipsoid.from_axes([0.5, -1.0], 0.3, (2.0, 0.2)), (0.5, -1.0)),
+            (Ball(center=[1.0, 2.0], radius=0.7), (1.0, 2.0)),
+            (Box(lower=[-1.0, 0.0], upper=[2.0, 0.5]), (0.5, 0.25)),
+        ],
+        ids=["ellipsoid", "ball", "box"],
+    )
+    def test_compact_outline_lies_on_the_boundary(self, body, center):
+        # Each drawn point is a member, and a point a share 1e-9 further
+        # out from the centre is not; the outline ends where it starts, to
+        # within the rounding of the sine and cosine of its two end angles.
+        outline = _boundary_points(body, None)
+        assert math.dist(outline[0], outline[-1]) <= 1e-15
+        c = np.array(center)
+        for p in np.array(outline):
+            assert body.violation(p) <= MEMBER_TOL
+            assert body.violation(c + (1.0 + 1e-9) * (p - c)) > MEMBER_TOL
+
+    def test_two_halfspaces_with_an_empty_trace_draw_their_lines(self, tmp_path):
+        # No trace point and no compact outline: the view falls back to the
+        # unit square around which both lines are clipped.
+        cfg = parse_config({
+            "schema": 1, "dimension": 2, "solver": "ExactAlt1", "x0": [0.0, 0.0],
+            "set_a": {"kind": "halfspace", "normal": [1.0, 0.0], "offset": 0.5},
+            "set_b": {"kind": "halfspace", "normal": [0.0, -1.0], "offset": -0.5},
+        })
+        empty = tmp_path / "empty.csv"
+        empty.write_text(EXPECTED_HEADER + "\n")
+        text = render_figure(empty, cfg, tmp_path / "lines.svg").read_text()
+        polylines = re.findall(r'<polyline points="([^"]*)"', text)
+        assert [len(p.split()) for p in polylines] == [2, 2]
+        assert 'viewBox="-0.08 -1.08 1.16 1.16"' in text
+
     def test_non_trace_csv_rejected(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1,2\n")
@@ -425,7 +462,11 @@ class TestFigures:
             text=True,
         )
         assert proc.returncode == 0, proc.stderr
-        assert len(list(tmp_path.glob("*.svg"))) == 8
+        svgs = sorted(tmp_path.glob("*.svg"))
+        assert len(svgs) == 8
+        for svg in svgs:
+            root = ET.parse(svg).getroot()
+            assert root.tag == "{http://www.w3.org/2000/svg}svg", svg.name
 
 
 class TestCLI:

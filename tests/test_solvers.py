@@ -26,8 +26,6 @@ from feasib import (
 )
 from feasib import bodies, condg, solvers
 from feasib.instances import (
-    TABLE1_OFFSETS,
-    TABLE2_CENTERS,
     BodySpec,
     _solver_call,
     table1_config,
@@ -39,6 +37,7 @@ from feasib.solvers import _drive, check_pair
 
 from _helpers import (
     SQRT_202,
+    boundary_point,
     containing_body,
     halfspace_at,
     ill_conditioned_ellipsoid,
@@ -653,7 +652,7 @@ def meeting_pair(rng, n, depth):
     which the runs creep along the thin gap between the two boundaries."""
     a = random_ellipsoid(rng, n)
     u = rng.normal(size=n)
-    p = a.boundary_point(u / np.linalg.norm(u))
+    p = boundary_point(a, u / np.linalg.norm(u))
     nu = a.shape @ (p - a.center)
     nu /= np.linalg.norm(nu)
     b = Ball(center=p + (1.0 - depth) * nu, radius=1.0)
@@ -933,8 +932,8 @@ def test_a_change_in_the_13th_digit_keeps_the_stable_table_quantities():
     # "Rounding-sensitive results"); the stop codes, the ExactAlt outer
     # counts, the exact 0 of a C run's min_violation and the first four
     # digits of an L run's must not.
-    runs = [(table1_config, 1, label) for label in TABLE1_OFFSETS]
-    runs += [(table2_config, 2, label) for label in TABLE2_CENTERS]
+    runs = [(table1_config, 1, label) for label in table_reference(1)]
+    runs += [(table2_config, 2, label) for label in table_reference(2)]
     for make, which, label in runs:
         for solver in table_reference(which)[label]:
             config = make(label, solver)
