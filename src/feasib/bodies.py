@@ -8,6 +8,12 @@ Every body is an immutable value. The operations exposed per body are:
 * ``support(c)``     -- support function ``max_z <c, z>``, compact bodies only,
 * ``project(v)``     -- exact Euclidean projection.
 
+``ConvexBody`` states the four once, the checked layer: each checks its
+argument with ``as_vector``, whose InputError names it (``z``, ``v`` or
+``c``), then calls what a kind defines: ``_violation``,
+``_violation_project`` and, when compact, the frame methods below,
+``_support`` and, for an ellipsoid, ``_frame_direction``.
+
 An ellipsoid measures violation and projects in its eigenbasis frame (see
 below), where a point ``u`` has violation ``sum lam_i u_i^2 - 1`` and the
 projection of an outside point solves a scalar secular equation by monotone
@@ -26,15 +32,14 @@ iterates stay in a plane, ``_fw_plane(anchor, point)`` gives that plane
 instead, as Python floats, and tests the anchor there: a 2-D ellipsoid's
 cached frame, or a ball's plane through its centre, anchor and point,
 built per call where the plane's floats can hold the ball's disk. Every
-other body gives None. The public
-``lo_minimize`` is the frame oracle between the two maps. The public
-``violation`` checks its input, then calls the unchecked ``_violation``.
+other body gives None. The public ``lo_minimize`` is the frame oracle
+between the two maps, on ``c`` scaled by a power of two (``_scaled``).
 Each kind's one unchecked exact projection is ``_violation_project(v)``,
 which returns ``(violation, projection)``, the violation bit for bit that of
 ``_violation(v)``, from one frame map: a halfspace computes one excess, a
 ball one norm, an ellipsoid one Newton solve on the frame point its
 violation reads, and a box its violation and one clip. The public
-``project`` checks its input and returns the second entry. The solvers
+``project`` returns its second entry. The solvers
 measure and project each iterate with it on every side they project
 exactly, and call ``_violation`` on the others.
 A point whose offset from a compact body overflows gets the violation
@@ -182,10 +187,10 @@ def _inf_norm(d: Vector) -> float:
     return float(np.maximum.reduce(np.abs(d)))
 
 
-def as_vector(x, dim: int | None = None, path: str | None = None) -> Vector:
+def as_vector(x, dim: int | None, path: str) -> Vector:
     """Validate and convert ``x`` (see :func:`_entry_problem`) to a finite
-    1-D float64 array; a bad ``x`` raises InputError at ``path``, or
-    ValueError when no path is given."""
+    1-D float64 array of ``dim`` entries (any number when ``dim`` is None);
+    a bad ``x`` raises InputError at ``path``."""
     if (problem := _entry_problem(x)) is not None:
         problem = f"malformed vector: {problem}"
     else:
@@ -203,7 +208,7 @@ def as_vector(x, dim: int | None = None, path: str | None = None) -> Vector:
             problem = f"dimension mismatch: expected {dim}, got {v.shape[0]}"
         else:
             return v
-    raise ValueError(problem) if path is None else InputError(path, problem)
+    raise InputError(path, problem)
 
 
 def check_member(violation: float, path: str) -> None:
@@ -245,21 +250,59 @@ def _excess(r: float) -> float:
     return 0.0 if r <= 0.0 else math.inf
 
 
-class ConvexBody:
-    """Base class for closed convex sets.
+def _scaled(c: Vector) -> tuple[Vector, int]:
+    """``(c 2^-e, e)`` with ``max |c_i 2^-e|`` in [1/2, 1) where ``|c|^2`` could
+    overflow or underflow, else ``(c, 0)``: the oracles square ``c``, though
+    their minimizer reads only its direction and their support scales with
+    it. The scale keeps the bits of every entry that stays a normal float."""
+    e = math.frexp(_inf_norm(c))[1]
+    return (c, 0) if abs(e) < 500 else (np.ldexp(c, -e), e)
 
-    Subclasses set ``is_compact`` (whether the body has a linear oracle, and
-    so a conditional-gradient projection) and define ``dim``, ``violation``,
-    ``project`` and the unchecked ``_violation_project`` that ``project``
-    reads (see the module docstring). Every body kind projects exactly. All
-    instances are immutable after construction.
-    """
+
+class ConvexBody:
+    """Base class for closed convex sets, and their checked layer. A kind
+    sets ``is_compact`` (whether it has a linear oracle, and so a
+    conditional-gradient projection; if not, both oracles refuse) and
+    defines ``dim``, ``_violation`` (here the frame formula),
+    ``_violation_project`` and, when compact, the frame methods, ``_support``
+    and, for an ellipsoid, ``_frame_direction``. Instances are immutable."""
 
     is_compact: ClassVar[bool]
     _diameter: float  # compact bodies: the diameter once grown by START_TOL
 
+    def violation(self, z) -> float:
+        """Max over the defining constraints of ``max(0, g_i(z))``."""
+        return self._violation(as_vector(z, self.dim, "z"))
+
+    def project(self, v) -> Vector:
+        """The exact Euclidean projection of ``v`` onto the body."""
+        return self._violation_project(as_vector(v, self.dim, "v"))[1]
+
+    def lo_minimize(self, c) -> tuple[Vector, float]:
+        """Return ``(z_star, value)`` minimizing ``<c, z>`` over the body."""
+        if not self.is_compact:
+            raise self._no_oracle()
+        c = as_vector(c, self.dim, "c")
+        z = self._from_frame(self._frame_lo(self._frame_direction(_scaled(c)[0])))
+        return z, float(c @ z)
+
+    def support(self, c) -> float:
+        """Support function ``max_z <c, z>`` over the body."""
+        if not self.is_compact:
+            raise self._no_oracle()
+        g, e = _scaled(as_vector(c, self.dim, "c"))
+        return math.ldexp(self._support(g), e)
+
+    def _no_oracle(self) -> UnsupportedOracleError:
+        """The one refusal of an oracle call on a body that is not compact."""
+        return UnsupportedOracleError(f"{type(self).__name__} is not compact: no oracle")
+
     def _violation(self, z: Vector) -> float:
         return self._frame_violation(self._to_frame(z))
+
+    def _frame_direction(self, c: Vector) -> Vector:
+        """A direction's frame coordinates; the frame's shift leaves it as is."""
+        return c
 
     def _fw_plane(self, anchor: Vector, point: Vector) -> Plane | None:
         """The plane in which a Frank-Wolfe call from ``anchor`` towards
@@ -267,17 +310,10 @@ class ConvexBody:
         module docstring)."""
         return None
 
-    def lo_minimize(self, c) -> tuple[Vector, float]:
-        """Return ``(z_star, value)`` minimizing ``<c, z>`` over the body."""
-        raise UnsupportedOracleError(
-            f"{type(self).__name__} does not support a linear minimization oracle"
-        )
 
-    def support(self, c) -> float:
-        """Support function ``max_z <c, z>`` over the body."""
-        raise UnsupportedOracleError(
-            f"{type(self).__name__} does not support the support function"
-        )
+# perfbench's tracer wraps each kind's own ``__dict__`` entries, so each
+# compact kind binds these three by name, and a halfspace the first two.
+_TRACED = ConvexBody.violation, ConvexBody.project, ConvexBody.lo_minimize
 
 
 @dataclass(frozen=True, eq=False)
@@ -295,7 +331,7 @@ class Halfspace(ConvexBody):
     is_compact: ClassVar[bool] = False
 
     def __post_init__(self):
-        a = as_vector(self.normal, path="normal")
+        a = as_vector(self.normal, None, "normal")
         with np.errstate(over="ignore"):  # ``project`` divides by the squared norm
             normal_sq = float(a.dot(a))
         if not 0.0 < normal_sq < math.inf:
@@ -308,14 +344,10 @@ class Halfspace(ConvexBody):
     def dim(self) -> int:
         return self.normal.shape[0]
 
-    def violation(self, z) -> float:
-        return self._violation(as_vector(z, self.dim))
+    violation, project = _TRACED[:2]
 
     def _violation(self, z: Vector) -> float:
         return max(0.0, float(self.normal.dot(z)) - self.offset)
-
-    def project(self, v) -> Vector:
-        return self._violation_project(as_vector(v, self.dim))[1]
 
     def _violation_project(self, v: Vector) -> tuple[float, Vector]:
         excess = float(self.normal.dot(v)) - self.offset
@@ -335,7 +367,7 @@ class Ball(ConvexBody):
     is_compact: ClassVar[bool] = True
 
     def __post_init__(self):
-        object.__setattr__(self, "center", as_vector(self.center, path="center"))
+        object.__setattr__(self, "center", as_vector(self.center, None, "center"))
         r = as_float(self.radius, "radius")
         if r <= 0.0:
             raise InputError("radius", f"must be positive, got {r}")
@@ -346,8 +378,7 @@ class Ball(ConvexBody):
     def dim(self) -> int:
         return self.center.shape[0]
 
-    def violation(self, z) -> float:
-        return self._violation(as_vector(z, self.dim))
+    violation, project, lo_minimize = _TRACED
 
     def _to_frame(self, x: Vector) -> Vector:
         return x - self.center
@@ -406,17 +437,8 @@ class Ball(ConvexBody):
 
         return ua0, ua1, up0, 0.0, pa_sq, lam, lam, from_plane
 
-    def lo_minimize(self, c) -> tuple[Vector, float]:
-        c = as_vector(c, self.dim)
-        z = self._from_frame(self._frame_lo(c))
-        return z, float(c @ z)
-
-    def support(self, c) -> float:
-        c = as_vector(c, self.dim)
+    def _support(self, c: Vector) -> float:
         return float(c @ self.center) + self.radius * _norm(c)
-
-    def project(self, v) -> Vector:
-        return self._violation_project(as_vector(v, self.dim))[1]
 
     def _violation_project(self, v: Vector) -> tuple[float, Vector]:
         d = v - self.center
@@ -439,7 +461,7 @@ class Box(ConvexBody):
     is_compact: ClassVar[bool] = True
 
     def __post_init__(self):
-        lo = as_vector(self.lower, path="lower")
+        lo = as_vector(self.lower, None, "lower")
         hi = as_vector(self.upper, lo.shape[0], "upper")
         if np.any(lo > hi):
             raise InputError("upper", "must be >= lower componentwise")
@@ -452,8 +474,7 @@ class Box(ConvexBody):
     def dim(self) -> int:
         return self.lower.shape[0]
 
-    def violation(self, z) -> float:
-        return self._violation(as_vector(z, self.dim))
+    violation, project, lo_minimize = _TRACED
 
     # The frame is the identity.
     def _to_frame(self, x: Vector) -> Vector:
@@ -471,17 +492,8 @@ class Box(ConvexBody):
         # g_i > 0 picks the lower bound, g_i < 0 the upper; ties go to lower.
         return np.where(g < 0.0, self.upper, self.lower)
 
-    def lo_minimize(self, c) -> tuple[Vector, float]:
-        c = as_vector(c, self.dim)
-        z = self._frame_lo(c)
-        return z, float(c @ z)
-
-    def support(self, c) -> float:
-        c = as_vector(c, self.dim)
+    def _support(self, c: Vector) -> float:
         return float(np.sum(np.where(c > 0.0, c * self.upper, c * self.lower)))
-
-    def project(self, v) -> Vector:
-        return self._violation_project(as_vector(v, self.dim))[1]
 
     def _violation_project(self, v: Vector) -> tuple[float, Vector]:
         return self._violation(v), np.clip(v, self.lower, self.upper)
@@ -508,7 +520,7 @@ class Ellipsoid(ConvexBody):
     is_compact: ClassVar[bool] = True
 
     def __post_init__(self):
-        center = as_vector(self.center, path="center")
+        center = as_vector(self.center, None, "center")
         n = center.shape[0]
         if isinstance(self.shape, (list, tuple)):  # a list of rows, each a vector
             q = np.array([as_vector(row, n, "shape") for row in self.shape])
@@ -578,8 +590,7 @@ class Ellipsoid(ConvexBody):
     def dim(self) -> int:
         return self.center.shape[0]
 
-    def violation(self, z) -> float:
-        return self._violation(as_vector(z, self.dim))
+    violation, project, lo_minimize = _TRACED
 
     def _violation(self, z: Vector) -> float:
         if self._planar is None:
@@ -598,6 +609,9 @@ class Ellipsoid(ConvexBody):
 
     def _from_frame(self, u: Vector) -> Vector:
         return self.center + self._eigvecs.dot(u)
+
+    def _frame_direction(self, c: Vector) -> Vector:
+        return self._eigvecs.T @ c
 
     def _frame_lo(self, g: Vector) -> Vector:
         w = g / self._eigvals
@@ -633,20 +647,11 @@ class Ellipsoid(ConvexBody):
         v00, v01, v10, v11, _, _, c0, c1 = self._planar
         return np.array([c0 + (v00 * u0 + v01 * u1), c1 + (v10 * u0 + v11 * u1)])
 
-    def lo_minimize(self, c) -> tuple[Vector, float]:
-        c = as_vector(c, self.dim)
-        z = self._from_frame(self._frame_lo(self._eigvecs.T @ c))
-        return z, float(c @ z)
-
-    def support(self, c) -> float:
-        c = as_vector(c, self.dim)
+    def _support(self, c: Vector) -> float:
         # Not the cached frame: ``oracles`` certifies ``project``, which reads it.
         lam, vecs = np.linalg.eigh(self.shape)
         b = vecs.T @ c
         return float(c @ self.center) + math.sqrt(float(np.sum(b * b / lam)))
-
-    def project(self, v) -> Vector:
-        return self._violation_project(as_vector(v, self.dim))[1]
 
     def _violation_project(self, v: Vector) -> tuple[float, Vector]:
         # In the eigenbasis the projection is z(mu) with coordinates

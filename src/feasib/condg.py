@@ -66,7 +66,6 @@ from .bodies import (
     ConvexBody,
     InputError,
     Plane,
-    UnsupportedOracleError,
     Vector,
     as_float,
     as_vector,
@@ -184,11 +183,9 @@ def condg_project(
     steps; the point is still feasible.
     """
     if not body.is_compact:
-        raise UnsupportedOracleError(
-            f"{type(body).__name__} is not compact; no linear oracle available"
-        )
+        raise body._no_oracle()
     anchor = as_vector(anchor, body.dim, "anchor")
-    point = as_vector(point, body.dim)
+    point = as_vector(point, body.dim, "point")
     plane = body._fw_plane(anchor, point)
     if plane is None:
         return _frame_loop(body, params, anchor, point, keep_trace)

@@ -102,12 +102,12 @@ def render_figure(trace_path, config: InstanceConfig, out_path) -> Path:
     if config.dimension != 2:
         raise ValueError("only 2-D instances can be rendered")
     xs, ys = _read_trace(trace_path)
-    a, b = build_bodies(config)
+    bodies = build_bodies(config)
+    # Each compact outline is computed once; a halfspace's line needs the box.
+    outlines = [None if isinstance(b, Halfspace) else _boundary_points(b, None)
+                for b in bodies]
 
-    pts = list(xs) + list(ys)
-    for body in (a, b):
-        if not isinstance(body, Halfspace):
-            pts.extend(_boundary_points(body, None))
+    pts = list(xs) + list(ys) + [p for outline in outlines if outline for p in outline]
     if not pts:
         pts = [(0.0, 0.0), (1.0, 1.0)]
     px = [p[0] for p in pts]
@@ -128,8 +128,8 @@ def render_figure(trace_path, config: InstanceConfig, out_path) -> Path:
         f'<rect x="{_fmt(x_lo)}" y="{_fmt(-y_hi)}" width="{_fmt(width)}" '
         f'height="{_fmt(height)}" fill="white"/>',
     ]
-    parts.append(_polyline(_boundary_points(a, bbox), _COLOR_A, 1.6))
-    parts.append(_polyline(_boundary_points(b, bbox), _COLOR_B, 1.6))
+    for body, outline, color in zip(bodies, outlines, (_COLOR_A, _COLOR_B)):
+        parts.append(_polyline(outline or _boundary_points(body, bbox), color, 1.6))
     if xs:
         parts.append(_polyline(xs, _COLOR_X, 1.2, opacity=0.9))
         parts.append(_markers(xs, _COLOR_X, marker))

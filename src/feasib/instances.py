@@ -41,7 +41,6 @@ from .bodies import as_float, as_vector, check_count
 from .solvers import ForcingSchedule, SolveReport, StoppingConfig, check_pair
 
 __all__ = [
-    "ConfigError",
     "InstanceConfig",
     "SCHEMA_VERSION",
     "build_bodies",
@@ -69,9 +68,6 @@ _SOLVERS = {
     "ExactAlt2": ("exact_alternating", (False, False), True),
 }
 _SOLVER_LOOKUP = {n.lower().replace("_", ""): n for n in _SOLVERS}
-
-# Config and solver input errors are one class; ``path`` names the field.
-ConfigError = InputError
 
 
 @dataclass(frozen=True)
@@ -116,11 +112,11 @@ _KINDS = {
 
 
 def _kind(kind, path: str):
-    """The ``_KINDS`` row of ``kind``, or ConfigError at ``path.kind``."""
+    """The ``_KINDS`` row of ``kind``, or InputError at ``path.kind``."""
     # The type test comes first: a list or object kind is unhashable.
     if not (isinstance(kind, str) and kind in _KINDS):
         *rest, last = _KINDS
-        raise ConfigError(
+        raise InputError(
             f"{path}.kind",
             f"unknown body kind {kind!r}; expected {', '.join(rest)} or {last}",
         )
@@ -129,11 +125,11 @@ def _kind(kind, path: str):
 
 def _parse_body(obj, path: str, dim: int) -> BodySpec:
     if not isinstance(obj, dict):
-        raise ConfigError(path, "expected an object")
+        raise InputError(path, "expected an object")
     kind = obj.get("kind")
     _, shapes = _kind(kind, path)
     if kind == "ellipse" and dim != 2:
-        raise ConfigError(f"{path}.kind", "ellipse requires dimension 2")
+        raise InputError(f"{path}.kind", "ellipse requires dimension 2")
     params = {}
     for name, shape in shapes.items():
         value, at = obj.get(name), f"{path}.{name}"
@@ -146,23 +142,23 @@ def _section(obj: dict, name: str, cls):
     its fields at ``name.<field>``; a missing field takes its default."""
     section = obj.get(name, {})
     if not isinstance(section, dict):
-        raise ConfigError(name, "expected an object")
+        raise InputError(name, "expected an object")
     return cls(**{f.name: section[f.name] for f in fields(cls) if f.name in section})
 
 
 def parse_config(obj) -> InstanceConfig:
     """Parse and validate a config dict into an :class:`InstanceConfig`."""
     if not isinstance(obj, dict):
-        raise ConfigError("$", "config must be a JSON object")
+        raise InputError("$", "config must be a JSON object")
     schema = obj.get("schema")
     if schema != SCHEMA_VERSION:
-        raise ConfigError("schema", f"expected version {SCHEMA_VERSION}, got {schema}")
+        raise InputError("schema", f"expected version {SCHEMA_VERSION}, got {schema}")
     dim = obj.get("dimension")
     check_count(dim, "dimension")
 
     solver_raw = obj.get("solver")
     if not isinstance(solver_raw, str):
-        raise ConfigError("solver", "expected a string")
+        raise InputError("solver", "expected a string")
     key = solver_raw.lower().replace("_", "").replace("-", "")
     solver = _SOLVER_LOOKUP.get(key, solver_raw)
     _solver_rule(solver)
@@ -207,7 +203,7 @@ def build_bodies(config: InstanceConfig) -> tuple[ConvexBody, ConvexBody]:
 def _solver_rule(solver: str) -> tuple[str, tuple[bool, bool], bool]:
     if solver not in _SOLVERS:
         expected = f"expected one of {tuple(_SOLVERS)}"
-        raise ConfigError("solver", f"unknown solver {solver!r}; {expected}")
+        raise InputError("solver", f"unknown solver {solver!r}; {expected}")
     return _SOLVERS[solver]
 
 
@@ -267,7 +263,7 @@ def load_config(path) -> InstanceConfig:
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ConfigError("$", f"invalid JSON: {exc}") from exc
+        raise InputError("$", f"invalid JSON: {exc}") from exc
     return parse_config(obj)
 
 
@@ -319,10 +315,10 @@ def _ellipse_a_spec() -> BodySpec:
 def _check_table_run(which: int, label: str, solver: str) -> None:
     runs = table_reference(which)
     if label not in runs:
-        raise ConfigError("instance", f"unknown table-{which} instance {label!r}")
+        raise InputError("instance", f"unknown table-{which} instance {label!r}")
     if solver not in runs[label]:
         uses = "/".join(runs[label])
-        raise ConfigError("solver", f"table {which} uses {uses}, got {solver!r}")
+        raise InputError("solver", f"table {which} uses {uses}, got {solver!r}")
 
 
 def table1_config(offset: str, solver: str) -> InstanceConfig:

@@ -55,7 +55,7 @@ def projection_error_bound(body: ConvexBody, point, w) -> float:
     (``_member``), and the bound adds ``|w - m|``. For a halfspace it is the
     exact distance. Neither reads a body's cached frame.
     """
-    point, w = as_vector(point, body.dim), as_vector(w, body.dim)
+    point, w = as_vector(point, body.dim, "point"), as_vector(w, body.dim, "w")
     if isinstance(body, Halfspace):
         a, g = body.normal, point - w
         if float(a @ point) <= body.offset:  # the point is its own projection

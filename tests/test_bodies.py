@@ -11,6 +11,7 @@ from feasib import (
     bodies,
     Ball,
     Box,
+    ConvexBody,
     Ellipsoid,
     ForcingParams,
     Halfspace,
@@ -371,6 +372,73 @@ class TestSupport:
             c = rng.normal(size=body.dim)
             _, val = body.lo_minimize(-c)
             assert body.support(c) == pytest.approx(-val, abs=1e-10)
+
+
+# A compact body of each kind, whose support is positive in every direction.
+SCALED_BODIES = {
+    "ball": lambda: Ball(center=[0.5, -1.0], radius=2.0),
+    "box": lambda: Box(lower=[-1.0, -2.0], upper=[1.0, 2.0]),
+    "ellipsoid-2d": lambda: Ellipsoid(center=[0.0, 0.0], shape=[[1.0, 0.0], [0.0, 4.0]]),
+    "ellipsoid-3d": lambda: Ellipsoid(center=np.zeros(3), shape=np.diag([1.0, 4.0, 9.0])),
+}
+
+
+@pytest.mark.parametrize("kind", SCALED_BODIES)
+@pytest.mark.parametrize(
+    "s", [2.0**-700, 1e-200, 1e200, 2.0**700], ids=["2^-700", "1e-200", "1e200", "2^700"]
+)
+def test_oracles_of_large_and_tiny_directions(kind, s):
+    # The minimizer depends only on the direction, and the support is
+    # homogeneous of degree 1, though |s d|^2 overflows or underflows. A
+    # power-of-two s keeps every bit of the minimizer.
+    body = SCALED_BODIES[kind]()
+    rng = np.random.default_rng(29)
+    exact = math.frexp(s)[0] == 0.5
+    for d in (np.ones(body.dim), *rng.normal(size=(4, body.dim))):
+        z, zs = body.lo_minimize(d)[0], body.lo_minimize(s * d)[0]
+        if exact:
+            assert zs.tolist() == z.tolist()
+        else:
+            assert np.max(np.abs(zs - z)) <= 1e-15 * max(1.0, np.max(np.abs(z)))
+        expected = s * body.support(d)
+        assert body.support(s * d) == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+
+# One body of each kind, the arguments its public methods name, and three
+# vectors each of them refuses: of the wrong length, with a non-finite entry
+# and with a string entry.
+CHECKED_BODIES = {
+    "halfspace": lambda: Halfspace(normal=[1.0, 0.0], offset=0.0),
+    "ball": unit_disk,
+    "box": lambda: Box(lower=[0.0, 0.0], upper=[1.0, 1.0]),
+    "ellipsoid": slim_ellipse,
+}
+CHECKED_ARGUMENTS = {"violation": "z", "project": "v", "lo_minimize": "c", "support": "c"}
+
+
+class TestCheckedLayer:
+    @pytest.mark.parametrize("kind", CHECKED_BODIES)
+    @pytest.mark.parametrize(
+        "bad", [[0.0, 0.0, 0.0], [0.0, math.inf], [0.0, "1"]], ids=["length", "inf", "str"]
+    )
+    def test_each_public_method_names_its_argument(self, kind, bad):
+        body = CHECKED_BODIES[kind]()
+        names = CHECKED_ARGUMENTS if body.is_compact else ["violation", "project"]
+        for name in names:
+            with pytest.raises(InputError) as err:
+                getattr(body, name)(bad)
+            assert err.value.path == CHECKED_ARGUMENTS[name]
+
+    @pytest.mark.parametrize("cls", [Halfspace, Ball, Box, Ellipsoid])
+    def test_each_kind_binds_the_one_checked_layer(self, cls):
+        # The traced names are ConvexBody's own functions, and no kind
+        # defines a public method of its own.
+        traced = ["violation", "project"] + ["lo_minimize"] * cls.is_compact
+        for name in CHECKED_ARGUMENTS:
+            if name in traced:
+                assert cls.__dict__[name] is getattr(ConvexBody, name)
+            else:
+                assert name not in cls.__dict__
 
 
 class TestProjection:

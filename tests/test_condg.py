@@ -150,6 +150,14 @@ class TestCondGBasics:
         with pytest.raises(UnsupportedOracleError):
             condg_project(h, EXACT, [-1.0, 0.0], [1.0, 1.0])
 
+    @pytest.mark.parametrize(
+        "bad", [[0.0, 0.0, 0.0], [0.0, math.nan], [0.0, "1"]], ids=["length", "nan", "str"]
+    )
+    def test_bad_point_named(self, bad):
+        with pytest.raises(InputError) as err:
+            condg_project(unit_disk(), EXACT, [0.0, 0.0], bad)
+        assert err.value.path == "point"
+
     def test_anchor_outside_body_rejected(self):
         with pytest.raises(ValueError):
             condg_project(unit_disk(), EXACT, [2.0, 0.0], [0.0, 0.0])

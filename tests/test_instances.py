@@ -23,7 +23,6 @@ from feasib import (
 from feasib.bodies import check_count
 from feasib.instances import (
     BodySpec,
-    ConfigError,
     SCHEMA_VERSION,
     build_bodies,
     load_config,
@@ -71,48 +70,48 @@ class TestParsing:
             assert parse_config(base_config(solver=raw)).solver == "ACondG1"
 
     def test_unknown_solver_rejected(self):
-        with pytest.raises(ConfigError) as err:
+        with pytest.raises(InputError) as err:
             parse_config(base_config(solver="newton"))
         assert err.value.path == "solver"
 
     def test_schema_version_required(self):
-        with pytest.raises(ConfigError) as err:
+        with pytest.raises(InputError) as err:
             parse_config(base_config(schema=99))
         assert err.value.path == "schema"
 
     def test_bad_body_kind_path(self):
         for body in ({"kind": "torus"}, {}, {"kind": ["ellipse"]}, {"kind": {"a": 1}}):
-            with pytest.raises(ConfigError) as err:
+            with pytest.raises(InputError) as err:
                 parse_config(base_config(set_a=body))
             assert err.value.path == "set_a.kind"
             assert err.value.message.startswith(f"unknown body kind {body.get('kind')!r}")
 
     def test_vector_length_mismatch_path(self):
-        with pytest.raises(ConfigError) as err:
+        with pytest.raises(InputError) as err:
             parse_config(base_config(x0=[0.0, 0.0, 0.0]))
         assert err.value.path == "x0"
 
     def test_semi_axes_positive(self):
         bad = base_config()
         bad["set_a"]["semi_axes"] = [2.0, -0.2]
-        with pytest.raises(ConfigError) as err:
+        with pytest.raises(InputError) as err:
             parse_config(bad)
         assert "semi_axes" in err.value.path
 
     def test_x0_membership_validated(self):
-        with pytest.raises(ConfigError) as err:
+        with pytest.raises(InputError) as err:
             parse_config(base_config(x0=[5.0, 5.0]))
         assert err.value.path == "x0"
 
     def test_solver_body_compatibility(self):
-        with pytest.raises(ConfigError) as err:
+        with pytest.raises(InputError) as err:
             parse_config(base_config(solver="ACondG2", y0=[2.0, 0.0]))
         assert err.value.path == "set_b"
 
     def test_y0_required_for_two_set_solvers(self):
         obj = base_config(solver="ACondG2")
         obj["set_b"] = {"kind": "ball", "center": [3.0, 0.0], "radius": 1.0}
-        with pytest.raises(ConfigError) as err:
+        with pytest.raises(InputError) as err:
             parse_config(obj)
         assert err.value.path == "y0"
 
@@ -122,7 +121,7 @@ class TestParsing:
         obj = base_config(solver="ACondG2", y0=[3.0, 0.0])
         obj["set_b"] = {"kind": "ball", "center": [3.0, 0.0], "radius": 1.0}
         obj["schedule"] = {"theta0": 0.3}
-        with pytest.raises(ConfigError) as err:
+        with pytest.raises(InputError) as err:
             parse_config(obj)
         assert err.value.path == "schedule"
 
@@ -133,7 +132,7 @@ class TestParsing:
     def test_invalid_json_reported(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{not json")
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             load_config(p)
 
 
@@ -163,7 +162,7 @@ BALL_B = {"kind": "ball", "center": [3.0, 0.0], "radius": 1.0}
     ],
 )
 def test_malformed_config_names_the_field(obj, path):
-    with pytest.raises(ConfigError) as err:
+    with pytest.raises(InputError) as err:
         parse_config(obj)
     assert err.value.path == path
 
@@ -233,9 +232,9 @@ PARITY_CASES = [
 
 @pytest.mark.parametrize("overrides, call, path", PARITY_CASES)
 def test_config_and_solver_reject_alike(overrides, call, path):
-    with pytest.raises(ConfigError) as from_config:
+    with pytest.raises(InputError) as from_config:
         parse_config(base_config(**overrides))
-    with pytest.raises(ConfigError) as from_call:
+    with pytest.raises(InputError) as from_call:
         call()
     assert from_config.value.path == from_call.value.path == path
     assert str(from_config.value) == str(from_call.value)
@@ -320,9 +319,9 @@ BODY_CASES = [
 
 @pytest.mark.parametrize("which, body, call, path", BODY_CASES)
 def test_config_and_constructor_reject_bodies_alike(which, body, call, path):
-    with pytest.raises(ConfigError) as from_config:
+    with pytest.raises(InputError) as from_config:
         parse_config(base_config(**{which: body}))
-    with pytest.raises(ConfigError) as from_call:
+    with pytest.raises(InputError) as from_call:
         call()
     assert from_call.value.path == path
     assert from_config.value.path == f"{which}.{path}"
@@ -339,7 +338,7 @@ def test_config_and_constructor_reject_bodies_alike(which, body, call, path):
     ],
 )
 def test_schedule_range_rules_name_the_config_field(schedule, path):
-    with pytest.raises(ConfigError) as err:
+    with pytest.raises(InputError) as err:
         parse_config(base_config(schedule=schedule))
     assert err.value.path == path
 
@@ -349,7 +348,7 @@ def test_schedule_range_rules_hold_for_every_solver():
     # but the schedule's own range rules still hold at parse time.
     obj = serialize_config(table1_config("1.30", "ExactAlt1"))
     obj["schedule"]["tau"] = 1.0
-    with pytest.raises(ConfigError) as err:
+    with pytest.raises(InputError) as err:
         parse_config(obj)
     assert err.value.path == "schedule.tau"
     assert err.value.message == "must lie in (0, 1), got 1.0"
@@ -526,9 +525,9 @@ class TestTables:
     def test_unknown_table_rejected(self):
         with pytest.raises(ValueError):
             table_reference(3)
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             table1_config("9.99", "ACondG1")
-        with pytest.raises(ConfigError) as err:
+        with pytest.raises(InputError) as err:
             table1_config("1.30", "ACondG2")
         assert err.value.path == "solver"
         assert err.value.message == "table 1 uses ACondG1/ExactAlt1, got 'ACondG2'"
@@ -539,7 +538,7 @@ class TestTables:
         cfg = replace(
             table1_config("1.30", "ExactAlt1"), set_a=BodySpec(kind="torus", params={})
         )
-        with pytest.raises(ConfigError) as err:
+        with pytest.raises(InputError) as err:
             build_bodies(cfg)
         assert err.value.path == "set_a.kind"
         assert str(err.value) == (

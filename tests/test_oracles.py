@@ -9,6 +9,7 @@ from feasib import (
     Box,
     Ellipsoid,
     Halfspace,
+    InputError,
     dist_ellipse_halfspace,
     dist_two_bodies,
     projection_error_bound,
@@ -36,6 +37,18 @@ def known_projections():
 def test_projection_error_bound_reads_zero_on_known_projections():
     for body, point, proj in known_projections():
         assert projection_error_bound(body, point, proj) <= 1e-7
+
+
+@pytest.mark.parametrize(
+    "bad", [[0.0, 0.0, 0.0], [0.0, math.inf], [0.0, "1"]], ids=["length", "inf", "str"]
+)
+@pytest.mark.parametrize("name", ["point", "w"])
+def test_projection_error_bound_names_a_bad_vector(name, bad):
+    for body in (Ball(center=[0.0, 0.0], radius=1.0), Halfspace(normal=[1.0, 0.0], offset=0.0)):
+        args = {"point": [2.0, 0.0], "w": [1.0, 0.0], name: bad}
+        with pytest.raises(InputError) as err:
+            projection_error_bound(body, **args)
+        assert err.value.path == name
 
 
 def test_projection_error_bound_covers_a_known_error():

@@ -13,12 +13,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from feasib import MEMBER_TOL, Ball, Box, Ellipsoid, StopCode, dist_two_bodies
+from feasib import MEMBER_TOL, Ball, Box, Ellipsoid, InputError, StopCode, dist_two_bodies
 from feasib import cli
 from feasib.cli import main
 from feasib.figures import _boundary_points, render_figure
 from feasib.instances import (
-    ConfigError,
     build_bodies,
     load_config,
     parse_config,
@@ -202,7 +201,7 @@ class TestRunInstance:
     def test_invalid_config_raises_and_writes_nothing(self, tmp_path):
         cfg = replace(table1_config("1.30", "ACondG1"), x0=(9.0, 9.0))
         out_dir = tmp_path / "out"
-        with pytest.raises(ConfigError, match="x0"):
+        with pytest.raises(InputError, match="x0"):
             run_instance(cfg, out_dir)
         assert not out_dir.exists()
 
