@@ -15,18 +15,18 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from feasib.figures import render_figure
-from feasib.instances import table1_config, table2_config
+from feasib.instances import table_config
 from feasib.runner import run_instance
 
 PANELS = [
-    ("1.30", "ACondG1"),
-    ("1.30", "ExactAlt1"),
-    ("1.50", "ACondG1"),
-    ("1.50", "ExactAlt1"),
-    ("2.30", "ACondG2"),
-    ("2.30", "ExactAlt2"),
-    ("2.50", "ACondG2"),
-    ("2.50", "ExactAlt2"),
+    (1, "1.30", "ACondG1"),
+    (1, "1.30", "ExactAlt1"),
+    (1, "1.50", "ACondG1"),
+    (1, "1.50", "ExactAlt1"),
+    (2, "2.30", "ACondG2"),
+    (2, "2.30", "ExactAlt2"),
+    (2, "2.50", "ACondG2"),
+    (2, "2.50", "ExactAlt2"),
 ]
 
 
@@ -36,11 +36,8 @@ def main() -> int:
     args = parser.parse_args()
     out = Path(args.out_dir)
 
-    for label, solver in PANELS:
-        if solver.endswith("1"):
-            config = table1_config(label, solver)
-        else:
-            config = table2_config(label, solver)
+    for which, label, solver in PANELS:
+        config = table_config(which, label, solver)
         stem = f"{solver}_{label}"
         report, trace = run_instance(config, out, stem=stem)
         svg = render_figure(trace, config, out / f"{stem}.svg")

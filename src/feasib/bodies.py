@@ -673,7 +673,10 @@ class Ellipsoid(ConvexBody):
     # once s2 - 1 <= MEMBER_TOL (so a member returns as itself, and a rounding
     # overshoot past the root, where the step would be negative, ends), when
     # a step no longer increases mu, or at _SECULAR_MAX_ITERS, a safety cap.
-    # Each returns the violation, the projection and its Newton steps.
+    # Each returns the violation, the projection and its Newton steps. A far
+    # point overflows: past s2 ~ 1e205 the first step is inf and the result
+    # would be the centre, and once s2 is inf it is nan and no step is taken
+    # from outside. Both raise ValueError, as the solvers' ``_finite`` does.
 
     def _newton_frame(self, v: Vector) -> tuple[float, Vector, int]:
         """The Newton solve with numpy vectors, for any dimension."""
@@ -691,6 +694,8 @@ class Ellipsoid(ConvexBody):
             e = 1.0 / (1.0 + mu * lam)
             q = t * e * e
             s2 = float(q.sum())
+        if mu == math.inf or (steps == 0 and not s2 - 1.0 <= MEMBER_TOL):
+            raise ValueError(f"the projection of {v} overflowed")
         violation = self._frame_violation(b)
         if steps == 0:
             return violation, v.copy(), 0
@@ -714,6 +719,8 @@ class Ellipsoid(ConvexBody):
             e0, e1 = 1.0 / (1.0 + mu * l0), 1.0 / (1.0 + mu * l1)
             q0, q1 = t0 * e0 * e0, t1 * e1 * e1
             s2 = q0 + q1
+        if mu == math.inf or (steps == 0 and not s2 - 1.0 <= MEMBER_TOL):
+            raise ValueError(f"the projection of {v} overflowed")
         if steps == 0:
             return violation, v.copy(), 0
         point = self._from_planar(b0 / (1.0 + mu * l0), b1 / (1.0 + mu * l1))

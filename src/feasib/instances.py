@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
@@ -51,6 +52,7 @@ __all__ = [
     "solve_config",
     "table1_config",
     "table2_config",
+    "table_config",
     "table_reference",
     "validate_config",
 ]
@@ -273,95 +275,73 @@ def save_config(config: InstanceConfig, path) -> None:
 
 # --- built-in experiment tables -------------------------------------------
 #
-# Table 1: slim rotated ellipse against a moving halfspace x1 >= beta.
-# Table 2: the same ellipse against a second rotated ellipse whose center
-# slides along the x1 axis. Reference stop codes and final violations are
-# transcribed constants the runs are compared against.
+# Both tables run the slim rotated ellipse A, started at the origin, against
+# a set B that slides along x1: table 1's halfspace x1 >= label, table 2's
+# second rotated ellipse centred at (label, 0.5). Reference stop codes and
+# final violations are transcribed constants the runs are compared against.
 
-_REFERENCE_TABLE1 = {
-    "1.30": {"ACondG1": ("C", "0.00e+00"), "ExactAlt1": ("L", "1.47e-08")},
-    "1.35": {"ACondG1": ("C", "0.00e+00"), "ExactAlt1": ("L", "1.44e-08")},
-    "1.40": {"ACondG1": ("C", "0.00e+00"), "ExactAlt1": ("L", "2.11e-08")},
-    "1.42": {"ACondG1": ("C", "0.00e+00"), "ExactAlt1": ("L", "5.67e-08")},
-    "1.43": {"ACondG1": ("L", "8.73e-03"), "ExactAlt1": ("L", "8.73e-03")},
-    "1.45": {"ACondG1": ("L", "2.87e-02"), "ExactAlt1": ("L", "2.87e-02")},
-    "1.50": {"ACondG1": ("L", "7.87e-02"), "ExactAlt1": ("L", "7.87e-02")},
-    "1.60": {"ACondG1": ("L", "1.79e-01"), "ExactAlt1": ("L", "1.79e-01")},
+_REFERENCE = {
+    1: {
+        "1.30": {"ACondG1": ("C", "0.00e+00"), "ExactAlt1": ("L", "1.47e-08")},
+        "1.35": {"ACondG1": ("C", "0.00e+00"), "ExactAlt1": ("L", "1.44e-08")},
+        "1.40": {"ACondG1": ("C", "0.00e+00"), "ExactAlt1": ("L", "2.11e-08")},
+        "1.42": {"ACondG1": ("C", "0.00e+00"), "ExactAlt1": ("L", "5.67e-08")},
+        "1.43": {"ACondG1": ("L", "8.73e-03"), "ExactAlt1": ("L", "8.73e-03")},
+        "1.45": {"ACondG1": ("L", "2.87e-02"), "ExactAlt1": ("L", "2.87e-02")},
+        "1.50": {"ACondG1": ("L", "7.87e-02"), "ExactAlt1": ("L", "7.87e-02")},
+        "1.60": {"ACondG1": ("L", "1.79e-01"), "ExactAlt1": ("L", "1.79e-01")},
+    },
+    2: {
+        "2.30": {"ACondG2": ("C", "0.00e+00"), "ExactAlt2": ("L", "2.71e-08")},
+        "2.35": {"ACondG2": ("C", "0.00e+00"), "ExactAlt2": ("L", "4.60e-08")},
+        "2.357": {"ACondG2": ("C", "0.00e+00"), "ExactAlt2": ("L", "7.63e-08")},
+        "2.358": {"ACondG2": ("C", "0.00e+00"), "ExactAlt2": ("L", "1.06e-07")},
+        "2.359": {"ACondG2": ("L", "1.50e-04"), "ExactAlt2": ("L", "7.31e-05")},
+        "2.36": {"ACondG2": ("L", "1.01e-03"), "ExactAlt2": ("L", "1.00e-03")},
+        "2.40": {"ACondG2": ("L", "4.01e-02"), "ExactAlt2": ("L", "4.01e-02")},
+        "2.50": {"ACondG2": ("L", "1.59e-01"), "ExactAlt2": ("L", "1.59e-01")},
+    },
 }
 
-_REFERENCE_TABLE2 = {
-    "2.30": {"ACondG2": ("C", "0.00e+00"), "ExactAlt2": ("L", "2.71e-08")},
-    "2.35": {"ACondG2": ("C", "0.00e+00"), "ExactAlt2": ("L", "4.60e-08")},
-    "2.357": {"ACondG2": ("C", "0.00e+00"), "ExactAlt2": ("L", "7.63e-08")},
-    "2.358": {"ACondG2": ("C", "0.00e+00"), "ExactAlt2": ("L", "1.06e-07")},
-    "2.359": {"ACondG2": ("L", "1.50e-04"), "ExactAlt2": ("L", "7.31e-05")},
-    "2.36": {"ACondG2": ("L", "1.01e-03"), "ExactAlt2": ("L", "1.00e-03")},
-    "2.40": {"ACondG2": ("L", "4.01e-02"), "ExactAlt2": ("L", "4.01e-02")},
-    "2.50": {"ACondG2": ("L", "1.59e-01"), "ExactAlt2": ("L", "1.59e-01")},
-}
 
-
-def _ellipse_a_spec() -> BodySpec:
-    return BodySpec(
-        kind="ellipse",
-        params={
-            "center": (0.0, 0.0),
-            "angle": -math.pi / 4.0,
-            "semi_axes": (2.0, 0.2),
-        },
-    )
-
-
-def _check_table_run(which: int, label: str, solver: str) -> None:
+def table_config(which: int, label: str, solver: str) -> InstanceConfig:
+    """Run ``label`` of table ``which`` by ``solver``. B is table 1's
+    halfspace ``x1 >= label``, or table 2's ellipse centred at ``(label,
+    0.5)`` with angle pi/3 and semi-axes (2, 0.4), where ``y0`` starts."""
     runs = table_reference(which)
     if label not in runs:
         raise InputError("instance", f"unknown table-{which} instance {label!r}")
     if solver not in runs[label]:
         uses = "/".join(runs[label])
         raise InputError("solver", f"table {which} uses {uses}, got {solver!r}")
+    t = float(label)
+    if which == 1:
+        set_b, y0 = BodySpec("halfspace", {"normal": (-1.0, 0.0), "offset": -t}), None
+    else:
+        second = {"center": (t, 0.5), "angle": math.pi / 3.0, "semi_axes": (2.0, 0.4)}
+        set_b, y0 = BodySpec("ellipse", second), (t, 0.5)
+    slim = {"center": (0.0, 0.0), "angle": -math.pi / 4.0, "semi_axes": (2.0, 0.2)}
+    return InstanceConfig(
+        dimension=2, set_a=BodySpec("ellipse", slim), set_b=set_b,
+        x0=(0.0, 0.0), solver=solver, y0=y0,
+    )
 
 
 def table1_config(offset: str, solver: str) -> InstanceConfig:
     """Instance of table 1: ellipse vs halfspace ``x1 >= offset``."""
-    _check_table_run(1, offset, solver)
-    beta = float(offset)
-    return InstanceConfig(
-        dimension=2,
-        set_a=_ellipse_a_spec(),
-        set_b=BodySpec(
-            kind="halfspace", params={"normal": (-1.0, 0.0), "offset": -beta}
-        ),
-        x0=(0.0, 0.0),
-        solver=solver,
-    )
+    return table_config(1, offset, solver)
 
 
 def table2_config(center1: str, solver: str) -> InstanceConfig:
-    """Instance of table 2: ellipse vs a second ellipse centered at
-    ``(center1, 0.5)`` with angle pi/3 and semi-axes (2, 0.4)."""
-    _check_table_run(2, center1, solver)
-    c1 = float(center1)
-    return InstanceConfig(
-        dimension=2,
-        set_a=_ellipse_a_spec(),
-        set_b=BodySpec(
-            kind="ellipse",
-            params={
-                "center": (c1, 0.5),
-                "angle": math.pi / 3.0,
-                "semi_axes": (2.0, 0.4),
-            },
-        ),
-        x0=(0.0, 0.0),
-        y0=(c1, 0.5),
-        solver=solver,
-    )
+    """Instance of table 2: ellipse vs a second ellipse centred at
+    ``(center1, 0.5)``."""
+    return table_config(2, center1, solver)
 
 
 def table_reference(which: int) -> dict:
-    """Reference (stop code, final violation) per instance and solver."""
-    if which == 1:
-        return _REFERENCE_TABLE1
-    if which == 2:
-        return _REFERENCE_TABLE2
-    raise ValueError(f"no table {which}; expected 1 or 2")
+    """Reference (stop code, final violation) per instance and solver of
+    table ``which``, the integer 1 or 2; a bool is none."""
+    integer = isinstance(which, numbers.Integral) and not isinstance(which, bool)
+    if not (integer and which in _REFERENCE):
+        raise InputError("which", f"no table {which!r}; expected 1 or 2")
+    return _REFERENCE[which]

@@ -27,13 +27,7 @@ import time
 from pathlib import Path
 from typing import NamedTuple
 
-from .instances import (
-    InstanceConfig,
-    solve_config,
-    table1_config,
-    table2_config,
-    table_reference,
-)
+from .instances import InstanceConfig, solve_config, table_config, table_reference
 from .solvers import SolveReport
 
 __all__ = [
@@ -129,13 +123,12 @@ def reproduce_table(which: int, out_dir) -> list[TableRow]:
     unknown table.
     """
     reference = table_reference(which)
-    make = table1_config if which == 1 else table2_config
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for label, solvers in reference.items():
         for solver, (ref_code, ref_viol) in solvers.items():
-            config = make(label, solver)
+            config = table_config(which, label, solver)
             report = solve_config(config)
             trace_path = out_dir / f"table_{label}_{solver}_trace.csv"
             write_trace_csv(trace_path, report, config.dimension)

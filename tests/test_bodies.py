@@ -404,6 +404,26 @@ def test_oracles_of_large_and_tiny_directions(kind, s):
         assert body.support(s * d) == pytest.approx(expected, rel=1e-15, abs=0.0)
 
 
+@pytest.mark.parametrize(
+    "kind, s",
+    [("ellipsoid-2d", s) for s in (1e102, 1e103, 1e150, 1e160, 1e300)]
+    + [("ellipsoid-3d", s) for s in (1e102, 1e103, 1e150)],
+)
+def test_a_far_point_projects_to_its_limit_or_raises(kind, s):
+    # As s grows, P(s d) tends to the point of the body farthest along d,
+    # the minimizer of <-d, z>. Past s = 1e102 the Newton solve overflows:
+    # it used to return the centre, or the point itself, with no warning.
+    body = SCALED_BODIES[kind]()
+    d = np.ones(body.dim)
+    if s > 1e102:
+        with pytest.raises(ValueError, match="overflowed"):
+            body.project(s * d)
+        return
+    p = body.project(s * d)
+    assert body.violation(p) <= MEMBER_TOL
+    assert np.max(np.abs(p - body.lo_minimize(-d)[0])) <= 1e-12
+
+
 # One body of each kind, the arguments its public methods name, and three
 # vectors each of them refuses: of the wrong length, with a non-finite entry
 # and with a string entry.

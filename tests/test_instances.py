@@ -1,7 +1,7 @@
 import json
 import math
 import re
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +31,7 @@ from feasib.instances import (
     serialize_config,
     table1_config,
     table2_config,
+    table_config,
     table_reference,
     validate_config,
 )
@@ -523,14 +524,57 @@ class TestTables:
         assert all(set(v) == {"ACondG2", "ExactAlt2"} for v in ref2.values())
 
     def test_unknown_table_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError) as err:
             table_reference(3)
+        assert err.value.path == "which"
         with pytest.raises(InputError):
             table1_config("9.99", "ACondG1")
         with pytest.raises(InputError) as err:
             table1_config("1.30", "ACondG2")
         assert err.value.path == "solver"
         assert err.value.message == "table 1 uses ACondG1/ExactAlt1, got 'ACondG2'"
+
+    @pytest.mark.parametrize("which", [0, 3, True, "1"])
+    def test_only_the_integers_1_and_2_name_a_table(self, which):
+        # True == 1, but a bool is no table number.
+        with pytest.raises(InputError) as err:
+            table_reference(which)
+        assert err.value.path == "which"
+        assert err.value.message == f"no table {which!r}; expected 1 or 2"
+
+    # Each table's runs, written out: A is the slim ellipse, started at the
+    # origin, and B slides along x1 by the run's label t.
+    SET_A = {"kind": "ellipse", "center": [0.0, 0.0], "angle": -math.pi / 4.0,
+             "semi_axes": [2.0, 0.2]}
+    SET_B = {
+        1: lambda t: ({"kind": "halfspace", "normal": [-1.0, 0.0], "offset": -t}, None),
+        2: lambda t: (
+            {"kind": "ellipse", "center": [t, 0.5], "angle": math.pi / 3.0,
+             "semi_axes": [2.0, 0.4]},
+            [t, 0.5],
+        ),
+    }
+
+    @pytest.mark.parametrize("which", [1, 2])
+    def test_table_config_builds_each_run_of_the_table(self, which):
+        runs = [(label, solver) for label, codes in table_reference(which).items()
+                for solver in codes]
+        assert len(runs) == 16
+        for label, solver in runs:
+            set_b, y0 = self.SET_B[which](float(label))
+            expected = {
+                "schema": SCHEMA_VERSION,
+                "dimension": 2,
+                "set_a": self.SET_A,
+                "set_b": set_b,
+                "x0": [0.0, 0.0],
+                "solver": solver,
+                "schedule": asdict(ForcingSchedule()),
+                "stopping": asdict(StoppingConfig()),
+                **({} if y0 is None else {"y0": y0}),
+            }
+            got = json.loads(json.dumps(serialize_config(table_config(which, label, solver))))
+            assert got == expected, (which, label, solver)
 
     def test_unknown_kind_in_a_built_config_names_the_set(self):
         # parse_config rejects the kind first; a config built directly

@@ -253,8 +253,9 @@ class TestReproduceTable:
 
     def test_unknown_table_raises_and_writes_nothing(self, tmp_path):
         out_dir = tmp_path / "out"
-        with pytest.raises(ValueError, match="no table 3"):
+        with pytest.raises(InputError, match="no table 3") as err:
             reproduce_table(3, out_dir)
+        assert err.value.path == "which"
         assert not out_dir.exists()
 
     def test_traces_written_per_run(self, table1_dir):
