@@ -14,6 +14,7 @@ from .bodies import (
     Halfspace,
     InputError,
     MEMBER_TOL,
+    RANGE,
     START_TOL,
     UnsupportedOracleError,
     as_vector,
@@ -53,6 +54,7 @@ __all__ = [
     "Halfspace",
     "InputError",
     "MEMBER_TOL",
+    "RANGE",
     "START_TOL",
     "SolveReport",
     "StopCode",

@@ -31,9 +31,9 @@ Frank-Wolfe loop of :mod:`feasib.condg` runs there, tests its anchor with
 iterates stay in a plane, ``_fw_plane(anchor, point)`` gives that plane
 instead, as Python floats, and tests the anchor there: a 2-D ellipsoid's
 cached frame, or a ball's plane through its centre, anchor and point,
-built per call where the plane's floats can hold the ball's disk. Every
-other body gives None. The public ``lo_minimize`` is the frame oracle
-between the two maps, on ``c`` scaled by a power of two (``_scaled``).
+built per call. Every other body gives None. The public ``lo_minimize``
+is the frame oracle between the two maps, on ``c`` scaled by a power of
+two where it is tiny (``_scaled``).
 Each kind's one unchecked exact projection is ``_violation_project(v)``,
 which returns ``(violation, projection)``, the violation bit for bit that of
 ``_violation(v)``, from one frame map: a halfspace computes one excess, a
@@ -42,9 +42,10 @@ violation reads, and a box its violation and one clip. The public
 ``project`` returns its second entry. The solvers
 measure and project each iterate with it on every side they project
 exactly, and call ``_violation`` on the others.
-A point whose offset from a compact body overflows gets the violation
-``inf``: the frame formula would read ``0 * inf`` or ``inf - inf`` as nan,
-which ``max(0, .)`` turns into 0.
+
+Every number a body holds or reads lies in the range ``RANGE`` states (see
+its comment): ``as_vector`` and the constructors refuse the rest, so no
+formula here overflows and none needs a far-point rescue.
 
 A 2-D ellipsoid, the body of every instance in the paper's tables, caches
 its frame as Python floats at construction (``_planar``: the entries of
@@ -92,10 +93,32 @@ Plane: TypeAlias = tuple[float, float, float, float, float, float, float,
 MEMBER_TOL = 1e-12
 START_TOL = 1e-10
 _SECULAR_MAX_ITERS = 200  # the safety cap of Ellipsoid's Newton loops
-# ``_all_finite`` and ``_inf_norm`` read vectors of at most _SHORT entries as
+# ``_in_range`` and ``_inf_norm`` read vectors of at most _SHORT entries as
 # Python floats (timeit, n = 2: 0.3 against 0.8 us; the forms cross near
 # n = 20); nd_pairs' n >= 16 stay numpy.
 _SHORT = 8
+
+# The float range. Every coordinate (of a point, a centre, a box bound or a
+# direction), shape entry and halfspace offset lies within +-RANGE, and every
+# length (a radius, a semi-axis, |normal|) in [RANGE**-0.5, RANGE**0.5] =
+# [2^-64, 2^64]; ``as_vector`` and the constructors refuse the rest. Then no
+# intermediate overflows in any dimension n. A halfspace projection moves a
+# point v by at most |v| + |offset|/|normal| <= |v| + 2^192, so the solvers'
+# points lie within 2^194 sqrt(n) of any centre (ACondG1 passes such a point,
+# which may leave +-RANGE, to ``condg_project``, whose ``point`` may lie
+# within +-_POINT_RANGE). An ellipsoid's eigenvalues lie in [2^-128, 2^128],
+# so its Newton gauge s2 = sum l_i b_i^2 is at most n 2^516, and the largest
+# intermediate, the first step's s2^(3/2), at most n^1.5 2^774, far below the
+# float maximum 2^1024; a Frank-Wolfe step's |g|^2 / l is at most n 2^642.
+# Only tiny numbers still need a rescue (``_norm``, ``_scaled``). A length at
+# a bound may read a few roundings past it once computed (a rotated shape
+# entry, an eigenvalue from ``eigh``), so the length and shape-entry tests
+# allow a relative _SLACK, far more than that rounding, far less than the
+# derivation's margin.
+RANGE = 2.0**128
+_POINT_RANGE = RANGE**2
+_SLACK = 2.0**-32
+_LENGTHS = RANGE**-0.5 * (1.0 - _SLACK), RANGE**0.5 * (1.0 + _SLACK)
 
 __all__ = [
     "Ball",
@@ -105,6 +128,7 @@ __all__ = [
     "Halfspace",
     "InputError",
     "MEMBER_TOL",
+    "RANGE",
     "START_TOL",
     "UnsupportedOracleError",
     "Vector",
@@ -171,26 +195,38 @@ def _entry_problem(x) -> str | None:
     return None
 
 
-def _all_finite(v: Vector) -> bool:
-    """Whether every entry of the 1-D float64 ``v`` is finite."""
+def _in_range(v: Vector, bound: float) -> bool:
+    """Whether every entry of the 1-D float64 ``v`` lies within +-``bound``;
+    a nan does not."""
     if v.shape[0] <= _SHORT:
-        return all(map(math.isfinite, v.tolist()))
-    return np.count_nonzero(np.isfinite(v)) == v.shape[0]
+        return all(map(bound.__ge__, map(abs, v.tolist())))
+    return bool(np.abs(v).max() <= bound)
 
 
 def _inf_norm(d: Vector) -> float:
-    """``max |d_i|``, selected by length as in ``_all_finite``. ``d``, a
-    difference of finite vectors, holds finite or +-inf entries, so either
-    form of the max is exact."""
+    """``max |d_i|``, selected by length as in ``_in_range``; either form is
+    exact on the finite entries of a difference of vectors in range."""
     if d.shape[0] <= _SHORT:
         return max(map(abs, d.tolist()))
     return float(np.maximum.reduce(np.abs(d)))
 
 
+def _check_length(x: float, path: str, name: str = "") -> None:
+    """Raise InputError at ``path`` unless the length ``x`` lies in
+    [2^-64, 2^64] (see ``RANGE``); ``name`` starts the message."""
+    if not _LENGTHS[0] <= x <= _LENGTHS[1]:
+        raise InputError(path, f"{name}must lie in [2^-64, 2^64], got {x}")
+
+
 def as_vector(x, dim: int | None, path: str) -> Vector:
-    """Validate and convert ``x`` (see :func:`_entry_problem`) to a finite
-    1-D float64 array of ``dim`` entries (any number when ``dim`` is None);
-    a bad ``x`` raises InputError at ``path``."""
+    """Validate and convert ``x`` (see :func:`_entry_problem`) to a 1-D
+    float64 array of ``dim`` entries (any number when ``dim`` is None), each
+    within +-``RANGE``; a bad ``x`` raises InputError at ``path``."""
+    return _vector(x, dim, path, RANGE)
+
+
+def _vector(x, dim: int | None, path: str, bound: float) -> Vector:
+    """``as_vector`` with the entries within +-``bound``."""
     if (problem := _entry_problem(x)) is not None:
         problem = f"malformed vector: {problem}"
     else:
@@ -202,8 +238,9 @@ def as_vector(x, dim: int | None, path: str) -> Vector:
             problem = f"expected a 1-D vector, got shape {v.shape}"
         elif v.shape[0] == 0:
             problem = "expected at least one entry"
-        elif not _all_finite(v):
-            problem = "vector entries must be finite"
+        elif not _in_range(v, bound):
+            e = math.frexp(bound)[1] - 1
+            problem = f"vector entries must lie in [-2^{e}, 2^{e}]"
         elif dim is not None and v.shape[0] != dim:
             problem = f"dimension mismatch: expected {dim}, got {v.shape[0]}"
         else:
@@ -227,36 +264,23 @@ def member_vector(body: ConvexBody, x, path: str) -> Vector:
 
 def _norm(d: Vector) -> float:
     """``|d|`` as numpy's norm computes it, ``sqrt(d . d)``; only when the
-    sum of squares overflows, or falls below the normal range and so loses
-    bits or reads 0, is it recomputed as ``m |d / m|`` with ``m = max |d_i|``."""
-    with np.errstate(over="ignore"):
-        s = float(d.dot(d))
-    if not sys.float_info.min <= s < math.inf:
-        m = float(np.abs(d).max())
-        if m in (0.0, math.inf):  # d / m would hold 0 / 0 or inf / inf
-            return m
-        d = d / m
-        return m * math.sqrt(float(d.dot(d)))
-    return math.sqrt(s)
-
-
-def _excess(r: float) -> float:
-    """``max(0, r)``, except that a nan ``r`` reads ``inf``. A violation is
-    nan only when a point's offset from a compact body overflowed (``0 * inf``
-    or ``inf - inf``), so the point lies far outside; ``max`` would read the
-    nan as 0, a member."""
-    if r > 0.0:
-        return r
-    return 0.0 if r <= 0.0 else math.inf
+    sum of squares falls below the normal range, and so loses bits or reads
+    0, is it recomputed on ``d / max |d_i|`` (a ball's plane reads a point
+    1e-160 from the centre along its offset)."""
+    s = float(d.dot(d))
+    if s >= sys.float_info.min:
+        return math.sqrt(s)
+    m = _inf_norm(d)
+    return m * _norm(d / m) if m > 0.0 else 0.0
 
 
 def _scaled(c: Vector) -> tuple[Vector, int]:
     """``(c 2^-e, e)`` with ``max |c_i 2^-e|`` in [1/2, 1) where ``|c|^2`` could
-    overflow or underflow, else ``(c, 0)``: the oracles square ``c``, though
-    their minimizer reads only its direction and their support scales with
-    it. The scale keeps the bits of every entry that stays a normal float."""
+    underflow, else ``(c, 0)``: the oracles square ``c``, though their
+    minimizer reads only its direction and their support scales with it.
+    The scale keeps the bits of every entry that stays a normal float."""
     e = math.frexp(_inf_norm(c))[1]
-    return (c, 0) if abs(e) < 500 else (np.ldexp(c, -e), e)
+    return (c, 0) if e > -500 else (np.ldexp(c, -e), e)
 
 
 class ConvexBody:
@@ -332,13 +356,13 @@ class Halfspace(ConvexBody):
 
     def __post_init__(self):
         a = as_vector(self.normal, None, "normal")
-        with np.errstate(over="ignore"):  # ``project`` divides by the squared norm
-            normal_sq = float(a.dot(a))
-        if not 0.0 < normal_sq < math.inf:
-            raise InputError("normal", "must have a nonzero, finite squared norm")
+        _check_length(math.hypot(*a.tolist()), "normal", "|normal| ")
+        offset = as_float(self.offset, "offset")
+        if not abs(offset) <= RANGE:
+            raise InputError("offset", "must lie in [-2^128, 2^128]")
         object.__setattr__(self, "normal", a)
-        object.__setattr__(self, "_normal_sq", normal_sq)
-        object.__setattr__(self, "offset", as_float(self.offset, "offset"))
+        object.__setattr__(self, "_normal_sq", float(a.dot(a)))
+        object.__setattr__(self, "offset", offset)
 
     @property
     def dim(self) -> int:
@@ -371,6 +395,7 @@ class Ball(ConvexBody):
         r = as_float(self.radius, "radius")
         if r <= 0.0:
             raise InputError("radius", f"must be positive, got {r}")
+        _check_length(r, "radius")
         object.__setattr__(self, "radius", r)
         object.__setattr__(self, "_diameter", 2.0 * (r + START_TOL))
 
@@ -384,33 +409,26 @@ class Ball(ConvexBody):
         return x - self.center
 
     def _frame_violation(self, u: Vector) -> float:
-        return _excess(_norm(u) - self.radius)
+        return max(0.0, _norm(u) - self.radius)
 
     def _from_frame(self, u: Vector) -> Vector:
         return self.center + u
 
     def _frame_lo(self, g: Vector) -> Vector:
-        ng = math.sqrt(float(g.dot(g)))
+        ng = _norm(g)
         if ng == 0.0:
             return np.zeros_like(g)
         return (-self.radius / ng) * g
 
-    def _fw_plane(self, anchor: Vector, point: Vector) -> Plane | None:
+    def _fw_plane(self, anchor: Vector, point: Vector) -> Plane:
         # The disk of radius r in the plane through the centre spanned by
         # the offsets of the anchor and the point: e1 along the point's (the
         # anchor's when the point is the centre), e2 along what of the
         # anchor's is left, zero when the two are collinear with the centre.
-        # The kernel divides by l = 1/r^2 and forms |g|^2 r^2, so the call
-        # runs in the frame unless r^2 is a normal float and, with
-        # |g| <= D + |p - a| over the call, |g| r < 2^510.
-        r = self.radius
-        rr = r * r
-        if not sys.float_info.min <= rr < math.inf:
-            return None
-        c = self.center
+        r, c = self.radius, self.center
         a = anchor - c
         na = _norm(a)
-        check_member(_excess(na - r), "anchor")
+        check_member(na - r, "anchor")
         p = point - c
         up0 = _norm(p)
         e1, n1 = (p, up0) if up0 > 0.0 else (a, na)
@@ -428,9 +446,7 @@ class Ball(ConvexBody):
         ua1 = float(a.dot(e2))
         d0 = up0 - ua0
         pa_sq = d0 * d0 + ua1 * ua1
-        if not (self._diameter + math.sqrt(pa_sq)) * r < 2.0**510:
-            return None
-        lam = 1.0 / rr
+        lam = 1.0 / (r * r)
 
         def from_plane(u0: float, u1: float) -> Vector:
             return c + u0 * e1 + u1 * e2
@@ -443,11 +459,9 @@ class Ball(ConvexBody):
     def _violation_project(self, v: Vector) -> tuple[float, Vector]:
         d = v - self.center
         nd = _norm(d)
-        violation = _excess(nd - self.radius)
+        violation = max(0.0, nd - self.radius)
         if nd <= self.radius:
             return violation, v.copy()
-        if nd == math.inf:  # the offset overflows; its halves give its direction
-            nd = _norm(d := 0.5 * v - 0.5 * self.center)
         return violation, self.center + (self.radius / nd) * d
 
 
@@ -467,8 +481,7 @@ class Box(ConvexBody):
             raise InputError("upper", "must be >= lower componentwise")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
-        # From half-widths, which cannot overflow; the diameter may read inf.
-        object.__setattr__(self, "_diameter", 2.0 * _norm(0.5 * hi - 0.5 * lo + START_TOL))
+        object.__setattr__(self, "_diameter", _norm(hi - lo + 2.0 * START_TOL))
 
     @property
     def dim(self) -> int:
@@ -530,29 +543,21 @@ class Ellipsoid(ConvexBody):
             q = np.asarray(self.shape, dtype=np.float64)
         if q.shape != (n, n):
             raise InputError("shape", f"must be {n}x{n}, got {q.shape}")
-        # The symmetrization below adds q to its transpose, which overflows
-        # for entries above half the largest float.
-        peak, limit = float(np.abs(q).max(initial=0.0)), 0.5 * sys.float_info.max
-        if not peak <= limit:
-            raise InputError("shape", f"entries must be finite and at most {limit:.3g}")
-        # The test ||q - q^T|| <= 1e-12 max(||q||, 1), run on q / max(peak, 1):
-        # its entries are at most 1 in magnitude, so its norms cannot overflow.
-        s = max(peak, 1.0)
-        qs = q / s
-        scale = max(float(np.linalg.norm(qs)), 1.0 / s)
-        if float(np.linalg.norm(qs - qs.T)) > 1e-12 * scale:
+        if not np.abs(q).max(initial=0.0) <= RANGE * (1.0 + _SLACK):
+            raise InputError("shape", "entries must lie in [-2^128, 2^128]")
+        if float(np.linalg.norm(q - q.T)) > 1e-12 * max(float(np.linalg.norm(q)), 1.0):
             raise InputError("shape", "must be symmetric")
         q = 0.5 * (q + q.T)
-        vals, vecs = np.linalg.eigh(q)
-        # Entries near the float limit overflow to NaN eigenvalues, which
-        # compare false both ways: only a test that they are > 0 rejects them.
-        if not np.all((0.0 < vals) & (vals < math.inf)):
+        vals, vecs = np.linalg.eigh(q)  # ascending
+        if not vals[0] > 0.0:
             raise InputError("shape", f"must be positive definite, eigenvalues {vals}")
+        for lam in (vals[0], vals[-1]):
+            _check_length(1.0 / math.sqrt(lam), "shape", "semi-axes ")
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "shape", q)
         object.__setattr__(self, "_eigvals", vals)
         object.__setattr__(self, "_eigvecs", vecs)
-        d = 2.0 * math.sqrt((1.0 + START_TOL) / float(vals[0]))  # eigh sorts ascending
+        d = 2.0 * math.sqrt((1.0 + START_TOL) / float(vals[0]))
         object.__setattr__(self, "_diameter", d)
         planar = None
         if n == 2:
@@ -571,19 +576,13 @@ class Ellipsoid(ConvexBody):
         a, b = as_vector(semi_axes, 2, "semi_axes").tolist()
         if not (a > 0.0 and b > 0.0):
             raise InputError("semi_axes", f"must be positive, got {(a, b)}")
-        try:
-            diag = [1.0 / a**2, 1.0 / b**2]
-        except (OverflowError, ZeroDivisionError):  # a**2 or b**2 out of range
-            diag = [0.0]
-        if not all(0.0 < d < math.inf for d in diag):
-            raise InputError(
-                "semi_axes", f"1/a^2 and 1/b^2 must be finite and positive, got {(a, b)}"
-            )
+        for x in (a, b):
+            _check_length(x, "semi_axes")
         c, s = math.cos(angle), math.sin(angle)
         rot = np.array([[c, s], [-s, c]])
         try:
-            return cls(center=center, shape=rot.T @ np.diag(diag) @ rot)
-        except InputError as exc:  # the axes give no usable shape matrix
+            return cls(center=center, shape=rot.T @ np.diag([1.0 / a**2, 1.0 / b**2]) @ rot)
+        except InputError as exc:  # eigh lost the long axis (condition past 1e16)
             raise InputError("semi_axes", f"{exc.message}, got {(a, b)}") from None
 
     @property
@@ -597,7 +596,7 @@ class Ellipsoid(ConvexBody):
             return self._frame_violation(self._to_frame(z))
         p0, p1 = z.tolist()
         _, _, t0, t1 = self._to_plane(p0, p1)
-        return _excess(t0 + t1 - 1.0)
+        return max(0.0, t0 + t1 - 1.0)
 
     # The frame is the eigenbasis, centred: u = V^T (x - center), in which
     # the body is {u : sum lam_i u_i^2 <= 1}.
@@ -605,7 +604,7 @@ class Ellipsoid(ConvexBody):
         return self._eigvecs.T.dot(x - self.center)
 
     def _frame_violation(self, u: Vector) -> float:
-        return _excess(float(self._eigvals.dot(u * u)) - 1.0)
+        return max(0.0, float(self._eigvals.dot(u * u)) - 1.0)
 
     def _from_frame(self, u: Vector) -> Vector:
         return self.center + self._eigvecs.dot(u)
@@ -673,10 +672,8 @@ class Ellipsoid(ConvexBody):
     # once s2 - 1 <= MEMBER_TOL (so a member returns as itself, and a rounding
     # overshoot past the root, where the step would be negative, ends), when
     # a step no longer increases mu, or at _SECULAR_MAX_ITERS, a safety cap.
-    # Each returns the violation, the projection and its Newton steps. A far
-    # point overflows: past s2 ~ 1e205 the first step is inf and the result
-    # would be the centre, and once s2 is inf it is nan and no step is taken
-    # from outside. Both raise ValueError, as the solvers' ``_finite`` does.
+    # Each returns the violation, the projection and its Newton steps;
+    # ``RANGE`` bounds every intermediate.
 
     def _newton_frame(self, v: Vector) -> tuple[float, Vector, int]:
         """The Newton solve with numpy vectors, for any dimension."""
@@ -694,8 +691,6 @@ class Ellipsoid(ConvexBody):
             e = 1.0 / (1.0 + mu * lam)
             q = t * e * e
             s2 = float(q.sum())
-        if mu == math.inf or (steps == 0 and not s2 - 1.0 <= MEMBER_TOL):
-            raise ValueError(f"the projection of {v} overflowed")
         violation = self._frame_violation(b)
         if steps == 0:
             return violation, v.copy(), 0
@@ -707,7 +702,7 @@ class Ellipsoid(ConvexBody):
         p0, p1 = v.tolist()
         b0, b1, t0, t1 = self._to_plane(p0, p1)
         q0, q1, e0, e1, s2 = t0, t1, 1.0, 1.0, t0 + t1
-        violation = _excess(s2 - 1.0)
+        violation = max(0.0, s2 - 1.0)
         mu, steps = 0.0, 0
         while not s2 - 1.0 <= MEMBER_TOL:
             nxt = mu + (math.sqrt(s2) - 1.0) * s2 / (q0 * l0 * e0 + q1 * l1 * e1)
@@ -719,8 +714,6 @@ class Ellipsoid(ConvexBody):
             e0, e1 = 1.0 / (1.0 + mu * l0), 1.0 / (1.0 + mu * l1)
             q0, q1 = t0 * e0 * e0, t1 * e1 * e1
             s2 = q0 + q1
-        if mu == math.inf or (steps == 0 and not s2 - 1.0 <= MEMBER_TOL):
-            raise ValueError(f"the projection of {v} overflowed")
         if steps == 0:
             return violation, v.copy(), 0
         point = self._from_planar(b0 / (1.0 + mu * l0), b1 / (1.0 + mu * l1))

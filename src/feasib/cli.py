@@ -1,7 +1,8 @@
 """Command-line harness for running instances, tables, and figures.
 
-Exit codes: 0 on success, 2 on validation errors, an unreadable config file or
-an overflowed run (each writes nothing), 3 when a run stopped at its iteration cap.
+Exit codes: 0 on success, 2 on validation errors (among them a number beyond
+``bodies.RANGE``) or an unreadable config file (each writes nothing), 3 when a
+run stopped at its iteration cap.
 """
 
 from __future__ import annotations

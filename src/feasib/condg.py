@@ -35,9 +35,8 @@ Where the iterates stay in a plane, the loop runs there over Python floats
 * a ball, in any dimension, gives the plane through its centre spanned by
   the offsets of the anchor and the point. Its oracle ``c - r g/|g|`` points
   along ``g``, and ``g = u - u_p`` starts in that plane, so every step stays
-  in it; in the plane the ball is a disk, the ellipse ``l0 = l1 = 1/r^2``.
-  A call whose ``1/r^2`` or ``|g|^2 r^2`` a float cannot hold gets None
-  and runs the frame loop;
+  in it; in the plane the ball is a disk, the ellipse ``l0 = l1 = 1/r^2``,
+  which floats hold for every radius in range (``bodies.RANGE``);
 * every other body gives None and runs the numpy loop (``_frame_loop``),
   which updates its vectors in place.
 
@@ -67,6 +66,8 @@ from .bodies import (
     InputError,
     Plane,
     Vector,
+    _POINT_RANGE,
+    _vector,
     as_float,
     as_vector,
     check_member,
@@ -173,7 +174,9 @@ def condg_project(
     anchor : member of the body (violation <= ``START_TOL``), the warm start
         and the reference point of the tolerance. A non-member raises
         InputError at ``anchor``; it is tested in the body's frame or plane.
-    point : the point being projected.
+    point : the point being projected, with entries within
+        +-``bodies.RANGE**2``: ACondG1 passes the exact projection of a
+        member of set A onto set B, which may leave +-``bodies.RANGE``.
     keep_trace : record every inner iterate in the result.
 
     Returns
@@ -185,7 +188,7 @@ def condg_project(
     if not body.is_compact:
         raise body._no_oracle()
     anchor = as_vector(anchor, body.dim, "anchor")
-    point = as_vector(point, body.dim, "point")
+    point = _vector(point, body.dim, "point", _POINT_RANGE)
     plane = body._fw_plane(anchor, point)
     if plane is None:
         return _frame_loop(body, params, anchor, point, keep_trace)
@@ -193,7 +196,7 @@ def condg_project(
 
 
 def _phi_can_stop(params: ForcingParams, pa_sq: float, diam: float) -> bool:
-    """Whether the module docstring's bound exceeds half the cutoff (or is nan)."""
+    """Whether the module docstring's bound exceeds half the cutoff."""
     reach = diam + math.sqrt(pa_sq)
     bound = params.gamma * pa_sq + params.theta * reach * reach + params.lam * diam * diam
     return not bound <= 0.5 * _DEGENERATE_GAP_TOL

@@ -8,9 +8,9 @@ radius), ``box`` (lower / upper); ``_KINDS`` states each kind's constructor
 and fields once, for parsing and building alike. The ``schedule`` and
 ``stopping`` objects are the solvers' own
 :class:`~feasib.solvers.ForcingSchedule` and
-:class:`~feasib.solvers.StoppingConfig`: their fields are the keys, and
-their defaults fill missing keys. Validation errors carry the path of the
-offending field.
+:class:`~feasib.solvers.StoppingConfig`: their fields are the keys, their
+defaults fill missing keys, and any other key is refused. Validation errors
+carry the path of the offending field.
 
 Parsing checks only the JSON structure: objects, body ``kind``, and that
 an ellipse needs dimension 2. Numbers, counts and vectors follow the API's
@@ -141,11 +141,19 @@ def _parse_body(obj, path: str, dim: int) -> BodySpec:
 
 def _section(obj: dict, name: str, cls):
     """The config's ``name`` object read into ``cls``, which checks each of
-    its fields at ``name.<field>``; a missing field takes its default."""
+    its fields at ``name.<field>``; a missing field takes its default, and
+    a key that is no field raises InputError at ``name.<key>``."""
     section = obj.get(name, {})
     if not isinstance(section, dict):
         raise InputError(name, "expected an object")
-    return cls(**{f.name: section[f.name] for f in fields(cls) if f.name in section})
+    names = [f.name for f in fields(cls)]
+    for key in section:
+        if key not in names:
+            *rest, last = names
+            raise InputError(
+                f"{name}.{key}", f"unknown field; expected {', '.join(rest)} or {last}"
+            )
+    return cls(**section)
 
 
 def parse_config(obj) -> InstanceConfig:

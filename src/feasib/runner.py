@@ -85,7 +85,7 @@ def run_instance(
     """Run one instance; write its trace CSV and summary JSON.
 
     Returns the report and the trace path. Nothing is written when
-    validation fails or the run overflows.
+    validation fails.
     """
     start = time.perf_counter()
     report = solve_config(config)

@@ -32,11 +32,10 @@ projection, with one map into the body's frame; on an inexact side
 alternating step measures the new x against B and projects it onto B in
 one call at its end, the next step consumes that projection, and a run
 computes at most one exact projection it does not use, of its last
-iterate. After ``check_pair`` the loop checks only that each ``w``
-and averaged midpoint is finite, so an overflow raises ValueError before a
-stop rule reads its row. The alternating schemes project the x-iterate
-onto B, then the new y-iterate onto A, and their verdict is the smaller
-violation.
+iterate. After ``check_pair`` the loop checks nothing: input within
+``bodies.RANGE`` keeps every iterate finite. The alternating schemes
+project the x-iterate onto B, then the new y-iterate onto A, and their
+verdict is the smaller violation.
 The averaged scheme's step averages the two inexact projections of its
 iterate, and its verdict is the larger violation of that iterate.
 
@@ -56,7 +55,7 @@ from dataclasses import dataclass, field, fields
 from typing import Callable
 
 from .bodies import ConvexBody, InputError, Vector, as_float, check_count, member_vector
-from .bodies import _all_finite, _inf_norm
+from .bodies import _inf_norm
 from .condg import CondGStop, ForcingParams, condg_project
 
 __all__ = [
@@ -252,13 +251,6 @@ def check_pair(
     return x0, y0, schedule
 
 
-def _finite(w: Vector) -> Vector:
-    # An overflow; a stop rule would read nan as 0.
-    if not _all_finite(w):
-        raise ValueError(f"an iterate is not finite, the run overflowed: {w}")
-    return w
-
-
 def _measurer(body, inexact):
     """``point -> (violation, projection)`` for one side: one call on a
     side projected exactly, and a projection of None on an inexact side."""
@@ -272,9 +264,9 @@ def _project(body, exact, anchor, point, params) -> tuple[Vector, int, bool]:
     the projection a measurer returned for ``point``, or ``condg_project``
     when that is None."""
     if exact is not None:
-        return _finite(exact), 0, False
+        return exact, 0, False
     res = condg_project(body, params, anchor, point)
-    return _finite(res.w_plus), res.inner_iters, res.stop_reason is CondGStop.ITERATION_CAP
+    return res.w_plus, res.inner_iters, res.stop_reason is CondGStop.ITERATION_CAP
 
 
 def _drive(
@@ -421,7 +413,7 @@ def averaged_projection(
     projection outputs.
     """
     x0, y0, sched = check_pair(a, b, x0, y0, (True, True), schedule)
-    z, anchor_a, anchor_b = _finite(0.5 * (x0 + y0)), x0, y0
+    z, anchor_a, anchor_b = 0.5 * (x0 + y0), x0, y0
     rep = SolveReport(anchor_trace=[x0])
 
     def step(params):
@@ -429,7 +421,7 @@ def averaged_projection(
         anchor_a, inner_a, cap_a = _project(a, None, anchor_a, z, params)
         anchor_b, inner_b, cap_b = _project(b, None, anchor_b, z, params)
         rep.anchor_trace.append(anchor_a)
-        z_new = _finite(0.5 * (anchor_a + anchor_b))
+        z_new = 0.5 * (anchor_a + anchor_b)
         moved, z = _inf_norm(z_new - z), z_new
         viol = (b._violation(z), a._violation(z))
         return z, anchor_b, viol, inner_a + inner_b, cap_a or cap_b, moved

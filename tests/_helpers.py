@@ -7,9 +7,37 @@ import math
 from unittest import mock
 
 import numpy as np
+import pytest
 
-from feasib import START_TOL, Ball, Box, Ellipsoid, Halfspace, StoppingConfig, condg, solvers
+from feasib import (
+    START_TOL,
+    Ball,
+    Box,
+    Ellipsoid,
+    Halfspace,
+    InputError,
+    StoppingConfig,
+    condg,
+    solvers,
+)
 from feasib.condg import CondGStop
+
+# The range refusals (``feasib.RANGE``): of a vector entry, of an entry of
+# ``condg_project``'s point, which may lie within +-RANGE**2, and of a length
+# (a radius, a semi-axis or |normal|), whose message names the value.
+VECTOR_RANGE = "vector entries must lie in [-2^128, 2^128]"
+POINT_RANGE = "vector entries must lie in [-2^256, 2^256]"
+
+
+def length_range(x, name=""):
+    return f"{name}must lie in [2^-64, 2^64], got {x}"
+
+
+def assert_refused(call, path, message):
+    """``call()`` raises InputError at ``path`` with ``message``."""
+    with pytest.raises(InputError) as err:
+        call()
+    assert (err.value.path, err.value.message) == (path, message)
 
 
 # The paper's table bodies: set A of both tables, whose extent along x1 is
@@ -193,10 +221,10 @@ def reference_alternate(a, b, x0, y0, inexact, schedule=None, stop=StoppingConfi
 
     def project(body, approx, anchor, point, params):
         if not approx:
-            return solvers._finite(body._violation_project(point)[1]), 0, False
+            return body._violation_project(point)[1], 0, False
         res = condg.condg_project(body, params, anchor, point)
         capped = res.stop_reason is CondGStop.ITERATION_CAP
-        return solvers._finite(res.w_plus), res.inner_iters, capped
+        return res.w_plus, res.inner_iters, capped
 
     x, y, cb_x = x0, y0, b._violation(x0)
 

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from feasib import (
     MEMBER_TOL,
+    RANGE,
     START_TOL,
     bodies,
     Ball,
@@ -23,10 +23,13 @@ from feasib import (
 
 from _helpers import (
     SQRT_202,
+    VECTOR_RANGE,
+    assert_refused,
     boundary_point,
     diameter,
     foot_tol,
     ill_conditioned_ellipsoid,
+    length_range,
     random_ball,
     random_body,
     random_box,
@@ -37,8 +40,6 @@ from _helpers import (
     slim_ellipse,
     unit_disk,
 )
-
-NUMPY_OVERFLOW = {"over": "ignore", "invalid": "ignore"}
 
 
 class TestConstruction:
@@ -118,7 +119,15 @@ class TestConstruction:
         [
             (
                 lambda: Ellipsoid(
-                    center=[0.0, 0.0], shape=[[1e200, 1e199], [0.0, 1e200]]
+                    center=[0.0, 0.0], shape=np.array([[1e200, 1e199], [0.0, 1e200]])
+                ),
+                "shape",
+                "entries must lie in [-2^128, 2^128]",
+            ),
+            (
+                # At the range's edge the norms of the symmetry test hold.
+                lambda: Ellipsoid(
+                    center=[0.0, 0.0], shape=[[2.0**127, 2.0**126], [0.0, 2.0**127]]
                 ),
                 "shape",
                 "must be symmetric",
@@ -126,26 +135,21 @@ class TestConstruction:
             (
                 lambda: Ellipsoid.from_axes([0.0, 0.0], 0.0, (1e-154, 0.2)),
                 "semi_axes",
-                "entries must be finite",
+                length_range(1e-154),
             ),
             (
                 # Each row of a list-form shape follows the vector rule.
                 lambda: Ellipsoid(center=[0, 0], shape=[[10**400, 0], [0, 1]]),
                 "shape",
-                "vector entries must be finite",
+                VECTOR_RANGE,
             ),
         ],
-        ids=["asymmetric", "from_axes", "huge-int-row"],
+        ids=["asymmetric", "asymmetric-in-range", "from_axes", "huge-int-row"],
     )
     def test_huge_shape_entries_checked_without_overflow(self, build, path, message):
-        # The symmetry test scales the shape by its largest entry; unscaled,
-        # its norm overflowed to inf and accepted any asymmetry.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(InputError) as err:
-                build()
-        assert err.value.path == path
-        assert err.value.message.startswith(message)
+        # Entries beyond the range are refused before any norm or sum is
+        # taken; within it the unscaled symmetry test cannot overflow.
+        assert_refused(build, path, message)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -234,40 +238,46 @@ class TestViolation:
         assert slim_ellipse().violation([0.0, 0.0]) == 0.0
 
     def test_ball_violation_of_a_far_point(self):
-        # |z - center|^2 overflows beyond a distance of about 1.3e154; the
-        # distance does not, and no overflow warning may escape.
-        v = Ball(center=[0.0, 0.0], radius=1.0).violation([1e200, 1e200])
-        assert v == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-12)
+        # A point beyond the range is refused; one at its edge, 2^127 from
+        # the centre along each axis, is measured exactly.
+        ball = Ball(center=[0.0, 0.0], radius=1.0)
+        assert_refused(lambda: ball.violation([1e200, 1e200]), "z", VECTOR_RANGE)
+        v = ball.violation([2.0**127, 2.0**127])
+        assert v == pytest.approx(math.sqrt(2.0) * 2.0**127, rel=1e-15)
 
-    # A point whose offset from the centre overflows lies far outside, but
-    # 0 * inf or inf - inf in the frame gives a nan, which ``max(0, nan)``
-    # read as 0. The 2-D ellipsoid runs over Python floats and raises no
-    # warning; the numpy forms warn of the overflow, so those cases ignore it.
+    # A centre or a point beyond the range is refused where it enters, so no
+    # offset from a compact body overflows into a nan violation.
     @pytest.mark.parametrize(
-        "body, point, ignore",
+        "build, dim",
         [
-            (Ellipsoid(center=[-1e308, 0.0], shape=[[1.0, 0.0], [0.0, 1.0]]),
-             [1e308, 0.0], {}),
-            (Ellipsoid(center=[-1e308, 0.0, 0.0], shape=np.diag([1.0, 1.0, 1.0])),
-             [1e308, 0.0, 0.0], NUMPY_OVERFLOW),
-            (Ball(center=[-1e308, 0.0], radius=1.0), [1e308, 0.0], NUMPY_OVERFLOW),
+            (lambda c: Ellipsoid(center=c, shape=np.eye(2)), 2),
+            (lambda c: Ellipsoid(center=c, shape=np.eye(3)), 3),
+            (lambda c: Ball(center=c, radius=1.0), 2),
         ],
         ids=["ellipsoid-2d", "ellipsoid-3d", "ball"],
     )
-    def test_a_point_whose_offset_overflows_is_no_member(self, body, point, ignore):
-        with np.errstate(**ignore):
-            assert body.violation(point) == math.inf
-            assert not body.violation(point) <= MEMBER_TOL
+    def test_a_point_whose_offset_overflows_is_no_member(self, build, dim):
+        far = [1e308] + [0.0] * (dim - 1)
+        assert_refused(lambda: build([-1e308] + [0.0] * (dim - 1)), "center", VECTOR_RANGE)
+        body = build([-RANGE] + [0.0] * (dim - 1))
+        assert_refused(lambda: body.violation(far), "z", VECTOR_RANGE)
+        # The farthest point in range, 2^129 from the centre, is no member.
+        v = body.violation([RANGE] + [0.0] * (dim - 1))
+        assert v == pytest.approx(2.0 * RANGE if isinstance(body, Ball) else 4.0 * RANGE**2)
 
     def test_a_tiny_ball_measures_its_points(self):
-        # |z - center|^2 underflows below a distance of about 1.5e-154, so
-        # the sum of squares read 0 and every point looked like a member.
-        ball = Ball(center=[0.0, 0.0], radius=1e-300)
-        assert ball.violation([2e-300, 0.0]) == pytest.approx(1e-300, rel=1e-15)
+        # A radius below 2^-64 is refused; a ball of radius 2^-64 tells its
+        # points apart.
+        assert_refused(lambda: Ball(center=[0.0, 0.0], radius=1e-300), "radius",
+                       length_range(1e-300))
+        r = 2.0**-64
+        ball = Ball(center=[0.0, 0.0], radius=r)
+        assert ball.violation([2.0 * r, 0.0]) == r
         assert ball.violation([0.0, 0.0]) == 0.0
+        assert ball.violation([r, 0.0]) == 0.0
         # A member test still passes at twice the radius: MEMBER_TOL is an
         # absolute 1e-12, whatever the size of the body.
-        assert ball.violation([2e-300, 0.0]) <= MEMBER_TOL
+        assert ball.violation([2.0 * r, 0.0]) <= MEMBER_TOL
 
     def test_the_norm_keeps_its_bits_in_range(self):
         # The rescaled sum runs only outside the normal range of d . d.
@@ -360,10 +370,11 @@ class TestSupport:
         )
 
     def test_ball_support_of_a_large_direction(self):
-        # |c|^2 overflows; the support value 1.41e200 does not, and no
-        # overflow warning may escape.
-        v = Ball(center=[0.0, 0.0], radius=1.0).support([1e200, 1e200])
-        assert v == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-12)
+        # A direction beyond the range is refused; one at its edge is not.
+        ball = Ball(center=[0.0, 0.0], radius=1.0)
+        assert_refused(lambda: ball.support([1e200, 1e200]), "c", VECTOR_RANGE)
+        v = ball.support([2.0**127, 2.0**127])
+        assert v == pytest.approx(math.sqrt(2.0) * 2.0**127, rel=1e-15)
 
     def test_duality_with_linear_oracle(self):
         rng = np.random.default_rng(13)
@@ -385,15 +396,21 @@ SCALED_BODIES = {
 
 @pytest.mark.parametrize("kind", SCALED_BODIES)
 @pytest.mark.parametrize(
-    "s", [2.0**-700, 1e-200, 1e200, 2.0**700], ids=["2^-700", "1e-200", "1e200", "2^700"]
+    "s", [2.0**-700, 1e-200, 1e200, 2.0**700, 2.0**126],
+    ids=["2^-700", "1e-200", "1e200", "2^700", "2^126"],
 )
 def test_oracles_of_large_and_tiny_directions(kind, s):
     # The minimizer depends only on the direction, and the support is
-    # homogeneous of degree 1, though |s d|^2 overflows or underflows. A
-    # power-of-two s keeps every bit of the minimizer.
+    # homogeneous of degree 1, though |s d|^2 underflows. A power-of-two s
+    # keeps every bit of the minimizer. A direction beyond the range is
+    # refused.
     body = SCALED_BODIES[kind]()
     rng = np.random.default_rng(29)
     exact = math.frexp(s)[0] == 0.5
+    if s > RANGE:
+        for call in (body.lo_minimize, body.support):
+            assert_refused(lambda: call(s * np.ones(body.dim)), "c", VECTOR_RANGE)
+        return
     for d in (np.ones(body.dim), *rng.normal(size=(4, body.dim))):
         z, zs = body.lo_minimize(d)[0], body.lo_minimize(s * d)[0]
         if exact:
@@ -407,17 +424,17 @@ def test_oracles_of_large_and_tiny_directions(kind, s):
 @pytest.mark.parametrize(
     "kind, s",
     [("ellipsoid-2d", s) for s in (1e102, 1e103, 1e150, 1e160, 1e300)]
-    + [("ellipsoid-3d", s) for s in (1e102, 1e103, 1e150)],
+    + [("ellipsoid-3d", s) for s in (1e102, 1e103, 1e150)]
+    + [(kind, s) for kind in ("ellipsoid-2d", "ellipsoid-3d") for s in (2.0**64, 2.0**127)],
 )
 def test_a_far_point_projects_to_its_limit_or_raises(kind, s):
     # As s grows, P(s d) tends to the point of the body farthest along d,
-    # the minimizer of <-d, z>. Past s = 1e102 the Newton solve overflows:
-    # it used to return the centre, or the point itself, with no warning.
+    # the minimizer of <-d, z>, up to the range's edge; beyond it the point
+    # is refused, as the Newton solve would overflow past s = 1e102.
     body = SCALED_BODIES[kind]()
     d = np.ones(body.dim)
-    if s > 1e102:
-        with pytest.raises(ValueError, match="overflowed"):
-            body.project(s * d)
+    if s > RANGE:
+        assert_refused(lambda: body.project(s * d), "v", VECTOR_RANGE)
         return
     p = body.project(s * d)
     assert body.violation(p) <= MEMBER_TOL
@@ -470,28 +487,33 @@ class TestProjection:
         assert np.allclose(unit_disk().project([3.0, 4.0]), [0.6, 0.8], atol=1e-12)
 
     def test_ball_projects_a_far_point(self):
-        # |v - center|^2 overflows beyond a distance of about 1.3e154; the
-        # distance does not, and the projection keeps the point's direction.
-        w = Ball(center=[0.0, 0.0], radius=1.0).project([1e200, 1e200])
+        # A point beyond the range is refused; from the range's edge the
+        # projection keeps the point's direction.
+        ball = Ball(center=[0.0, 0.0], radius=1.0)
+        assert_refused(lambda: ball.project([1e200, 1e200]), "v", VECTOR_RANGE)
+        w = ball.project([2.0**127, 2.0**127])
         assert np.allclose(w, [math.sqrt(0.5), math.sqrt(0.5)], rtol=0, atol=1e-15)
 
     def test_ball_projects_a_point_whose_offset_overflows(self):
-        # v - center overflows to inf, and (radius / inf) * inf read nan; the
-        # halves of v and the centre give the direction.
-        with np.errstate(over="ignore"):  # the overflow of v - center
-            w = Ball(center=[-1e308, 0.0], radius=1.0).project([1e308, 0.0])
-        assert np.array_equal(w, [-1e308, 0.0])
-        # Here only the norm overflows, not the offset.
-        w = Ball(center=[0.0, 0.0], radius=1.0).project([1.5e308, 1.5e308])
-        assert np.allclose(w, [math.sqrt(0.5), math.sqrt(0.5)], rtol=0, atol=1e-15)
+        # A centre or a point whose offset would overflow is refused; the
+        # farthest offset in range, 2^129, projects to the ball.
+        assert_refused(lambda: Ball(center=[-1e308, 0.0], radius=1.0), "center", VECTOR_RANGE)
+        ball = Ball(center=[0.0, 0.0], radius=1.0)
+        assert_refused(lambda: ball.project([1.5e308, 1.5e308]), "v", VECTOR_RANGE)
+        w = Ball(center=[-RANGE, 0.0], radius=1.0).project([RANGE, 0.0])
+        assert np.array_equal(w, [-RANGE + 1.0, 0.0])
 
     def test_tiny_ball_projects_outside_points(self):
-        # |v - center|^2 underflowed: at radius 1e-300 a point was its own
-        # projection, and at 1e-160 the projection was off by 5.6e-6.
-        ball = Ball(center=[0.0, 0.0], radius=1e-300)
-        assert np.allclose(ball.project([3e-300, 0.0]), [1e-300, 0.0], rtol=1e-15, atol=0)
-        w = Ball(center=[0.0, 0.0], radius=1e-160).project([3e-160, 4e-160])
-        assert np.allclose(w, [6e-161, 8e-161], rtol=1e-15, atol=0)
+        # Radii below 2^-64 are refused; a ball of radius 2^-64 projects an
+        # outside point along its offset.
+        for r in (1e-300, 1e-160):
+            assert_refused(lambda: Ball(center=[0.0, 0.0], radius=r), "radius",
+                           length_range(r))
+        r = 2.0**-64
+        ball = Ball(center=[0.0, 0.0], radius=r)
+        assert np.array_equal(ball.project([3.0 * r, 0.0]), [r, 0.0])
+        w = ball.project([3.0 * r, 4.0 * r])
+        assert np.allclose(w, [0.6 * r, 0.8 * r], rtol=1e-15, atol=0)
 
     def test_slim_ellipse_against_boundary_sampling(self):
         # Frozen from a boundary-sampling oracle (since retired) at 1e5 and

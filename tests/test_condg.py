@@ -15,6 +15,7 @@ from feasib import (
     ForcingSchedule,
     Halfspace,
     InputError,
+    RANGE,
     START_TOL,
     UnsupportedOracleError,
     condg,
@@ -24,10 +25,14 @@ from feasib import (
 from feasib.condg import _frame_loop
 
 from _helpers import (
+    POINT_RANGE,
+    VECTOR_RANGE,
+    assert_refused,
     boundary_point,
     diameter,
     ill_conditioned_ellipsoid,
     inner_limits,
+    length_range,
     random_ball,
     random_compact_body,
     sample_members,
@@ -229,17 +234,25 @@ class TestCondGBasics:
         assert res.inner_iters == (0 if end < 2.0 else 1)
         check_certificate(body, params, u, v, res)
 
-    @pytest.mark.parametrize("r", [1e-170, 1e-160, 1e-156, 1e78, 1e100, 1e120, 1e150])
-    def test_ball_whose_radius_the_plane_cannot_hold_runs_the_frame_loop(self, r):
-        # The plane's oracle divides by l = 1/r^2 and forms |g|^2 r^2: for
-        # the small radii r^2 is 0 or subnormal, for the large ones
-        # |g|^2 r^2 overflows. The point inside is its own projection.
+    @pytest.mark.parametrize(
+        "r", [1e-170, 1e-160, 1e-156, 1e78, 1e100, 1e120, 1e150, 2.0**-64, 2.0**64]
+    )
+    def test_ball_at_either_length_bound_runs_in_its_plane(self, r):
+        # The plane's oracle divides by l = 1/r^2 and forms |g|^2 r^2, which
+        # a radius beyond [2^-64, 2^64] could underflow or overflow; such a
+        # radius is refused. At either bound the call runs in the plane and
+        # gives the frame loop's point; the point inside is its own projection.
+        if not 2.0**-64 <= r <= 2.0**64:
+            assert_refused(lambda: Ball(center=[0.0, 0.0], radius=r), "radius",
+                           length_range(r))
+            return
         body = Ball(center=[0.0, 0.0], radius=r)
         u = np.array([r, 0.0])
         for v in (np.array([0.3 * r, 0.4 * r]), np.array([1.0, 1.0])):
-            assert body._fw_plane(u, v) is None
+            assert body._fw_plane(u, v) is not None
             res = condg_project(body, EXACT, u, v)
-            assert same_result(res, _frame_loop(body, EXACT, u, v, keep_trace=False))
+            frame = _frame_loop(body, EXACT, u, v, keep_trace=False)
+            assert np.allclose(res.w_plus, frame.w_plus, rtol=1e-12, atol=0.0)
             check_certificate(body, EXACT, u, v, res)
 
     def test_result_gap_certificate_on_tolerance_met(self):
@@ -344,12 +357,15 @@ class TestAnchorChecks:
 
 
 def test_anchor_whose_offset_overflows_rejected():
-    # The planar kernel's anchor test reads nan there, and a nan violation
-    # is no member.
-    body = Ellipsoid(center=[-1e308, 0.0], shape=np.eye(2))
-    with pytest.raises(InputError) as err:
-        condg_project(body, EXACT, [1e308, 0.0], [0.0, 0.0])
-    assert err.value.path == "anchor"
+    # A centre or an anchor beyond the range is refused where it enters;
+    # the farthest anchor in range, 2^129 from the centre, is no member.
+    assert_refused(lambda: Ellipsoid(center=[-1e308, 0.0], shape=np.eye(2)), "center",
+                   VECTOR_RANGE)
+    body = Ellipsoid(center=[-RANGE, 0.0], shape=np.eye(2))
+    assert_refused(lambda: condg_project(body, EXACT, [1e308, 0.0], [0.0, 0.0]), "anchor",
+                   VECTOR_RANGE)
+    assert_refused(lambda: condg_project(body, EXACT, [RANGE, 0.0], [0.0, 0.0]), "anchor",
+                   f"must belong to its set (violation <= {START_TOL:g})")
 
 
 class TestIterateProperties:
@@ -672,14 +688,22 @@ class TestToleranceSkip:
         # Every level skips somewhere, the defaults on the tiny balls.
         assert min(skipped) >= 1 and sum(skipped) >= 700 and checked >= 20_000
 
-    def test_far_point_bound_overflows_to_no_skip(self):
+    def test_far_point_bound_stays_finite(self):
+        # Within the range the bound is finite: a far point or a huge box
+        # gives forcing a large bound, so no call skips, and zero forcing
+        # the bound 0, so every call skips. Beyond the range nothing enters.
         body = unit_disk()
-        anchor, point = np.array([0.0, 0.5]), np.array([1e160, 1e160])
-        for params in (EXACT, FORCING_LEVELS[-2]):
-            assert phi_can_stop(params, anchor, point, body)
-        huge = Box(lower=[-1e308, 0.0], upper=[1e308, 1.0])
-        assert huge._diameter == math.inf
-        assert phi_can_stop(EXACT, np.zeros(2), np.ones(2), huge)
+        anchor, point = np.array([0.0, 0.5]), np.array([2.0**127, 2.0**127])
+        assert phi_can_stop(FORCING_LEVELS[-2], anchor, point, body)
+        assert not phi_can_stop(EXACT, anchor, point, body)
+        assert_refused(lambda: condg_project(body, EXACT, anchor, [1e160, 1e160]), "point",
+                       POINT_RANGE)
+        assert_refused(lambda: Box(lower=[-1e308, 0.0], upper=[1e308, 1.0]), "lower",
+                       VECTOR_RANGE)
+        huge = Box(lower=[-RANGE, 0.0], upper=[RANGE, 1.0])
+        assert huge._diameter == pytest.approx(2.0 * RANGE, rel=1e-15)
+        assert phi_can_stop(FORCING_LEVELS[-2], np.zeros(2), np.ones(2), huge)
+        assert not phi_can_stop(EXACT, np.zeros(2), np.ones(2), huge)
 
     @inner_limits(cap=500)
     def test_skipping_changes_no_bit(self):
@@ -714,12 +738,15 @@ class TestToleranceSkip:
             assert same_result(got, ref)
 
     def test_skipping_changes_no_bit_for_a_far_point(self):
-        # |p - a|^2 overflows; the frame loop's numpy products warn of it.
+        # The farthest point in range; beyond it nothing enters.
         body = unit_disk()
-        anchor, point = np.array([0.0, 0.5]), np.array([1e160, 1e160])
-        for kernel in kernels_for(body):
-            with np.errstate(over="ignore"):
-                got = kernel(body, EXACT, anchor, point, keep_trace=False)
-                with never_skip():
-                    ref = kernel(body, EXACT, anchor, point, keep_trace=False)
-            assert same_result(got, ref)
+        anchor = np.array([0.0, 0.5])
+        assert_refused(lambda: condg_project(body, EXACT, anchor, [1e160, 1e160]), "point",
+                       POINT_RANGE)
+        for point in (np.array([2.0**127, 2.0**127]), np.array([RANGE, -RANGE])):
+            for params in (EXACT, FORCING_LEVELS[-2]):
+                for kernel in kernels_for(body):
+                    got = kernel(body, params, anchor, point, keep_trace=False)
+                    with never_skip():
+                        ref = kernel(body, params, anchor, point, keep_trace=False)
+                    assert same_result(got, ref)

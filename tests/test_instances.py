@@ -471,6 +471,48 @@ def test_readme_config_example_is_table1():
         assert math.isclose(shown, default, rel_tol=1e-9)
 
 
+@pytest.mark.parametrize(
+    "section, key, expected",
+    [
+        ("stopping", "max_outer_iter", "eps_feas, eps_lack or max_outer_iters"),
+        ("schedule", "gama0", "gamma0, theta0, lambda0, tau or delta"),
+    ],
+    ids=["stopping", "schedule"],
+)
+def test_a_misspelled_section_key_is_refused(section, key, expected):
+    # Dropped, it would let the run take the default in its place.
+    with pytest.raises(InputError) as err:
+        parse_config(base_config(**{section: {key: 3}}))
+    assert err.value.path == f"{section}.{key}"
+    assert err.value.message == f"unknown field; expected {expected}"
+
+
+@pytest.mark.parametrize("which", [1, 2])
+def test_every_table_config_round_trips_through_a_file(which, tmp_path):
+    path = tmp_path / "cfg.json"
+    for label, row in table_reference(which).items():
+        for solver in row:
+            cfg = table_config(which, label, solver)
+            save_config(cfg, path)
+            assert load_config(path) == cfg
+
+
+def test_the_committed_table_record_has_the_papers_stop_codes():
+    # scripts/bench_tables.py writes the record; its counts and times are
+    # printed against a fresh run in CI, not checked here.
+    path = Path(__file__).resolve().parent.parent / "BENCH_tables.json"
+    runs = json.loads(path.read_text())["runs"]
+    recorded = {(r["table"], r["instance"], r["solver"]): r["stop"] for r in runs}
+    paper = {
+        (which, label, solver): code
+        for which in (1, 2)
+        for label, row in table_reference(which).items()
+        for solver, (code, _) in row.items()
+    }
+    assert len(runs) == len(paper) == 32
+    assert recorded == paper
+
+
 class TestRoundTrip:
     def test_serialize_parse_identity(self):
         cfg = parse_config(base_config(seed=7))
@@ -731,6 +773,8 @@ README_ERRORS = {
         {"x0": [0.0, "0"]},
     "schedule.tau: must lie in (0, 1), got 1.0": {"schedule": {"tau": 1.0}},
     "stopping.eps_feas: must be positive": {"stopping": {"eps_feas": 0.0}},
+    "stopping.max_outer_iter: unknown field; expected eps_feas, eps_lack or max_outer_iters":
+        {"stopping": {"max_outer_iter": 3}},
     "x0: must belong to its set (violation <= 1e-10)": {"x0": [5.0, 5.0]},
     "y0: is required when set_b is projected inexactly":
         {"solver": "ACondG2", "set_b": BALL_B},

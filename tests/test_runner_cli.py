@@ -503,7 +503,8 @@ class TestCLI:
         assert not out_dir.exists() or not list(out_dir.iterdir())
 
     def test_overflowing_run_exits_2_and_writes_nothing(self, tmp_path, capsys):
-        # Valid input whose first exact projection overflows to -inf.
+        # Input whose first exact projection would overflow to -inf is
+        # refused where it enters, beyond the range.
         obj = serialize_config(table1_config("1.30", "ExactAlt1"))
         obj["set_a"] = {"kind": "ball", "center": [1e308, 1e308], "radius": 1.0}
         obj["set_b"] = {"kind": "halfspace", "normal": [1.0, 1.0], "offset": 0.0}
@@ -511,11 +512,10 @@ class TestCLI:
         cfg_path = tmp_path / "overflow.json"
         cfg_path.write_text(json.dumps(obj))
         out_dir = tmp_path / "out"
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            code = main(["run", "--config", str(cfg_path), "--out-dir", str(out_dir)])
+        code = main(["run", "--config", str(cfg_path), "--out-dir", str(out_dir)])
         assert code == 2
         assert capsys.readouterr().err == (
-            "error: an iterate is not finite, the run overflowed: [-inf -inf]\n"
+            "error: set_a.center: vector entries must lie in [-2^128, 2^128]\n"
         )
         assert not out_dir.exists()
 

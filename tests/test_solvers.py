@@ -13,6 +13,7 @@ from feasib import (
     ForcingSchedule,
     Halfspace,
     InputError,
+    RANGE,
     START_TOL,
     StopCode,
     SolveReport,
@@ -36,6 +37,8 @@ from feasib.runner import solve_config
 from feasib.solvers import _drive, check_pair
 
 from _helpers import (
+    VECTOR_RANGE,
+    assert_refused,
     SQRT_202,
     boundary_point,
     containing_body,
@@ -782,7 +785,7 @@ def count_calls(monkeypatch, fn) -> list:
 
 class TestCheckedOnce:
     """A run checks its input vectors once, in ``check_pair``; the loop
-    checks only that what it builds is finite."""
+    checks nothing, since input in range keeps every iterate finite."""
 
     @pytest.mark.parametrize(
         "label, solver", [("2.359", "ExactAlt2"), ("2.358", "ACondG2")]
@@ -797,8 +800,9 @@ class TestCheckedOnce:
         report = solve_config(config)
         assert report.outer_iters > 100
         assert (len(projections) > 0) == (solver == "ACondG2")
-        # x0 and y0, then the anchor and the point of each inner projection.
-        assert len(checks) == 2 + 2 * len(projections)
+        # x0 and y0, then the anchor of each inner projection (its point
+        # is checked against the wider point range, not by as_vector).
+        assert len(checks) == 2 + len(projections)
 
     @pytest.mark.parametrize(
         "solver, n",
@@ -806,34 +810,35 @@ class TestCheckedOnce:
         ids=["ExactAlt", "ACondG1", "Averaged", "ExactAlt-16D"],
     )
     def test_an_overflowing_iterate_raises(self, solver, n):
-        # Valid input whose first step overflows: a stop rule would read
-        # the non-finite iterate's violation max(0.0, nan) as 0.0. In 16-D
-        # the loop tests the iterate with numpy, in 2-D over Python floats.
+        # Input whose first step would overflow, so that a stop rule would
+        # read the non-finite iterate's violation max(0.0, nan) as 0.0, is
+        # refused at its path before any step: far centres, a far x0.
         x0 = [1e308] * n
-        a = Ball(center=x0, radius=1.0)
+        assert_refused(lambda: Ball(center=x0, radius=1.0), "center", VECTOR_RANGE)
+        assert_refused(lambda: Ellipsoid(center=x0, shape=np.eye(n)), "center", VECTOR_RANGE)
+        edge = [RANGE] * n
+        a = Ball(center=edge, radius=1.0)
         b = Halfspace(normal=[1.0] * n, offset=0.0)
-        # The averaged midpoint of x0 and y0 overflows; its violation of a
-        # disk centred there is nan, since the frame map multiplies inf by 0.
-        disk = Ellipsoid(center=x0, shape=np.eye(n))
+        disk = Ellipsoid(center=edge, shape=np.eye(n))
         run = {
             "ExactAlt": lambda: exact_alternating(a, b, x0),
             "ACondG1": lambda: acondg1(a, b, x0),
             "Averaged": lambda: averaged_projection(disk, disk, x0, x0),
         }[solver]
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            with pytest.raises(ValueError, match="an iterate is not finite"):
-                run()
+        assert_refused(run, "x0", VECTOR_RANGE)
 
 
 def special_vectors(n):
-    """``(v, finite)`` pairs: an n-vector with inf, -inf, nan, -0.0, the
-    least subnormal or a value near the float maximum in its first or last
-    entry."""
-    for value in (math.inf, -math.inf, math.nan, -0.0, 5e-324, 1.7e308):
+    """``(v, in_range)`` pairs: an n-vector with inf, -inf, nan, -0.0, the
+    least subnormal, +-RANGE, +-2 RANGE or a value near the float maximum in
+    its first or last entry."""
+    values = (math.inf, -math.inf, math.nan, -0.0, 5e-324, RANGE, -RANGE,
+              2.0 * RANGE, -2.0 * RANGE, 1.7e308)
+    for value in values:
         for i in sorted({0, n - 1}):
             v = np.linspace(-3.0, 5.0, n)
             v[i] = value
-            yield v, math.isfinite(value)
+            yield v, abs(value) <= RANGE
 
 
 class TestShortAndLongVectors:
@@ -843,17 +848,13 @@ class TestShortAndLongVectors:
     SIZES = [1, 2, bodies._SHORT, bodies._SHORT + 1, 16, 256]
 
     @pytest.mark.parametrize("n", SIZES)
-    def test_as_vector_and_the_loop_share_one_finiteness_rule(self, n):
-        for v, finite in special_vectors(n):
-            if finite:
-                assert np.array_equal(bodies.as_vector(v.tolist(), n, "x0"), v)
-                assert solvers._finite(v) is v
-                continue
+    def test_as_vector_states_the_range(self, n):
+        for v, in_range in special_vectors(n):
             for x in (v, v.tolist()):
-                with pytest.raises(InputError, match="^x0: vector entries must be finite$"):
-                    bodies.as_vector(x, n, "x0")
-            with pytest.raises(ValueError, match="^an iterate is not finite, the run"):
-                solvers._finite(v)
+                if in_range:
+                    assert np.array_equal(bodies.as_vector(x, n, "x0"), v)
+                else:
+                    assert_refused(lambda: bodies.as_vector(x, n, "x0"), "x0", VECTOR_RANGE)
 
     @pytest.mark.parametrize("n", SIZES)
     def test_inf_norm_is_the_max_of_absolute_values(self, n):
