@@ -211,11 +211,16 @@ def _inf_norm(d: Vector) -> float:
     return float(np.maximum.reduce(np.abs(d)))
 
 
+def _span(lo: float, hi: float) -> str:
+    """``[lo, hi]`` as every range refusal writes it, each bound as its nearest +-2^k."""
+    return "[%s]" % ", ".join(f"{'-' * (b < 0)}2^{round(math.log2(abs(b)))}" for b in (lo, hi))
+
+
 def _check_length(x: float, path: str, name: str = "") -> None:
     """Raise InputError at ``path`` unless the length ``x`` lies in
-    [2^-64, 2^64] (see ``RANGE``); ``name`` starts the message."""
+    [RANGE**-0.5, RANGE**0.5] (see ``RANGE``); ``name`` starts the message."""
     if not _LENGTHS[0] <= x <= _LENGTHS[1]:
-        raise InputError(path, f"{name}must lie in [2^-64, 2^64], got {x}")
+        raise InputError(path, f"{name}must lie in {_span(*_LENGTHS)}, got {x}")
 
 
 def as_vector(x, dim: int | None, path: str) -> Vector:
@@ -239,8 +244,7 @@ def _vector(x, dim: int | None, path: str, bound: float) -> Vector:
         elif v.shape[0] == 0:
             problem = "expected at least one entry"
         elif not _in_range(v, bound):
-            e = math.frexp(bound)[1] - 1
-            problem = f"vector entries must lie in [-2^{e}, 2^{e}]"
+            problem = f"vector entries must lie in {_span(-bound, bound)}"
         elif dim is not None and v.shape[0] != dim:
             problem = f"dimension mismatch: expected {dim}, got {v.shape[0]}"
         else:
@@ -263,10 +267,9 @@ def member_vector(body: ConvexBody, x, path: str) -> Vector:
 
 
 def _norm(d: Vector) -> float:
-    """``|d|`` as numpy's norm computes it, ``sqrt(d . d)``; only when the
-    sum of squares falls below the normal range, and so loses bits or reads
-    0, is it recomputed on ``d / max |d_i|`` (a ball's plane reads a point
-    1e-160 from the centre along its offset)."""
+    """``|d|`` as numpy's norm computes it, ``sqrt(d . d)``, recomputed on
+    ``d / max |d_i|`` where the sum of squares loses bits below the normal
+    floats (a ball's plane reads points 1e-160 from its centre)."""
     s = float(d.dot(d))
     if s >= sys.float_info.min:
         return math.sqrt(s)
@@ -356,12 +359,12 @@ class Halfspace(ConvexBody):
 
     def __post_init__(self):
         a = as_vector(self.normal, None, "normal")
-        _check_length(math.hypot(*a.tolist()), "normal", "|normal| ")
-        offset = as_float(self.offset, "offset")
-        if not abs(offset) <= RANGE:
-            raise InputError("offset", "must lie in [-2^128, 2^128]")
+        normal_sq = float(a.dot(a))
+        _check_length(math.sqrt(normal_sq), "normal", "|normal| ")
+        if not abs(offset := as_float(self.offset, "offset")) <= RANGE:
+            raise InputError("offset", f"must lie in {_span(-RANGE, RANGE)}")
         object.__setattr__(self, "normal", a)
-        object.__setattr__(self, "_normal_sq", float(a.dot(a)))
+        object.__setattr__(self, "_normal_sq", normal_sq)
         object.__setattr__(self, "offset", offset)
 
     @property
@@ -544,7 +547,7 @@ class Ellipsoid(ConvexBody):
         if q.shape != (n, n):
             raise InputError("shape", f"must be {n}x{n}, got {q.shape}")
         if not np.abs(q).max(initial=0.0) <= RANGE * (1.0 + _SLACK):
-            raise InputError("shape", "entries must lie in [-2^128, 2^128]")
+            raise InputError("shape", f"entries must lie in {_span(-RANGE, RANGE)}")
         if float(np.linalg.norm(q - q.T)) > 1e-12 * max(float(np.linalg.norm(q)), 1.0):
             raise InputError("shape", "must be symmetric")
         q = 0.5 * (q + q.T)

@@ -147,12 +147,9 @@ def _section(obj: dict, name: str, cls):
     if not isinstance(section, dict):
         raise InputError(name, "expected an object")
     names = [f.name for f in fields(cls)]
-    for key in section:
-        if key not in names:
-            *rest, last = names
-            raise InputError(
-                f"{name}.{key}", f"unknown field; expected {', '.join(rest)} or {last}"
-            )
+    if (key := next((k for k in section if k not in names), None)) is not None:
+        expected = f"{', '.join(names[:-1])} or {names[-1]}"
+        raise InputError(f"{name}.{key}", f"unknown field; expected {expected}")
     return cls(**section)
 
 

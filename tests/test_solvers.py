@@ -795,14 +795,15 @@ class TestCheckedOnce:
     ):
         config = table2_config(label, solver)
         config.bodies  # built before counting
-        checks = count_calls(monkeypatch, bodies.as_vector)
+        # ``as_vector`` checks through ``_vector``, as ``condg_project``
+        # checks its point (against the wider point range).
+        checks = count_calls(monkeypatch, bodies._vector)
         projections = count_calls(monkeypatch, solvers.condg_project)
         report = solve_config(config)
         assert report.outer_iters > 100
         assert (len(projections) > 0) == (solver == "ACondG2")
-        # x0 and y0, then the anchor of each inner projection (its point
-        # is checked against the wider point range, not by as_vector).
-        assert len(checks) == 2 + len(projections)
+        # x0 and y0, then the anchor and the point of each inner projection.
+        assert len(checks) == 2 + 2 * len(projections)
 
     @pytest.mark.parametrize(
         "solver, n",
