@@ -1,27 +1,38 @@
 #!/usr/bin/env python3
 """Write BENCH_tables.json, the record of the paper's 32 table runs.
 
-Runs every run of tables 1 and 2 (``table_config``) through ``solve_config``
-``--repeats`` times (default 3) and writes for each: the stop code, the
-outer and inner iteration counts, ``min_violation`` as ``repr`` (so it
-round-trips), the CPU time (the minimum of ``time.process_time`` over the
-repeats) and the inner calls per ``CondGStop`` reason. The script counts
-those by wrapping ``feasib.solvers.condg_project`` while it runs, and
-restores it afterwards; every repeat must give the same counts. The file
-also records the commit, the Python and numpy versions, the BLAS build and
-the thread variables. Codes and counts are the record; CPU times vary
-between machines and runs.
+Runs ``reproduce_table`` for tables 1 and 2 once, into a temporary directory
+that is removed afterwards, and prints two lines. The first is
+``sha256 <hex> <n> files``: the SHA-256 of all output files' bytes, read in
+path order. The second is ``iterates <hex>``: the SHA-256 of the trace files
+alone, in path order, with their violation columns ``cB_x`` and ``cA_y``
+left out, so a change that rounds only the violations differently keeps
+it. Two checkouts that print the same lines wrote the same bytes.
+
+Then runs every table run through ``solve_config`` ``--repeats`` times
+(default 3) and writes for each: the stop code, the outer and inner
+iteration counts, ``min_violation`` as ``repr`` (so it round-trips), the
+inner calls per ``CondGStop`` reason, the CPU time (the minimum of
+``time.process_time`` over the repeats) and the SHA-256 of its trace file.
+The script counts the stop reasons by wrapping
+``feasib.solvers.condg_project`` while it runs, and restores it afterwards;
+every repeat must give the same counts, and the same stop code and outer
+count as the table run. The file also holds the two digests, the commit,
+the Python and numpy versions, the BLAS build and the thread variables.
+Codes and counts are the record; CPU times vary between machines and runs.
 
 Usage:
     python scripts/bench_tables.py [--out PATH] [--repeats N]
 """
 
 import argparse
+import hashlib
 import json
 import os
 import platform
 import subprocess
 import sys
+import tempfile
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -32,9 +43,11 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np
 
 from feasib import CondGStop, solvers
-from feasib.instances import solve_config, table_config, table_reference
+from feasib.instances import solve_config, table_config
+from feasib.runner import reproduce_table
 
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+VIOLATION_COLUMNS = ("cB_x", "cA_y")
 
 
 @contextmanager
@@ -105,6 +118,19 @@ def environment() -> dict:
     }
 
 
+def iterates_digest(traces) -> str:
+    """SHA-256 of the trace files' lines without their violation columns."""
+    digest = hashlib.sha256()
+    for path in traces:
+        header, *lines = path.read_text().splitlines()
+        names = header.split(",")
+        keep = [i for i, name in enumerate(names) if name not in VIOLATION_COLUMNS]
+        for line in (header, *lines):
+            fields = line.split(",")
+            digest.update((",".join(fields[i] for i in keep) + "\n").encode())
+    return digest.hexdigest()
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_tables.json")
@@ -112,13 +138,32 @@ def main() -> int:
     args = parser.parse_args()
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
-    runs = [
-        record(which, label, solver, args.repeats)
-        for which in (1, 2)
-        for label, row in table_reference(which).items()
-        for solver in row
-    ]
-    out = {**environment(), "repeats": args.repeats, "runs": runs}
+    with tempfile.TemporaryDirectory() as tmp:
+        tables = Path(tmp)
+        rows = [(which, row) for which in (1, 2) for row in reproduce_table(which, tables)]
+        files = sorted(tables.iterdir())
+        digest = hashlib.sha256()
+        for path in files:
+            digest.update(path.read_bytes())
+        sha256 = digest.hexdigest()
+        iterates = iterates_digest(path for path in files if path.name.endswith("_trace.csv"))
+        print(f"sha256 {sha256} {len(files)} files")
+        print(f"iterates {iterates}")
+        runs = []
+        for which, row in rows:
+            run = record(which, row.instance, row.solver, args.repeats)
+            if (run["stop"], run["outer_iters"]) != (row.stop_code, row.iters):
+                at = f"table {which} {row.instance} {row.solver}"
+                raise RuntimeError(f"{at}: the table run and the repeats disagree")
+            trace = (tables / f"table_{row.instance}_{row.solver}_trace.csv").read_bytes()
+            runs.append({**run, "trace_sha256": hashlib.sha256(trace).hexdigest()})
+    out = {
+        **environment(),
+        "repeats": args.repeats,
+        "sha256": sha256,
+        "iterates": iterates,
+        "runs": runs,
+    }
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     return 0
 

@@ -12,7 +12,8 @@ and fields once, for parsing and building alike. The ``schedule`` and
 defaults fill missing keys, and any other key is refused. Validation errors
 carry the path of the offending field.
 
-Parsing checks only the JSON structure: objects, body ``kind``, and that
+Parsing checks only the JSON structure: objects, body ``kind`` and keys
+(a body's keys are ``kind`` and its kind's fields), and that
 an ellipse needs dimension 2. Numbers, counts and vectors follow the API's
 one rule for each (``as_float``, ``check_count`` and ``as_vector`` of
 :mod:`feasib.bodies`), and the range rules are the API's: the body
@@ -125,11 +126,21 @@ def _kind(kind, path: str):
     return _KINDS[kind]
 
 
+def _refuse_unknown(obj: dict, path: str, names) -> None:
+    """Raise InputError at ``path.<key>`` for the first key of ``obj`` that
+    is not in ``names``, so a misspelled key cannot silently be dropped."""
+    if (key := next((k for k in obj if k not in names), None)) is not None:
+        *rest, last = names
+        expected = f"{', '.join(rest)} or {last}"
+        raise InputError(f"{path}.{key}", f"unknown field; expected {expected}")
+
+
 def _parse_body(obj, path: str, dim: int) -> BodySpec:
     if not isinstance(obj, dict):
         raise InputError(path, "expected an object")
     kind = obj.get("kind")
     _, shapes = _kind(kind, path)
+    _refuse_unknown(obj, path, ("kind", *shapes))
     if kind == "ellipse" and dim != 2:
         raise InputError(f"{path}.kind", "ellipse requires dimension 2")
     params = {}
@@ -146,10 +157,7 @@ def _section(obj: dict, name: str, cls):
     section = obj.get(name, {})
     if not isinstance(section, dict):
         raise InputError(name, "expected an object")
-    names = [f.name for f in fields(cls)]
-    if (key := next((k for k in section if k not in names), None)) is not None:
-        expected = f"{', '.join(names[:-1])} or {names[-1]}"
-        raise InputError(f"{name}.{key}", f"unknown field; expected {expected}")
+    _refuse_unknown(section, name, [f.name for f in fields(cls)])
     return cls(**section)
 
 

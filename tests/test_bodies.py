@@ -102,17 +102,25 @@ class TestConstruction:
         assert err.value.path == path
 
     @pytest.mark.parametrize(
-        "angle, semi_axes",
-        [(0.0, (1e-154, 0.2)), (0.3, (1e-150, 0.2))],
-        ids=["nan-eigvals", "indefinite"],
+        "angle, semi_axes, message",
+        [
+            (0.0, (1e-154, 0.2), length_range(1e-154)),
+            (0.3, (1e-150, 0.2), length_range(1e-150)),
+            (0.3, (1e-8, 1e8), "eigh gives semi-axes "),
+            (0.3, (1.0, 1e9), "must be positive definite, "),
+        ],
+        ids=["nan-eigvals", "indefinite", "long-axis-lost", "indefinite-in-range"],
     )
-    def test_axes_beyond_the_eigensolver_range_rejected(self, angle, semi_axes):
-        # 1/a^2 is a finite float here, but at angle 0 it is a shape entry
-        # above half the largest float, and at angle 0.3 eigh returns a
-        # negative eigenvalue for the shape matrix.
+    def test_axes_beyond_the_eigensolver_range_rejected(self, angle, semi_axes, message):
+        # The first two are lengths outside the range. The last two are in
+        # it, but at condition 1e32 eigh of the rotated shape returns a long
+        # semi-axis near 2, and at 1e18 an eigenvalue <= 0; the digits it
+        # returns may differ between LAPACK builds, so only the start of the
+        # message is checked.
         with pytest.raises(InputError) as err:
             Ellipsoid.from_axes([0.0, 0.0], angle, semi_axes)
         assert err.value.path == "semi_axes"
+        assert err.value.message.startswith(message)
 
     @pytest.mark.parametrize(
         "build, path, message",

@@ -476,13 +476,17 @@ def test_readme_config_example_is_table1():
     [
         ("stopping", "max_outer_iter", "eps_feas, eps_lack or max_outer_iters"),
         ("schedule", "gama0", "gamma0, theta0, lambda0, tau or delta"),
+        ("set_b", "offst", "kind, normal or offset"),
     ],
-    ids=["stopping", "schedule"],
+    ids=["stopping", "schedule", "set_b"],
 )
 def test_a_misspelled_section_key_is_refused(section, key, expected):
-    # Dropped, it would let the run take the default in its place.
+    # Dropped, it would be ignored: a section's run would take the default
+    # in its place.
+    obj = base_config()
+    obj.setdefault(section, {})[key] = 3
     with pytest.raises(InputError) as err:
-        parse_config(base_config(**{section: {key: 3}}))
+        parse_config(obj)
     assert err.value.path == f"{section}.{key}"
     assert err.value.message == f"unknown field; expected {expected}"
 
@@ -498,8 +502,12 @@ def test_every_table_config_round_trips_through_a_file(which, tmp_path):
 
 
 def test_the_committed_table_record_has_the_papers_stop_codes():
-    # scripts/bench_tables.py writes the record; its counts and times are
-    # printed against a fresh run in CI, not checked here.
+    # scripts/bench_tables.py writes the record. A fresh run must keep its
+    # stable quantities (README, "Rounding-sensitive results"): the stop
+    # codes, the ExactAlt outer counts, the exact 0 of an inexact C run's
+    # min_violation and the first four digits of an L run's. The inexact
+    # counts, CPU times and digests may round apart under another BLAS
+    # build; CI prints their diff, not checked here.
     path = Path(__file__).resolve().parent.parent / "BENCH_tables.json"
     runs = json.loads(path.read_text())["runs"]
     recorded = {(r["table"], r["instance"], r["solver"]): r["stop"] for r in runs}
@@ -511,6 +519,16 @@ def test_the_committed_table_record_has_the_papers_stop_codes():
     }
     assert len(runs) == len(paper) == 32
     assert recorded == paper
+    for run in runs:
+        at = (run["table"], run["instance"], run["solver"])
+        report, violation = solve_config(table_config(*at)), float(run["min_violation"])
+        assert report.stop_code.letter == run["stop"], at
+        if run["solver"].startswith("ExactAlt"):
+            assert report.outer_iters == run["outer_iters"], at
+        if run["stop"] == "C":
+            assert report.min_violation == violation == 0.0, at
+        else:
+            assert report.min_violation == pytest.approx(violation, rel=1e-4), at
 
 
 class TestRoundTrip:
@@ -775,6 +793,8 @@ README_ERRORS = {
     "stopping.eps_feas: must be positive": {"stopping": {"eps_feas": 0.0}},
     "stopping.max_outer_iter: unknown field; expected eps_feas, eps_lack or max_outer_iters":
         {"stopping": {"max_outer_iter": 3}},
+    "set_b.offst: unknown field; expected kind, normal or offset":
+        {"set_b": {**HALFSPACE_B, "offst": 3}},
     "x0: must belong to its set (violation <= 1e-10)": {"x0": [5.0, 5.0]},
     "y0: is required when set_b is projected inexactly":
         {"solver": "ACondG2", "set_b": BALL_B},

@@ -25,6 +25,7 @@ from feasib.instances import (
     serialize_config,
     table1_config,
     table2_config,
+    table_config,
     table_reference,
 )
 from feasib.condg import ForcingParams
@@ -207,16 +208,17 @@ class TestRunInstance:
 
 
 class TestReproduceTable:
-    def test_table_digest_script(self, table1_dir):
-        script = Path(__file__).resolve().parents[1] / "scripts" / "table_digest.py"
+    def test_table_record_script(self, table1_dir, table2_dir, tmp_path):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "bench_tables.py"
+        out = tmp_path / "BENCH_tables.json"
         proc = subprocess.run(
-            [sys.executable, str(script), "--which", "1"],
+            [sys.executable, str(script), "--repeats", "1", "--out", str(out)],
             capture_output=True,
             text=True,
         )
         assert proc.returncode == 0, proc.stderr
-        first, iterates, *runs = proc.stdout.splitlines()
-        files = sorted(table1_dir.iterdir())
+        first, iterates = proc.stdout.splitlines()
+        files = sorted([*table1_dir.iterdir(), *table2_dir.iterdir()], key=lambda p: p.name)
         digest = hashlib.sha256(b"".join(path.read_bytes() for path in files))
         assert first == f"sha256 {digest.hexdigest()} {len(files)} files"
         # The trace files without their violation columns, cB_x and cA_y.
@@ -226,11 +228,22 @@ class TestReproduceTable:
                 for row in csv.reader(path.read_text().splitlines()):
                     stripped.update((",".join(row[:5] + row[7:]) + "\n").encode())
         assert iterates == f"iterates {stripped.hexdigest()}"
+        record = json.loads(out.read_text())
+        assert (record["sha256"], record["iterates"]) == (digest.hexdigest(), stripped.hexdigest())
+        runs = [
+            (r["instance"], r["solver"], r["stop"], r["outer_iters"], r["inner_iters"])
+            for r in record["runs"]
+        ]
+        dirs = {1: table1_dir, 2: table2_dir}
         expected = []
-        for label, solver, stop, outer, *_ in comparison_rows(table1_dir, 1):
-            inner = solve_config(table1_config(label, solver)).inner_iter_total
-            expected.append(f"{label} {solver} {stop} {outer} {inner}")
+        for which, out_dir in dirs.items():
+            for label, solver, stop, outer, *_ in comparison_rows(out_dir, which):
+                inner = solve_config(table_config(which, label, solver)).inner_iter_total
+                expected.append((label, solver, stop, int(outer), inner))
         assert runs == expected
+        for r in record["runs"]:
+            trace = dirs[r["table"]] / f"table_{r['instance']}_{r['solver']}_trace.csv"
+            assert r["trace_sha256"] == hashlib.sha256(trace.read_bytes()).hexdigest()
 
     def test_comparison_layout_and_codes(self, table1_dir):
         text = (table1_dir / "table1_comparison.csv").read_text()
