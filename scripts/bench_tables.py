@@ -12,13 +12,12 @@ it. Two checkouts that print the same lines wrote the same bytes.
 Then runs every table run through ``solve_config`` ``--repeats`` times
 (default 3) and writes for each: the stop code, the outer and inner
 iteration counts, ``min_violation`` as ``repr`` (so it round-trips), the
-inner calls per ``CondGStop`` reason, the CPU time (the minimum of
-``time.process_time`` over the repeats) and the SHA-256 of its trace file.
-The script counts the stop reasons by wrapping
-``feasib.solvers.condg_project`` while it runs, and restores it afterwards;
-every repeat must give the same counts, and the same stop code and outer
-count as the table run. The file also holds the two digests, the commit,
-the Python and numpy versions, the BLAS build and the thread variables.
+inner calls per ``CondGStop`` reason, read from the report's
+``inner_results``, the CPU time (the minimum of ``time.process_time`` over
+the repeats) and the SHA-256 of its trace file. Every repeat must give the
+same counts, and the same stop code and outer count as the table run. The
+file also holds the two digests, the commit, the Python and numpy
+versions, the BLAS build and the thread variables.
 Codes and counts are the record; CPU times vary between machines and runs.
 
 Usage:
@@ -34,7 +33,7 @@ import subprocess
 import sys
 import tempfile
 import time
-from contextlib import contextmanager
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -42,31 +41,12 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np
 
-from feasib import CondGStop, solvers
+from feasib import CondGStop
 from feasib.instances import solve_config, table_config
 from feasib.runner import reproduce_table
 
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 VIOLATION_COLUMNS = ("cB_x", "cA_y")
-
-
-@contextmanager
-def inner_stops():
-    """Count the stop reasons of the solvers' inner projections into the
-    dict it yields, by wrapping ``solvers.condg_project``."""
-    counts = {}
-    original = solvers.condg_project
-
-    def counted(*args, **kwargs):
-        res = original(*args, **kwargs)
-        counts[res.stop_reason.value] += 1
-        return res
-
-    solvers.condg_project = counted
-    try:
-        yield counts
-    finally:
-        solvers.condg_project = original
 
 
 def record(which: int, label: str, solver: str, repeats: int) -> dict:
@@ -76,11 +56,10 @@ def record(which: int, label: str, solver: str, repeats: int) -> dict:
     config.bodies  # built before timing, as a run reuses them
     entries, cpu = [], []
     for _ in range(repeats):
-        with inner_stops() as counts:
-            counts.update((reason.value, 0) for reason in CondGStop)
-            start = time.process_time()
-            report = solve_config(config)
-            cpu.append(time.process_time() - start)
+        start = time.process_time()
+        report = solve_config(config)
+        cpu.append(time.process_time() - start)
+        stops = Counter(res.stop_reason for row in report.inner_results for res in row)
         entries.append({
             "table": which,
             "instance": label,
@@ -89,7 +68,7 @@ def record(which: int, label: str, solver: str, repeats: int) -> dict:
             "outer_iters": report.outer_iters,
             "inner_iters": report.inner_iter_total,
             "min_violation": repr(report.min_violation),
-            "inner_stops": dict(counts),
+            "inner_stops": {reason.value: stops[reason] for reason in CondGStop},
         })
     if any(entry != entries[0] for entry in entries):
         raise RuntimeError(f"table {which} {label} {solver}: repeats disagree")

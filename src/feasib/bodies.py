@@ -160,6 +160,12 @@ def check_count(value, path: str) -> None:
         raise InputError(path, "must be >= 1")
 
 
+def _check_type(value, cls: type, path: str) -> None:
+    """Refuse a config object that is no ``cls`` before it fails mid-run."""
+    if not isinstance(value, cls):
+        raise InputError(path, f"expected a {cls.__name__}, got {type(value).__name__}")
+
+
 def _number_problem(x) -> str | None:
     """Why ``x`` is no number, or None; a bool is none."""
     if isinstance(x, bool) or not isinstance(x, numbers.Real):

@@ -67,6 +67,7 @@ from .bodies import (
     Plane,
     Vector,
     _POINT_RANGE,
+    _check_type,
     _vector,
     as_float,
     as_vector,
@@ -126,13 +127,13 @@ class CondGStop(enum.Enum):
     ITERATION_CAP = "iteration_cap"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class CondGResult:
     """Outcome of one inexact projection.
 
     ``final_gap`` is the last linear-optimality gap, the certified bound on
-    ``<point - w_plus, z - w_plus>`` over members ``z``. ``trace`` holds the
-    inner iterates when requested.
+    ``<point - w_plus, z - w_plus>`` over members ``z``; ``trace`` holds the
+    inner iterates when requested. Slotted: a report keeps one per call.
     """
 
     w_plus: Vector
@@ -170,7 +171,7 @@ def condg_project(
     Parameters
     ----------
     body : compact ConvexBody with a linear minimization oracle.
-    params : forcing coefficients; all zero yields the exact projection.
+    params : ForcingParams, the forcing coefficients; all zero projects exactly.
     anchor : member of the body (violation <= ``START_TOL``), the warm start
         and the reference point of the tolerance. A non-member raises
         InputError at ``anchor``; it is tested in the body's frame or plane.
@@ -187,6 +188,7 @@ def condg_project(
     """
     if not body.is_compact:
         raise body._no_oracle()
+    _check_type(params, ForcingParams, "params")
     anchor = as_vector(anchor, body.dim, "anchor")
     point = _vector(point, body.dim, "point", _POINT_RANGE)
     plane = body._fw_plane(anchor, point)

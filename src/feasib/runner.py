@@ -48,12 +48,13 @@ def trace_lines(report: SolveReport, dim: int):
     # and to the same bytes.
     no_y = (math.nan,) * dim
     y_offset = len(report.x_trace) - len(report.y_trace)
+    inner = report.inner_iters_per_k
     for k, x in enumerate(report.x_trace):
         y = report.y_trace[k - y_offset].tolist() if k >= y_offset else no_y
         params = report.schedule_trace[k]
         yield line % (
             k, *x.tolist(), *y, *report.violations[k],
-            params.gamma, params.theta, params.lam, report.inner_iters_per_k[k],
+            params.gamma, params.theta, params.lam, inner[k],
         )
 
 

@@ -19,25 +19,24 @@ the convergence tolerance. A broken rule raises :class:`~feasib.bodies.InputErro
 whose ``path`` names the argument; the config layer runs the same checks
 and so the same messages.
 
-Every projection of every step is one call, ``_project(body, exact,
-anchor, point, params) -> (w, inner_iters, capped)``: inexact,
-:func:`~feasib.condg.condg_project` warm-started at the anchor, where
-``capped`` says it stopped at its cap, the module constant
-``condg._MAX_INNER_ITERS``; or exact, the projection ``exact`` made when
-the point was measured. A step measures each new iterate against the other
-set, then projects it there. On a side projected exactly one call does
-both, the body's unchecked ``_violation_project``, its one exact
+Every projection of every step is one call, ``_project(body, exact, anchor,
+point, params) -> (w, results)``: inexact,
+:func:`~feasib.condg.condg_project` warm-started at the anchor, with its
+one :class:`~feasib.condg.CondGResult`; or exact, the projection ``exact``
+made when the point was measured, with none. ``_drive`` keeps a step's
+results in its report row. A step measures each new iterate against the
+other set, then projects it there. On a side projected exactly one call
+does both, the body's unchecked ``_violation_project``, its one exact
 projection, with one map into the body's frame; on an inexact side
-``_violation`` measures. So the
-alternating step measures the new x against B and projects it onto B in
-one call at its end, the next step consumes that projection, and a run
-computes at most one exact projection it does not use, of its last
-iterate. After ``check_pair`` the loop checks nothing: input within
-``bodies.RANGE`` keeps every iterate finite. The alternating schemes
-project the x-iterate onto B, then the new y-iterate onto A, and their
-verdict is the smaller violation.
-The averaged scheme's step averages the two inexact projections of its
-iterate, and its verdict is the larger violation of that iterate.
+``_violation`` measures. So the alternating step measures the new x against
+B and projects it onto B in one call at its end, the next step consumes
+that projection, and a run computes at most one exact projection it does
+not use, of its last iterate. After ``check_pair`` the loop checks nothing:
+input within ``bodies.RANGE`` keeps every iterate finite. The alternating
+schemes project the x-iterate onto B, then the new y-iterate onto A, and
+their verdict is the smaller violation. The averaged scheme's step averages
+the two inexact projections of its iterate, and its verdict is the larger
+violation of that iterate.
 
 A :class:`ForcingSchedule`, which is also the config's ``schedule``
 section, holds the initial forcing parameters and the factors ``tau`` and
@@ -55,8 +54,8 @@ from dataclasses import dataclass, field, fields
 from typing import Callable
 
 from .bodies import ConvexBody, InputError, Vector, as_float, check_count, member_vector
-from .bodies import _inf_norm
-from .condg import CondGStop, ForcingParams, condg_project
+from .bodies import _check_type, _inf_norm
+from .condg import CondGResult, CondGStop, ForcingParams, condg_project
 
 __all__ = [
     "ForcingSchedule",
@@ -147,14 +146,14 @@ class SolveReport:
     anchors, and the violation pair measures the averaged iterate against
     B and A.
 
-    ``schedule_trace[k]`` and ``inner_iters_per_k[k]`` record the forcing
-    parameters and inner iteration count of the step that produced row ``k``
-    (row 0 carries the schedule's initial parameters and zero inner
-    iterations); the parameters change only by the driver's progress rule.
-    ``inner_cap_iters`` lists outer iterations whose inner loop hit its cap.
-    All four solvers share one driver, which fills an empty report row by
-    row and then sets its stop code; ``outer_iters`` (the last row's index)
-    and ``inner_iter_total`` are read off the rows.
+    ``schedule_trace[k]`` holds the forcing parameters of the step that
+    produced row ``k`` (row 0: the schedule's initial ones), which change
+    only by the driver's progress rule, and ``inner_results[k]`` the
+    ``CondGResult`` of each of its inner projections in call order (none on
+    row 0 or on an exact step). All four solvers share one driver, which
+    fills an empty report row by row and then sets its stop code.
+    ``outer_iters``, ``inner_iters_per_k``, ``inner_iter_total`` and
+    ``inner_cap_iters`` (the rows with an inner loop capped) are read off.
     """
 
     x_trace: list[Vector] = field(default_factory=list)
@@ -162,8 +161,7 @@ class SolveReport:
     violations: list[tuple[float, float]] = field(default_factory=list)
     stop_code: StopCode = StopCode.ITERATION_CAP
     schedule_trace: list[ForcingParams] = field(default_factory=list)
-    inner_iters_per_k: list[int] = field(default_factory=list)
-    inner_cap_iters: list[int] = field(default_factory=list)
+    inner_results: list[tuple[CondGResult, ...]] = field(default_factory=list)
     anchor_trace: list[Vector] | None = None
 
     @property
@@ -171,8 +169,19 @@ class SolveReport:
         return len(self.x_trace) - 1
 
     @property
+    def inner_iters_per_k(self) -> list[int]:
+        # ``if row`` builds no generator for the empty rows of exact steps.
+        return [sum(r.inner_iters for r in row) if row else 0
+                for row in self.inner_results]
+
+    @property
     def inner_iter_total(self) -> int:
         return sum(self.inner_iters_per_k)
+
+    @property
+    def inner_cap_iters(self) -> list[int]:
+        return [k for k, row in enumerate(self.inner_results)
+                if any(r.stop_reason is CondGStop.ITERATION_CAP for r in row)]
 
     @property
     def min_violation(self) -> float:
@@ -188,16 +197,14 @@ class SolveReport:
     def y_last(self) -> Vector:
         return self.y_trace[-1]
 
-    def _add_row(self, x, y, violations, params, inner, capped) -> None:
+    def _add_row(self, x, y, violations, params, results) -> None:
         """Append a row; a ``y`` of None leaves ``y_trace`` unchanged."""
         self.x_trace.append(x)
         if y is not None:
             self.y_trace.append(y)
         self.violations.append(violations)
         self.schedule_trace.append(params)
-        self.inner_iters_per_k.append(inner)
-        if capped:
-            self.inner_cap_iters.append(self.outer_iters)
+        self.inner_results.append(results)
 
     def _stop(self, code: StopCode) -> "SolveReport":
         self.stop_code = code
@@ -224,7 +231,8 @@ def check_pair(
     the solver runs on the constant zero schedule and ``schedule`` is
     ignored; with one or two, ``schedule`` (default ``ForcingSchedule()``)
     must meet that regime's conditions. Its range rules are its own and
-    hold for every solver.
+    hold for every solver; a ``schedule`` that is no ``ForcingSchedule`` is
+    refused in every regime.
     """
     for path, body, approx in (("set_a", a, inexact[0]), ("set_b", b, inexact[1])):
         if approx and not body.is_compact:
@@ -236,10 +244,11 @@ def check_pair(
         y0 = member_vector(b, y0, "y0")
     elif inexact[1]:
         raise InputError("y0", "is required when set_b is projected inexactly")
+    schedule = ForcingSchedule() if schedule is None else schedule
+    _check_type(schedule, ForcingSchedule, "schedule")
     regime = sum(inexact)
     if regime == 0:
         return x0, y0, _ZERO_SCHEDULE
-    schedule = schedule or ForcingSchedule()
     gamma, theta, lam = schedule.gamma0, schedule.theta0, schedule.lambda0
     if regime == 1:
         ok, rule = theta < 0.5, "one-set regime requires theta < 1/2"
@@ -259,14 +268,14 @@ def _measurer(body, inexact):
     return body._violation_project
 
 
-def _project(body, exact, anchor, point, params) -> tuple[Vector, int, bool]:
-    """One projection of a step, as the module docstring states: ``exact``,
-    the projection a measurer returned for ``point``, or ``condg_project``
-    when that is None."""
+def _project(body, exact, anchor, point, params) -> tuple[Vector, tuple]:
+    """One projection of a step and its inner results, as the module
+    docstring states: ``exact``, the projection a measurer returned for
+    ``point``, or ``condg_project`` when that is None."""
     if exact is not None:
-        return exact, 0, False
+        return exact, ()
     res = condg_project(body, params, anchor, point)
-    return res.w_plus, res.inner_iters, res.stop_reason is CondGStop.ITERATION_CAP
+    return res.w_plus, (res,)
 
 
 def _drive(
@@ -280,12 +289,12 @@ def _drive(
 ) -> SolveReport:
     """The one outer loop: row 0 is ``first_row`` ``(x, y, violations)``,
     and each later row comes from ``step(params)``, which returns ``(x, y,
-    violations, inner_iters, capped, moved)``. ``params`` are the current
-    forcing parameters, a local that starts at the schedule's initial values
-    and that only the progress rule changes. ``moved`` is the max-norm
-    distance the step's iterates moved (exact when at most ``eps_lack``, and
-    any larger number otherwise). ``verdict`` reduces a violation pair to
-    the number the stops read. After each step, in this order: a verdict of
+    violations, inner_results, moved)``. ``params`` are the current forcing
+    parameters, a local that starts at the schedule's initial values and
+    that only the progress rule changes. ``moved`` is the max-norm distance
+    the step's iterates moved (exact when at most ``eps_lack``, and any
+    larger number otherwise). ``verdict`` reduces a violation pair to the
+    number the stops read. After each step, in this order: a verdict of
     exactly 0 converges (an iterate lies in the other set); ``moved <=
     eps_lack`` for the second step in a row stops for lack of progress; a
     verdict at most ``feas_tol`` converges; otherwise the progress rule
@@ -294,14 +303,14 @@ def _drive(
     stalled even when its verdict dips under ``feas_tol`` in the same step.
     """
     params = ForcingParams(schedule.gamma0, schedule.theta0, schedule.lambda0)
-    rep._add_row(*first_row, params, 0, False)
+    rep._add_row(*first_row, params, ())
     if verdict(first_row[2]) <= feas_tol:
         return rep._stop(StopCode.CONVERGED_FEASIBLE)
 
     lack_streak, prev = 0, first_row[2]
     for _ in range(stop.max_outer_iters):
-        x, y, viol, inner, capped, moved = step(params)
-        rep._add_row(x, y, viol, params, inner, capped)
+        x, y, viol, results, moved = step(params)
+        rep._add_row(x, y, viol, params, results)
         v = verdict(viol)
         if v == 0.0:
             return rep._stop(StopCode.CONVERGED_FEASIBLE)
@@ -341,6 +350,7 @@ def _alternate(
     two entries. A y-iterate exactly in A ends the step, and so the run,
     with ``x`` and its violation unchanged.
     """
+    _check_type(stop, StoppingConfig, "stop")
     x0, y0, schedule = check_pair(a, b, x0, y0, inexact, schedule)
     feas_tol = stop.eps_feas if any(inexact) else 0.0
     measure_a, measure_b = _measurer(a, inexact[0]), _measurer(b, inexact[1])
@@ -349,11 +359,11 @@ def _alternate(
 
     def step(params):
         nonlocal x, y, cb_x, y_exact
-        y_new, inner_b, cap_b = _project(b, y_exact, y, x, params)
+        y_new, res_b = _project(b, y_exact, y, x, params)
         ca_y, x_exact = measure_a(y_new)
         if ca_y == 0.0:
-            return x, y_new, (cb_x, ca_y), inner_b, cap_b, math.inf
-        x_new, inner_a, cap_a = _project(a, x_exact, x, y_new, params)
+            return x, y_new, (cb_x, ca_y), res_b, math.inf
+        x_new, res_a = _project(a, x_exact, x, y_new, params)
         # The driver reads ``moved`` only against eps_lack, so y's norm is
         # needed only when x moved that little.
         moved = math.inf if y is None else _inf_norm(x_new - x)
@@ -361,7 +371,7 @@ def _alternate(
             moved = max(moved, _inf_norm(y_new - y))
         x, y = x_new, y_new
         cb_x, y_exact = measure_b(x)
-        return x, y, (cb_x, ca_y), inner_b + inner_a, cap_b or cap_a, moved
+        return x, y, (cb_x, ca_y), res_b + res_a, moved
 
     ca0 = a._violation(y0) if y0 is not None else math.inf
     first_row = (x0, y0, (cb_x, ca0))
@@ -412,19 +422,20 @@ def averaged_projection(
     holds the averaged iterates and ``y_trace`` / ``anchor_trace`` the two
     projection outputs.
     """
+    _check_type(stop, StoppingConfig, "stop")
     x0, y0, sched = check_pair(a, b, x0, y0, (True, True), schedule)
     z, anchor_a, anchor_b = 0.5 * (x0 + y0), x0, y0
     rep = SolveReport(anchor_trace=[x0])
 
     def step(params):
         nonlocal z, anchor_a, anchor_b
-        anchor_a, inner_a, cap_a = _project(a, None, anchor_a, z, params)
-        anchor_b, inner_b, cap_b = _project(b, None, anchor_b, z, params)
+        anchor_a, res_a = _project(a, None, anchor_a, z, params)
+        anchor_b, res_b = _project(b, None, anchor_b, z, params)
         rep.anchor_trace.append(anchor_a)
         z_new = 0.5 * (anchor_a + anchor_b)
         moved, z = _inf_norm(z_new - z), z_new
         viol = (b._violation(z), a._violation(z))
-        return z, anchor_b, viol, inner_a + inner_b, cap_a or cap_b, moved
+        return z, anchor_b, viol, res_a + res_b, moved
 
     first_row = (z, y0, (b._violation(z), a._violation(z)))
     return _drive(rep, first_row, step, max, sched, stop, stop.eps_feas)

@@ -20,7 +20,6 @@ from feasib import (
     condg,
     solvers,
 )
-from feasib.condg import CondGStop
 
 # The range refusals (``feasib.RANGE``): of a vector entry, of an entry of
 # ``condg_project``'s point, which may lie within +-RANGE**2, and of a length
@@ -221,25 +220,24 @@ def reference_alternate(a, b, x0, y0, inexact, schedule=None, stop=StoppingConfi
 
     def project(body, approx, anchor, point, params):
         if not approx:
-            return body._violation_project(point)[1], 0, False
+            return body._violation_project(point)[1], ()
         res = condg.condg_project(body, params, anchor, point)
-        capped = res.stop_reason is CondGStop.ITERATION_CAP
-        return res.w_plus, res.inner_iters, capped
+        return res.w_plus, (res,)
 
     x, y, cb_x = x0, y0, b._violation(x0)
 
     def step(params):
         nonlocal x, y, cb_x
-        y_new, inner_b, cap_b = project(b, inexact[1], y, x, params)
+        y_new, res_b = project(b, inexact[1], y, x, params)
         ca_y = a._violation(y_new)
         if ca_y == 0.0:
-            return x, y_new, (cb_x, ca_y), inner_b, cap_b, math.inf
-        x_new, inner_a, cap_a = project(a, inexact[0], x, y_new, params)
+            return x, y_new, (cb_x, ca_y), res_b, math.inf
+        x_new, res_a = project(a, inexact[0], x, y_new, params)
         moved = math.inf
         if y is not None:
             moved = max(solvers._inf_norm(x_new - x), solvers._inf_norm(y_new - y))
         x, y, cb_x = x_new, y_new, b._violation(x_new)
-        return x, y, (cb_x, ca_y), inner_b + inner_a, cap_b or cap_a, moved
+        return x, y, (cb_x, ca_y), res_b + res_a, moved
 
     ca0 = a._violation(y0) if y0 is not None else math.inf
     feas_tol = stop.eps_feas if any(inexact) else 0.0

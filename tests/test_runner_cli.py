@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -25,16 +26,14 @@ from feasib.instances import (
     serialize_config,
     table1_config,
     table2_config,
-    table_config,
     table_reference,
 )
-from feasib.condg import ForcingParams
+from feasib.condg import CondGResult, CondGStop, ForcingParams
 from feasib.runner import (
     TableRow,
     comparison_path,
     reproduce_table,
     run_instance,
-    solve_config,
     write_trace_csv,
 )
 from feasib.solvers import SolveReport
@@ -98,16 +97,16 @@ class TestRunInstance:
     def test_trace_bytes_match_a_csv_writer_reference(self, tmp_path, dim):
         # Row 0 has no y-iterate; the values probe signed zero, subnormal,
         # huge and inexact floats. A 2-D row takes the first two entries.
+        x1 = np.array([0.1, 3.0, 5e-324][:dim])
         report = SolveReport(
-            x_trace=[np.array([-0.0, 5e-324, 1e308][:dim]),
-                     np.array([0.1, 3.0, 5e-324][:dim])],
+            x_trace=[np.array([-0.0, 5e-324, 1e308][:dim]), x1],
             y_trace=[np.array([1e308, -0.0, 0.1][:dim])],
             violations=[(3.0, math.inf), (5e-324, 0.1)],
             schedule_trace=[
                 ForcingParams(0.1, 3.0, -0.0),
                 ForcingParams(5e-324, 1e308, 0.1),
             ],
-            inner_iters_per_k=[0, 17],
+            inner_results=[(), (CondGResult(x1, 17, 0.0, CondGStop.TOLERANCE_MET),)],
         )
         path = tmp_path / "probe.csv"
         write_trace_csv(path, report, dim)
@@ -208,7 +207,7 @@ class TestRunInstance:
 
 
 class TestReproduceTable:
-    def test_table_record_script(self, table1_dir, table2_dir, tmp_path):
+    def test_table_record_script(self, table1_dir, table2_dir, tmp_path, table_reports):
         script = Path(__file__).resolve().parents[1] / "scripts" / "bench_tables.py"
         out = tmp_path / "BENCH_tables.json"
         proc = subprocess.run(
@@ -238,10 +237,13 @@ class TestReproduceTable:
         expected = []
         for which, out_dir in dirs.items():
             for label, solver, stop, outer, *_ in comparison_rows(out_dir, which):
-                inner = solve_config(table_config(which, label, solver)).inner_iter_total
+                inner = table_reports[which, label, solver].inner_iter_total
                 expected.append((label, solver, stop, int(outer), inner))
         assert runs == expected
         for r in record["runs"]:
+            results = table_reports[r["table"], r["instance"], r["solver"]].inner_results
+            stops = Counter(res.stop_reason.value for row in results for res in row)
+            assert r["inner_stops"] == {stop.value: stops[stop.value] for stop in CondGStop}
             trace = dirs[r["table"]] / f"table_{r['instance']}_{r['solver']}_trace.csv"
             assert r["trace_sha256"] == hashlib.sha256(trace.read_bytes()).hexdigest()
 

@@ -33,7 +33,7 @@ from feasib.instances import (
     table2_config,
     table_reference,
 )
-from feasib.runner import solve_config
+from feasib.runner import solve_config, trace_lines
 from feasib.solvers import _drive, check_pair
 
 from _helpers import (
@@ -91,7 +91,7 @@ def driven_params(rows, schedule=ForcingSchedule()):
     pairs = iter(rows[1:])
 
     def step(params):
-        return None, None, next(pairs), 0, False, math.inf
+        return None, None, next(pairs), (), math.inf
 
     stop = StoppingConfig(max_outer_iters=len(rows) - 1)
     rep = _drive(SolveReport(), (None, None, rows[0]), step, max, schedule, stop, 0.0)
@@ -586,6 +586,60 @@ class TestInnerCapPropagation:
         assert rep.stop_code in (StopCode.LACK_OF_PROGRESS, StopCode.ITERATION_CAP)
 
 
+def averaged_table_run():
+    """Table 2's 2.30 pair under the averaged scheme, through ``solve_config``."""
+    config = dataclasses.replace(table2_config("2.30", "ACondG2"), solver="Averaged")
+    return solve_config(config)
+
+
+class TestInnerResults:
+    """A report keeps each inner projection's result, in call order, in the
+    row of the step that made it; the counts it reports are read off them."""
+
+    @staticmethod
+    def projected(rep, k, solver):
+        """Row ``k``'s iterates that inner projections returned, in call
+        order. An alternating step projects y, then x; a y-iterate in A
+        ends the step before x's projection. The averaged step projects
+        its A-side anchor, then its B-side one."""
+        if solver == "Averaged":
+            return [rep.anchor_trace[k], rep.y_trace[k]]
+        y = rep.y_trace[k - (len(rep.x_trace) - len(rep.y_trace))]
+        out = [y] if solver == "ACondG2" else []
+        return out if rep.violations[k][1] == 0.0 else out + [rep.x_trace[k]]
+
+    def kept_runs(self, table_reports):
+        runs = [(solver, rep) for (_, _, solver), rep in table_reports.items()
+                if solver.startswith("ACondG")]
+        return runs + [("Averaged", averaged_table_run())]
+
+    def test_each_row_keeps_the_results_whose_points_it_holds(self, table_reports):
+        for solver, rep in self.kept_runs(table_reports):
+            assert len(rep.inner_results) == len(rep.x_trace) and rep.inner_results[0] == ()
+            for k in range(1, len(rep.x_trace)):
+                results, points = rep.inner_results[k], self.projected(rep, k, solver)
+                assert len(results) == len(points), (solver, k)
+                assert all(r.w_plus is p for r, p in zip(results, points)), (solver, k)
+
+    def test_the_kept_inner_iterations_are_the_trace_column(self, table_reports):
+        for solver, rep in self.kept_runs(table_reports):
+            column = [int(line.rsplit(",", 1)[1]) for line in trace_lines(rep, 2)]
+            kept = [sum(r.inner_iters for r in row) for row in rep.inner_results]
+            assert column == kept == rep.inner_iters_per_k, solver
+            assert rep.inner_iter_total == sum(kept) > 0, solver
+
+    @inner_limits(cap=2)
+    def test_a_cap_of_two_stops_the_inner_loops_of_these_rows(self):
+        # Pinned rows; the report reads them off its kept stop reasons.
+        runs = [
+            (solve_config(table1_config("1.42", "ACondG1")), [4, 5, 6, 7, 8]),
+            (solve_config(table2_config("2.358", "ACondG2")), list(range(2, 15))),
+            (averaged_table_run(), list(range(3, 52))),
+        ]
+        for rep, capped in runs:
+            assert rep.inner_cap_iters == capped
+
+
 def descent_pair(rng, n, b_kinds):
     """A random A (an ellipsoid of condition number 1 to 1e8, or a ball) and
     a random B of one of ``b_kinds``, in dimension ``n``, with centres in
@@ -676,9 +730,9 @@ class TestQuasiFejer:
     |x_k - z|^2 + 2 (g_B + g_A)``; the averaged step takes the midpoint of
     its two outputs, and as ``|. - z|^2`` is convex its factor is 1.
     ExactAlt projects exactly, so its factor is 0 and each row is plain
-    Fejér. The gaps are read by wrapping ``condg_project`` and cut into
-    rows where ``_drive`` appends each row. B of each pair is a ball,
-    which ACondG2 and Averaged project by its plane kernel.
+    Fejér. Row ``k + 1``'s gaps are the final gaps of the inner results
+    the report keeps for it, ``inner_results[k + 1]``. B of each pair is a
+    ball, which ACondG2 and Averaged project by its plane kernel.
     """
 
     SOLVES = {
@@ -692,36 +746,17 @@ class TestQuasiFejer:
     }
 
     @pytest.mark.parametrize("solver", list(SOLVES))
-    def test_each_row_moves_away_from_a_common_point_by_at_most_its_gaps(
-        self, monkeypatch, solver
-    ):
+    def test_each_row_moves_away_from_a_common_point_by_at_most_its_gaps(self, solver):
         c, solve = self.SOLVES[solver]
-        gaps, marks = [], []  # marks[k]: the inner calls made before row k
-
-        def condg_project(*args, **kwargs):
-            res = condg.condg_project(*args, **kwargs)
-            gaps.append(res.final_gap)
-            return res
-
-        add_row = SolveReport._add_row
-
-        def marked_add_row(report, *args):
-            marks.append(len(gaps))
-            add_row(report, *args)
-
-        monkeypatch.setattr(solvers, "condg_project", condg_project)
-        monkeypatch.setattr(SolveReport, "_add_row", marked_add_row)
         for n in (2, 3, 16):
             rng = np.random.default_rng(n)
             a, b, z, x0, y0 = meeting_pair(rng, n, 1e-2)
             assert a.violation(z) == b.violation(z) == 0.0
-            gaps.clear()
-            marks.clear()
             rep = solve(a, b, x0, y0, StoppingConfig(max_outer_iters=100))
             assert rep.outer_iters == 100
             dist_sq = [float((x - z) @ (x - z)) for x in rep.x_trace]
             for k in range(rep.outer_iters):
-                error = c * sum(gaps[marks[k]:marks[k + 1]])
+                error = c * sum(res.final_gap for res in rep.inner_results[k + 1])
                 slack = 1e-13 * (1.0 + dist_sq[k])
                 assert dist_sq[k + 1] <= dist_sq[k] + error + slack, (n, k)
 
@@ -758,6 +793,34 @@ class TestInputRules:
         with pytest.raises(InputError) as err:
             acondg2(unit_disk(), unit_disk(), [0.0, 0.0], [float("nan"), 0.0])
         assert err.value.path == "y0"
+
+    @pytest.mark.parametrize(
+        "call, path",
+        [
+            # y0 passed by position, as the other solvers take it, lands on stop.
+            (lambda a, b: exact_alternating(a, b, [0.0, 0.0], [1.5, 0.0]), "stop"),
+            (lambda a, b: exact_alternating(a, b, [0.0, 0.0], None), "stop"),
+            (lambda a, b: acondg1(a, b, [0.0, 0.0], schedule={"gamma0": 0.1}), "schedule"),
+            (lambda a, b: acondg1(a, b, [0.0, 0.0], schedule={}), "schedule"),
+            (lambda a, b: acondg1(a, b, [0.0, 0.0], stop={"eps_feas": 1e-8}), "stop"),
+            (lambda a, b: acondg2(a, b, [0.0, 0.0], [1.5, 0.0], stop=(1e-8,)), "stop"),
+            (lambda a, b: averaged_projection(a, b, [0.0, 0.0], [1.5, 0.0], stop=[]), "stop"),
+            (lambda a, b: condg.condg_project(a, (0.1, 0.2, 0.2), [0.0, 0.0], [2.0, 0.0]),
+             "params"),
+        ],
+        ids=["exact-y0-as-stop", "exact-stop-none", "acondg1-schedule-dict",
+             "acondg1-schedule-empty", "acondg1-stop-dict", "acondg2-stop-tuple",
+             "averaged-stop-list", "condg-params-tuple"],
+    )
+    def test_a_config_object_of_another_type_is_refused_at_its_argument(self, call, path):
+        # Unchecked, each raised AttributeError mid-run, or ran on the
+        # default schedule in place of an empty dict.
+        expected = {"stop": "StoppingConfig", "schedule": "ForcingSchedule",
+                    "params": "ForcingParams"}[path]
+        with pytest.raises(InputError) as err:
+            call(unit_disk(), Ball(center=[1.5, 0.0], radius=1.0))
+        assert err.value.path == path
+        assert err.value.message.startswith(f"expected a {expected}, got ")
 
     def test_dimension_mismatch_names_set_b(self):
         b = Ball(center=[0.0, 0.0, 0.0], radius=1.0)
@@ -798,8 +861,8 @@ class TestCheckedOnce:
         # ``as_vector`` checks through ``_vector``, as ``condg_project``
         # checks its point (against the wider point range).
         checks = count_calls(monkeypatch, bodies._vector)
-        projections = count_calls(monkeypatch, solvers.condg_project)
         report = solve_config(config)
+        projections = [res for row in report.inner_results for res in row]
         assert report.outer_iters > 100
         assert (len(projections) > 0) == (solver == "ACondG2")
         # x0 and y0, then the anchor and the point of each inner projection.
@@ -926,7 +989,7 @@ def long_axis_scaled(config, factor):
     return dataclasses.replace(config, set_a=BodySpec(kind="ellipse", params=params))
 
 
-def test_a_change_in_the_13th_digit_keeps_the_stable_table_quantities():
+def test_a_change_in_the_13th_digit_keeps_the_stable_table_quantities(table_reports):
     # Each table run again with set A's long semi-axis scaled by 1 +- 1e-13.
     # The inner and outer counts of the inexact runs move (README,
     # "Rounding-sensitive results"); the stop codes, the ExactAlt outer
@@ -937,7 +1000,7 @@ def test_a_change_in_the_13th_digit_keeps_the_stable_table_quantities():
     for make, which, label in runs:
         for solver in table_reference(which)[label]:
             config = make(label, solver)
-            base = solve_config(config)
+            base = table_reports[which, label, solver]
             for factor in (1.0 + 1e-13, 1.0 - 1e-13):
                 rep = solve_config(long_axis_scaled(config, factor))
                 at = (label, solver, factor)
