@@ -1,21 +1,20 @@
 """Problem-instance configuration: JSON schema, validation, and the built-in
 experiment tables.
 
-A config file is a single JSON object with a ``schema`` version field. Body
-descriptions are tagged by ``kind``: ``ellipse`` (center / angle /
-semi_axes, 2-D), ``halfspace`` (normal / offset), ``ball`` (center /
-radius), ``box`` (lower / upper); ``_KINDS`` states each kind's constructor
-and fields once, for parsing and building alike. The ``schedule`` and
-``stopping`` objects are the solvers' own
-:class:`~feasib.solvers.ForcingSchedule` and
-:class:`~feasib.solvers.StoppingConfig`: their fields are the keys, their
-defaults fill missing keys, and any other key is refused. Validation errors
-carry the path of the offending field.
+A config file is a single JSON object with a ``schema`` version field. An
+:class:`InstanceConfig` holds only what the file holds: its bodies are their
+JSON objects, tagged by ``kind`` (``_KINDS`` states each kind's constructor
+and fields once, for parsing and building alike), and ``dimension`` is the
+length of ``x0``. The ``schedule`` and ``stopping`` objects are the solvers'
+own :class:`~feasib.solvers.ForcingSchedule` and
+:class:`~feasib.solvers.StoppingConfig`. One key rule, ``_refuse_unknown``,
+refuses a key that is no field (at top level, other than ``schema``,
+``dimension`` and the retired ``seed``) and a key repeated within one
+object. Validation errors carry the path of the offending field.
 
-Parsing checks only the JSON structure: objects, body ``kind`` and keys
-(a body's keys are ``kind`` and its kind's fields), and that
-an ellipse needs dimension 2. Numbers, counts and vectors follow the API's
-one rule for each (``as_float``, ``check_count`` and ``as_vector`` of
+Parsing checks only the JSON structure: objects, body ``kind``, keys and
+that an ellipse needs dimension 2. Numbers, counts and vectors follow the
+API's one rule for each (``as_float``, ``check_count`` and ``as_vector`` of
 :mod:`feasib.bodies`), and the range rules are the API's: the body
 constructors (re-pathed under ``set_a`` / ``set_b``), ``ForcingSchedule``
 and ``StoppingConfig``, for every solver. :func:`validate_config` then
@@ -33,7 +32,8 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, field, fields
+from collections import Counter
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -74,27 +74,30 @@ _SOLVER_LOOKUP = {n.lower().replace("_", ""): n for n in _SOLVERS}
 
 
 @dataclass(frozen=True)
-class BodySpec:
-    kind: str
-    params: dict = field(hash=False)
-
-
-@dataclass(frozen=True)
 class InstanceConfig:
-    dimension: int
-    set_a: BodySpec
-    set_b: BodySpec
+    """A config file's content, in file order; a body is its JSON object."""
+
+    set_a: dict = field(hash=False)
+    set_b: dict = field(hash=False)
     x0: tuple[float, ...]
     solver: str
-    y0: tuple[float, ...] | None = None
     schedule: ForcingSchedule = ForcingSchedule()
     stopping: StoppingConfig = StoppingConfig()
+    y0: tuple[float, ...] | None = None
+
+    @property
+    def dimension(self) -> int:
+        return len(self.x0)
 
     @cached_property
     def bodies(self) -> tuple[ConvexBody, ConvexBody]:
         """``(set_a, set_b)``, built on first use; the cache is no field, so
         it changes neither equality nor hashing."""
         return _build_body(self.set_a, "set_a"), _build_body(self.set_b, "set_b")
+
+
+# A config file's top-level keys; the retired ``seed`` is read by nothing.
+_TOP_KEYS = ("schema", "dimension", *(f.name for f in fields(InstanceConfig)), "seed")
 
 
 def _vector(obj, path: str, dim: int) -> tuple[float, ...]:
@@ -126,16 +129,28 @@ def _kind(kind, path: str):
     return _KINDS[kind]
 
 
+class _Object(dict):
+    """A JSON object as ``load_config`` reads it, with the keys it repeats:
+    ``json`` keeps only the last value of a repeated key."""
+
+    def __init__(self, pairs):
+        super().__init__(pairs)
+        self.repeated = {k for k, n in Counter(k for k, _ in pairs).items() if n > 1}
+
+
 def _refuse_unknown(obj: dict, path: str, names) -> None:
-    """Raise InputError at ``path.<key>`` for the first key of ``obj`` that
-    is not in ``names``, so a misspelled key cannot silently be dropped."""
-    if (key := next((k for k in obj if k not in names), None)) is not None:
-        *rest, last = names
-        expected = f"{', '.join(rest)} or {last}"
-        raise InputError(f"{path}.{key}", f"unknown field; expected {expected}")
+    """Raise InputError at ``path.<key>`` (``<key>`` at top level) for the
+    first key of ``obj`` not in ``names`` or repeated, so none is dropped."""
+    for key in obj:
+        at = f"{path}.{key}" if path else key
+        if key in getattr(obj, "repeated", ()):
+            raise InputError(at, "repeated key; each key may appear once")
+        if key not in names:
+            *rest, last = names
+            raise InputError(at, f"unknown field; expected {', '.join(rest)} or {last}")
 
 
-def _parse_body(obj, path: str, dim: int) -> BodySpec:
+def _parse_body(obj, path: str, dim: int) -> dict:
     if not isinstance(obj, dict):
         raise InputError(path, "expected an object")
     kind = obj.get("kind")
@@ -143,17 +158,16 @@ def _parse_body(obj, path: str, dim: int) -> BodySpec:
     _refuse_unknown(obj, path, ("kind", *shapes))
     if kind == "ellipse" and dim != 2:
         raise InputError(f"{path}.kind", "ellipse requires dimension 2")
-    params = {}
+    body = {"kind": kind}
     for name, shape in shapes.items():
         value, at = obj.get(name), f"{path}.{name}"
-        params[name] = _vector(value, at, dim) if shape is tuple else as_float(value, at)
-    return BodySpec(kind=kind, params=params)
+        body[name] = _vector(value, at, dim) if shape is tuple else as_float(value, at)
+    return body
 
 
 def _section(obj: dict, name: str, cls):
     """The config's ``name`` object read into ``cls``, which checks each of
-    its fields at ``name.<field>``; a missing field takes its default, and
-    a key that is no field raises InputError at ``name.<key>``."""
+    its fields at ``name.<field>``; a missing field takes its default."""
     section = obj.get(name, {})
     if not isinstance(section, dict):
         raise InputError(name, "expected an object")
@@ -168,6 +182,7 @@ def parse_config(obj) -> InstanceConfig:
     schema = obj.get("schema")
     if schema != SCHEMA_VERSION:
         raise InputError("schema", f"expected version {SCHEMA_VERSION}, got {schema}")
+    _refuse_unknown(obj, "", _TOP_KEYS)
     dim = obj.get("dimension")
     check_count(dim, "dimension")
 
@@ -178,34 +193,25 @@ def parse_config(obj) -> InstanceConfig:
     solver = _SOLVER_LOOKUP.get(key, solver_raw)
     _solver_rule(solver)
 
-    set_a = _parse_body(obj.get("set_a"), "set_a", dim)
-    set_b = _parse_body(obj.get("set_b"), "set_b", dim)
-    x0 = _vector(obj.get("x0"), "x0", dim)
-    y0 = None if obj.get("y0") is None else _vector(obj.get("y0"), "y0", dim)
-
-    schedule = _section(obj, "schedule", ForcingSchedule)
-    stopping = _section(obj, "stopping", StoppingConfig)
-
     config = InstanceConfig(
-        dimension=dim,
-        set_a=set_a,
-        set_b=set_b,
-        x0=x0,
-        y0=y0,
+        set_a=_parse_body(obj.get("set_a"), "set_a", dim),
+        set_b=_parse_body(obj.get("set_b"), "set_b", dim),
+        x0=_vector(obj.get("x0"), "x0", dim),
+        y0=None if obj.get("y0") is None else _vector(obj.get("y0"), "y0", dim),
         solver=solver,
-        schedule=schedule,
-        stopping=stopping,
+        schedule=_section(obj, "schedule", ForcingSchedule),
+        stopping=_section(obj, "stopping", StoppingConfig),
     )
     validate_config(config)
     return config
 
 
-def _build_body(spec: BodySpec, path: str) -> ConvexBody:
-    """The body of ``spec``; a constructor's range error is named under
-    ``path``, as in ``set_b.radius``."""
-    constructor, _ = _kind(spec.kind, path)
+def _build_body(body: dict, path: str) -> ConvexBody:
+    """The body of the JSON object ``body``; a constructor's range error is
+    named under ``path``, as in ``set_b.radius``."""
+    constructor, _ = _kind(body.get("kind"), path)
     try:
-        return constructor(**spec.params)
+        return constructor(**{k: v for k, v in body.items() if k != "kind"})
     except InputError as exc:
         raise InputError(f"{path}.{exc.path}", exc.message) from None
 
@@ -258,25 +264,18 @@ def solve_config(config: InstanceConfig) -> SolveReport:
 def serialize_config(config: InstanceConfig) -> dict:
     """Inverse of :func:`parse_config`: a JSON-ready dict (``json`` writes
     its tuples as lists)."""
-    obj = {
-        "schema": SCHEMA_VERSION,
-        "dimension": config.dimension,
-        "set_a": {"kind": config.set_a.kind, **config.set_a.params},
-        "set_b": {"kind": config.set_b.kind, **config.set_b.params},
-        "x0": config.x0,
-        "solver": config.solver,
-        "schedule": asdict(config.schedule),
-        "stopping": asdict(config.stopping),
-    }
-    if config.y0 is not None:
-        obj["y0"] = config.y0
+    obj = {"schema": SCHEMA_VERSION, "dimension": config.dimension}
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if value is not None:
+            obj[f.name] = asdict(value) if is_dataclass(value) else value
     return obj
 
 
 def load_config(path) -> InstanceConfig:
     text = Path(path).read_text()
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, object_pairs_hook=_Object)
     except json.JSONDecodeError as exc:
         raise InputError("$", f"invalid JSON: {exc}") from exc
     return parse_config(obj)
@@ -329,15 +328,14 @@ def table_config(which: int, label: str, solver: str) -> InstanceConfig:
         raise InputError("solver", f"table {which} uses {uses}, got {solver!r}")
     t = float(label)
     if which == 1:
-        set_b, y0 = BodySpec("halfspace", {"normal": (-1.0, 0.0), "offset": -t}), None
+        set_b, y0 = {"kind": "halfspace", "normal": (-1.0, 0.0), "offset": -t}, None
     else:
-        second = {"center": (t, 0.5), "angle": math.pi / 3.0, "semi_axes": (2.0, 0.4)}
-        set_b, y0 = BodySpec("ellipse", second), (t, 0.5)
-    slim = {"center": (0.0, 0.0), "angle": -math.pi / 4.0, "semi_axes": (2.0, 0.2)}
-    return InstanceConfig(
-        dimension=2, set_a=BodySpec("ellipse", slim), set_b=set_b,
-        x0=(0.0, 0.0), solver=solver, y0=y0,
-    )
+        set_b = {"kind": "ellipse", "center": (t, 0.5), "angle": math.pi / 3.0,
+                 "semi_axes": (2.0, 0.4)}
+        y0 = (t, 0.5)
+    slim = {"kind": "ellipse", "center": (0.0, 0.0), "angle": -math.pi / 4.0,
+            "semi_axes": (2.0, 0.2)}
+    return InstanceConfig(set_a=slim, set_b=set_b, x0=(0.0, 0.0), solver=solver, y0=y0)
 
 
 def table1_config(offset: str, solver: str) -> InstanceConfig:

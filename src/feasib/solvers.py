@@ -143,15 +143,15 @@ class SolveReport:
     x-iterate against B with that of the y-iterate against A (``inf`` when
     no y exists yet). For the averaged solver ``x_trace`` holds the averaged
     iterates, ``y_trace`` the B-side anchors, ``anchor_trace`` the A-side
-    anchors, and the violation pair measures the averaged iterate against
-    B and A.
+    anchors (``None`` for the other solvers), and the violation pair
+    measures the averaged iterate against B and A.
 
     ``schedule_trace[k]`` holds the forcing parameters of the step that
     produced row ``k`` (row 0: the schedule's initial ones), which change
     only by the driver's progress rule, and ``inner_results[k]`` the
     ``CondGResult`` of each of its inner projections in call order (none on
     row 0 or on an exact step). All four solvers share one driver, which
-    fills an empty report row by row and then sets its stop code.
+    creates the report, fills it row by row and then sets its stop code.
     ``outer_iters``, ``inner_iters_per_k``, ``inner_iter_total`` and
     ``inner_cap_iters`` (the rows with an inner loop capped) are read off.
     """
@@ -279,7 +279,6 @@ def _project(body, exact, anchor, point, params) -> tuple[Vector, tuple]:
 
 
 def _drive(
-    rep: SolveReport,
     first_row: tuple[Vector, Vector | None, tuple[float, float]],
     step: Callable[[ForcingParams], tuple],
     verdict: Callable[[tuple[float, float]], float],
@@ -287,9 +286,10 @@ def _drive(
     stop: StoppingConfig,
     feas_tol: float,
 ) -> SolveReport:
-    """The one outer loop: row 0 is ``first_row`` ``(x, y, violations)``,
-    and each later row comes from ``step(params)``, which returns ``(x, y,
-    violations, inner_results, moved)``. ``params`` are the current forcing
+    """The one outer loop, the only writer of the report it returns: row 0
+    is ``first_row`` ``(x, y, violations)``, and each later row comes from
+    ``step(params)``, which returns ``(x, y, violations, inner_results,
+    moved)``. ``params`` are the current forcing
     parameters, a local that starts at the schedule's initial values and
     that only the progress rule changes. ``moved`` is the max-norm distance
     the step's iterates moved (exact when at most ``eps_lack``, and any
@@ -302,6 +302,7 @@ def _drive(
     times its value in the previous row. A stalled run is thus reported as
     stalled even when its verdict dips under ``feas_tol`` in the same step.
     """
+    rep = SolveReport()
     params = ForcingParams(schedule.gamma0, schedule.theta0, schedule.lambda0)
     rep._add_row(*first_row, params, ())
     if verdict(first_row[2]) <= feas_tol:
@@ -375,7 +376,7 @@ def _alternate(
 
     ca0 = a._violation(y0) if y0 is not None else math.inf
     first_row = (x0, y0, (cb_x, ca0))
-    return _drive(SolveReport(), first_row, step, min, schedule, stop, feas_tol)
+    return _drive(first_row, step, min, schedule, stop, feas_tol)
 
 
 def acondg1(
@@ -425,20 +426,20 @@ def averaged_projection(
     _check_type(stop, StoppingConfig, "stop")
     x0, y0, sched = check_pair(a, b, x0, y0, (True, True), schedule)
     z, anchor_a, anchor_b = 0.5 * (x0 + y0), x0, y0
-    rep = SolveReport(anchor_trace=[x0])
 
     def step(params):
         nonlocal z, anchor_a, anchor_b
         anchor_a, res_a = _project(a, None, anchor_a, z, params)
         anchor_b, res_b = _project(b, None, anchor_b, z, params)
-        rep.anchor_trace.append(anchor_a)
         z_new = 0.5 * (anchor_a + anchor_b)
         moved, z = _inf_norm(z_new - z), z_new
         viol = (b._violation(z), a._violation(z))
         return z, anchor_b, viol, res_a + res_b, moved
 
     first_row = (z, y0, (b._violation(z), a._violation(z)))
-    return _drive(rep, first_row, step, max, sched, stop, stop.eps_feas)
+    rep = _drive(first_row, step, max, sched, stop, stop.eps_feas)
+    rep.anchor_trace = [x0, *(row[0].w_plus for row in rep.inner_results[1:])]
+    return rep
 
 
 def exact_alternating(

@@ -241,5 +241,4 @@ def reference_alternate(a, b, x0, y0, inexact, schedule=None, stop=StoppingConfi
 
     ca0 = a._violation(y0) if y0 is not None else math.inf
     feas_tol = stop.eps_feas if any(inexact) else 0.0
-    report = solvers.SolveReport()
-    return solvers._drive(report, (x0, y0, (cb_x, ca0)), step, min, schedule, stop, feas_tol)
+    return solvers._drive((x0, y0, (cb_x, ca0)), step, min, schedule, stop, feas_tol)

@@ -22,7 +22,7 @@ from feasib import (
 )
 from feasib.bodies import check_count
 from feasib.instances import (
-    BodySpec,
+    InstanceConfig,
     SCHEMA_VERSION,
     build_bodies,
     load_config,
@@ -471,24 +471,113 @@ def test_readme_config_example_is_table1():
         assert math.isclose(shown, default, rel_tol=1e-9)
 
 
+# The top-level keys a config file may hold, in the order a file is saved;
+# ``seed`` is retired, read by nothing and never written.
+TOP_KEYS = ["schema", "dimension", "set_a", "set_b", "x0", "solver", "schedule",
+            "stopping", "y0", "seed"]
+EXPECTED_TOP_KEYS = f"{', '.join(TOP_KEYS[:-1])} or seed"
+
+
+def exactalt2_with_yo():
+    """An ExactAlt2 config whose ``y0`` is misspelled ``yo``."""
+    obj = serialize_config(table2_config("2.358", "ExactAlt2"))
+    obj["yo"] = obj.pop("y0")
+    return obj
+
+
 @pytest.mark.parametrize(
-    "section, key, expected",
+    "obj, path, expected",
     [
-        ("stopping", "max_outer_iter", "eps_feas, eps_lack or max_outer_iters"),
-        ("schedule", "gama0", "gamma0, theta0, lambda0, tau or delta"),
-        ("set_b", "offst", "kind, normal or offset"),
+        (base_config(stopping={"max_outer_iter": 3}), "stopping.max_outer_iter",
+         "eps_feas, eps_lack or max_outer_iters"),
+        (base_config(schedule={"gama0": 3}), "schedule.gama0",
+         "gamma0, theta0, lambda0, tau or delta"),
+        (base_config(set_b={**HALFSPACE_B, "offst": 3}), "set_b.offst",
+         "kind, normal or offset"),
+        (base_config(stoping={"max_outer_iters": 3}), "stoping", EXPECTED_TOP_KEYS),
+        (exactalt2_with_yo(), "yo", EXPECTED_TOP_KEYS),
     ],
-    ids=["stopping", "schedule", "set_b"],
+    ids=["stopping", "schedule", "set_b", "top-level", "exactalt2-yo"],
 )
-def test_a_misspelled_section_key_is_refused(section, key, expected):
+def test_a_misspelled_section_key_is_refused(obj, path, expected):
     # Dropped, it would be ignored: a section's run would take the default
-    # in its place.
-    obj = base_config()
-    obj.setdefault(section, {})[key] = 3
+    # in its place, and ExactAlt2 would run without its y0.
     with pytest.raises(InputError) as err:
         parse_config(obj)
-    assert err.value.path == f"{section}.{key}"
+    assert err.value.path == path
     assert err.value.message == f"unknown field; expected {expected}"
+
+
+def with_repeat(obj, key, repeat):
+    """``obj`` as JSON text in which ``"key": <value>`` is followed by the
+    same key once more, with ``repeat`` as its value."""
+    text = json.dumps(obj)
+    pattern = re.compile(rf'"{key}": ([^,}}]+)')
+    return pattern.sub(lambda m: f'{m[0]}, "{key}": {json.dumps(repeat)}', text, count=1)
+
+
+# Each case: a file whose object repeats a key, and the path of that key.
+# ``json`` keeps the last value, so each file would run with it: ExactAlt1
+# in place of ACondG1, an eps_feas of 0.5 and a halfspace offset of -9.
+REPEATED_KEYS = [
+    pytest.param(with_repeat(base_config(), "solver", "ExactAlt1"), "solver",
+                 id="top-level"),
+    pytest.param(
+        with_repeat(base_config(stopping={"eps_feas": 1e-8}), "eps_feas", 0.5),
+        "stopping.eps_feas", id="section",
+    ),
+    pytest.param(with_repeat(base_config(), "offset", -9.0), "set_b.offset", id="body"),
+]
+
+
+@pytest.mark.parametrize("text, path", REPEATED_KEYS)
+def test_a_key_repeated_within_one_object_is_refused(text, path, tmp_path):
+    cfg_path = tmp_path / "repeated.json"
+    cfg_path.write_text(text)
+    assert text.count(f'"{path.rsplit(".", 1)[-1]}"') == 2
+    with pytest.raises(InputError) as err:
+        load_config(cfg_path)
+    assert err.value.path == path
+    assert err.value.message == "repeated key; each key may appear once"
+
+
+def test_a_config_carrying_the_retired_seed_loads(tmp_path):
+    cfg_path = tmp_path / "seeded.json"
+    cfg_path.write_text(json.dumps(base_config(seed=7)))
+    assert load_config(cfg_path) == parse_config(base_config())
+
+
+def test_another_schema_version_fails_at_schema_before_any_key():
+    with pytest.raises(InputError) as err:
+        parse_config(base_config(schema=2, stoping={}))
+    assert err.value.path == "schema"
+    assert err.value.message == "expected version 1, got 2"
+
+
+def test_a_saved_config_holds_exactly_the_keys_a_config_may_hold():
+    configs = [
+        table_config(which, label, solver)
+        for which in (1, 2)
+        for label, row in table_reference(which).items()
+        for solver in row
+    ]
+    configs.append(replace(table2_config("2.30", "ACondG2"), solver="Averaged"))
+    for cfg in configs:
+        saved = [k for k in TOP_KEYS if k != "seed" and (k != "y0" or cfg.y0 is not None)]
+        assert list(serialize_config(cfg)) == saved, cfg.solver
+    # And parse_config accepts every one of them.
+    with pytest.raises(InputError) as err:
+        parse_config(base_config(unknown=1))
+    assert err.value.message == f"unknown field; expected {EXPECTED_TOP_KEYS}"
+
+
+def test_dimension_is_the_length_of_x0_and_no_field():
+    cfg = table_config(1, "1.42", "ACondG1")
+    assert "dimension" not in {f.name for f in fields(InstanceConfig)}
+    assert cfg.dimension == len(cfg.x0) == 2
+    # A stored dimension could disagree with x0 and the bodies.
+    with pytest.raises(TypeError):
+        replace(cfg, dimension=3)
 
 
 @pytest.mark.parametrize("which", [1, 2])
@@ -639,9 +728,7 @@ class TestTables:
     def test_unknown_kind_in_a_built_config_names_the_set(self):
         # parse_config rejects the kind first; a config built directly
         # reaches the check in build_bodies.
-        cfg = replace(
-            table1_config("1.30", "ExactAlt1"), set_a=BodySpec(kind="torus", params={})
-        )
+        cfg = replace(table1_config("1.30", "ExactAlt1"), set_a={"kind": "torus"})
         with pytest.raises(InputError) as err:
             build_bodies(cfg)
         assert err.value.path == "set_a.kind"
@@ -795,6 +882,11 @@ README_ERRORS = {
         {"stopping": {"max_outer_iter": 3}},
     "set_b.offst: unknown field; expected kind, normal or offset":
         {"set_b": {**HALFSPACE_B, "offst": 3}},
+    "stoping: unknown field; expected schema, dimension, set_a, set_b, x0, solver, "
+    "schedule, stopping, y0 or seed": {"stoping": {"max_outer_iters": 3}},
+    # A repeated key cannot be written as a dict, so this one is a file's text.
+    "solver: repeated key; each key may appear once":
+        with_repeat(base_config(), "solver", "ExactAlt1"),
     "x0: must belong to its set (violation <= 1e-10)": {"x0": [5.0, 5.0]},
     "y0: is required when set_b is projected inexactly":
         {"solver": "ACondG2", "set_b": BALL_B},
@@ -810,8 +902,13 @@ def readme_error_examples():
 
 
 @pytest.mark.parametrize("example", readme_error_examples())
-def test_readme_error_examples_are_raised(example):
+def test_readme_error_examples_are_raised(example, tmp_path):
     assert example in README_ERRORS, "add the config that raises it to README_ERRORS"
+    config, path = README_ERRORS[example], tmp_path / "example.json"
     with pytest.raises(InputError) as err:
-        parse_config(base_config(**README_ERRORS[example]))
+        if isinstance(config, str):
+            path.write_text(config)
+            load_config(path)
+        else:
+            parse_config(base_config(**config))
     assert str(err.value) == example

@@ -278,8 +278,8 @@ class TestReproduceTable:
         assert "table_1.30_ACondG1_trace.csv" in names
         assert "table_1.60_ExactAlt1_trace.csv" in names
 
-    def test_rerun_is_byte_identical_and_thread_invariant(self, table1_dir, tmp_path):
-        reproduce_table(1, tmp_path)
+    def test_rerun_is_byte_identical_and_returns_the_comparison_csv(self, table1_dir, tmp_path):
+        rows = reproduce_table(1, tmp_path)
         again = comparison_path(1, tmp_path)
         assert (
             again.read_bytes()
@@ -289,9 +289,6 @@ class TestReproduceTable:
             assert (
                 (tmp_path / name).read_bytes() == (table1_dir / name).read_bytes()
             )
-
-    def test_returned_rows_are_the_comparison_csv(self, table1_dir, tmp_path):
-        rows = reproduce_table(1, tmp_path)
         written = comparison_rows(table1_dir, 1)
         assert len(rows) == len(written) == 16
         for row, fields in zip(rows, written):
@@ -532,6 +529,29 @@ class TestCLI:
         assert capsys.readouterr().err == (
             "error: set_a.center: vector entries must lie in [-2^128, 2^128]\n"
         )
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "edit, key",
+        [
+            (lambda text: text.replace('"stopping"', '"stoping"'), "stoping"),
+            (lambda text: text.replace('"y0"', '"yo"'), "yo"),
+            (lambda text: text.replace('"solver": "ExactAlt2"',
+                                       '"solver": "ACondG2", "solver": "ExactAlt2"'),
+             "solver"),
+        ],
+        ids=["misspelled-stopping", "misspelled-y0", "repeated-solver"],
+    )
+    def test_a_key_no_run_reads_exits_2_and_writes_nothing(self, tmp_path, capsys, edit, key):
+        # Each file would otherwise run: with the default stopping, without
+        # its y0, or by the solver named last.
+        cfg_path = tmp_path / "keys.json"
+        save_config(table2_config("2.358", "ExactAlt2"), cfg_path)
+        cfg_path.write_text(edit(cfg_path.read_text()))
+        out_dir = tmp_path / "out"
+        code = main(["run", "--config", str(cfg_path), "--out-dir", str(out_dir)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {key}: ")
         assert not out_dir.exists()
 
     def test_missing_config_exits_2(self, tmp_path):

@@ -16,7 +16,6 @@ from feasib import (
     RANGE,
     START_TOL,
     StopCode,
-    SolveReport,
     StoppingConfig,
     acondg1,
     acondg2,
@@ -27,7 +26,6 @@ from feasib import (
 )
 from feasib import bodies, condg, solvers
 from feasib.instances import (
-    BodySpec,
     _solver_call,
     table1_config,
     table2_config,
@@ -94,7 +92,7 @@ def driven_params(rows, schedule=ForcingSchedule()):
         return None, None, next(pairs), (), math.inf
 
     stop = StoppingConfig(max_outer_iters=len(rows) - 1)
-    rep = _drive(SolveReport(), (None, None, rows[0]), step, max, schedule, stop, 0.0)
+    rep = _drive((None, None, rows[0]), step, max, schedule, stop, 0.0)
     return rep.schedule_trace
 
 
@@ -983,10 +981,9 @@ def test_one_call_per_exact_side_reports_what_two_calls_did(case):
 
 def long_axis_scaled(config, factor):
     """``config`` with the long semi-axis of its set A scaled by ``factor``."""
-    params = dict(config.set_a.params)
-    long, short = params["semi_axes"]
-    params["semi_axes"] = (long * factor, short)
-    return dataclasses.replace(config, set_a=BodySpec(kind="ellipse", params=params))
+    long, short = config.set_a["semi_axes"]
+    set_a = {**config.set_a, "semi_axes": (long * factor, short)}
+    return dataclasses.replace(config, set_a=set_a)
 
 
 def test_a_change_in_the_13th_digit_keeps_the_stable_table_quantities(table_reports):
