@@ -1,6 +1,8 @@
 """Closed convex sets with violation measures, linear oracles, and projections.
 
-Every body is an immutable value. The operations exposed per body are:
+Every body is an immutable value: its constructor copies the vectors it is
+given (``_own_vector``) and marks them, and the arrays it computes,
+read-only. The operations exposed per body are:
 
 * ``violation(z)``   -- max over defining constraints of ``max(0, g_i(z))``,
   zero exactly on members,
@@ -272,6 +274,15 @@ def member_vector(body: ConvexBody, x, path: str) -> Vector:
     return v
 
 
+def _own_vector(x, dim: int | None, path: str) -> Vector:
+    """``as_vector(x, dim, path)`` as a body's own read-only copy: a body
+    keeps only read-only arrays, never the caller's, so nothing it caches
+    from them (``_normal_sq``, ``_planar``, ``_diameter``) can go stale."""
+    v = as_vector(x, dim, path).copy()
+    v.setflags(write=False)
+    return v
+
+
 def _norm(d: Vector) -> float:
     """``|d|`` as numpy's norm computes it, ``sqrt(d . d)``, recomputed on
     ``d / max |d_i|`` where the sum of squares loses bits below the normal
@@ -364,7 +375,7 @@ class Halfspace(ConvexBody):
     is_compact: ClassVar[bool] = False
 
     def __post_init__(self):
-        a = as_vector(self.normal, None, "normal")
+        a = _own_vector(self.normal, None, "normal")
         normal_sq = float(a.dot(a))
         _check_length(math.sqrt(normal_sq), "normal", "|normal| ")
         if not abs(offset := as_float(self.offset, "offset")) <= RANGE:
@@ -400,7 +411,7 @@ class Ball(ConvexBody):
     is_compact: ClassVar[bool] = True
 
     def __post_init__(self):
-        object.__setattr__(self, "center", as_vector(self.center, None, "center"))
+        object.__setattr__(self, "center", _own_vector(self.center, None, "center"))
         r = as_float(self.radius, "radius")
         if r <= 0.0:
             raise InputError("radius", f"must be positive, got {r}")
@@ -484,8 +495,8 @@ class Box(ConvexBody):
     is_compact: ClassVar[bool] = True
 
     def __post_init__(self):
-        lo = as_vector(self.lower, None, "lower")
-        hi = as_vector(self.upper, lo.shape[0], "upper")
+        lo = _own_vector(self.lower, None, "lower")
+        hi = _own_vector(self.upper, lo.shape[0], "upper")
         if np.any(lo > hi):
             raise InputError("upper", "must be >= lower componentwise")
         object.__setattr__(self, "lower", lo)
@@ -542,7 +553,7 @@ class Ellipsoid(ConvexBody):
     is_compact: ClassVar[bool] = True
 
     def __post_init__(self):
-        center = as_vector(self.center, None, "center")
+        center = _own_vector(self.center, None, "center")
         n = center.shape[0]
         if isinstance(self.shape, (list, tuple)):  # a list of rows, each a vector
             q = np.array([as_vector(row, n, "shape") for row in self.shape])
@@ -558,6 +569,8 @@ class Ellipsoid(ConvexBody):
             raise InputError("shape", "must be symmetric")
         q = 0.5 * (q + q.T)
         vals, vecs = np.linalg.eigh(q)  # ascending
+        for own in (q, vals, vecs):  # new arrays, so frozen without a copy
+            own.setflags(write=False)
         if not vals[0] > 0.0:
             raise InputError("shape", f"must be positive definite, eigenvalues {vals}")
         for lam in (vals[0], vals[-1]):

@@ -36,6 +36,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from functools import cached_property
 from pathlib import Path
+from types import MappingProxyType
 
 from . import solvers
 from .bodies import Ball, Box, ConvexBody, Ellipsoid, Halfspace, InputError
@@ -75,15 +76,23 @@ _SOLVER_LOOKUP = {n.lower().replace("_", ""): n for n in _SOLVERS}
 
 @dataclass(frozen=True)
 class InstanceConfig:
-    """A config file's content, in file order; a body is its JSON object."""
+    """A config file's content, in file order; a body is its JSON object,
+    held as a read-only mapping of tuples and floats, so the ``bodies``
+    cache always matches it."""
 
-    set_a: dict = field(hash=False)
-    set_b: dict = field(hash=False)
+    set_a: MappingProxyType = field(hash=False)
+    set_b: MappingProxyType = field(hash=False)
     x0: tuple[float, ...]
     solver: str
     schedule: ForcingSchedule = ForcingSchedule()
     stopping: StoppingConfig = StoppingConfig()
     y0: tuple[float, ...] | None = None
+
+    def __post_init__(self):
+        for name in ("set_a", "set_b"):
+            body = {k: tuple(v) if isinstance(v, list) else v
+                    for k, v in getattr(self, name).items()}
+            object.__setattr__(self, name, MappingProxyType(body))
 
     @property
     def dimension(self) -> int:
@@ -267,6 +276,8 @@ def serialize_config(config: InstanceConfig) -> dict:
     obj = {"schema": SCHEMA_VERSION, "dimension": config.dimension}
     for f in fields(config):
         value = getattr(config, f.name)
+        if isinstance(value, MappingProxyType):
+            value = dict(value)
         if value is not None:
             obj[f.name] = asdict(value) if is_dataclass(value) else value
     return obj

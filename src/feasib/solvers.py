@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields, replace
 from typing import Callable
 
 from .bodies import ConvexBody, InputError, Vector, as_float, check_count, member_vector
@@ -132,9 +132,9 @@ class StopCode(enum.Enum):
         return self.value
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SolveReport:
-    """Outer-loop trace of a feasibility run.
+    """Outer-loop trace of a feasibility run, a frozen value of tuples.
 
     ``x_trace[k]`` / ``y_trace[k]`` are the iterates after outer iteration
     ``k``; for :func:`acondg1` (and :func:`exact_alternating` without a
@@ -151,18 +151,18 @@ class SolveReport:
     only by the driver's progress rule, and ``inner_results[k]`` the
     ``CondGResult`` of each of its inner projections in call order (none on
     row 0 or on an exact step). All four solvers share one driver, which
-    creates the report, fills it row by row and then sets its stop code.
+    builds the report once, at its stop; no row is a caller's array.
     ``outer_iters``, ``inner_iters_per_k``, ``inner_iter_total`` and
     ``inner_cap_iters`` (the rows with an inner loop capped) are read off.
     """
 
-    x_trace: list[Vector] = field(default_factory=list)
-    y_trace: list[Vector] = field(default_factory=list)
-    violations: list[tuple[float, float]] = field(default_factory=list)
-    stop_code: StopCode = StopCode.ITERATION_CAP
-    schedule_trace: list[ForcingParams] = field(default_factory=list)
-    inner_results: list[tuple[CondGResult, ...]] = field(default_factory=list)
-    anchor_trace: list[Vector] | None = None
+    x_trace: tuple[Vector, ...]
+    y_trace: tuple[Vector, ...]
+    violations: tuple[tuple[float, float], ...]
+    stop_code: StopCode
+    schedule_trace: tuple[ForcingParams, ...]
+    inner_results: tuple[tuple[CondGResult, ...], ...]
+    anchor_trace: tuple[Vector, ...] | None = None
 
     @property
     def outer_iters(self) -> int:
@@ -197,19 +197,6 @@ class SolveReport:
     def y_last(self) -> Vector:
         return self.y_trace[-1]
 
-    def _add_row(self, x, y, violations, params, results) -> None:
-        """Append a row; a ``y`` of None leaves ``y_trace`` unchanged."""
-        self.x_trace.append(x)
-        if y is not None:
-            self.y_trace.append(y)
-        self.violations.append(violations)
-        self.schedule_trace.append(params)
-        self.inner_results.append(results)
-
-    def _stop(self, code: StopCode) -> "SolveReport":
-        self.stop_code = code
-        return self
-
 
 def check_pair(
     a: ConvexBody,
@@ -219,8 +206,8 @@ def check_pair(
     inexact: tuple[bool, bool],
     schedule: ForcingSchedule | None = None,
 ) -> tuple[Vector, Vector | None, ForcingSchedule]:
-    """Check a solver's input; return ``x0`` and ``y0`` as vectors and the
-    schedule the solver runs on.
+    """Check a solver's input; return ``x0`` and ``y0`` as new vectors, so
+    no report row is the caller's array, and the schedule the solver runs on.
 
     ``inexact`` says whether the solver projects set A and set B inexactly,
     which needs a compact set (a linear oracle); every body projects
@@ -239,9 +226,9 @@ def check_pair(
             raise InputError(path, "must be compact for an inexact projection")
     if a.dim != b.dim:
         raise InputError("set_b", f"has dimension {b.dim}, set_a has {a.dim}")
-    x0 = member_vector(a, x0, "x0")
+    x0 = member_vector(a, x0, "x0").copy()
     if y0 is not None:
-        y0 = member_vector(b, y0, "y0")
+        y0 = member_vector(b, y0, "y0").copy()
     elif inexact[1]:
         raise InputError("y0", "is required when set_b is projected inexactly")
     schedule = ForcingSchedule() if schedule is None else schedule
@@ -286,51 +273,61 @@ def _drive(
     stop: StoppingConfig,
     feas_tol: float,
 ) -> SolveReport:
-    """The one outer loop, the only writer of the report it returns: row 0
-    is ``first_row`` ``(x, y, violations)``, and each later row comes from
-    ``step(params)``, which returns ``(x, y, violations, inner_results,
-    moved)``. ``params`` are the current forcing
-    parameters, a local that starts at the schedule's initial values and
-    that only the progress rule changes. ``moved`` is the max-norm distance
-    the step's iterates moved (exact when at most ``eps_lack``, and any
-    larger number otherwise). ``verdict`` reduces a violation pair to the
-    number the stops read. After each step, in this order: a verdict of
-    exactly 0 converges (an iterate lies in the other set); ``moved <=
-    eps_lack`` for the second step in a row stops for lack of progress; a
-    verdict at most ``feas_tol`` converges; otherwise the progress rule
-    scales ``params`` by ``delta`` unless either violation is at most ``tau``
-    times its value in the previous row. A stalled run is thus reported as
-    stalled even when its verdict dips under ``feas_tol`` in the same step.
+    """The one outer loop, which keeps its rows in five lists and builds the
+    report it returns once, at its stop: row 0 is ``first_row`` ``(x, y,
+    violations)``, and each later row comes from ``step(params)``, which
+    returns ``(x, y, violations, inner_results, moved)``; a ``y`` of None
+    adds no y-row. ``params`` are the current forcing parameters, a local
+    that starts at the schedule's initial values and that only the progress
+    rule changes. ``moved`` is the max-norm distance the step's iterates
+    moved (exact when at most ``eps_lack``, and any larger number
+    otherwise). ``verdict`` reduces a violation pair to the number the stops
+    read. After each step, in this order: a verdict of exactly 0 converges
+    (an iterate lies in the other set); ``moved <= eps_lack`` for the second
+    step in a row stops for lack of progress; a verdict at most ``feas_tol``
+    converges; otherwise the progress rule scales ``params`` by ``delta``
+    unless either violation is at most ``tau`` times its value in the
+    previous row. A stalled run is thus reported as stalled even when its
+    verdict dips under ``feas_tol`` in the same step.
     """
-    rep = SolveReport()
+    x, y, prev = first_row
     params = ForcingParams(schedule.gamma0, schedule.theta0, schedule.lambda0)
-    rep._add_row(*first_row, params, ())
-    if verdict(first_row[2]) <= feas_tol:
-        return rep._stop(StopCode.CONVERGED_FEASIBLE)
+    xs, ys, viols, param_rows, inner = [x], [] if y is None else [y], [prev], [params], [()]
 
-    lack_streak, prev = 0, first_row[2]
-    for _ in range(stop.max_outer_iters):
-        x, y, viol, results, moved = step(params)
-        rep._add_row(x, y, viol, params, results)
-        v = verdict(viol)
-        if v == 0.0:
-            return rep._stop(StopCode.CONVERGED_FEASIBLE)
-        lack_streak = lack_streak + 1 if moved <= stop.eps_lack else 0
-        if lack_streak >= 2:
-            return rep._stop(StopCode.LACK_OF_PROGRESS)
-        if v <= feas_tol:
-            return rep._stop(StopCode.CONVERGED_FEASIBLE)
-        # A non-finite baseline (no iterate yet) shows no progress, and
-        # all-zero parameters are a fixed point of the scaling.
-        progress = (
-            viol[0] <= schedule.tau * prev[0] < math.inf
-            or viol[1] <= schedule.tau * prev[1] < math.inf
-        )
-        if not (progress or params.gamma == params.theta == params.lam == 0.0):
-            params = params.scaled(schedule.delta)
-        prev = viol
+    def stop_code(params: ForcingParams, prev: tuple[float, float]) -> StopCode:
+        """Run the steps, adding each one's row, and return the stop."""
+        if verdict(prev) <= feas_tol:
+            return StopCode.CONVERGED_FEASIBLE
+        lack_streak = 0
+        for _ in range(stop.max_outer_iters):
+            x, y, viol, results, moved = step(params)
+            xs.append(x)
+            if y is not None:
+                ys.append(y)
+            viols.append(viol)
+            param_rows.append(params)
+            inner.append(results)
+            v = verdict(viol)
+            if v == 0.0:
+                return StopCode.CONVERGED_FEASIBLE
+            lack_streak = lack_streak + 1 if moved <= stop.eps_lack else 0
+            if lack_streak >= 2:
+                return StopCode.LACK_OF_PROGRESS
+            if v <= feas_tol:
+                return StopCode.CONVERGED_FEASIBLE
+            # A non-finite baseline (no iterate yet) shows no progress, and
+            # all-zero parameters are a fixed point of the scaling.
+            progress = (
+                viol[0] <= schedule.tau * prev[0] < math.inf
+                or viol[1] <= schedule.tau * prev[1] < math.inf
+            )
+            if not (progress or params.gamma == params.theta == params.lam == 0.0):
+                params = params.scaled(schedule.delta)
+            prev = viol
+        return StopCode.ITERATION_CAP
 
-    return rep._stop(StopCode.ITERATION_CAP)
+    code = stop_code(params, prev)
+    return SolveReport(tuple(xs), tuple(ys), tuple(viols), code, tuple(param_rows), tuple(inner))
 
 
 def _alternate(
@@ -438,8 +435,7 @@ def averaged_projection(
 
     first_row = (z, y0, (b._violation(z), a._violation(z)))
     rep = _drive(first_row, step, max, sched, stop, stop.eps_feas)
-    rep.anchor_trace = [x0, *(row[0].w_plus for row in rep.inner_results[1:])]
-    return rep
+    return replace(rep, anchor_trace=(x0, *(row[0].w_plus for row in rep.inner_results[1:])))
 
 
 def exact_alternating(

@@ -234,6 +234,53 @@ class TestConstruction:
         assert err.value.path == path
 
 
+    def test_a_halfspace_normal_is_read_only(self):
+        # A writeable normal left the cached |normal|^2 stale: after
+        # ``h.normal[0] = 2.0`` the projection of (3, 0) read (-7, 0).
+        h = Halfspace(normal=[1.0, 0.0], offset=1.0)
+        with pytest.raises(ValueError):
+            h.normal[0] = 2.0
+        assert h.project([3.0, 0.0]).tolist() == [1.0, 0.0]
+
+    def test_an_ellipsoid_centre_is_read_only(self):
+        # A writeable centre split the body in two: ``violation`` read the
+        # cached planar frame, ``support`` the edited centre.
+        e, fresh = (Ellipsoid.from_axes([0.0, 0.0], 0.3, (2.0, 1.0)) for _ in "ab")
+        with pytest.raises(ValueError):
+            e.center[0] = 5.0
+        assert e.center.tolist() == [0.0, 0.0]
+        assert e.violation([1.9, 0.0]) == fresh.violation([1.9, 0.0]) > 0.0
+        assert e.support([1.0, 0.0]) == fresh.support([1.0, 0.0])
+
+    def test_a_ball_keeps_a_copy_of_the_callers_centre(self):
+        v = np.array([0.5, 0.0])
+        b = Ball(center=v, radius=1.0)
+        v[0] = 100.0
+        assert b.center.tolist() == [0.5, 0.0]
+        assert b.violation([1.5, 0.0]) == 0.0
+
+    @pytest.mark.parametrize(
+        "build, names",
+        [
+            (lambda v: Halfspace(normal=v, offset=1.0), ("normal",)),
+            (lambda v: Ball(center=v, radius=1.0), ("center",)),
+            (lambda v: Box(lower=v, upper=v + 1.0), ("lower", "upper")),
+            (
+                lambda v: Ellipsoid(center=v, shape=np.diag([1.0, 4.0, 9.0])),
+                ("center", "shape", "_eigvals", "_eigvecs"),
+            ),
+        ],
+        ids=["halfspace", "ball", "box", "ellipsoid"],
+    )
+    def test_every_array_a_body_keeps_is_its_own_and_read_only(self, build, names):
+        v = np.array([0.5, -1.0, 2.0])
+        body = build(v)
+        for name in names:
+            kept = getattr(body, name)
+            assert not kept.flags.writeable, name
+            assert not np.shares_memory(kept, v), name
+
+
 class TestViolation:
     def test_halfspace_boundary_point(self):
         h = Halfspace(normal=[-1.0, 0.0], offset=-1.3)

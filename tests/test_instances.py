@@ -580,6 +580,24 @@ def test_dimension_is_the_length_of_x0_and_no_field():
         replace(cfg, dimension=3)
 
 
+def test_a_config_body_is_read_only_once_built():
+    # An editable body dict was saved but not solved: ``bodies`` is cached.
+    cfg = table_config(1, "1.30", "ExactAlt1")
+    build_bodies(cfg)
+    with pytest.raises(TypeError):
+        cfg.set_b["offset"] = -9.0
+    assert serialize_config(cfg)["set_b"]["offset"] == build_bodies(cfg)[1].offset == -1.3
+    # A config built directly keeps its own copy of the caller's dict, with
+    # a list value as a tuple.
+    normal = [-1.0, 0.0]
+    body = {**cfg.set_b, "normal": normal}
+    built = replace(cfg, set_b=body)
+    body["offset"] = -9.0
+    normal[0] = 5.0
+    assert built.set_b["offset"] == -1.3
+    assert built.set_b["normal"] == (-1.0, 0.0)
+
+
 @pytest.mark.parametrize("which", [1, 2])
 def test_every_table_config_round_trips_through_a_file(which, tmp_path):
     path = tmp_path / "cfg.json"

@@ -99,14 +99,15 @@ class TestRunInstance:
         # huge and inexact floats. A 2-D row takes the first two entries.
         x1 = np.array([0.1, 3.0, 5e-324][:dim])
         report = SolveReport(
-            x_trace=[np.array([-0.0, 5e-324, 1e308][:dim]), x1],
-            y_trace=[np.array([1e308, -0.0, 0.1][:dim])],
-            violations=[(3.0, math.inf), (5e-324, 0.1)],
-            schedule_trace=[
+            x_trace=(np.array([-0.0, 5e-324, 1e308][:dim]), x1),
+            y_trace=(np.array([1e308, -0.0, 0.1][:dim]),),
+            violations=((3.0, math.inf), (5e-324, 0.1)),
+            stop_code=StopCode.CONVERGED_FEASIBLE,
+            schedule_trace=(
                 ForcingParams(0.1, 3.0, -0.0),
                 ForcingParams(5e-324, 1e308, 0.1),
-            ],
-            inner_results=[(), (CondGResult(x1, 17, 0.0, CondGStop.TOLERANCE_MET),)],
+            ),
+            inner_results=((), (CondGResult(x1, 17, 0.0, CondGStop.TOLERANCE_MET),)),
         )
         path = tmp_path / "probe.csv"
         write_trace_csv(path, report, dim)

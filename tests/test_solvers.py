@@ -463,6 +463,43 @@ class TestAveraged:
             assert b.violation(pb) <= 1e-10
 
 
+# Each solver run from float64 start points the caller keeps.
+FEW = StoppingConfig(max_outer_iters=5)
+START_POINT_RUNS = {
+    "ACondG1": lambda x0, y0: acondg1(slim_ellipse(), halfspace_at(1.30), x0, stop=FEW),
+    "ACondG2": lambda x0, y0: acondg2(slim_ellipse(), second_ellipse(2.30), x0, y0, stop=FEW),
+    "Averaged": lambda x0, y0: averaged_projection(
+        slim_ellipse(), second_ellipse(2.30), x0, y0, stop=FEW
+    ),
+    "ExactAlt2": lambda x0, y0: exact_alternating(
+        slim_ellipse(), second_ellipse(2.30), x0, FEW, y0
+    ),
+}
+
+
+class TestReportIsAValue:
+    @pytest.mark.parametrize("solver", START_POINT_RUNS)
+    def test_every_report_field_is_frozen(self, solver):
+        rep = START_POINT_RUNS[solver](np.zeros(2), np.array([2.30, 0.5]))
+        for f in dataclasses.fields(rep):
+            value = getattr(rep, f.name)
+            assert value is None or isinstance(value, (tuple, StopCode)), f.name
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(rep, f.name, value)
+
+    @pytest.mark.parametrize("solver", START_POINT_RUNS)
+    def test_a_later_edit_of_the_start_points_leaves_the_report(self, solver):
+        x0, y0 = np.zeros(2), np.array([2.30, 0.5])
+        rep = START_POINT_RUNS[solver](x0, y0)
+        traces = [rep.x_trace, rep.y_trace]
+        if rep.anchor_trace is not None:
+            traces.append(rep.anchor_trace)
+        first = [trace[0].tolist() for trace in traces]
+        x0 += 0.25
+        y0 += 0.25
+        assert [trace[0].tolist() for trace in traces] == first
+
+
 class TestExactAlternating:
     def test_feasible_instance_stalls_with_positive_violation(self):
         rep = exact_alternating(slim_ellipse(), halfspace_at(1.30), [0.0, 0.0])
