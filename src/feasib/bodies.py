@@ -626,7 +626,7 @@ class Ellipsoid(ConvexBody):
 
     def _violation(self, z: Vector) -> float:
         if self._planar is None:
-            return self._frame_violation(self._to_frame(z))
+            return ConvexBody._violation(self, z)
         p0, p1 = z.tolist()
         _, _, t0, t1 = self._to_plane(p0, p1)
         return max(0.0, t0 + t1 - 1.0)

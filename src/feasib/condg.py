@@ -114,6 +114,8 @@ class ForcingParams:
         """The parameters times ``factor``, a float in [0, 1]. The products
         of checked nonnegative floats and such a factor are again finite and
         nonnegative, so they skip ``__post_init__``'s checks."""
+        if not 0.0 <= factor <= 1.0:
+            raise InputError("factor", f"must lie in [0, 1], got {factor}")
         out = object.__new__(ForcingParams)
         out.__dict__.update(
             gamma=self.gamma * factor, theta=self.theta * factor, lam=self.lam * factor

@@ -5,8 +5,9 @@ A config file is a single JSON object with a ``schema`` version field. An
 :class:`InstanceConfig` holds only what the file holds: its bodies are their
 JSON objects, tagged by ``kind`` (``_KINDS`` states each kind's constructor
 and fields once, for parsing and building alike), and ``dimension`` is the
-length of ``x0``. The ``schedule`` and ``stopping`` objects are the solvers'
-own :class:`~feasib.solvers.ForcingSchedule` and
+length of ``x0``; a config built in Python is held to the parse rules as it
+is built. The ``schedule`` and ``stopping`` objects are the solvers' own
+:class:`~feasib.solvers.ForcingSchedule` and
 :class:`~feasib.solvers.StoppingConfig`. One key rule, ``_refuse_unknown``,
 refuses a key that is no field (at top level, other than ``schema``,
 ``dimension`` and the retired ``seed``) and a key repeated within one
@@ -20,11 +21,11 @@ constructors (re-pathed under ``set_a`` / ``set_b``), ``ForcingSchedule``
 and ``StoppingConfig``, for every solver. :func:`validate_config` then
 runs the solvers' own input check, :func:`~feasib.solvers.check_pair`, on
 the start points and the schedule, so a config fails with the same path
-and message as the call. One ``_SOLVERS`` row per solver is its whole
-contract, which :func:`validate_config` and :func:`solve_config` both
-read: the :mod:`feasib.solvers` function that runs it, the sets it
-projects inexactly (``check_pair`` derives the forcing regime from them,
-so it is no config field) and whether it reads ``y0``.
+and message as the call. One ``_SOLVERS`` row per config solver, which
+:func:`validate_config` and :func:`solve_config` both read, names the
+:mod:`feasib.solvers` function that runs it and whether its run reads
+``y0``; which sets that function projects inexactly is its
+:data:`~feasib.solvers.INEXACT` entry, so it is no config field.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import json
 import math
 import numbers
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from functools import cached_property
 from pathlib import Path
@@ -61,15 +63,15 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-# Each solver's ``solvers`` function, looked up by name at call time (so a
-# wrapper set on that module sees the call), whether it projects set A and
-# set B inexactly (see ``check_pair``), and whether its run reads ``y0``.
+# Each config solver's ``solvers`` function, looked up by name at call time
+# (so a wrapper set on that module sees the call), and whether its run reads
+# ``y0``.
 _SOLVERS = {
-    "ACondG1": ("acondg1", (True, False), False),
-    "ACondG2": ("acondg2", (True, True), True),
-    "Averaged": ("averaged_projection", (True, True), True),
-    "ExactAlt1": ("exact_alternating", (False, False), False),
-    "ExactAlt2": ("exact_alternating", (False, False), True),
+    "ACondG1": ("acondg1", False),
+    "ACondG2": ("acondg2", True),
+    "Averaged": ("averaged_projection", True),
+    "ExactAlt1": ("exact_alternating", False),
+    "ExactAlt2": ("exact_alternating", True),
 }
 _SOLVER_LOOKUP = {n.lower().replace("_", ""): n for n in _SOLVERS}
 
@@ -78,7 +80,10 @@ _SOLVER_LOOKUP = {n.lower().replace("_", ""): n for n in _SOLVERS}
 class InstanceConfig:
     """A config file's content, in file order; a body is its JSON object,
     held as a read-only mapping of tuples and floats, so the ``bodies``
-    cache always matches it."""
+    cache always matches it. A config built in Python is held to the parse
+    rules, which leave parsed values as they are: the bodies against
+    ``len(x0)``, the vector rule for ``x0`` and ``y0``, and the solver's
+    name looked up in ``_SOLVERS``."""
 
     set_a: MappingProxyType = field(hash=False)
     set_b: MappingProxyType = field(hash=False)
@@ -89,10 +94,12 @@ class InstanceConfig:
     y0: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        for name in ("set_a", "set_b"):
-            body = {k: tuple(v) if isinstance(v, list) else v
-                    for k, v in getattr(self, name).items()}
-            object.__setattr__(self, name, MappingProxyType(body))
+        solver, x0 = _solver_name(self.solver), _vector(self.x0, "x0", None)
+        held = {name: MappingProxyType(_parse_body(getattr(self, name), name, len(x0)))
+                for name in ("set_a", "set_b")}
+        y0 = None if self.y0 is None else _vector(self.y0, "y0", len(x0))
+        for name, value in {**held, "x0": x0, "solver": solver, "y0": y0}.items():
+            object.__setattr__(self, name, value)
 
     @property
     def dimension(self) -> int:
@@ -109,7 +116,7 @@ class InstanceConfig:
 _TOP_KEYS = ("schema", "dimension", *(f.name for f in fields(InstanceConfig)), "seed")
 
 
-def _vector(obj, path: str, dim: int) -> tuple[float, ...]:
+def _vector(obj, path: str, dim: int | None) -> tuple[float, ...]:
     return tuple(as_vector(obj, dim, path).tolist())
 
 
@@ -124,18 +131,6 @@ _KINDS = {
     "ball": (Ball, {"center": tuple, "radius": float}),
     "box": (Box, {"lower": tuple, "upper": tuple}),
 }
-
-
-def _kind(kind, path: str):
-    """The ``_KINDS`` row of ``kind``, or InputError at ``path.kind``."""
-    # The type test comes first: a list or object kind is unhashable.
-    if not (isinstance(kind, str) and kind in _KINDS):
-        *rest, last = _KINDS
-        raise InputError(
-            f"{path}.kind",
-            f"unknown body kind {kind!r}; expected {', '.join(rest)} or {last}",
-        )
-    return _KINDS[kind]
 
 
 class _Object(dict):
@@ -160,10 +155,17 @@ def _refuse_unknown(obj: dict, path: str, names) -> None:
 
 
 def _parse_body(obj, path: str, dim: int) -> dict:
-    if not isinstance(obj, dict):
+    if not isinstance(obj, Mapping):
         raise InputError(path, "expected an object")
     kind = obj.get("kind")
-    _, shapes = _kind(kind, path)
+    # The type test comes first: a list or object kind is unhashable.
+    if not (isinstance(kind, str) and kind in _KINDS):
+        *rest, last = _KINDS
+        raise InputError(
+            f"{path}.kind",
+            f"unknown body kind {kind!r}; expected {', '.join(rest)} or {last}",
+        )
+    _, shapes = _KINDS[kind]
     _refuse_unknown(obj, path, ("kind", *shapes))
     if kind == "ellipse" and dim != 2:
         raise InputError(f"{path}.kind", "ellipse requires dimension 2")
@@ -172,6 +174,18 @@ def _parse_body(obj, path: str, dim: int) -> dict:
         value, at = obj.get(name), f"{path}.{name}"
         body[name] = _vector(value, at, dim) if shape is tuple else as_float(value, at)
     return body
+
+
+def _solver_name(raw) -> str:
+    """The ``_SOLVERS`` name that ``raw`` spells in any case, with or without
+    ``_`` and ``-``, or InputError at ``solver``."""
+    if not isinstance(raw, str):
+        raise InputError("solver", "expected a string")
+    solver = _SOLVER_LOOKUP.get(raw.lower().replace("_", "").replace("-", ""), raw)
+    if solver not in _SOLVERS:
+        expected = f"expected one of {tuple(_SOLVERS)}"
+        raise InputError("solver", f"unknown solver {solver!r}; {expected}")
+    return solver
 
 
 def _section(obj: dict, name: str, cls):
@@ -195,13 +209,7 @@ def parse_config(obj) -> InstanceConfig:
     dim = obj.get("dimension")
     check_count(dim, "dimension")
 
-    solver_raw = obj.get("solver")
-    if not isinstance(solver_raw, str):
-        raise InputError("solver", "expected a string")
-    key = solver_raw.lower().replace("_", "").replace("-", "")
-    solver = _SOLVER_LOOKUP.get(key, solver_raw)
-    _solver_rule(solver)
-
+    solver = _solver_name(obj.get("solver"))
     config = InstanceConfig(
         set_a=_parse_body(obj.get("set_a"), "set_a", dim),
         set_b=_parse_body(obj.get("set_b"), "set_b", dim),
@@ -218,7 +226,7 @@ def parse_config(obj) -> InstanceConfig:
 def _build_body(body: dict, path: str) -> ConvexBody:
     """The body of the JSON object ``body``; a constructor's range error is
     named under ``path``, as in ``set_b.radius``."""
-    constructor, _ = _kind(body.get("kind"), path)
+    constructor, _ = _KINDS[body["kind"]]
     try:
         return constructor(**{k: v for k, v in body.items() if k != "kind"})
     except InputError as exc:
@@ -230,17 +238,11 @@ def build_bodies(config: InstanceConfig) -> tuple[ConvexBody, ConvexBody]:
     return config.bodies
 
 
-def _solver_rule(solver: str) -> tuple[str, tuple[bool, bool], bool]:
-    if solver not in _SOLVERS:
-        expected = f"expected one of {tuple(_SOLVERS)}"
-        raise InputError("solver", f"unknown solver {solver!r}; {expected}")
-    return _SOLVERS[solver]
-
-
 def _solver_call(config: InstanceConfig) -> tuple[str, tuple[bool, bool], dict]:
-    """The solver's function name, inexact pair and keyword arguments: the
-    schedule only if it projects a set inexactly, ``y0`` only if it reads it."""
-    name, inexact, reads_y0 = _solver_rule(config.solver)
+    """The solver's function name, ``INEXACT`` entry and keyword arguments:
+    the schedule only if it projects a set inexactly, ``y0`` if it reads it."""
+    name, reads_y0 = _SOLVERS[config.solver]
+    inexact = solvers.INEXACT[name]
     kwargs = {"stop": config.stopping}
     if any(inexact):
         kwargs["schedule"] = config.schedule
@@ -257,8 +259,8 @@ def validate_config(config: InstanceConfig) -> tuple[ConvexBody, ConvexBody]:
     the config's bodies, ``(set_a, set_b)``.
     """
     a, b = build_bodies(config)
-    _, inexact, kwargs = _solver_call(config)
-    check_pair(a, b, config.x0, kwargs.get("y0"), inexact, kwargs.get("schedule"))
+    _, inexact, kw = _solver_call(config)
+    check_pair(a, b, config.x0, kw.get("y0"), inexact, kw.get("schedule"), kw["stop"])
     return a, b
 
 

@@ -11,16 +11,15 @@ Four schemes are provided, all producing a :class:`SolveReport`:
 
 All four run one outer loop, ``_drive``, and differ only in its step and
 in the verdict that reduces a violation pair to the number the stops read.
-Each solver states one fact, which of set A and set B it projects
-inexactly: ``(True, False)`` for ACondG1, ``(True, True)`` for ACondG2 and
-the averaged scheme, ``(False, False)`` for ExactAlt. :func:`check_pair`
-derives the input rules and the forcing regime from it, and ``_alternate``
+Each solver is fixed by one fact, which of set A and set B it projects
+inexactly, stated once in :data:`INEXACT`. :func:`check_pair` derives a
+run's whole entry contract from it: the input rules, the forcing regime and
 the convergence tolerance. A broken rule raises :class:`~feasib.bodies.InputError`,
 whose ``path`` names the argument; the config layer runs the same checks
 and so the same messages.
 
-Every projection of every step is one call, ``_project(body, exact, anchor,
-point, params) -> (w, results)``: inexact,
+Every projection of an alternating step is one call, ``_project(body,
+exact, anchor, point, params) -> (w, results)``: inexact,
 :func:`~feasib.condg.condg_project` warm-started at the anchor, with its
 one :class:`~feasib.condg.CondGResult`; or exact, the projection ``exact``
 made when the point was measured, with none. ``_drive`` keeps a step's
@@ -59,6 +58,7 @@ from .condg import CondGResult, CondGStop, ForcingParams, condg_project
 
 __all__ = [
     "ForcingSchedule",
+    "INEXACT",
     "SolveReport",
     "StopCode",
     "StoppingConfig",
@@ -104,6 +104,11 @@ class ForcingSchedule:
 
 # Exact projections take no forcing parameters.
 _ZERO_SCHEDULE = ForcingSchedule(0.0, 0.0, 0.0)
+
+# Whether each solver function projects set A and set B inexactly, by
+# ``condg_project``, which needs a compact set, rather than exactly.
+INEXACT = {"acondg1": (True, False), "acondg2": (True, True),
+           "averaged_projection": (True, True), "exact_alternating": (False, False)}
 
 
 @dataclass(frozen=True)
@@ -205,22 +210,25 @@ def check_pair(
     y0,
     inexact: tuple[bool, bool],
     schedule: ForcingSchedule | None = None,
-) -> tuple[Vector, Vector | None, ForcingSchedule]:
+    stop: StoppingConfig = StoppingConfig(),
+) -> tuple[Vector, Vector | None, ForcingSchedule, float]:
     """Check a solver's input; return ``x0`` and ``y0`` as new vectors, so
-    no report row is the caller's array, and the schedule the solver runs on.
+    no report row is the caller's array, its schedule and its convergence
+    tolerance.
 
-    ``inexact`` says whether the solver projects set A and set B inexactly,
-    which needs a compact set (a linear oracle); every body projects
-    exactly. ``x0`` must lie in A and ``y0``, when given, in B; ``y0`` is
-    required when B is projected inexactly.
+    ``inexact`` is the solver's :data:`INEXACT` entry; an inexact projection
+    needs a compact set (a linear oracle). ``x0`` must lie in A and ``y0``,
+    when given, in B; ``y0`` is required when B is projected inexactly.
 
     The number of sets projected inexactly is the forcing regime. With none,
-    the solver runs on the constant zero schedule and ``schedule`` is
-    ignored; with one or two, ``schedule`` (default ``ForcingSchedule()``)
-    must meet that regime's conditions. Its range rules are its own and
-    hold for every solver; a ``schedule`` that is no ``ForcingSchedule`` is
+    the solver runs on the constant zero schedule, ignoring ``schedule``, to
+    a tolerance of 0.0, an exactly feasible iterate; with one or two,
+    ``schedule`` (default ``ForcingSchedule()``) must meet that regime's
+    conditions, and the tolerance is ``stop.eps_feas``. A ``schedule`` that
+    is no ``ForcingSchedule``, or a ``stop`` no ``StoppingConfig``, is
     refused in every regime.
     """
+    _check_type(stop, StoppingConfig, "stop")
     for path, body, approx in (("set_a", a, inexact[0]), ("set_b", b, inexact[1])):
         if approx and not body.is_compact:
             raise InputError(path, "must be compact for an inexact projection")
@@ -235,7 +243,7 @@ def check_pair(
     _check_type(schedule, ForcingSchedule, "schedule")
     regime = sum(inexact)
     if regime == 0:
-        return x0, y0, _ZERO_SCHEDULE
+        return x0, y0, _ZERO_SCHEDULE, 0.0
     gamma, theta, lam = schedule.gamma0, schedule.theta0, schedule.lambda0
     if regime == 1:
         ok, rule = theta < 0.5, "one-set regime requires theta < 1/2"
@@ -244,7 +252,7 @@ def check_pair(
         rule = "two-set regime requires theta < 1/4, 2*(gamma + theta + lam) < 1"
     if not (ok and 2.0 * gamma + 4.0 * lam < 1.0):
         raise InputError("schedule", f"{rule} and 2*gamma + 4*lam < 1")
-    return x0, y0, schedule
+    return x0, y0, schedule, stop.eps_feas
 
 
 def _measurer(body, inexact):
@@ -340,17 +348,13 @@ def _alternate(
     stop: StoppingConfig,
 ) -> SolveReport:
     """Alternate ``y = proj_b(y, x)`` and ``x = proj_a(x, y)`` from ``x0``,
-    projecting inexactly the sets ``inexact`` names (see :func:`check_pair`).
+    projecting inexactly the sets its :data:`INEXACT` entry ``inexact`` names.
 
-    A run with an inexact projection converges at ``stop.eps_feas``, one
-    with none only at an exactly feasible iterate. Without ``y0`` the
-    y-sequence starts at iteration 1, and ``moved`` is ``inf`` until it has
-    two entries. A y-iterate exactly in A ends the step, and so the run,
-    with ``x`` and its violation unchanged.
+    Without ``y0`` the y-sequence starts at iteration 1, and ``moved`` is
+    ``inf`` until it has two entries. A y-iterate exactly in A ends the
+    step, and so the run, with ``x`` and its violation unchanged.
     """
-    _check_type(stop, StoppingConfig, "stop")
-    x0, y0, schedule = check_pair(a, b, x0, y0, inexact, schedule)
-    feas_tol = stop.eps_feas if any(inexact) else 0.0
+    x0, y0, schedule, feas_tol = check_pair(a, b, x0, y0, inexact, schedule, stop)
     measure_a, measure_b = _measurer(a, inexact[0]), _measurer(b, inexact[1])
     x, y = x0, y0
     cb_x, y_exact = measure_b(x0)
@@ -386,7 +390,7 @@ def acondg1(
     """Alternate the exact projection onto ``b`` with a conditional-gradient
     inexact projection onto the compact set ``a``, starting from ``x0 in a``.
     """
-    return _alternate(a, b, x0, None, (True, False), schedule, stop)
+    return _alternate(a, b, x0, None, INEXACT["acondg1"], schedule, stop)
 
 
 def acondg2(
@@ -399,7 +403,7 @@ def acondg2(
 ) -> SolveReport:
     """Alternate conditional-gradient inexact projections onto both compact
     sets, starting from ``x0 in a`` and ``y0 in b``."""
-    return _alternate(a, b, x0, y0, (True, True), schedule, stop)
+    return _alternate(a, b, x0, y0, INEXACT["acondg2"], schedule, stop)
 
 
 def averaged_projection(
@@ -420,21 +424,21 @@ def averaged_projection(
     holds the averaged iterates and ``y_trace`` / ``anchor_trace`` the two
     projection outputs.
     """
-    _check_type(stop, StoppingConfig, "stop")
-    x0, y0, sched = check_pair(a, b, x0, y0, (True, True), schedule)
+    inexact = INEXACT["averaged_projection"]
+    x0, y0, sched, feas_tol = check_pair(a, b, x0, y0, inexact, schedule, stop)
     z, anchor_a, anchor_b = 0.5 * (x0 + y0), x0, y0
 
     def step(params):
         nonlocal z, anchor_a, anchor_b
-        anchor_a, res_a = _project(a, None, anchor_a, z, params)
-        anchor_b, res_b = _project(b, None, anchor_b, z, params)
+        res = condg_project(a, params, anchor_a, z), condg_project(b, params, anchor_b, z)
+        anchor_a, anchor_b = res[0].w_plus, res[1].w_plus
         z_new = 0.5 * (anchor_a + anchor_b)
         moved, z = _inf_norm(z_new - z), z_new
         viol = (b._violation(z), a._violation(z))
-        return z, anchor_b, viol, res_a + res_b, moved
+        return z, anchor_b, viol, res, moved
 
     first_row = (z, y0, (b._violation(z), a._violation(z)))
-    rep = _drive(first_row, step, max, sched, stop, stop.eps_feas)
+    rep = _drive(first_row, step, max, sched, stop, feas_tol)
     return replace(rep, anchor_trace=(x0, *(row[0].w_plus for row in rep.inner_results[1:])))
 
 
@@ -456,4 +460,4 @@ def exact_alternating(
     intersection stops for lack of progress, with the report's violations
     showing how close it got.
     """
-    return _alternate(a, b, x0, y0, (False, False), None, stop)
+    return _alternate(a, b, x0, y0, INEXACT["exact_alternating"], None, stop)

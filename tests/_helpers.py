@@ -216,7 +216,7 @@ def reference_alternate(a, b, x0, y0, inexact, schedule=None, stop=StoppingConfi
     point by two calls, ``_violation`` and then ``_violation_project``,
     each mapping the point into the body's frame; the loop around the step
     is the solvers' own ``_drive``."""
-    x0, y0, schedule = solvers.check_pair(a, b, x0, y0, inexact, schedule)
+    x0, y0, schedule, feas_tol = solvers.check_pair(a, b, x0, y0, inexact, schedule, stop)
 
     def project(body, approx, anchor, point, params):
         if not approx:
@@ -240,5 +240,4 @@ def reference_alternate(a, b, x0, y0, inexact, schedule=None, stop=StoppingConfi
         return x, y, (cb_x, ca_y), res_b + res_a, moved
 
     ca0 = a._violation(y0) if y0 is not None else math.inf
-    feas_tol = stop.eps_feas if any(inexact) else 0.0
     return solvers._drive((x0, y0, (cb_x, ca0)), step, min, schedule, stop, feas_tol)

@@ -124,6 +124,16 @@ class TestPhi:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 got.gamma = 1.0
 
+    def test_scaled_refuses_a_factor_outside_the_unit_interval(self):
+        # The factor is the one input scaled does not take from checked
+        # parameters; outside [0, 1] it would build negative or nan ones.
+        p = ForcingParams(0.1, 0.1, 0.1)
+        for factor in (-1.0, -1e-300, 1.0 + 2**-52, math.inf, math.nan):
+            assert_refused(lambda: p.scaled(factor), "factor",
+                           f"must lie in [0, 1], got {factor}")
+        assert p.scaled(0.0) == ForcingParams(0.0, 0.0, 0.0)
+        assert p.scaled(1.0) == p
+
 
 class TestCondGBasics:
     @inner_limits(gap_tol=TIGHT_GAP)

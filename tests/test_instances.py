@@ -598,6 +598,35 @@ def test_a_config_body_is_read_only_once_built():
     assert built.set_b["normal"] == (-1.0, 0.0)
 
 
+def test_a_config_built_in_python_holds_what_a_parsed_file_holds(tmp_path):
+    # Construction applies the parse rules, so a built config hashes, saves
+    # and solves as the file it saves to would parse.
+    cfg = table_config(1, "1.30", "ExactAlt1")
+    listed = replace(cfg, x0=[0.0, 0.0])
+    assert listed == cfg and hash(listed) == hash(cfg)
+    arrays = replace(cfg, x0=np.zeros(2), set_b={**cfg.set_b, "normal": np.array([-1, 0])})
+    assert arrays == cfg and type(arrays.set_b["normal"][0]) is float
+    integer = replace(cfg, set_b={**cfg.set_b, "offset": -1})
+    save_config(integer, tmp_path / "integer.json")
+    assert json.loads((tmp_path / "integer.json").read_text())["set_b"]["offset"] == -1.0
+    assert load_config(tmp_path / "integer.json") == integer
+    assert replace(cfg, solver="exactalt1").solver == "ExactAlt1"
+    with pytest.raises(InputError) as err:
+        replace(cfg, solver="Nope")
+    assert err.value.path == "solver"
+    assert err.value.message.startswith("unknown solver 'Nope'")
+    # The parse rules refuse at the same paths as the file: a vector of
+    # the wrong length, a body field the kind does not have.
+    for changes, path in (
+        ({"y0": [1.0, 2.0, 3.0]}, "y0"),
+        ({"set_a": {**cfg.set_a, "radius": 1.0}}, "set_a.radius"),
+        ({"set_b": {**cfg.set_b, "normal": [1.0, 0.0, 0.0]}}, "set_b.normal"),
+    ):
+        with pytest.raises(InputError) as err:
+            replace(cfg, **changes)
+        assert err.value.path == path
+
+
 @pytest.mark.parametrize("which", [1, 2])
 def test_every_table_config_round_trips_through_a_file(which, tmp_path):
     path = tmp_path / "cfg.json"
@@ -744,11 +773,11 @@ class TestTables:
             assert got == expected, (which, label, solver)
 
     def test_unknown_kind_in_a_built_config_names_the_set(self):
-        # parse_config rejects the kind first; a config built directly
-        # reaches the check in build_bodies.
-        cfg = replace(table1_config("1.30", "ExactAlt1"), set_a={"kind": "torus"})
+        # A config built directly is held to the parse rules, so it is
+        # refused where it is built, as parse_config refuses the file.
+        cfg = table1_config("1.30", "ExactAlt1")
         with pytest.raises(InputError) as err:
-            build_bodies(cfg)
+            replace(cfg, set_a={"kind": "torus"})
         assert err.value.path == "set_a.kind"
         assert str(err.value) == (
             "set_a.kind: unknown body kind 'torus'; expected ellipse, halfspace, ball or box"

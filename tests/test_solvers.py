@@ -29,6 +29,7 @@ from feasib.instances import (
     _solver_call,
     table1_config,
     table2_config,
+    table_config,
     table_reference,
 )
 from feasib.runner import solve_config, trace_lines
@@ -1014,6 +1015,45 @@ def test_one_call_per_exact_side_reports_what_two_calls_did(case):
     assert report.inner_iters_per_k == reference.inner_iters_per_k
     assert report.schedule_trace == reference.schedule_trace
     assert report.inner_cap_iters == reference.inner_cap_iters
+
+
+@pytest.mark.parametrize(
+    "solver, which, label, per_row, ended_in_a",
+    [
+        ("ACondG1", 1, "1.30", 1, 0),
+        ("ACondG2", 2, "2.30", 2, 1),
+        ("Averaged", 2, "2.30", 2, None),
+        ("ExactAlt1", 1, "1.30", 0, None),
+        ("ExactAlt2", 2, "2.30", 0, None),
+    ],
+)
+def test_each_solvers_inexact_entry_is_what_its_run_does(
+    solver, which, label, per_row, ended_in_a
+):
+    # ``solvers.INEXACT`` states which sets each solver projects inexactly.
+    # Every row after row 0 holds one inner result per such set, except the
+    # row an alternating run ends on when its y-iterate lies exactly in A,
+    # which holds only B's (``ended_in_a``; None where no row ends so). A
+    # run with no inexact set converges only at exactly 0.
+    config = dataclasses.replace(table_config(which, label, f"ExactAlt{which}"), solver=solver)
+    name, inexact, _ = _solver_call(config)
+    assert inexact is solvers.INEXACT[name] and sum(inexact) == per_row
+    report = solve_config(config)
+    rows = report.inner_results[1:]
+    ended = [k for k, v in enumerate(report.violations[1:], 1)
+             if solver != "Averaged" and v[1] == 0.0]
+    assert len(rows) > 1 and ended == ([] if ended_in_a is None else [len(rows)])
+    if ended_in_a is not None:
+        assert ended_in_a == int(inexact[1])
+    for k, row in enumerate(rows, 1):
+        assert len(row) == (ended_in_a if k in ended else per_row), k
+    loose = solve_config(dataclasses.replace(config, stopping=StoppingConfig(eps_feas=1e-3)))
+    if per_row == 0:
+        assert loose.stop_code is report.stop_code is StopCode.LACK_OF_PROGRESS
+        assert loose.outer_iters == report.outer_iters
+    else:
+        assert loose.stop_code is StopCode.CONVERGED_FEASIBLE
+        assert min(loose.violations[-1]) <= 1e-3
 
 
 def long_axis_scaled(config, factor):
