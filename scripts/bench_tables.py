@@ -15,10 +15,16 @@ iteration counts, ``min_violation`` as ``repr`` (so it round-trips), the
 inner calls per ``CondGStop`` reason, read from the report's
 ``inner_results``, the CPU time (the minimum of ``time.process_time`` over
 the repeats) and the SHA-256 of its trace file. Every repeat must give the
-same counts, and the same stop code and outer count as the table run. The
-file also holds the two digests, the commit, the Python and numpy
-versions, the BLAS build and the thread variables.
-Codes and counts are the record; CPU times vary between machines and runs.
+same counts, and the same stop code and outer count as the table run. One
+more solve of each run, apart from the timed repeats and with the bodies
+already built, counts its work: ``opcodes``, the bytecode instructions run
+(``sys.settrace`` with ``f_trace_opcodes``), and ``c_calls``, the calls of
+C functions (``sys.setprofile``'s ``c_call`` events). The file also holds
+the two digests, the commit, the Python and numpy versions, the BLAS build
+and the thread variables. Codes and counts are the record; CPU times vary
+between machines and runs. The work counts repeat exactly for one Python
+minor version, whose bytecode they count, and see nothing of the work
+inside one C call.
 
 Usage:
     python scripts/bench_tables.py [--out PATH] [--repeats N]
@@ -72,7 +78,38 @@ def record(which: int, label: str, solver: str, repeats: int) -> dict:
         })
     if any(entry != entries[0] for entry in entries):
         raise RuntimeError(f"table {which} {label} {solver}: repeats disagree")
-    return {**entries[0], "cpu_s": min(cpu)}
+    opcodes, c_calls = work_counts(config)
+    return {**entries[0], "cpu_s": min(cpu), "opcodes": opcodes, "c_calls": c_calls}
+
+
+def work_counts(config) -> tuple[int, int]:
+    """The bytecode instructions and the C-function calls of one
+    ``solve_config(config)``."""
+    opcodes = c_calls = 0
+
+    def opcode(frame, event, arg):
+        nonlocal opcodes
+        if event == "opcode":
+            opcodes += 1
+        return opcode
+
+    def call(frame, event, arg):  # each new frame reports opcodes, not lines
+        frame.f_trace_lines, frame.f_trace_opcodes = False, True
+        return opcode
+
+    def profile(frame, event, arg):
+        nonlocal c_calls
+        if event == "c_call":
+            c_calls += 1
+
+    sys.settrace(call)
+    sys.setprofile(profile)
+    try:
+        solve_config(config)
+    finally:
+        sys.setprofile(None)
+        sys.settrace(None)
+    return opcodes, c_calls
 
 
 def environment() -> dict:

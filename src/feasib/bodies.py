@@ -60,7 +60,8 @@ formula; each caller sums them as ``t0 + t1 - 1``, so the three agree
 bitwise, and ``_from_planar`` is the one map back, ``c + V u``. numpy's
 form rounds ``b`` differently, in the last bits. In the Newton solve that
 sum is also the residual at mu = 0, so the solve returns it as the
-violation.
+violation. The solve, once per exact step, writes both maps out in place,
+and a test holds that copy to the two methods bit for bit.
 
 Code on the solvers' paths, here (``_violation``, ``_violation_project``
 and the frame methods) and in :mod:`feasib.condg`, takes products as
@@ -72,6 +73,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 import sys
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar, TypeAlias
@@ -95,9 +97,9 @@ Plane: TypeAlias = tuple[float, float, float, float, float, float, float,
 MEMBER_TOL = 1e-12
 START_TOL = 1e-10
 _SECULAR_MAX_ITERS = 200  # the safety cap of Ellipsoid's Newton loops
-# ``_in_range`` and ``_inf_norm`` read vectors of at most _SHORT entries as
-# Python floats (timeit, n = 2: 0.3 against 0.8 us; the forms cross near
-# n = 20); nd_pairs' n >= 16 stay numpy.
+# ``_in_range``, ``_inf_norm`` and ``_inf_dist`` read vectors of at most
+# _SHORT entries as Python floats (timeit, n = 2: 0.3 against 0.8 us; the
+# forms cross near n = 20); nd_pairs' n >= 16 stay numpy.
 _SHORT = 8
 
 # The float range. Every coordinate (of a point, a centre, a box bound or a
@@ -217,6 +219,14 @@ def _inf_norm(d: Vector) -> float:
     if d.shape[0] <= _SHORT:
         return max(map(abs, d.tolist()))
     return float(np.maximum.reduce(np.abs(d)))
+
+
+def _inf_dist(a: Vector, b: Vector) -> float:
+    """``_inf_norm(a - b)``, over Python floats up to _SHORT entries: IEEE
+    subtraction and ``abs`` give the same bits there as numpy's."""
+    if a.shape[0] <= _SHORT:
+        return max(map(abs, map(operator.sub, a.tolist(), b.tolist())))
+    return _inf_norm(a - b)
 
 
 def _span(lo: float, hi: float) -> str:
@@ -730,10 +740,13 @@ class Ellipsoid(ConvexBody):
         return violation, self._from_frame(b / (1.0 + mu * lam)), steps
 
     def _newton_planar(self, v: Vector) -> tuple[float, Vector, int]:
-        """``_newton_frame`` for ``dim == 2``, unrolled over Python floats."""
-        _, _, _, _, l0, l1, _, _ = self._planar
+        """``_newton_frame`` for ``dim == 2``, unrolled over Python floats,
+        with ``_to_plane`` and ``_from_planar`` written out in place."""
+        v00, v01, v10, v11, l0, l1, c0, c1 = self._planar
         p0, p1 = v.tolist()
-        b0, b1, t0, t1 = self._to_plane(p0, p1)
+        d0, d1 = p0 - c0, p1 - c1
+        b0, b1 = v00 * d0 + v10 * d1, v01 * d0 + v11 * d1
+        t0, t1 = l0 * b0 * b0, l1 * b1 * b1
         q0, q1, e0, e1, s2 = t0, t1, 1.0, 1.0, t0 + t1
         violation = max(0.0, s2 - 1.0)
         mu, steps = 0.0, 0
@@ -749,5 +762,6 @@ class Ellipsoid(ConvexBody):
             s2 = q0 + q1
         if steps == 0:
             return violation, v.copy(), 0
-        point = self._from_planar(b0 / (1.0 + mu * l0), b1 / (1.0 + mu * l1))
+        u0, u1 = b0 / (1.0 + mu * l0), b1 / (1.0 + mu * l1)
+        point = np.array([c0 + (v00 * u0 + v01 * u1), c1 + (v10 * u0 + v11 * u1)])
         return violation, point, steps

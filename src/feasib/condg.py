@@ -26,6 +26,8 @@ grown by ``START_TOL``, of diameter ``D = body._diameter``, so with
 ``gamma*|p - a|^2 + theta*(D + |p - a|)^2 + lam*D^2``. Where that is at most
 half the cutoff (``_phi_can_stop``; the half absorbs rounding), no larger gap
 meets it, and the loop evaluates it only at gaps up to the cutoff: same bits.
+Each kernel tests one threshold set once per call, ``check``: the cutoff, or
+``inf`` where the bound may exceed it.
 
 Where the iterates stay in a plane, the loop runs there over Python floats
 (``_plane_loop``), in the plane the body gives (``body._fw_plane``):
@@ -229,7 +231,7 @@ def _frame_loop(
     pa_sq = float(d.dot(d))
     base, theta, lam = params.gamma * pa_sq, params.theta, params.lam
     gap_tol, cap, step_sq = _DEGENERATE_GAP_TOL, _MAX_INNER_ITERS, _DEGENERATE_STEP_SQ
-    phi_can_stop = _phi_can_stop(params, pa_sq, body._diameter)
+    check = math.inf if _phi_can_stop(params, pa_sq, body._diameter) else gap_tol
     trace = [anchor.copy()] if keep_trace else None
     u, g = u_a.copy(), np.empty_like(u_a)
     ell = 0
@@ -238,7 +240,7 @@ def _frame_loop(
         s = frame_lo(g)
         s -= u
         gap = -float(g.dot(s))
-        if phi_can_stop or gap <= gap_tol:
+        if gap <= check:
             e = u - u_a
             if gap <= base + theta * float(g.dot(g)) + lam * float(e.dot(e)):
                 stop = CondGStop.TOLERANCE_MET
@@ -278,7 +280,7 @@ def _plane_loop(
     ua0, ua1, up0, up1, pa_sq, l0, l1, to_global = plane
     base, theta, lam, sqrt = params.gamma * pa_sq, params.theta, params.lam, math.sqrt
     gap_tol, cap, step_sq = _DEGENERATE_GAP_TOL, _MAX_INNER_ITERS, _DEGENERATE_STEP_SQ
-    phi_can_stop = _phi_can_stop(params, pa_sq, diameter)
+    check = math.inf if _phi_can_stop(params, pa_sq, diameter) else gap_tol
     trace = [anchor.copy()] if keep_trace else None
     u0, u1 = ua0, ua1
     ell = 0
@@ -292,7 +294,7 @@ def _plane_loop(
             r = -1.0 / sqrt(q)
             s0, s1 = w0 * r - u0, w1 * r - u1
         gap = -(g0 * s0 + g1 * s1)
-        if phi_can_stop or gap <= gap_tol:
+        if gap <= check:
             e0, e1 = u0 - ua0, u1 - ua1
             if gap <= base + theta * (g0 * g0 + g1 * g1) + lam * (e0 * e0 + e1 * e1):
                 stop = CondGStop.TOLERANCE_MET

@@ -42,7 +42,7 @@ from types import MappingProxyType
 
 from . import solvers
 from .bodies import Ball, Box, ConvexBody, Ellipsoid, Halfspace, InputError
-from .bodies import as_float, as_vector, check_count
+from .bodies import _check_type, as_float, as_vector, check_count
 from .solvers import ForcingSchedule, SolveReport, StoppingConfig, check_pair
 
 __all__ = [
@@ -82,8 +82,9 @@ class InstanceConfig:
     held as a read-only mapping of tuples and floats, so the ``bodies``
     cache always matches it. A config built in Python is held to the parse
     rules, which leave parsed values as they are: the bodies against
-    ``len(x0)``, the vector rule for ``x0`` and ``y0``, and the solver's
-    name looked up in ``_SOLVERS``."""
+    ``len(x0)``, the vector rule for ``x0`` and ``y0``, the solver's name
+    looked up in ``_SOLVERS``, and ``schedule`` and ``stopping`` each an
+    object of its section's class, for every solver."""
 
     set_a: MappingProxyType = field(hash=False)
     set_b: MappingProxyType = field(hash=False)
@@ -94,6 +95,8 @@ class InstanceConfig:
     y0: tuple[float, ...] | None = None
 
     def __post_init__(self):
+        _check_type(self.schedule, ForcingSchedule, "schedule")
+        _check_type(self.stopping, StoppingConfig, "stopping")
         solver, x0 = _solver_name(self.solver), _vector(self.x0, "x0", None)
         held = {name: MappingProxyType(_parse_body(getattr(self, name), name, len(x0)))
                 for name in ("set_a", "set_b")}

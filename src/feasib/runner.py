@@ -43,19 +43,20 @@ __all__ = [
 
 def trace_lines(report: SolveReport, dim: int):
     """Yield the trace CSV data lines of ``report``, each ending in a newline."""
-    line = "%d," + "%.17g," * (2 * dim + 5) + "%d\n"
+    line = "%d," + "%.17g," * (2 * dim + 2) + "%s%d\n"
     # ``tolist`` gives Python floats, which format faster than numpy scalars
-    # and to the same bytes.
+    # and to the same bytes. Rows share one ``ForcingParams`` until the
+    # progress rule scales it, so its three cells are formatted once per object.
     no_y = (math.nan,) * dim
     y_offset = len(report.x_trace) - len(report.y_trace)
-    inner = report.inner_iters_per_k
-    for k, x in enumerate(report.x_trace):
+    rows = zip(report.x_trace, report.violations, report.schedule_trace,
+               report.inner_iters_per_k)
+    last = cells = None
+    for k, (x, viol, params, inner) in enumerate(rows):
         y = report.y_trace[k - y_offset].tolist() if k >= y_offset else no_y
-        params = report.schedule_trace[k]
-        yield line % (
-            k, *x.tolist(), *y, *report.violations[k],
-            params.gamma, params.theta, params.lam, inner[k],
-        )
+        if params is not last:
+            last, cells = params, "%.17g,%.17g,%.17g," % (params.gamma, params.theta, params.lam)
+        yield line % (k, *x.tolist(), *y, *viol, cells, inner)
 
 
 def write_trace_csv(path, report: SolveReport, dim: int) -> None:

@@ -18,19 +18,17 @@ the convergence tolerance. A broken rule raises :class:`~feasib.bodies.InputErro
 whose ``path`` names the argument; the config layer runs the same checks
 and so the same messages.
 
-Every projection of an alternating step is one call, ``_project(body,
-exact, anchor, point, params) -> (w, results)``: inexact,
-:func:`~feasib.condg.condg_project` warm-started at the anchor, with its
-one :class:`~feasib.condg.CondGResult`; or exact, the projection ``exact``
-made when the point was measured, with none. ``_drive`` keeps a step's
-results in its report row. A step measures each new iterate against the
-other set, then projects it there. On a side projected exactly one call
-does both, the body's unchecked ``_violation_project``, its one exact
-projection, with one map into the body's frame; on an inexact side
-``_violation`` measures. So the alternating step measures the new x against
-B and projects it onto B in one call at its end, the next step consumes
-that projection, and a run computes at most one exact projection it does
-not use, of its last iterate. After ``check_pair`` the loop checks nothing:
+A step measures each new iterate against the other set, then projects it
+there. On a side projected exactly one call does both, the body's unchecked
+``_violation_project``, its one exact projection, with one map into the
+body's frame, and the step takes that projection as it is; on an inexact
+side ``_violation`` measures, and the step projects by
+:func:`~feasib.condg.condg_project` warm-started at the anchor, whose one
+:class:`~feasib.condg.CondGResult` ``_drive`` keeps in the step's report
+row. So the alternating step measures the new x against B and projects it
+onto B in one call at its end, the next step consumes that projection, and
+a run computes at most one exact projection it does not use, of its last
+iterate. After ``check_pair`` the loop checks nothing:
 input within ``bodies.RANGE`` keeps every iterate finite. The alternating
 schemes project the x-iterate onto B, then the new y-iterate onto A, and
 their verdict is the smaller violation. The averaged scheme's step averages
@@ -42,7 +40,11 @@ section, holds the initial forcing parameters and the factors ``tau`` and
 ``delta``. ``_drive`` keeps the current
 :class:`~feasib.condg.ForcingParams` as a local and scales them by
 ``delta`` whenever neither violation improved by the progress factor
-``tau``. It also states the stop rules and their order.
+``tau``. Zero parameters are a fixed point of that scaling, so ``_drive``
+keeps a flag that they are exactly 0, set on entry and recomputed only when
+it scales them, and skips the progress test while it holds: on every
+exact-only step, and on every inexact step once ``delta`` has scaled the
+parameters to 0. It also states the stop rules and their order.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from dataclasses import dataclass, fields, replace
 from typing import Callable
 
 from .bodies import ConvexBody, InputError, Vector, as_float, check_count, member_vector
-from .bodies import _check_type, _inf_norm
+from .bodies import _check_type, _inf_dist
 from .condg import CondGResult, CondGStop, ForcingParams, condg_project
 
 __all__ = [
@@ -263,16 +265,6 @@ def _measurer(body, inexact):
     return body._violation_project
 
 
-def _project(body, exact, anchor, point, params) -> tuple[Vector, tuple]:
-    """One projection of a step and its inner results, as the module
-    docstring states: ``exact``, the projection a measurer returned for
-    ``point``, or ``condg_project`` when that is None."""
-    if exact is not None:
-        return exact, ()
-    res = condg_project(body, params, anchor, point)
-    return res.w_plus, (res,)
-
-
 def _drive(
     first_row: tuple[Vector, Vector | None, tuple[float, float]],
     step: Callable[[ForcingParams], tuple],
@@ -301,37 +293,39 @@ def _drive(
     x, y, prev = first_row
     params = ForcingParams(schedule.gamma0, schedule.theta0, schedule.lambda0)
     xs, ys, viols, param_rows, inner = [x], [] if y is None else [y], [prev], [params], [()]
+    add_x, add_y, add_viol, add_params, add_inner = (
+        xs.append, ys.append, viols.append, param_rows.append, inner.append)
+    eps_lack, tau, delta = stop.eps_lack, schedule.tau, schedule.delta
 
     def stop_code(params: ForcingParams, prev: tuple[float, float]) -> StopCode:
         """Run the steps, adding each one's row, and return the stop."""
         if verdict(prev) <= feas_tol:
             return StopCode.CONVERGED_FEASIBLE
+        zero = params.gamma == params.theta == params.lam == 0.0
         lack_streak = 0
         for _ in range(stop.max_outer_iters):
             x, y, viol, results, moved = step(params)
-            xs.append(x)
+            add_x(x)
             if y is not None:
-                ys.append(y)
-            viols.append(viol)
-            param_rows.append(params)
-            inner.append(results)
+                add_y(y)
+            add_viol(viol)
+            add_params(params)
+            add_inner(results)
             v = verdict(viol)
             if v == 0.0:
                 return StopCode.CONVERGED_FEASIBLE
-            lack_streak = lack_streak + 1 if moved <= stop.eps_lack else 0
+            lack_streak = lack_streak + 1 if moved <= eps_lack else 0
             if lack_streak >= 2:
                 return StopCode.LACK_OF_PROGRESS
             if v <= feas_tol:
                 return StopCode.CONVERGED_FEASIBLE
-            # A non-finite baseline (no iterate yet) shows no progress, and
-            # all-zero parameters are a fixed point of the scaling.
-            progress = (
-                viol[0] <= schedule.tau * prev[0] < math.inf
-                or viol[1] <= schedule.tau * prev[1] < math.inf
-            )
-            if not (progress or params.gamma == params.theta == params.lam == 0.0):
-                params = params.scaled(schedule.delta)
-            prev = viol
+            if not zero:
+                # A non-finite baseline (no iterate yet) shows no progress.
+                if not (viol[0] <= tau * prev[0] < math.inf
+                        or viol[1] <= tau * prev[1] < math.inf):
+                    params = params.scaled(delta)
+                    zero = params.gamma == params.theta == params.lam == 0.0
+                prev = viol
         return StopCode.ITERATION_CAP
 
     code = stop_code(params, prev)
@@ -356,21 +350,29 @@ def _alternate(
     """
     x0, y0, schedule, feas_tol = check_pair(a, b, x0, y0, inexact, schedule, stop)
     measure_a, measure_b = _measurer(a, inexact[0]), _measurer(b, inexact[1])
-    x, y = x0, y0
+    x, y, eps_lack = x0, y0, stop.eps_lack
     cb_x, y_exact = measure_b(x0)
 
     def step(params):
         nonlocal x, y, cb_x, y_exact
-        y_new, res_b = _project(b, y_exact, y, x, params)
-        ca_y, x_exact = measure_a(y_new)
+        # A measurer's projection, on an exact side, is taken as it is; on
+        # an inexact side it is None, and condg_project projects.
+        y_new, res_b = y_exact, ()
+        if y_new is None:
+            res_b = (condg_project(b, params, y, x),)
+            y_new = res_b[0].w_plus
+        ca_y, x_new = measure_a(y_new)
         if ca_y == 0.0:
             return x, y_new, (cb_x, ca_y), res_b, math.inf
-        x_new, res_a = _project(a, x_exact, x, y_new, params)
-        # The driver reads ``moved`` only against eps_lack, so y's norm is
-        # needed only when x moved that little.
-        moved = math.inf if y is None else _inf_norm(x_new - x)
-        if moved <= stop.eps_lack:
-            moved = max(moved, _inf_norm(y_new - y))
+        res_a = ()
+        if x_new is None:
+            res_a = (condg_project(a, params, x, y_new),)
+            x_new = res_a[0].w_plus
+        # ``_drive`` reads ``moved`` only against eps_lack, so y's distance
+        # is needed only when x moved that little.
+        moved = math.inf if y is None else _inf_dist(x_new, x)
+        if moved <= eps_lack:
+            moved = max(moved, _inf_dist(y_new, y))
         x, y = x_new, y_new
         cb_x, y_exact = measure_b(x)
         return x, y, (cb_x, ca_y), res_b + res_a, moved
@@ -433,7 +435,7 @@ def averaged_projection(
         res = condg_project(a, params, anchor_a, z), condg_project(b, params, anchor_b, z)
         anchor_a, anchor_b = res[0].w_plus, res[1].w_plus
         z_new = 0.5 * (anchor_a + anchor_b)
-        moved, z = _inf_norm(z_new - z), z_new
+        moved, z = _inf_dist(z_new, z), z_new
         viol = (b._violation(z), a._violation(z))
         return z, anchor_b, viol, res, moved
 

@@ -15,8 +15,10 @@ from feasib import (
     Box,
     Ellipsoid,
     Halfspace,
+    ForcingParams,
     InputError,
     StoppingConfig,
+    bodies,
     condg,
     solvers,
 )
@@ -235,9 +237,24 @@ def reference_alternate(a, b, x0, y0, inexact, schedule=None, stop=StoppingConfi
         x_new, res_a = project(a, inexact[0], x, y_new, params)
         moved = math.inf
         if y is not None:
-            moved = max(solvers._inf_norm(x_new - x), solvers._inf_norm(y_new - y))
+            moved = max(bodies._inf_norm(x_new - x), bodies._inf_norm(y_new - y))
         x, y, cb_x = x_new, y_new, b._violation(x_new)
         return x, y, (cb_x, ca_y), res_b + res_a, moved
 
     ca0 = a._violation(y0) if y0 is not None else math.inf
     return solvers._drive((x0, y0, (cb_x, ca0)), step, min, schedule, stop, feas_tol)
+
+
+def reference_schedule(violations, schedule):
+    """The forcing parameters of each row of a run with these violation
+    pairs, by the progress rule written out: rows 0 and 1 hold the initial
+    ones, and row k + 1 holds row k's, scaled by ``delta`` unless a
+    violation of row k is at most ``tau`` times its finite value in row
+    k - 1. Zero parameters are scaled too, to zero."""
+    first = ForcingParams(schedule.gamma0, schedule.theta0, schedule.lambda0)
+    params = [first, first][:len(violations)]
+    for k in range(1, len(violations) - 1):
+        progress = any(c <= schedule.tau * p < math.inf
+                       for p, c in zip(violations[k - 1], violations[k]))
+        params.append(params[k] if progress else params[k].scaled(schedule.delta))
+    return tuple(params)

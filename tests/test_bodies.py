@@ -681,6 +681,45 @@ def test_planar_newton_agrees_with_the_numpy_solve(kind):
         assert steps_planar == steps_numpy
 
 
+def newton_planar_by_the_maps(body, v):
+    """``Ellipsoid._newton_planar`` with its frame map and its inverse as
+    the calls ``_to_plane`` and ``_from_planar``, which the solve writes out
+    in place."""
+    _, _, _, _, l0, l1, _, _ = body._planar
+    b0, b1, t0, t1 = body._to_plane(*v.tolist())
+    q0, q1, e0, e1, s2 = t0, t1, 1.0, 1.0, t0 + t1
+    violation, mu, steps = max(0.0, s2 - 1.0), 0.0, 0
+    while not s2 - 1.0 <= MEMBER_TOL:
+        nxt = mu + (math.sqrt(s2) - 1.0) * s2 / (q0 * l0 * e0 + q1 * l1 * e1)
+        if not nxt > mu:
+            break
+        mu, steps = nxt, steps + 1
+        if steps == bodies._SECULAR_MAX_ITERS:
+            break
+        e0, e1 = 1.0 / (1.0 + mu * l0), 1.0 / (1.0 + mu * l1)
+        q0, q1 = t0 * e0 * e0, t1 * e1 * e1
+        s2 = q0 + q1
+    if steps == 0:
+        return violation, v.copy(), 0
+    return violation, body._from_planar(b0 / (1.0 + mu * l0), b1 / (1.0 + mu * l1)), steps
+
+
+@pytest.mark.parametrize("kind", PROJ_KINDS)
+def test_planar_newton_maps_agree_with_the_frame_methods_bitwise(kind):
+    # Points near the boundary and far out (projection_cases), and members
+    # and non-members at every distance (planar_membership_cases).
+    cases = [(body, v) for body, v, _ in projection_cases(2, kind, n_bodies=20)]
+    cases += list(planar_membership_cases(kind))
+    stepped = 0
+    for body, v in cases:
+        violation, w, steps = body._newton_planar(v)
+        ref_violation, ref_w, ref_steps = newton_planar_by_the_maps(body, v)
+        assert violation.hex() == ref_violation.hex() and steps == ref_steps
+        assert w.tobytes() == ref_w.tobytes()
+        stepped += steps > 0
+    assert 0 < stepped < len(cases)
+
+
 def planar_membership_cases(kind, n_bodies=10, n_points=20):
     """Random 2-D ellipsoids (``ill_conditioned``: condition number 1e8),
     each with points on rays from the centre at up to twice the boundary's
@@ -819,6 +858,26 @@ def test_support_is_tight_property(data):
     assert (members @ c).max() <= h + 1e-9
     z, _ = body.lo_minimize(-c)
     assert float(z @ c) == pytest.approx(h, abs=1e-9)
+
+
+# Entries of vectors in range, and so of their differences: any float
+# within +-RANGE, and signed zeros, subnormals and floats near +-RANGE.
+RANGE_ENTRIES = st.one_of(
+    st.floats(-RANGE, RANGE),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     -2.225073858507201e-308, RANGE, -RANGE,
+                     math.nextafter(RANGE, 0.0), -math.nextafter(RANGE, 0.0)]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(1, 2 * bodies._SHORT + 1))
+def test_inf_dist_is_the_inf_norm_of_the_difference_property(data, n):
+    # Up to _SHORT entries _inf_dist subtracts Python floats, longer vectors
+    # numpy's: the same IEEE subtraction and abs, so the same bits.
+    entries = st.lists(RANGE_ENTRIES, min_size=n, max_size=n)
+    a, b = np.array(data.draw(entries)), np.array(data.draw(entries))
+    assert bodies._inf_dist(a, b).hex() == bodies._inf_norm(a - b).hex()
 
 
 MEASURED_KINDS = {

@@ -37,7 +37,7 @@ from feasib.instances import (
 )
 from feasib.runner import solve_config
 
-from _helpers import slim_ellipse
+from _helpers import assert_refused, slim_ellipse
 
 
 def base_config(**overrides):
@@ -625,6 +625,19 @@ def test_a_config_built_in_python_holds_what_a_parsed_file_holds(tmp_path):
         with pytest.raises(InputError) as err:
             replace(cfg, **changes)
         assert err.value.path == path
+
+
+@pytest.mark.parametrize("solver", ["ACondG1", "ExactAlt1"])
+def test_a_config_built_in_python_holds_each_section_to_its_class(solver):
+    # As load_config does, for every solver: ExactAlt reads no schedule, so
+    # its run would not refuse a schedule that is no ForcingSchedule, and
+    # save_config would write a file that load_config refuses.
+    cfg = table_config(1, "1.30", solver)
+    for changes, path, cls in (
+        ({"schedule": {"tau": 2.0}}, "schedule", "ForcingSchedule"),
+        ({"stopping": {"eps_feas": 1e-3}}, "stopping", "StoppingConfig"),
+    ):
+        assert_refused(lambda: replace(cfg, **changes), path, f"expected a {cls}, got dict")
 
 
 @pytest.mark.parametrize("which", [1, 2])

@@ -60,6 +60,26 @@ def comparison_rows(out_dir, which):
     return [line.split(",") for line in path.read_text().strip().splitlines()[1:]]
 
 
+def csv_writer_reference(report, header, dim):
+    """The trace file's bytes as csv.writer writes them, with
+    format(x, ".17g") per float cell; row 0 has no y-iterate."""
+    def cell(x):
+        return format(float(x), ".17g")
+
+    ref = io.StringIO()
+    writer = csv.writer(ref, lineterminator="\n")
+    writer.writerow(header.split(","))
+    ys = [["nan"] * dim] + [[cell(c) for c in y] for y in report.y_trace]
+    for k, x in enumerate(report.x_trace):
+        p = report.schedule_trace[k]
+        writer.writerow(
+            [str(k)] + [cell(c) for c in x] + ys[k]
+            + [cell(v) for v in (*report.violations[k], p.gamma, p.theta, p.lam)]
+            + [str(report.inner_iters_per_k[k])]
+        )
+    return ref.getvalue().encode()
+
+
 class TestRunInstance:
     def test_trace_and_summary_files(self, tmp_path):
         cfg = table1_config("1.30", "ACondG1")
@@ -83,6 +103,27 @@ class TestRunInstance:
         assert row0["y1"] == "nan" and row0["y2"] == "nan"
         assert row0["cA_y"] == "inf"
         assert row0["gamma"] == format(0.1 - 1e-8, ".17g")
+
+    def test_trace_cells_of_shared_and_equal_params_match_the_reference(self, tmp_path):
+        # Rows share one ForcingParams object until the progress rule scales
+        # it, and trace_lines formats each object's cells once. Here the
+        # object changes mid-run and back, and two distinct objects are equal.
+        p, q, p_equal = (ForcingParams(0.1, 3.0, -0.0), ForcingParams(5e-324, 1e308, 0.1),
+                         ForcingParams(0.1, 3.0, -0.0))
+        xs = tuple(np.array([0.1 * k, -0.0]) for k in range(7))
+        w = np.array([0.5, 0.5])
+        report = SolveReport(
+            x_trace=xs,
+            y_trace=xs[1:],
+            violations=((3.0, math.inf), *((0.1 * k, 5e-324) for k in range(1, 7))),
+            stop_code=StopCode.LACK_OF_PROGRESS,
+            schedule_trace=(p, p, q, q, p_equal, p_equal, p),
+            inner_results=((), *((CondGResult(w, k, 0.0, CondGStop.TOLERANCE_MET),)
+                                 for k in range(1, 7))),
+        )
+        path = tmp_path / "shared.csv"
+        write_trace_csv(path, report, 2)
+        assert path.read_bytes() == csv_writer_reference(report, EXPECTED_HEADER, 2)
 
     def test_trace_floats_round_trip(self, tmp_path):
         cfg = table1_config("1.60", "ExactAlt1")
@@ -116,22 +157,7 @@ class TestRunInstance:
             3: "k,x1,x2,x3,y1,y2,y3,cB_x,cA_y,gamma,theta,lambda,inner_iters",
         }[dim]
 
-        # The reference is csv.writer with format(x, ".17g") per cell.
-        def cell(x):
-            return format(float(x), ".17g")
-
-        ref = io.StringIO()
-        writer = csv.writer(ref, lineterminator="\n")
-        writer.writerow(header.split(","))
-        ys = [["nan"] * dim] + [[cell(c) for c in y] for y in report.y_trace]
-        for k, x in enumerate(report.x_trace):
-            p = report.schedule_trace[k]
-            writer.writerow(
-                [str(k)] + [cell(c) for c in x] + ys[k]
-                + [cell(v) for v in (*report.violations[k], p.gamma, p.theta, p.lam)]
-                + [str(report.inner_iters_per_k[k])]
-            )
-        assert path.read_bytes() == ref.getvalue().encode()
+        assert path.read_bytes() == csv_writer_reference(report, header, dim)
 
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))[1:]

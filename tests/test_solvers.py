@@ -50,6 +50,7 @@ from _helpers import (
     random_halfspace,
     random_rotation,
     reference_alternate,
+    reference_schedule,
     sample_members,
     second_ellipse,
     slim_ellipse,
@@ -157,6 +158,18 @@ class TestForcingSchedule:
         assert trace[2] == trace[0].scaled(s.delta)
         trace = driven_params([(1.0, math.inf), (0.5, 0.5), (1.0, 1.0)], s)
         assert trace[2] is trace[0]
+
+    def test_parameters_scaled_to_zero_stay_zero(self):
+        # A step that never makes progress scales parameters of about
+        # 1e-300 down through the subnormals to exactly 0.0. From there
+        # ``_drive`` skips the progress test, and every row keeps that object.
+        s = ForcingSchedule(1e-300, 2e-300, 3e-300)
+        rows = [(1.0, 1.0)] * 40
+        trace = driven_params(rows, s)
+        assert trace == reference_schedule(rows, s)
+        zero = trace.index(ForcingParams(0.0, 0.0, 0.0))
+        assert 0.0 < trace[zero - 1].lam < sys.float_info.min
+        assert zero < 35 and all(p is trace[zero] for p in trace[zero:])
 
     def test_zero_parameters_are_kept_without_progress(self):
         s = ForcingSchedule(0.0, 0.0, 0.0)
@@ -962,7 +975,7 @@ class TestShortAndLongVectors:
         diffs = [v for v, _ in special_vectors(n) if not np.isnan(v).any()]
         signed_infs = np.where(np.arange(n) % 2 == 0, -math.inf, math.inf)
         for d in (*diffs, np.full(n, -0.0), np.full(n, 5e-324), signed_infs):
-            assert solvers._inf_norm(d).hex() == float(np.max(np.abs(d))).hex()
+            assert bodies._inf_norm(d).hex() == float(np.max(np.abs(d))).hex()
 
 
 def table_case(table, label, solver):
