@@ -147,11 +147,11 @@ def iterates_digest(traces) -> str:
     return digest.hexdigest()
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_tables.json")
     parser.add_argument("--repeats", type=int, default=3)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
     with tempfile.TemporaryDirectory() as tmp:

@@ -41,23 +41,26 @@ def _read_trace(path) -> tuple[list, list]:
     xs, ys = [], []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        if "x1" not in header:
-            raise ValueError(f"{path} is not a trace CSV")
-        if "x3" in header or not {"x2", "y1", "y2"} <= set(header):
-            raise ValueError("only 2-D traces can be rendered")
-        for row in reader:
-            try:  # a missing cell reads as None
-                x = (float(row["x1"]), float(row["x2"]))
-                y = (float(row["y1"]), float(row["y2"]))
-            except (TypeError, ValueError):
-                raise ValueError(
-                    f"{path}, line {reader.line_num}: x1, x2, y1, y2 must be numbers"
-                ) from None
-            if all(math.isfinite(c) for c in x):
-                xs.append(x)
-            if all(math.isfinite(c) for c in y):
-                ys.append(y)
+        try:  # csv.Error: a cell longer than csv.field_size_limit()
+            header = reader.fieldnames or []
+            if "x1" not in header:
+                raise ValueError(f"{path} is not a trace CSV")
+            if "x3" in header or not {"x2", "y1", "y2"} <= set(header):
+                raise ValueError("only 2-D traces can be rendered")
+            for row in reader:
+                try:  # a missing cell reads as None
+                    x = (float(row["x1"]), float(row["x2"]))
+                    y = (float(row["y1"]), float(row["y2"]))
+                except (TypeError, ValueError):
+                    raise ValueError(
+                        f"{path}, line {reader.line_num}: x1, x2, y1, y2 must be numbers"
+                    ) from None
+                if all(math.isfinite(c) for c in x):
+                    xs.append(x)
+                if all(math.isfinite(c) for c in y):
+                    ys.append(y)
+        except csv.Error as exc:  # DictReader.line_num counts only whole rows
+            raise ValueError(f"{path}, line {reader.reader.line_num}: {exc}") from None
     return xs, ys
 
 

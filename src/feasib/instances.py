@@ -13,6 +13,15 @@ refuses a key that is no field (at top level, other than ``schema``,
 ``dimension`` and the retired ``seed``) and a key repeated within one
 object. Validation errors carry the path of the offending field.
 
+Each rule runs in one place, in this order, and a file with several
+errors fails at the first. :func:`load_config` decodes the file.
+:func:`parse_config` reads what a file alone holds: ``schema``, the
+top-level keys, ``dimension``, ``x0`` against it, and the ``schedule`` and
+``stopping`` sections into their classes. ``InstanceConfig.__post_init__``
+applies the parse rules to ``solver``, ``set_a``, ``set_b`` and ``y0``, for
+a file and a config built in Python alike. :func:`validate_config` comes
+last.
+
 Parsing checks only the JSON structure: objects, body ``kind``, keys and
 that an ellipse needs dimension 2. Numbers, counts and vectors follow the
 API's one rule for each (``as_float``, ``check_count`` and ``as_vector`` of
@@ -80,11 +89,12 @@ _SOLVER_LOOKUP = {n.lower().replace("_", ""): n for n in _SOLVERS}
 class InstanceConfig:
     """A config file's content, in file order; a body is its JSON object,
     held as a read-only mapping of tuples and floats, so the ``bodies``
-    cache always matches it. A config built in Python is held to the parse
-    rules, which leave parsed values as they are: the bodies against
-    ``len(x0)``, the vector rule for ``x0`` and ``y0``, the solver's name
-    looked up in ``_SOLVERS``, and ``schedule`` and ``stopping`` each an
-    object of its section's class, for every solver."""
+    cache always matches it. The constructor holds a parsed file and a
+    config built in Python alike to the parse rules, which leave parsed
+    values as they are: the bodies against ``len(x0)``, the vector rule for
+    ``x0`` and ``y0``, the solver's name looked up in ``_SOLVERS``, and
+    ``schedule`` and ``stopping`` each an object of its section's class, for
+    every solver."""
 
     set_a: MappingProxyType = field(hash=False)
     set_b: MappingProxyType = field(hash=False)
@@ -206,21 +216,20 @@ def parse_config(obj) -> InstanceConfig:
     if not isinstance(obj, dict):
         raise InputError("$", "config must be a JSON object")
     schema = obj.get("schema")
-    if schema != SCHEMA_VERSION:
-        raise InputError("schema", f"expected version {SCHEMA_VERSION}, got {schema}")
+    if type(schema) is not int or schema != SCHEMA_VERSION:
+        raise InputError("schema", f"expected version {SCHEMA_VERSION}, got {schema!r}")
     _refuse_unknown(obj, "", _TOP_KEYS)
     dim = obj.get("dimension")
     check_count(dim, "dimension")
 
-    solver = _solver_name(obj.get("solver"))
     config = InstanceConfig(
-        set_a=_parse_body(obj.get("set_a"), "set_a", dim),
-        set_b=_parse_body(obj.get("set_b"), "set_b", dim),
         x0=_vector(obj.get("x0"), "x0", dim),
-        y0=None if obj.get("y0") is None else _vector(obj.get("y0"), "y0", dim),
-        solver=solver,
         schedule=_section(obj, "schedule", ForcingSchedule),
         stopping=_section(obj, "stopping", StoppingConfig),
+        solver=obj.get("solver"),
+        set_a=obj.get("set_a"),
+        set_b=obj.get("set_b"),
+        y0=obj.get("y0"),
     )
     validate_config(config)
     return config
@@ -289,10 +298,11 @@ def serialize_config(config: InstanceConfig) -> dict:
 
 
 def load_config(path) -> InstanceConfig:
-    text = Path(path).read_text()
+    """The config in the UTF-8 JSON file ``path``; a file that cannot be
+    decoded, or nests deeper than the recursion limit, fails at ``$``."""
     try:
-        obj = json.loads(text, object_pairs_hook=_Object)
-    except json.JSONDecodeError as exc:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_Object)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError
         raise InputError("$", f"invalid JSON: {exc}") from exc
     return parse_config(obj)
 

@@ -3,6 +3,7 @@ import math
 import re
 from dataclasses import asdict, fields, replace
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from feasib import (
     averaged_projection,
     exact_alternating,
 )
+from feasib import instances
 from feasib.bodies import check_count
 from feasib.instances import (
     InstanceConfig,
@@ -552,6 +554,28 @@ def test_another_schema_version_fails_at_schema_before_any_key():
         parse_config(base_config(schema=2, stoping={}))
     assert err.value.path == "schema"
     assert err.value.message == "expected version 1, got 2"
+
+
+@pytest.mark.parametrize(
+    "schema, shown", [(True, "True"), (1.0, "1.0"), ("1", "'1'")], ids=["bool", "float", "str"]
+)
+def test_only_the_integer_schema_version_is_accepted(schema, shown):
+    # As dimension refuses 2.0, the version is the integer 1 and nothing equal.
+    with pytest.raises(InputError) as err:
+        parse_config(base_config(schema=schema))
+    assert err.value.path == "schema"
+    assert err.value.message == f"expected version 1, got {shown}"
+
+
+def test_one_parse_of_a_file_applies_each_parse_rule_once(tmp_path):
+    # parse_config reads what a file alone holds and InstanceConfig parses
+    # the solver and the two bodies, so no rule runs twice.
+    path = tmp_path / "table2.json"
+    save_config(table2_config("2.358", "ExactAlt2"), path)
+    with patch.object(instances, "_solver_name", wraps=instances._solver_name) as name, \
+            patch.object(instances, "_parse_body", wraps=instances._parse_body) as body:
+        load_config(path)
+    assert (name.call_count, body.call_count) == (1, 2)
 
 
 def test_a_saved_config_holds_exactly_the_keys_a_config_may_hold():

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -26,6 +27,7 @@ from feasib.instances import (
     serialize_config,
     table1_config,
     table2_config,
+    table_config,
     table_reference,
 )
 from feasib.condg import CondGResult, CondGStop, ForcingParams
@@ -53,6 +55,21 @@ def table2_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("table2")
     reproduce_table(2, out)
     return out
+
+
+@pytest.fixture(scope="module")
+def bench_tables():
+    """``scripts/bench_tables.py`` loaded in this process, with ``sys.path``
+    left as it was before the script put ``src`` on it."""
+    path = list(sys.path)
+    script = Path(__file__).resolve().parents[1] / "scripts" / "bench_tables.py"
+    spec = importlib.util.spec_from_file_location("bench_tables", script)
+    module = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:] = path
+    return module
 
 
 def comparison_rows(out_dir, which):
@@ -234,16 +251,15 @@ class TestRunInstance:
 
 
 class TestReproduceTable:
-    def test_table_record_script(self, table1_dir, table2_dir, tmp_path, table_reports):
-        script = Path(__file__).resolve().parents[1] / "scripts" / "bench_tables.py"
+    def test_table_record_script(
+        self, table1_dir, table2_dir, tmp_path, table_reports, bench_tables, monkeypatch, capsys
+    ):
+        # Nothing here reads the work counts, so no solve is traced; the next
+        # test checks work_counts itself.
+        monkeypatch.setattr(bench_tables, "work_counts", lambda config: (0, 0))
         out = tmp_path / "BENCH_tables.json"
-        proc = subprocess.run(
-            [sys.executable, str(script), "--repeats", "1", "--out", str(out)],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0, proc.stderr
-        first, iterates = proc.stdout.splitlines()
+        assert bench_tables.main(["--repeats", "1", "--out", str(out)]) == 0
+        first, iterates = capsys.readouterr().out.splitlines()
         files = sorted([*table1_dir.iterdir(), *table2_dir.iterdir()], key=lambda p: p.name)
         digest = hashlib.sha256(b"".join(path.read_bytes() for path in files))
         assert first == f"sha256 {digest.hexdigest()} {len(files)} files"
@@ -273,6 +289,13 @@ class TestReproduceTable:
             assert r["inner_stops"] == {stop.value: stops[stop.value] for stop in CondGStop}
             trace = dirs[r["table"]] / f"table_{r['instance']}_{r['solver']}_trace.csv"
             assert r["trace_sha256"] == hashlib.sha256(trace.read_bytes()).hexdigest()
+
+    def test_work_counts_repeat_for_one_run(self, bench_tables):
+        config = table_config(1, "1.60", "ExactAlt1")
+        config.bodies  # built before counting, as the record builds them
+        counts = bench_tables.work_counts(config)
+        assert bench_tables.work_counts(config) == counts
+        assert min(counts) > 0
 
     def test_comparison_layout_and_codes(self, table1_dir):
         text = (table1_dir / "table1_comparison.csv").read_text()
@@ -443,8 +466,11 @@ class TestFigures:
             ("k,x1,y1,cB_x,cA_y,gamma,theta,lambda,inner_iters\n0,0,0,0,0,0,0,0,0\n",
              "only 2-D traces"),
             (EXPECTED_HEADER + "\n0,0,0,0,0,0,0,0,0,0,0\n1,0,0\n", "line 3"),
+            # A cell longer than the csv module's field size limit.
+            (EXPECTED_HEADER + "\n0," + "1" * 200_000 + ",0,0,0,0,0,0,0,0,0\n",
+             "bad.csv, line 2: field larger than field limit"),
         ],
-        ids=["missing-columns", "missing-cells"],
+        ids=["missing-columns", "missing-cells", "oversized-cell"],
     )
     def test_bad_trace_exits_2_with_an_error(self, tmp_path, capsys, text, message):
         cfg_path = tmp_path / "cfg.json"
@@ -554,8 +580,21 @@ class TestCLI:
         code = main(["run", "--config", str(cfg_path), "--out-dir", str(out_dir)])
         assert code == 2
         assert capsys.readouterr().err == (
-            "error: set_a.center: vector entries must lie in [-2^128, 2^128]\n"
+            "error: x0: vector entries must lie in [-2^128, 2^128]\n"
         )
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "data",
+        [b"[" * 200_000 + b"]" * 200_000, b'{"schema": 1, "solver": "\xff"}', b"{"],
+        ids=["nested-too-deeply", "not-utf-8", "not-json"],
+    )
+    def test_an_undecodable_config_exits_2_and_writes_nothing(self, tmp_path, capsys, data):
+        cfg_path = tmp_path / "undecodable.json"
+        cfg_path.write_bytes(data)
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out-dir", str(out_dir)]) == 2
+        assert capsys.readouterr().err.startswith("error: $: invalid JSON: ")
         assert not out_dir.exists()
 
     @pytest.mark.parametrize(
