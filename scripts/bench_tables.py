@@ -22,9 +22,17 @@ already built, counts its work: ``opcodes``, the bytecode instructions run
 C functions (``sys.setprofile``'s ``c_call`` events). The file also holds
 the two digests, the commit, the Python and numpy versions, the BLAS build
 and the thread variables. Codes and counts are the record; CPU times vary
-between machines and runs. The work counts repeat exactly for one Python
-minor version, whose bytecode they count, and see nothing of the work
-inside one C call.
+between machines and runs. The work counts repeat exactly where CPU times
+drift, so a perf change on the 2-D path can state its effect in them. They
+hold for one Python minor version, whose bytecode they count (the committed
+record and CI's record diff use 3.11), and see nothing of the work inside
+one C call, such as a matrix-vector product at n = 256, so they describe
+the 2-D tables well and perfbench's ``nd_pairs`` poorly. Tracing makes the
+counted solve about 20x slower, so tier-1's test of this script calls
+``main(argv)`` in process with ``work_counts`` stubbed, and another test
+checks that ``work_counts`` repeats on one short run; a third holds a fresh
+solve of the 32 runs to this file's stable quantities (README,
+"Rounding-sensitive results").
 
 Usage:
     python scripts/bench_tables.py [--out PATH] [--repeats N]

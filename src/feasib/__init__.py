@@ -3,7 +3,8 @@
 The package pairs alternating (and averaged) projection schemes with a
 Frank-Wolfe inner loop that computes projections inexactly but without ever
 leaving the set, plus exact-projection baselines, independent test oracles
-and an experiment CLI.
+and an experiment CLI. A setting that only tests change, such as an
+iteration cap, is a private module constant, not an option.
 """
 
 from .bodies import (

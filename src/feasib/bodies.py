@@ -2,7 +2,8 @@
 
 Every body is an immutable value: its constructor copies the vectors it is
 given (``_own_vector``) and marks them, and the arrays it computes,
-read-only. The operations exposed per body are:
+read-only, so a write such as ``h.normal[0] = 2.0`` raises ``ValueError``;
+the arrays a body returns are new and writeable. Its operations are:
 
 * ``violation(z)``   -- max over defining constraints of ``max(0, g_i(z))``,
   zero exactly on members,
@@ -14,40 +15,37 @@ read-only. The operations exposed per body are:
 argument with ``as_vector``, whose InputError names it (``z``, ``v`` or
 ``c``), then calls what a kind defines: ``_violation``,
 ``_violation_project`` and, when compact, the frame methods below,
-``_support`` and, for an ellipsoid, ``_frame_direction``.
-
-An ellipsoid measures violation and projects in its eigenbasis frame (see
-below), where a point ``u`` has violation ``sum lam_i u_i^2 - 1`` and the
-projection of an outside point solves a scalar secular equation by monotone
-Newton steps (Moré and Sorensen's form, see
-``Ellipsoid._violation_project``), over Python floats in 2-D and numpy
-vectors otherwise.
+``_support`` and, for an ellipsoid, ``_frame_direction``. ``as_float``,
+``check_count`` and ``as_vector`` are the package's one rule for each kind
+of input value, which every layer applies once, where the value enters.
 
 Each compact body has a private frame, an isometry ``u = R^T (x - o)``
-in which its linear oracle costs O(n): ``_to_frame`` and ``_from_frame`` map
-points in and out, ``_frame_lo(g)`` minimizes ``<g, u>`` over the body in
-frame coordinates, and ``_frame_violation(u)`` is the membership formula
-there. Distances and inner products are the same in the frame, so the
-Frank-Wolfe loop of :mod:`feasib.condg` runs there, tests its anchor with
-``_frame_violation`` and maps only its result back. Where a call's
-iterates stay in a plane, ``_fw_plane(anchor, point)`` gives that plane
-instead, as Python floats, and tests the anchor there: a 2-D ellipsoid's
-cached frame, or a ball's plane through its centre, anchor and point,
-built per call. Every other body gives None. The public ``lo_minimize``
-is the frame oracle between the two maps, on ``c`` scaled by a power of
-two where it is tiny (``_scaled``).
+in which its linear oracle costs O(n): the centre for a ball, the identity
+for a box, and the eigenbasis for an ellipsoid, where ``u`` has violation
+``sum lam_i u_i^2 - 1`` and an outside point projects by monotone Newton
+steps on a secular equation (``Ellipsoid._violation_project``).
+``_to_frame`` and ``_from_frame`` map points in and out, ``_frame_lo(g)``
+minimizes ``<g, u>`` over the body in frame coordinates, and
+``_frame_violation(u)`` is the membership formula there, which
+``_violation`` reads, so an ellipsoid's violation agrees with its oracle
+and projection (``MEMBER_TOL`` states how far). ``_fw_plane(anchor,
+point)`` gives the plane of a Frank-Wolfe call whose iterates stay in one,
+as Python floats, and tests the anchor there: a 2-D ellipsoid's cached
+frame, or a ball's plane (``Ball._fw_plane``), built per call. Every other
+body gives None. The public ``lo_minimize`` is the frame oracle between
+the two maps, on ``c`` scaled by a power of two where it is tiny
+(``_scaled``).
 Each kind's one unchecked exact projection is ``_violation_project(v)``,
 which returns ``(violation, projection)``, the violation bit for bit that of
 ``_violation(v)``, from one frame map: a halfspace computes one excess, a
 ball one norm, an ellipsoid one Newton solve on the frame point its
 violation reads, and a box its violation and one clip. The public
-``project`` returns its second entry. The solvers
-measure and project each iterate with it on every side they project
-exactly, and call ``_violation`` on the others.
+``project`` returns its second entry.
 
 Every number a body holds or reads lies in the range ``RANGE`` states (see
 its comment): ``as_vector`` and the constructors refuse the rest, so no
-formula here overflows and none needs a far-point rescue.
+formula here overflows, no violation is nan, and none needs a far-point
+rescue.
 
 A 2-D ellipsoid, the body of every instance in the paper's tables, caches
 its frame as Python floats at construction (``_planar``: the entries of
@@ -63,10 +61,10 @@ sum is also the residual at mu = 0, so the solve returns it as the
 violation. The solve, once per exact step, writes both maps out in place,
 and a test holds that copy to the two methods bit for bit.
 
-Code on the solvers' paths, here (``_violation``, ``_violation_project``
-and the frame methods) and in :mod:`feasib.condg`, takes products as
-``ndarray.dot``: it makes the same BLAS call as ``@``, so it gives the same
-bits, with less dispatch.
+Code on the solvers' paths (``_violation``, ``_violation_project`` and the
+frame methods) takes products as ``ndarray.dot``, not ``@``: it makes the
+same BLAS call with about half the per-call dispatch, which on short
+vectors costs more than the arithmetic, and gives the same bits.
 """
 
 from __future__ import annotations
@@ -91,15 +89,16 @@ Plane: TypeAlias = tuple[float, float, float, float, float, float, float,
 # Points with violation at or below MEMBER_TOL are members to the library
 # itself; experiment-level feasibility uses its own eps_feas. A start point
 # or warm-start anchor may sit up to START_TOL outside its set. At condition
-# number 1e8 ellipsoid projections read up to about 6e-12 outside, so a
-# start test at 1e-12 would refuse them, and a member test at 1e-10 would
-# let ``project`` return points that far outside unchanged.
+# number 1e8 an ellipsoid's oracle outputs read up to a few 1e-13 outside and
+# its projections 6e-12, so a start test at 1e-12 would refuse them, and a
+# member test at 1e-10 would let ``project`` return points that far outside
+# unchanged.
 MEMBER_TOL = 1e-12
 START_TOL = 1e-10
 _SECULAR_MAX_ITERS = 200  # the safety cap of Ellipsoid's Newton loops
-# ``_in_range``, ``_inf_norm`` and ``_inf_dist`` read vectors of at most
-# _SHORT entries as Python floats (timeit, n = 2: 0.3 against 0.8 us; the
-# forms cross near n = 20); nd_pairs' n >= 16 stay numpy.
+# ``_in_range`` and ``_inf_dist``, on the solvers' paths, read vectors of at
+# most _SHORT entries as Python floats (timeit, n = 2: 0.3 against 0.8 us;
+# the forms cross near n = 20); nd_pairs' n >= 16 stay numpy.
 _SHORT = 8
 
 # The float range. Every coordinate (of a point, a centre, a box bound or a
@@ -214,10 +213,9 @@ def _in_range(v: Vector, bound: float) -> bool:
 
 
 def _inf_norm(d: Vector) -> float:
-    """``max |d_i|``, selected by length as in ``_in_range``; either form is
-    exact on the finite entries of a difference of vectors in range."""
-    if d.shape[0] <= _SHORT:
-        return max(map(abs, d.tolist()))
+    """``max |d_i|``, exact on the finite entries of a difference of vectors
+    in range. Numpy only: its short callers, ``_norm``'s rescue and
+    ``_scaled`` (the public oracles), are off the solvers' paths."""
     return float(np.maximum.reduce(np.abs(d)))
 
 
@@ -243,8 +241,8 @@ def _check_length(x: float, path: str, name: str = "") -> None:
 
 def as_vector(x, dim: int | None, path: str) -> Vector:
     """Validate and convert ``x`` (see :func:`_entry_problem`) to a 1-D
-    float64 array of ``dim`` entries (any number when ``dim`` is None), each
-    within +-``RANGE``; a bad ``x`` raises InputError at ``path``."""
+    float64 array of ``dim`` entries (any number >= 1 when ``dim`` is None),
+    each within +-``RANGE``; a bad ``x`` raises InputError at ``path``."""
     return _vector(x, dim, path, RANGE)
 
 
@@ -271,8 +269,8 @@ def _vector(x, dim: int | None, path: str, bound: float) -> Vector:
 
 
 def check_member(violation: float, path: str) -> None:
-    """Raise InputError unless ``violation`` is at most ``START_TOL``; a nan
-    is no member."""
+    """The one start-point and anchor test: raise InputError unless
+    ``violation`` is at most ``START_TOL``; a nan is no member."""
     if not violation <= START_TOL:
         raise InputError(path, f"must belong to its set (violation <= {START_TOL:g})")
 
@@ -455,6 +453,10 @@ class Ball(ConvexBody):
         # the offsets of the anchor and the point: e1 along the point's (the
         # anchor's when the point is the centre), e2 along what of the
         # anchor's is left, zero when the two are collinear with the centre.
+        # The oracle ``c - r g/|g|`` moves along ``g = u - u_p``, which starts
+        # in this plane, so every Frank-Wolfe iterate stays in it; there the
+        # ball is the ellipse l0 = l1 = 1/r^2, which floats hold for every
+        # radius in range.
         r, c = self.radius, self.center
         a = anchor - c
         na = _norm(a)
@@ -701,9 +703,9 @@ class Ellipsoid(ConvexBody):
         # secular equation s2(mu) = sum lam_i b_i^2 e_i^2 = 1. As Moré and
         # Sorensen do for trust-region steps, solve h(mu) = 1/sqrt(s2) = 1
         # instead: h is concave and increasing, so Newton from mu = 0 rises
-        # monotonically to the root, with no bracket or safeguard. With
-        # s3 = sum lam_i^2 b_i^2 e_i^3 = -s2'/2, the step is
-        # (1 - h)/h' = (sqrt(s2) - 1) s2 / s3.
+        # monotonically to the root, with no bracket or safeguard, in at most
+        # about 15 steps up to condition number 1e8. With s3 = sum lam_i^2
+        # b_i^2 e_i^3 = -s2'/2, the step is (1 - h)/h' = (sqrt(s2) - 1) s2 / s3.
         if self._planar is None:
             return self._newton_frame(v)[:2]
         return self._newton_planar(v)[:2]

@@ -10,9 +10,10 @@ constants: the iteration cap ``_MAX_INNER_ITERS`` and the degenerate-gap
 cutoff ``_DEGENERATE_GAP_TOL``.
 
 The loop runs in the body's own frame (see :mod:`feasib.bodies`), an
-isometry in which the linear oracle costs O(n), and maps only its result
-back. In the frame, with ``u`` the iterate, ``u_a`` and ``u_p`` the anchor
-and the point, and ``z`` the oracle's answer for the gradient ``g = u - u_p``:
+isometry in which the linear oracle costs O(n), and maps back only its
+result and each iterate of a kept trace. In the frame, with ``u`` the
+iterate, ``u_a`` and ``u_p`` the anchor and the point, and ``z`` the
+oracle's answer for the gradient ``g = u - u_p``:
 
 * the Frank-Wolfe gap is ``-<g, z - u>``;
 * the tolerance is ``gamma*|p - a|^2`` (computed once) ``+ theta*|g|^2 +
@@ -29,30 +30,18 @@ meets it, and the loop evaluates it only at gaps up to the cutoff: same bits.
 Each kernel tests one threshold set once per call, ``check``: the cutoff, or
 ``inf`` where the bound may exceed it.
 
-Where the iterates stay in a plane, the loop runs there over Python floats
-(``_plane_loop``), in the plane the body gives (``body._fw_plane``):
+Where the body gives a plane (``body._fw_plane``: a 2-D ellipsoid, the body
+of every instance in the paper's tables, and a ball in any dimension), the
+loop runs there over Python floats (``_plane_loop``); every other body runs
+the numpy loop (``_frame_loop``), which updates its vectors in place.
+``phi`` itself stays as the reference the tests compare against.
 
-* a 2-D ellipsoid, the body of every instance in the paper's tables, gives
-  its cached frame;
-* a ball, in any dimension, gives the plane through its centre spanned by
-  the offsets of the anchor and the point. Its oracle ``c - r g/|g|`` points
-  along ``g``, and ``g = u - u_p`` starts in that plane, so every step stays
-  in it; in the plane the ball is a disk, the ellipse ``l0 = l1 = 1/r^2``,
-  which floats hold for every radius in range (``bodies.RANGE``);
-* every other body gives None and runs the numpy loop (``_frame_loop``),
-  which updates its vectors in place.
-
-Only the result, and each iterate of a kept trace, is mapped back. ``phi``
-itself stays as the reference the tests compare against.
-
-``condg_project`` converts the anchor and the point; then whoever maps the
+``condg_project`` checks the anchor and the point on every call, the
+solvers' warm starts included: it converts both, then whoever maps the
 anchor (``_frame_loop``, or the body's ``_fw_plane``) tests that it is a
-member, on the coordinates it computes anyway, by the body's own membership
-formula: ``_frame_violation`` in the frame, ``Ellipsoid._violation``'s
-expression in the 2-D ellipsoid's plane, and the ball's ``|a - c| - r``.
-The solvers call ``condg_project`` once or twice per outer step,
-warm-started at their last iterate, and the test maps no point into the
-frame a second time.
+member on the coordinates it computes anyway, so no point is mapped a
+second time. Products are ``ndarray.dot``, by the rule in
+:mod:`feasib.bodies`.
 """
 
 from __future__ import annotations
@@ -175,7 +164,8 @@ def condg_project(
     Parameters
     ----------
     body : compact ConvexBody with a linear minimization oracle.
-    params : ForcingParams, the forcing coefficients; all zero projects exactly.
+    params : ForcingParams (InputError otherwise), the forcing coefficients;
+        all zero projects exactly.
     anchor : member of the body (violation <= ``START_TOL``), the warm start
         and the reference point of the tolerance. A non-member raises
         InputError at ``anchor``; it is tested in the body's frame or plane.

@@ -285,8 +285,8 @@ def solve_config(config: InstanceConfig) -> SolveReport:
 
 
 def serialize_config(config: InstanceConfig) -> dict:
-    """Inverse of :func:`parse_config`: a JSON-ready dict (``json`` writes
-    its tuples as lists)."""
+    """Inverse of :func:`parse_config`: ``schema``, ``dimension`` and the
+    fields in field order, ready for ``json``, which writes tuples as lists."""
     obj = {"schema": SCHEMA_VERSION, "dimension": config.dimension}
     for f in fields(config):
         value = getattr(config, f.name)

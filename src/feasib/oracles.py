@@ -5,9 +5,9 @@ ellipsoid/halfspace distance via support functions, and a tight-tolerance
 distance estimator (any dimension) by one alternation of exact
 projections, whose cap and stopping tolerance are module constants.
 Solvers never call into this module. The first two read only a body's
-defining fields, never its cached frame: ``body.support`` reads only those
-(an ellipsoid's makes its own ``eigh``). The estimator alternates the
-projections of the bodies' unchecked ``_violation_project``.
+defining fields, never its cached frame, through ``body.support`` (see
+``Ellipsoid._support``). The estimator alternates the projections of the
+bodies' unchecked ``_violation_project``.
 """
 
 from __future__ import annotations
@@ -53,7 +53,8 @@ def projection_error_bound(body: ConvexBody, point, w) -> float:
     ``m`` is ``w`` or, when ``w`` lies outside (a ``project`` output does so
     only by rounding or its Newton tolerance), a member near it
     (``_member``), and the bound adds ``|w - m|``. For a halfspace it is the
-    exact distance. Neither reads a body's cached frame.
+    exact distance. Neither reads a body's cached frame. A bad ``point`` or
+    ``w`` raises InputError naming it.
     """
     point, w = as_vector(point, body.dim, "point"), as_vector(w, body.dim, "w")
     if isinstance(body, Halfspace):
@@ -90,7 +91,7 @@ def dist_two_bodies(a: ConvexBody, b: ConvexBody) -> tuple[float, Vector, Vector
     Euclidean norm, the norm of the distance it returns, so the stop does not
     loosen with the dimension. It returns ``(distance, point_in_a,
     point_in_b)``. When one of two closed convex sets is compact, it reaches
-    a nearest pair from any start (Cheney and Goldstein, 1959).
+    a nearest pair from any start (Cheney and Goldstein, 1959): one suffices.
     """
     x = a._violation_project(np.zeros(a.dim))[1]
     y = b._violation_project(x)[1]

@@ -117,7 +117,8 @@ def comparison_path(which: int, out_dir) -> Path:
 
 
 def reproduce_table(which: int, out_dir) -> list[TableRow]:
-    """Run every (instance, solver) pair of ``table_reference(which)``.
+    """Run every (instance, solver) pair of ``table_reference(which)``, in
+    this process.
 
     Writes one trace CSV per run plus the comparison CSV (see
     :func:`comparison_path`) with measured and reference results side by

@@ -9,8 +9,9 @@ Four schemes are provided, all producing a :class:`SolveReport`:
   single iterate,
 * :func:`exact_alternating` -- the exact-projection baseline.
 
-All four run one outer loop, ``_drive``, and differ only in its step and
-in the verdict that reduces a violation pair to the number the stops read.
+All four run one outer loop, ``_drive`` (the alternating three through
+``_alternate``), and differ only in its step and in the verdict that
+reduces a violation pair to the number the stops read.
 Each solver is fixed by one fact, which of set A and set B it projects
 inexactly, stated once in :data:`INEXACT`. :func:`check_pair` derives a
 run's whole entry contract from it: the input rules, the forcing regime and
@@ -20,16 +21,15 @@ and so the same messages.
 
 A step measures each new iterate against the other set, then projects it
 there. On a side projected exactly one call does both, the body's unchecked
-``_violation_project``, its one exact projection, with one map into the
-body's frame, and the step takes that projection as it is; on an inexact
-side ``_violation`` measures, and the step projects by
+``_violation_project``, and the step takes that projection as it is; on an
+inexact side ``_violation`` measures, and the step projects by
 :func:`~feasib.condg.condg_project` warm-started at the anchor, whose one
 :class:`~feasib.condg.CondGResult` ``_drive`` keeps in the step's report
 row. So the alternating step measures the new x against B and projects it
 onto B in one call at its end, the next step consumes that projection, and
 a run computes at most one exact projection it does not use, of its last
-iterate. After ``check_pair`` the loop checks nothing:
-input within ``bodies.RANGE`` keeps every iterate finite. The alternating
+iterate. After ``check_pair`` the loop checks nothing: input within
+``bodies.RANGE`` keeps every iterate finite. The alternating
 schemes project the x-iterate onto B, then the new y-iterate onto A, and
 their verdict is the smaller violation. The averaged scheme's step averages
 the two inexact projections of its iterate, and its verdict is the larger
@@ -115,6 +115,9 @@ INEXACT = {"acondg1": (True, False), "acondg2": (True, True),
 
 @dataclass(frozen=True)
 class StoppingConfig:
+    """The outer stop tolerances and iteration cap (``_drive`` applies them);
+    also the config's ``stopping`` section."""
+
     eps_feas: float = 1e-8
     eps_lack: float = 1e-8
     max_outer_iters: int = 100_000
@@ -219,8 +222,9 @@ def check_pair(
     tolerance.
 
     ``inexact`` is the solver's :data:`INEXACT` entry; an inexact projection
-    needs a compact set (a linear oracle). ``x0`` must lie in A and ``y0``,
-    when given, in B; ``y0`` is required when B is projected inexactly.
+    needs a compact set (a linear oracle), while every body projects
+    exactly. ``x0`` must lie in A and ``y0``, when given, in B; ``y0`` is
+    required when B is projected inexactly.
 
     The number of sets projected inexactly is the forcing regime. With none,
     the solver runs on the constant zero schedule, ignoring ``schedule``, to
@@ -424,7 +428,8 @@ def averaged_projection(
     when the averaged iterate lies in both sets to ``eps_feas``; lack of
     progress watches the averaged iterate only. In the report ``x_trace``
     holds the averaged iterates and ``y_trace`` / ``anchor_trace`` the two
-    projection outputs.
+    projection outputs; ``anchor_trace`` is added after the run, from each
+    row's first inner result.
     """
     inexact = INEXACT["averaged_projection"]
     x0, y0, sched, feas_tol = check_pair(a, b, x0, y0, inexact, schedule, stop)

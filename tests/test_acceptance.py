@@ -1,4 +1,5 @@
-"""Acceptance suite: every criterion prints one pass/fail line.
+"""Acceptance suite, the package's acceptance gate: every criterion prints
+one pass/fail line.
 
 Run ``pytest tests/test_acceptance.py -s`` to see the lines as they pass.
 """

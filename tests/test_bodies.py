@@ -681,6 +681,27 @@ def test_planar_newton_agrees_with_the_numpy_solve(kind):
         assert steps_planar == steps_numpy
 
 
+def test_the_newton_cap_stops_both_solves_on_the_way_to_the_root(monkeypatch):
+    # The solve rises monotonically in mu from 0 to the root, so the point
+    # it stops at moves steadily towards the projection: a cap below the
+    # steps a solve takes returns a point still outside, nearer to v.
+    body = Ellipsoid.from_axes([0.0, 0.0], 0.3, (2.0, 0.2))
+    v = np.array([3.0, 2.5])
+    _, full, steps = body._newton_planar(v)
+    assert steps == 5
+    dists = []
+    for cap in range(1, steps):
+        monkeypatch.setattr(bodies, "_SECULAR_MAX_ITERS", cap)
+        _, w_planar, steps_planar = body._newton_planar(v)
+        _, w_numpy, steps_numpy = body._newton_frame(v)
+        assert steps_planar == steps_numpy == cap
+        assert np.linalg.norm(w_planar - w_numpy) <= 1e-12 * np.linalg.norm(w_numpy)
+        assert body.violation(w_planar) > 0.0
+        dists.append(float(np.linalg.norm(w_planar - v)))
+    dists.append(float(np.linalg.norm(full - v)))
+    assert all(d < e for d, e in zip(dists, dists[1:]))
+
+
 def newton_planar_by_the_maps(body, v):
     """``Ellipsoid._newton_planar`` with its frame map and its inverse as
     the calls ``_to_plane`` and ``_from_planar``, which the solve writes out

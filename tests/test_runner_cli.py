@@ -4,6 +4,7 @@ import importlib.util
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import feasib
 from feasib import MEMBER_TOL, Ball, Box, Ellipsoid, InputError, StopCode, dist_two_bodies
 from feasib import cli
 from feasib.cli import main
@@ -673,10 +675,14 @@ class TestCLI:
         assert code == 3
 
     def test_entry_point_installed(self):
+        # The subprocess finds the package the tests import, installed or not.
+        src = str(Path(feasib.__file__).parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         proc = subprocess.run(
             [sys.executable, "-m", "feasib.cli", "--help"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert "run" in proc.stdout and "table" in proc.stdout

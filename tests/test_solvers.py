@@ -98,6 +98,45 @@ def driven_params(rows, schedule=ForcingSchedule()):
     return rep.schedule_trace
 
 
+def driven_stop(first, steps, max_outer_iters=100):
+    """The stop code and outer count when the outer driver, at the default
+    tolerances (``feas_tol = eps_lack = 1e-8``), starts at the verdict
+    ``first`` and steps through the ``(verdict, moved)`` pairs ``steps``."""
+    pairs = iter(steps)
+
+    def step(params):
+        v, moved = next(pairs)
+        return None, None, (v, v), (), moved
+
+    stop = StoppingConfig(max_outer_iters=max_outer_iters)
+    rep = _drive((None, None, (first, first)), step, max, ForcingSchedule(), stop, 1e-8)
+    return rep.stop_code.letter, rep.outer_iters
+
+
+class TestStopOrder:
+    """``_drive`` tests its stops in its documented order: a verdict of
+    exactly 0, then a second step in a row that moved at most ``eps_lack``,
+    then a verdict at most ``feas_tol``, and the cap after the last step."""
+
+    @pytest.mark.parametrize(
+        "first, steps, cap, expected",
+        [
+            (5e-9, [], 100, ("C", 0)),
+            (1.0, [(0.5, 1e-9), (0.0, 1e-9)], 100, ("C", 2)),
+            # A stalled run is reported as stalled even when its verdict
+            # dips under feas_tol in the step that ends the streak.
+            (1.0, [(0.5, 1e-9), (5e-9, 1e-9)], 100, ("L", 2)),
+            (1.0, [(5e-9, 1e-9)], 100, ("C", 1)),
+            (1.0, [(0.5, 1e-9), (0.5, 1.0), (0.5, 1e-9), (0.5, 1e-8)], 100, ("L", 4)),
+            (1.0, [(0.5, 1e-9), (0.5, 1.0)], 2, ("I", 2)),
+        ],
+        ids=["start-within-feas-tol", "zero-before-lack", "lack-before-feas-tol",
+             "one-still-step-then-feas-tol", "a-move-resets-the-streak", "cap"],
+    )
+    def test_each_stop_is_tested_in_order(self, first, steps, cap, expected):
+        assert driven_stop(first, steps, cap) == expected
+
+
 # Each scalar field of the solver and inner-loop config objects, by path,
 # and the call that sets it to ``bad``.
 SCALAR_FIELDS = {
