@@ -27,14 +27,14 @@ steps on a secular equation (``Ellipsoid._violation_project``).
 ``_to_frame`` and ``_from_frame`` map points in and out, ``_frame_lo(g)``
 minimizes ``<g, u>`` over the body in frame coordinates, and
 ``_frame_violation(u)`` is the membership formula there, which
-``_violation`` reads, so an ellipsoid's violation agrees with its oracle
-and projection (``MEMBER_TOL`` states how far). ``_fw_plane(anchor,
-point)`` gives the plane of a Frank-Wolfe call whose iterates stay in one,
-as Python floats, and tests the anchor there: a 2-D ellipsoid's cached
-frame, or a ball's plane (``Ball._fw_plane``), built per call. Every other
-body gives None. The public ``lo_minimize`` is the frame oracle between
-the two maps, on ``c`` scaled by a power of two where it is tiny
-(``_scaled``).
+``_violation`` reads and an ellipsoid's Newton solve starts from, so its
+violation agrees with its projection and its oracle (``MEMBER_TOL`` states
+how far). ``_fw_plane(anchor, point)`` gives the plane of a Frank-Wolfe
+call whose iterates stay in one, as Python floats, led by the anchor's
+membership value for the kernel to test: a 2-D ellipsoid's cached frame,
+or a ball's plane (``Ball._fw_plane``), built per call. Every other body
+gives None. The public ``lo_minimize`` is the frame oracle between the two
+maps, on ``c`` scaled by a power of two where it is tiny (``_scaled``).
 Each kind's one unchecked exact projection is ``_violation_project(v)``,
 which returns ``(violation, projection)``, the violation bit for bit that of
 ``_violation(v)``, from one frame map: a halfspace computes one excess, a
@@ -80,10 +80,10 @@ import numpy as np
 from numpy.typing import NDArray
 
 Vector: TypeAlias = NDArray[np.float64]
-# A Frank-Wolfe call's plane (see ``ConvexBody._fw_plane``): the anchor's and
-# the point's coordinates ``(ua0, ua1, up0, up1)``, ``|point - anchor|^2``,
-# the disk's or ellipse's ``l0, l1``, and the map of plane coordinates back.
-Plane: TypeAlias = tuple[float, float, float, float, float, float, float,
+# A Frank-Wolfe call's plane (see ``ConvexBody._fw_plane``): the anchor's
+# membership value and coordinates, the point's, ``(m, ua0, ua1, up0, up1)``,
+# ``|point - anchor|^2``, the ellipse's ``l0, l1``, and the map back.
+Plane: TypeAlias = tuple[float, float, float, float, float, float, float, float,
                          Callable[[float, float], Vector]]
 
 # Points with violation at or below MEMBER_TOL are members to the library
@@ -327,7 +327,9 @@ class ConvexBody:
         return self._violation(as_vector(z, self.dim, "z"))
 
     def project(self, v) -> Vector:
-        """The exact Euclidean projection of ``v`` onto the body."""
+        """The exact Euclidean projection of ``v`` onto the body; ``v`` comes
+        back unchanged exactly when its violation is 0 (halfspace, ball, box)
+        or at most ``MEMBER_TOL`` (ellipsoid, whose Newton solve stops there)."""
         return self._violation_project(as_vector(v, self.dim, "v"))[1]
 
     def lo_minimize(self, c) -> tuple[Vector, float]:
@@ -460,7 +462,6 @@ class Ball(ConvexBody):
         r, c = self.radius, self.center
         a = anchor - c
         na = _norm(a)
-        check_member(na - r, "anchor")
         p = point - c
         up0 = _norm(p)
         e1, n1 = (p, up0) if up0 > 0.0 else (a, na)
@@ -483,7 +484,7 @@ class Ball(ConvexBody):
         def from_plane(u0: float, u1: float) -> Vector:
             return c + u0 * e1 + u1 * e2
 
-        return ua0, ua1, up0, 0.0, pa_sq, lam, lam, from_plane
+        return na - r, ua0, ua1, up0, 0.0, pa_sq, lam, lam, from_plane
 
     def _support(self, c: Vector) -> float:
         return float(c @ self.center) + self.radius * _norm(c)
@@ -668,15 +669,14 @@ class Ellipsoid(ConvexBody):
     def _fw_plane(self, anchor: Vector, point: Vector) -> Plane | None:
         if self._planar is None:
             return None
-        # The frame itself; the anchor test is ``_violation``'s.
+        # The frame itself; the anchor's value is ``_violation``'s.
         a0, a1 = anchor.tolist()
         p0, p1 = point.tolist()
         ua0, ua1, t0, t1 = self._to_plane(a0, a1)
-        check_member(t0 + t1 - 1.0, "anchor")
         up0, up1, _, _ = self._to_plane(p0, p1)
         pa_sq = (p0 - a0) * (p0 - a0) + (p1 - a1) * (p1 - a1)
         _, _, _, _, l0, l1, _, _ = self._planar
-        return ua0, ua1, up0, up1, pa_sq, l0, l1, self._from_planar
+        return t0 + t1 - 1.0, ua0, ua1, up0, up1, pa_sq, l0, l1, self._from_planar
 
     # A 2-D ellipsoid's one frame map over Python floats, and its inverse:
     # ``b = V^T (x - c)`` with the terms ``l_i b_i^2`` of the membership
@@ -711,21 +711,22 @@ class Ellipsoid(ConvexBody):
         return self._newton_planar(v)[:2]
 
     # Both Newton loops peel their mu = 0 iteration, where e = 1 exactly and
-    # s2 - 1 is the membership formula: in 2-D ``_violation``'s expression,
-    # returned as the violation; in n-D the sum rounds apart from
-    # ``_frame_violation``'s dot, which gives the violation instead. Both stop
-    # once s2 - 1 <= MEMBER_TOL (so a member returns as itself, and a rounding
-    # overshoot past the root, where the step would be negative, ends), when
-    # a step no longer increases mu, or at _SECULAR_MAX_ITERS, a safety cap.
-    # Each returns the violation, the projection and its Newton steps;
-    # ``RANGE`` bounds every intermediate.
+    # s2 - 1 is the membership formula as ``_violation`` computes it (the terms
+    # of ``_to_plane`` in 2-D, the dot of ``_frame_violation`` in n-D), and
+    # return max(0, s2 - 1) as the violation. Both stop once s2 - 1 <=
+    # MEMBER_TOL (so a member returns as itself, and a rounding overshoot past
+    # the root, where the step would be negative, ends), when a step no longer
+    # increases mu, or at _SECULAR_MAX_ITERS, a safety cap. Each returns the
+    # violation, the projection and its steps; ``RANGE`` bounds all else.
 
     def _newton_frame(self, v: Vector) -> tuple[float, Vector, int]:
         """The Newton solve with numpy vectors, for any dimension."""
         lam = self._eigvals
         b = self._to_frame(v)
-        q = t = lam * b * b
-        e, s2, mu, steps = 1.0, float(t.sum()), 0.0, 0
+        bb = b * b
+        s2 = float(lam.dot(bb))
+        q = t = lam * bb
+        e, violation, mu, steps = 1.0, max(0.0, s2 - 1.0), 0.0, 0
         while not s2 - 1.0 <= MEMBER_TOL:
             nxt = mu + (math.sqrt(s2) - 1.0) * s2 / float((q * lam * e).sum())
             if not nxt > mu:
@@ -736,7 +737,6 @@ class Ellipsoid(ConvexBody):
             e = 1.0 / (1.0 + mu * lam)
             q = t * e * e
             s2 = float(q.sum())
-        violation = self._frame_violation(b)
         if steps == 0:
             return violation, v.copy(), 0
         return violation, self._from_frame(b / (1.0 + mu * lam)), steps

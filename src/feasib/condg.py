@@ -37,11 +37,10 @@ the numpy loop (``_frame_loop``), which updates its vectors in place.
 ``phi`` itself stays as the reference the tests compare against.
 
 ``condg_project`` checks the anchor and the point on every call, the
-solvers' warm starts included: it converts both, then whoever maps the
-anchor (``_frame_loop``, or the body's ``_fw_plane``) tests that it is a
-member on the coordinates it computes anyway, so no point is mapped a
-second time. Products are ``ndarray.dot``, by the rule in
-:mod:`feasib.bodies`.
+solvers' warm starts included: it converts both, and each kernel tests the
+anchor's membership on what it maps anyway, ``_frame_loop`` its frame point
+and ``_plane_loop`` the plane's first entry, so no point is mapped twice.
+Products are ``ndarray.dot``, by the rule in :mod:`feasib.bodies`.
 """
 
 from __future__ import annotations
@@ -263,11 +262,12 @@ def _plane_loop(
 ) -> CondGResult:
     """``_frame_loop`` in the plane of the call, over Python floats.
 
-    ``plane`` is ``body._fw_plane(anchor, point)``, which has tested the
-    anchor. The oracle is ``Ellipsoid._frame_lo`` on the ellipse
+    ``plane`` is ``body._fw_plane(anchor, point)``, led by the anchor's
+    membership value. The oracle is ``Ellipsoid._frame_lo`` on the ellipse
     ``l0 u0^2 + l1 u1^2 <= 1``, written out per coordinate.
     """
-    ua0, ua1, up0, up1, pa_sq, l0, l1, to_global = plane
+    member, ua0, ua1, up0, up1, pa_sq, l0, l1, to_global = plane
+    check_member(member, "anchor")
     base, theta, lam, sqrt = params.gamma * pa_sq, params.theta, params.lam, math.sqrt
     gap_tol, cap, step_sq = _DEGENERATE_GAP_TOL, _MAX_INNER_ITERS, _DEGENERATE_STEP_SQ
     check = math.inf if _phi_can_stop(params, pa_sq, diameter) else gap_tol

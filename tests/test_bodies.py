@@ -759,56 +759,111 @@ def planar_membership_cases(kind, n_bodies=10, n_points=20):
             yield body, body.center + along + noise
 
 
-class _Recorded(Exception):
-    pass
+def near_edge_points(body, rng, count):
+    """Points at gauge ``1 + MEMBER_TOL U(0.9, 1.1)`` along random unit
+    directions, where the Newton solve's stop test decides membership."""
+    for _ in range(count):
+        u = rng.normal(size=body.dim)
+        u /= np.linalg.norm(u)
+        at = (body._eigvecs.T @ u) / np.sqrt(body._eigvals)
+        yield body._from_frame(at * math.sqrt(1.0 + MEMBER_TOL * rng.uniform(0.9, 1.1)))
 
 
-def kernel_anchor_test(monkeypatch, body, anchor):
-    """The value the anchor test of the ellipsoid's Frank-Wolfe plane computes."""
-    seen = []
+def frame_ellipsoid(n, count):
+    """An n-D ellipsoid, semi-axes in [0.6, 1.4], in the frame of a QR
+    factor, and ``count`` points on its edge (``near_edge_points``). At
+    n = 16 the solve once moved point 3,136 of them, whose violation read
+    9.9987e-13, when the n-D residual rounded apart from the violation."""
+    rng = np.random.default_rng(1)
+    rot = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    semi = rng.uniform(0.6, 1.4, n)
+    body = Ellipsoid(center=rng.uniform(-1, 1, n), shape=(rot * semi**-2) @ rot.T)
+    return body, list(near_edge_points(body, rng, count))
 
-    def record(violation, path):
-        seen.append(violation)
-        raise _Recorded
 
-    monkeypatch.setattr(bodies, "check_member", record)
-    with pytest.raises(_Recorded):
-        condg_project(body, ForcingParams(0.0, 0.0, 0.0), anchor, body.center)
-    monkeypatch.undo()
-    return seen[0]
+def ball_plane_cases(dim, n_bodies=10, n_points=40):
+    """Random balls with points at relative distances ``1 + d`` from the
+    centre, ``|d|`` log-uniform in [1e-13, 1], and the centre itself."""
+    rng = np.random.default_rng(dim)
+    for _ in range(n_bodies):
+        body = random_ball(rng, dim)
+        yield body, body.center.copy()
+        for _ in range(n_points):
+            u = rng.normal(size=dim)
+            d = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-13.0, 0.0)
+            yield body, body.center + (1.0 + d) * body.radius * u / np.linalg.norm(u)
+
+
+def membership_cases(frame):
+    """``(body, point)`` pairs in the frame a membership value is computed
+    in: a 2-D ellipsoid's plane (a ``PROJ_KINDS`` kind), with 100 points on
+    each body's edge, an n-D ellipsoid's frame (``frame_n``), or a ball's
+    plane (``ball_n``)."""
+    if frame in PROJ_KINDS:
+        cases = list(planar_membership_cases(frame))
+        rng = np.random.default_rng(7)
+        for body in dict.fromkeys(body for body, _ in cases):
+            cases += [(body, v) for v in near_edge_points(body, rng, 100)]
+        return cases
+    kind, n = frame.split("_")
+    if kind == "ball":
+        return list(ball_plane_cases(int(n)))
+    body, points = frame_ellipsoid(int(n), 4000 if n == "16" else 1000)
+    return [(body, v) for v in points]
+
+
+def anchor_value(body, v):
+    """What the Frank-Wolfe kernel tests of the anchor ``v``: its plane's
+    first entry, or the frame violation ``_frame_loop`` computes."""
+    plane = body._fw_plane(v, body.center)
+    return body._frame_violation(body._to_frame(v)) if plane is None else plane[0]
 
 
 def newton_residual_is(monkeypatch, body, v, r):
-    """Whether the residual ``s2 - 1`` of ``_newton_planar`` at mu = 0 is
+    """Whether the residual ``s2 - 1`` of the Newton solve at mu = 0 is
     exactly ``r > 0``: under the member tolerance ``r`` the solve stops at
     once, and under the next float below ``r`` it steps."""
     monkeypatch.setattr(bodies, "MEMBER_TOL", r)
-    stops = body._newton_planar(v)[2] == 0
+    stops = newton_solve(body)(v)[2] == 0
     monkeypatch.setattr(bodies, "MEMBER_TOL", math.nextafter(r, -math.inf))
-    steps = body._newton_planar(v)[2] > 0
+    steps = newton_solve(body)(v)[2] > 0
     monkeypatch.undo()
     return stops and steps
 
 
+@pytest.mark.parametrize(
+    "frame", ["random", "ill_conditioned", "frame_3", "frame_16", "frame_256", "ball_2", "ball_16"]
+)
+def test_one_membership_value_per_frame(monkeypatch, frame):
+    # A body has one membership value in each frame: its violation, the
+    # anchor value the Frank-Wolfe kernel tests, the violation its exact
+    # projection returns and, for an ellipsoid, the Newton solve's residual
+    # at mu = 0 are the same bits, and ``project`` keeps a point exactly
+    # when that violation is at most its kind's bound.
+    kept = moved = 0
+    for body, v in membership_cases(frame):
+        viol = body._violation(v)
+        assert viol == max(0.0, anchor_value(body, v))
+        assert body._violation_project(v)[0] == viol
+        ellipsoid = isinstance(body, Ellipsoid)
+        keeps = viol <= (MEMBER_TOL if ellipsoid else 0.0)
+        if keeps:
+            assert np.array_equal(body.project(v), v)
+        elif ellipsoid:
+            # The solve steps from a residual of exactly ``viol``; at
+            # condition 1e8 a step may move v by under an ulp.
+            assert newton_residual_is(monkeypatch, body, v, viol)
+        else:
+            assert not np.array_equal(body.project(v), v)
+        kept += keeps
+        moved += not keeps
+    assert kept >= 10 and moved >= 50
+
+
 @pytest.mark.parametrize("kind", PROJ_KINDS)
 class TestPlanarMembership:
-    """A 2-D ellipsoid has one membership formula: its violation, the
-    planar kernel's anchor test and the Newton solve's residual at mu = 0
-    are the same expression over Python floats."""
-
-    def test_violation_anchor_test_and_newton_residual_agree_bitwise(
-        self, monkeypatch, kind
-    ):
-        outside = 0
-        for body, v in planar_membership_cases(kind):
-            viol = body._violation(v)
-            raw = kernel_anchor_test(monkeypatch, body, v)
-            assert viol == max(0.0, raw)
-            # A residual this far above 0 makes a Newton step that moves mu.
-            if raw > 1e-12:
-                outside += 1
-                assert newton_residual_is(monkeypatch, body, v, raw)
-        assert outside >= 50
+    """A 2-D ellipsoid's violation and its numpy frame formula, and the
+    planar kernel's anchor test at START_TOL."""
 
     def test_violation_agrees_with_the_numpy_frame_formula(self, kind):
         # Both forms round b = V^T (v - center) (numpy may fuse its

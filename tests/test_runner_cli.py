@@ -59,19 +59,23 @@ def table2_dir(tmp_path_factory):
     return out
 
 
-@pytest.fixture(scope="module")
-def bench_tables():
-    """``scripts/bench_tables.py`` loaded in this process, with ``sys.path``
-    left as it was before the script put ``src`` on it."""
+def load_script(name):
+    """``scripts/<name>.py`` loaded in this process, with ``sys.path`` left
+    as it was before the script put ``src`` on it."""
     path = list(sys.path)
-    script = Path(__file__).resolve().parents[1] / "scripts" / "bench_tables.py"
-    spec = importlib.util.spec_from_file_location("bench_tables", script)
+    script = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, script)
     module = importlib.util.module_from_spec(spec)
     try:
         spec.loader.exec_module(module)
     finally:
         sys.path[:] = path
     return module
+
+
+@pytest.fixture(scope="module")
+def bench_tables():
+    return load_script("bench_tables")
 
 
 def comparison_rows(out_dir, which):
@@ -298,6 +302,30 @@ class TestReproduceTable:
         counts = bench_tables.work_counts(config)
         assert bench_tables.work_counts(config) == counts
         assert min(counts) > 0
+
+    def test_count_gate_fails_on_moved_work_left_unrecorded(self, tmp_path, capsys):
+        # A run whose fresh counts moved from base to head passes only when
+        # the committed record changed that field too; a new CPU time is no
+        # record of moved work.
+        gate = load_script("count_gate")
+
+        def record(name, opcodes, cpu_s=1e-4):
+            run = {"table": 1, "instance": "1.30", "solver": "ACondG1", "stop": "C",
+                   "outer_iters": 5, "inner_iters": 13, "opcodes": opcodes,
+                   "c_calls": 169, "trace_sha256": "0f1b", "cpu_s": cpu_s}
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({"runs": [run]}))
+            return str(path)
+
+        base, head, old = record("base", 7221), record("head", 7229), record("old", 7221)
+        new, retimed = record("new", 7229), record("retimed", 7221, cpu_s=2e-4)
+        assert gate.main([base, base, old, old]) == 0
+        assert gate.main([base, head, old, new]) == 0
+        assert gate.main([base, head, old, retimed]) == 1
+        assert capsys.readouterr().out.splitlines()[-2:] == [
+            "table 1 1.30 ACondG1: opcodes 7221 -> 7229, committed entry unchanged",
+            "count gate: 1 moved field(s) not recorded in BENCH_tables.json",
+        ]
 
     def test_comparison_layout_and_codes(self, table1_dir):
         text = (table1_dir / "table1_comparison.csv").read_text()
