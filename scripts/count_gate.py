@@ -8,7 +8,9 @@ on a gated field (``GATED``: the stop code, the outer and inner iteration
 counts, the opcode and C-call counts and the trace digest) must have that
 field changed between the two committed files too. Otherwise the script
 prints the run, the field and both fresh values, and exits 1; it exits 0
-when every moved field is recorded. Comparing two fresh records from one
+when every moved field is recorded. It first prints, one line per run, the
+moved fields that the committed files do record, as ``field base -> head``,
+with the relative change of a count. Comparing two fresh records from one
 machine, rather than either with a committed file, keeps the gate blind to
 a numpy or BLAS build that rounds unlike the one the file was written with.
 
@@ -29,19 +31,32 @@ def runs(path) -> dict:
     return {(r["table"], r["instance"], r["solver"]): r for r in record["runs"]}
 
 
-def unrecorded(base: dict, head: dict, base_committed: dict, head_committed: dict) -> list[str]:
-    """A line for each run and gated field that moved from ``base`` to
-    ``head`` while the committed entry kept it; runs are ``runs`` maps."""
-    lines = []
+def _move(name: str, old, new) -> str:
+    """``name old -> new``, with the relative change when both are counts."""
+    change = f" ({(new - old) / old:+.1%})" if isinstance(old, int) and old else ""
+    return f"{name} {old} -> {new}{change}"
+
+
+def moves(base: dict, head: dict, base_committed: dict, head_committed: dict):
+    """The gated fields that moved from ``base`` to ``head``, as two lists of
+    lines: one line per run naming the moves its committed entry records
+    too, and one per run and field that the committed entry kept; runs are
+    ``runs`` maps."""
+    recorded, unrecorded = [], []
     for key, new in head.items():
         old = base.get(key)
         if old is None:  # a run the base commit did not have
             continue
         was, now = base_committed.get(key, {}), head_committed.get(key, {})
-        lines += [f"table {key[0]} {key[1]} {key[2]}: {name} {old[name]} -> {new[name]}, "
-                  "committed entry unchanged"
-                  for name in GATED if old[name] != new[name] and was.get(name) == now.get(name)]
-    return lines
+        run = f"table {key[0]} {key[1]} {key[2]}"
+        moved = [name for name in GATED if old[name] != new[name]]
+        kept = [name for name in moved if was.get(name) == now.get(name)]
+        unrecorded += [f"{run}: {name} {old[name]} -> {new[name]}, committed entry unchanged"
+                       for name in kept]
+        shown = [_move(name, old[name], new[name]) for name in moved if name not in kept]
+        if shown:
+            recorded.append(f"{run}: recorded {', '.join(shown)}")
+    return recorded, unrecorded
 
 
 def main(argv=None) -> int:
@@ -49,8 +64,8 @@ def main(argv=None) -> int:
     if len(paths) != 4:
         print(__doc__.split("Usage:")[1].strip(), file=sys.stderr)
         return 2
-    lines = unrecorded(*map(runs, paths))
-    for line in lines:
+    recorded, lines = moves(*map(runs, paths))
+    for line in recorded + lines:
         print(line)
     print(f"count gate: {len(lines)} moved field(s) not recorded in BENCH_tables.json"
           if lines else "count gate: every moved count is recorded")

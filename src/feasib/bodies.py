@@ -58,8 +58,12 @@ formula; each caller sums them as ``t0 + t1 - 1``, so the three agree
 bitwise, and ``_from_planar`` is the one map back, ``c + V u``. numpy's
 form rounds ``b`` differently, in the last bits. In the Newton solve that
 sum is also the residual at mu = 0, so the solve returns it as the
-violation. The solve, once per exact step, writes both maps out in place,
-and a test holds that copy to the two methods bit for bit.
+violation. The solve is a float core, ``_newton_planar(p0, p1) ->
+(violation, q0, q1, steps)``, the one unrolled copy of the math; it writes
+both maps out in place, and a test holds that copy to the two methods bit
+for bit. Its one array wrapper is the 2-D branch of
+``_violation_project``; ``solvers.exact_alternating`` calls the core
+itself when both sets are 2-D ellipsoids, so its iterates stay floats.
 
 Code on the solvers' paths (``_violation``, ``_violation_project`` and the
 frame methods) takes products as ``ndarray.dot``, not ``@``: it makes the
@@ -689,7 +693,7 @@ class Ellipsoid(ConvexBody):
 
     def _from_planar(self, u0: float, u1: float) -> Vector:
         v00, v01, v10, v11, _, _, c0, c1 = self._planar
-        return np.array([c0 + (v00 * u0 + v01 * u1), c1 + (v10 * u0 + v11 * u1)])
+        return np.array((c0 + (v00 * u0 + v01 * u1), c1 + (v10 * u0 + v11 * u1)))
 
     def _support(self, c: Vector) -> float:
         # Not the cached frame: ``oracles`` certifies ``project``, which reads it.
@@ -708,7 +712,10 @@ class Ellipsoid(ConvexBody):
         # b_i^2 e_i^3 = -s2'/2, the step is (1 - h)/h' = (sqrt(s2) - 1) s2 / s3.
         if self._planar is None:
             return self._newton_frame(v)[:2]
-        return self._newton_planar(v)[:2]
+        violation, q0, q1, steps = self._newton_planar(*v.tolist())
+        if steps == 0:
+            return violation, v.copy()
+        return violation, np.array((q0, q1))
 
     # Both Newton loops peel their mu = 0 iteration, where e = 1 exactly and
     # s2 - 1 is the membership formula as ``_violation`` computes it (the terms
@@ -741,11 +748,12 @@ class Ellipsoid(ConvexBody):
             return violation, v.copy(), 0
         return violation, self._from_frame(b / (1.0 + mu * lam)), steps
 
-    def _newton_planar(self, v: Vector) -> tuple[float, Vector, int]:
+    def _newton_planar(self, p0: float, p1: float) -> tuple[float, float, float, int]:
         """``_newton_frame`` for ``dim == 2``, unrolled over Python floats,
-        with ``_to_plane`` and ``_from_planar`` written out in place."""
+        with ``_to_plane`` and ``_from_planar`` written out in place: the
+        violation, the projection ``(q0, q1)`` (``(p0, p1)`` itself when no
+        step was taken) and the steps."""
         v00, v01, v10, v11, l0, l1, c0, c1 = self._planar
-        p0, p1 = v.tolist()
         d0, d1 = p0 - c0, p1 - c1
         b0, b1 = v00 * d0 + v10 * d1, v01 * d0 + v11 * d1
         t0, t1 = l0 * b0 * b0, l1 * b1 * b1
@@ -763,7 +771,6 @@ class Ellipsoid(ConvexBody):
             q0, q1 = t0 * e0 * e0, t1 * e1 * e1
             s2 = q0 + q1
         if steps == 0:
-            return violation, v.copy(), 0
+            return violation, p0, p1, 0
         u0, u1 = b0 / (1.0 + mu * l0), b1 / (1.0 + mu * l1)
-        point = np.array([c0 + (v00 * u0 + v01 * u1), c1 + (v10 * u0 + v11 * u1)])
-        return violation, point, steps
+        return violation, c0 + (v00 * u0 + v01 * u1), c1 + (v10 * u0 + v11 * u1), steps

@@ -10,8 +10,8 @@ Four schemes are provided, all producing a :class:`SolveReport`:
 * :func:`exact_alternating` -- the exact-projection baseline.
 
 All four run one outer loop, ``_drive`` (the alternating three through
-``_alternate``), and differ only in its step and in the verdict that
-reduces a violation pair to the number the stops read.
+``_alternate``, or its float form below), and differ only in its step and
+in the verdict that reduces a violation pair to the number the stops read.
 Each solver is fixed by one fact, which of set A and set B it projects
 inexactly, stated once in :data:`INEXACT`. :func:`check_pair` derives a
 run's whole entry contract from it: the input rules, the forcing regime and
@@ -35,6 +35,15 @@ their verdict is the smaller violation. The averaged scheme's step averages
 the two inexact projections of its iterate, and its verdict is the larger
 violation of that iterate.
 
+One selection reads the input: :func:`exact_alternating` on two 2-D
+ellipsoids runs ``_alternate``'s exact step over Python floats
+(``_planar_alternate``), calling each body's Newton core,
+``Ellipsoid._newton_planar``, on floats rather than ``_violation_project``
+on arrays, and gives the same bits. Every other pair, and every other
+solver, takes the array step. A halfspace or ball side stays on numpy
+because numpy's two-term ``ndarray.dot`` rounds apart from the float sum
+(README, "Rounding-sensitive results").
+
 A :class:`ForcingSchedule`, which is also the config's ``schedule``
 section, holds the initial forcing parameters and the factors ``tau`` and
 ``delta``. ``_drive`` keeps the current
@@ -54,7 +63,9 @@ import math
 from dataclasses import dataclass, fields, replace
 from typing import Callable
 
-from .bodies import ConvexBody, InputError, Vector, as_float, check_count, member_vector
+import numpy as np
+
+from .bodies import ConvexBody, Ellipsoid, InputError, Vector, as_float, check_count, member_vector
 from .bodies import _check_type, _inf_dist
 from .condg import CondGResult, CondGStop, ForcingParams, condg_project
 
@@ -467,4 +478,47 @@ def exact_alternating(
     intersection stops for lack of progress, with the report's violations
     showing how close it got.
     """
+    if (isinstance(a, Ellipsoid) and a._planar is not None
+            and isinstance(b, Ellipsoid) and b._planar is not None):
+        return _planar_alternate(a, b, x0, y0, stop)
     return _alternate(a, b, x0, y0, INEXACT["exact_alternating"], None, stop)
+
+
+def _planar_alternate(
+    a: Ellipsoid,
+    b: Ellipsoid,
+    x_start,
+    y_start,
+    stop: StoppingConfig,
+) -> SolveReport:
+    """``_alternate`` with both sets projected exactly, for two 2-D
+    ellipsoids, over Python floats: the step carries x, y and the pending
+    projection ``q`` of x onto B as floats, calls each body's Newton core on
+    them, and builds one array per report row, so it gives ``_alternate``'s
+    bits. Without ``y_start`` the y baseline lies at infinity: the first
+    step's y distance is then inf, so its ``moved`` exceeds ``eps_lack``, as
+    ``_alternate``'s inf does."""
+    inexact = INEXACT["exact_alternating"]
+    x_start, y_start, schedule, feas_tol = check_pair(
+        a, b, x_start, y_start, inexact, None, stop)
+    project_a, project_b, eps_lack = a._newton_planar, b._newton_planar, stop.eps_lack
+    x0, x1 = x_start.tolist()
+    y0, y1 = (math.inf, math.inf) if y_start is None else y_start.tolist()
+    cb_x, q0, q1, _ = project_b(x0, x1)
+
+    def step(params):
+        nonlocal x0, x1, y0, y1, cb_x, q0, q1
+        ca_y, n0, n1, _ = project_a(q0, q1)
+        if ca_y == 0.0:
+            return np.array((x0, x1)), np.array((q0, q1)), (cb_x, ca_y), (), math.inf
+        # ``_inf_dist``'s bits: IEEE subtraction, abs and max of floats.
+        moved = max(abs(n0 - x0), abs(n1 - x1))
+        if moved <= eps_lack:
+            moved = max(moved, abs(q0 - y0), abs(q1 - y1))
+        x0, x1, y0, y1 = n0, n1, q0, q1
+        cb_x, q0, q1, _ = project_b(n0, n1)
+        return np.array((n0, n1)), np.array((y0, y1)), (cb_x, ca_y), (), moved
+
+    ca0 = a._violation(y_start) if y_start is not None else math.inf
+    first_row = (x_start, y_start, (cb_x, ca0))
+    return _drive(first_row, step, min, schedule, stop, feas_tol)

@@ -306,7 +306,7 @@ class TestReproduceTable:
     def test_count_gate_fails_on_moved_work_left_unrecorded(self, tmp_path, capsys):
         # A run whose fresh counts moved from base to head passes only when
         # the committed record changed that field too; a new CPU time is no
-        # record of moved work.
+        # record of moved work. A recorded move is printed, not failed.
         gate = load_script("count_gate")
 
         def record(name, opcodes, cpu_s=1e-4):
@@ -320,7 +320,12 @@ class TestReproduceTable:
         base, head, old = record("base", 7221), record("head", 7229), record("old", 7221)
         new, retimed = record("new", 7229), record("retimed", 7221, cpu_s=2e-4)
         assert gate.main([base, base, old, old]) == 0
+        assert capsys.readouterr().out.splitlines() == ["count gate: every moved count is recorded"]
         assert gate.main([base, head, old, new]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "table 1 1.30 ACondG1: recorded opcodes 7221 -> 7229 (+0.1%)",
+            "count gate: every moved count is recorded",
+        ]
         assert gate.main([base, head, old, retimed]) == 1
         assert capsys.readouterr().out.splitlines()[-2:] == [
             "table 1 1.30 ACondG1: opcodes 7221 -> 7229, committed entry unchanged",

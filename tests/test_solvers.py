@@ -4,6 +4,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from feasib import (
     Ball,
@@ -640,6 +641,108 @@ class TestExactAlternating:
         assert rep.stop_code is code
         assert rep.outer_iters == outer
         assert rep.min_violation == pytest.approx(0.05)
+
+
+def assert_same_bits(report, reference):
+    """Every trace row, violation pair, the stop code and the outer count of
+    ``report`` equal ``reference``'s bit for bit."""
+    assert report.stop_code is reference.stop_code
+    assert report.outer_iters == reference.outer_iters
+    assert len(report.y_trace) == len(reference.y_trace)
+    for row, ref in zip(report.x_trace + report.y_trace, reference.x_trace + reference.y_trace):
+        assert row.dtype == ref.dtype and row.tobytes() == ref.tobytes()
+    hexes = [[v.hex() for v in pair] for pair in report.violations]
+    assert hexes == [[v.hex() for v in pair] for pair in reference.violations]
+
+
+def both_exact_steps(a, b, x0, y0=None, stop=StoppingConfig()):
+    """``exact_alternating``'s report, which takes the float step on two 2-D
+    ellipsoids, held to the array step of ``_alternate``; returns it."""
+    report = exact_alternating(a, b, x0, stop, y0)
+    assert_same_bits(report, solvers._alternate(a, b, x0, y0, (False, False), None, stop))
+    return report
+
+
+def disk(center, radius=1.0):
+    return Ellipsoid.from_axes(center, 0.0, (radius, radius))
+
+
+# Gaps between a pair's nearest boundary points: overlapping (meeting),
+# near-tangent either way, and apart (disjoint).
+PAIR_GAPS = st.one_of(st.floats(-1.0, -1e-3), st.floats(-1e-6, 1e-6), st.floats(1e-3, 2.0))
+
+
+@st.composite
+def planar_ellipse_pairs(draw):
+    """Two 2-D ellipses whose boundaries lie a drawn gap apart along a drawn
+    direction: B is placed so that its support point towards A sits at
+    ``p + gap n``, where ``p`` is A's support point in the direction ``n``."""
+    axes = st.floats(0.1, 3.0)
+
+    def ellipse(center):
+        return Ellipsoid.from_axes(center, draw(st.floats(-math.pi, math.pi)),
+                                   (draw(axes), draw(axes)))
+
+    a = ellipse([draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0))])
+    phi = draw(st.floats(-math.pi, math.pi))
+    n = np.array([math.cos(phi), math.sin(phi)])
+    at_origin = ellipse([0.0, 0.0])
+    center = a.lo_minimize(-n)[0] + draw(PAIR_GAPS) * n - at_origin.lo_minimize(n)[0]
+    return a, Ellipsoid(center=center, shape=at_origin.shape)
+
+
+class TestPlanarExactStep:
+    """``exact_alternating`` on two 2-D ellipsoids steps over Python floats
+    and gives the array step's bits."""
+
+    @pytest.mark.parametrize("label", list(table_reference(2)))
+    def test_table2_runs_match_the_array_step(self, label):
+        config = table_config(2, label, "ExactAlt2")
+        a, b = config.bodies
+        both_exact_steps(a, b, np.array(config.x0), np.array(config.y0), config.stopping)
+
+    @settings(max_examples=30, deadline=None)
+    @given(pair=planar_ellipse_pairs(), with_y0=st.booleans())
+    def test_drawn_pairs_match_the_array_step_property(self, pair, with_y0):
+        a, b = pair
+        y0 = b.center if with_y0 else None
+        both_exact_steps(a, b, a.center, y0, StoppingConfig(max_outer_iters=1000))
+
+    @pytest.mark.parametrize("y0", [None, [1.5, 0.0]])
+    def test_a_start_inside_the_other_set_stops_at_row_0(self, y0):
+        rep = both_exact_steps(disk([0.0, 0.0]), disk([1.5, 0.0]), np.array([0.6, 0.0]),
+                               None if y0 is None else np.array(y0))
+        assert rep.stop_code is StopCode.CONVERGED_FEASIBLE and rep.outer_iters == 0
+
+    @pytest.mark.parametrize("y0", [None, [2.4, 0.0]])
+    def test_a_y_iterate_in_a_ends_the_run_on_the_half_step(self, y0):
+        # x0 = (-0.9, 0) projects onto B at (0.5, 0), inside A: ca_y == 0.
+        rep = both_exact_steps(disk([0.0, 0.0]), disk([1.5, 0.0]), np.array([-0.9, 0.0]),
+                               None if y0 is None else np.array(y0))
+        assert rep.stop_code is StopCode.CONVERGED_FEASIBLE and rep.outer_iters == 1
+        assert rep.violations[1][1] == 0.0
+
+    def test_members_within_member_tol_return_unchanged(self):
+        # p lies outside both disks by a gauge of 4e-13, within MEMBER_TOL,
+        # so neither Newton solve steps: every row is p, and with no y0 the
+        # first step's y distance is inf.
+        a, b = disk([0.0, 0.0]), disk([2.0 + 4e-13, 0.0])
+        p = np.array([1.0 + 2e-13, 0.0])
+        for body in (a, b):
+            violation, q0, q1, steps = body._newton_planar(*p.tolist())
+            assert 0.0 < violation <= bodies.MEMBER_TOL and steps == 0
+            assert [q0, q1] == p.tolist()
+        rep = both_exact_steps(a, b, p)
+        assert rep.stop_code is StopCode.LACK_OF_PROGRESS and rep.outer_iters == 3
+        assert all(row.tolist() == p.tolist() for row in rep.x_trace + rep.y_trace)
+
+    @pytest.mark.parametrize("cap", [1, 2, 3])
+    def test_a_low_newton_cap_gives_the_same_bits(self, monkeypatch, cap):
+        monkeypatch.setattr(bodies, "_SECULAR_MAX_ITERS", cap)
+        for label in ("2.30", "2.358", "2.50"):
+            config = table_config(2, label, "ExactAlt2")
+            a, b = config.bodies
+            both_exact_steps(a, b, np.array(config.x0), np.array(config.y0))
 
 
 class TestInnerCapPropagation:
